@@ -1,10 +1,11 @@
 """Order-preserving parallel mapping over corpus lines.
 
-Workers are separate processes (the map functions are pure and picklable);
-results are yielded in input order regardless of worker count, so any
-stage built on this produces byte-identical output for every ``workers``
-setting.
-"""
+This is the package's only concurrency. It serves normalize and extract,
+whose per-line work is heavy enough to gain from a second process; every
+other stage runs serially. Workers are separate processes (the map
+functions are pure and picklable); results are yielded in input order
+regardless of worker count, so any stage built on this produces
+byte-identical output for every ``workers`` setting."""
 
 from __future__ import annotations
 

@@ -17,8 +17,9 @@ Configuration is a flat ``key=value`` file; every key can be overridden
 with a ``--key value`` flag. Each artifact is stamped with a hash of the
 resolved configuration and stages refuse to consume artifacts whose stamp
 does not match, so artifacts from different configurations cannot be
-composed by accident. ``--workers 1`` (the default) makes every stage,
-and therefore the whole pipeline, byte-for-byte reproducible.
+composed by accident. Every stage is byte-for-byte reproducible at any
+``--workers``, which only spreads normalize and extract over processes and
+is left out of the hash.
 """
 
 from __future__ import annotations
@@ -118,15 +119,20 @@ class PipelineConfig:
         if self.workers < 1:
             raise CliError("workers must be at least 1")
 
-    def serialize(self) -> str:
+    def serialize(self, skip: tuple[str, ...] = ()) -> str:
         parts = []
         for f in sorted(fields(self), key=lambda f: f.name):
+            if f.name in skip:
+                continue
             value = getattr(self, f.name)
             parts.append(f"{f.name}={'' if value is None else value}")
         return "\n".join(parts) + "\n"
 
     def hash(self) -> str:
-        return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()[:12]
+        """Stamp of the settings artifacts depend on: all but ``workers``, which
+        changes no output."""
+        text = self.serialize(skip=("workers",))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
     def header(self) -> dict[str, str]:
         return {CONFIG_HASH_KEY: self.hash()}
@@ -253,7 +259,7 @@ def cmd_train_embedding(cfg: PipelineConfig) -> None:
         learning_rate=cfg.lr,
         seed=cfg.seed,
     )
-    model = train_cbow(cfg.normalized, config, workers=cfg.workers)
+    model = train_cbow(cfg.normalized, config)
     save_embedding(cfg.embedding, model, header=cfg.header())
     print(f"train-embedding: {len(model.vocab)} tokens, dimension {model.dimension}")
 
@@ -268,7 +274,7 @@ def _query_tokens(cfg: PipelineConfig) -> set[str]:
 def cmd_cooc_index(cfg: PipelineConfig) -> None:
     _require_artifact(cfg, cfg.normalized, "normalize")
     _require_input(cfg.queries, "queries")
-    index = build_cooc_index(cfg.normalized, _query_tokens(cfg), workers=cfg.workers)
+    index = build_cooc_index(cfg.normalized, _query_tokens(cfg))
     save_cooc_index(cfg.cooc_index, index, header=cfg.header())
     n_rows = sum(len(row) for row in index.counts.values())
     print(f"cooc-index: {len(index.counts)} query terms, {n_rows} candidate counts")

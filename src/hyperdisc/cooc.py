@@ -13,7 +13,6 @@ tie-breaking, vocabulary-filtered, and truncated to the top 15.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -75,9 +74,20 @@ class PairIndex:
     kind: Source = Source.HEARST
 
 
-def _count_lines(lines: Iterable[Sequence[str]], query_tokens: frozenset[str]) -> CoocIndex:
+def build_cooc_index(
+    normalized_corpus_path: str | os.PathLike,
+    query_terms: Iterable[str],
+) -> CoocIndex:
+    """Count paragraph co-occurrences for the given query tokens.
+
+    ``query_terms`` must be in underscore-joined internal form. Counting is
+    one serial pass; indexes of corpus shards combine with
+    ``merge_cooc_indexes``.
+    """
+    query_tokens = frozenset(query_terms)
     counts: dict[str, dict[str, int]] = {q: {} for q in sorted(query_tokens)}
-    for tokens in lines:
+    for line in iter_data_lines(normalized_corpus_path):
+        tokens = line.split()
         present = query_tokens.intersection(tokens)
         if not present:
             continue
@@ -88,39 +98,6 @@ def _count_lines(lines: Iterable[Sequence[str]], query_tokens: frozenset[str]) -
                 if token != q:
                     row[token] = row.get(token, 0) + n
     return CoocIndex(counts)
-
-
-def build_cooc_index(
-    normalized_corpus_path: str | os.PathLike,
-    query_terms: Iterable[str],
-    workers: int = 1,
-) -> CoocIndex:
-    """Count paragraph co-occurrences for the given query tokens.
-
-    ``query_terms`` must be in underscore-joined internal form. With
-    ``workers > 1`` the corpus is split into shards counted in parallel and
-    merged; counts are identical for every worker count.
-    """
-    query_tokens = frozenset(query_terms)
-    lines = (line.split() for line in iter_data_lines(normalized_corpus_path) if line)
-    if workers <= 1:
-        return _count_lines(lines, query_tokens)
-    shards: list[list[Sequence[str]]] = [[] for _ in range(workers)]
-    for i, tokens in enumerate(lines):
-        shards[i % workers].append(tokens)
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_CountShard(query_tokens), shards, chunksize=1)
-    return merge_cooc_indexes(parts)
-
-
-class _CountShard:
-    """Picklable shard counter for the worker pool."""
-
-    def __init__(self, query_tokens: frozenset[str]):
-        self.query_tokens = query_tokens
-
-    def __call__(self, lines: list[Sequence[str]]) -> CoocIndex:
-        return _count_lines(lines, self.query_tokens)
 
 
 def merge_cooc_indexes(parts: Sequence[CoocIndex]) -> CoocIndex:

@@ -122,9 +122,11 @@ def read_header(path: str | os.PathLike) -> dict[str, str]:
     return meta
 
 
-def iter_data_lines(path: str | os.PathLike) -> Iterator[str]:
-    """Yield lines with the trailing newline stripped, skipping the leading
-    comment block."""
+def iter_data_lines(
+    path: str | os.PathLike, keep_newline: bool = False
+) -> Iterator[str]:
+    """Yield lines with the trailing newline stripped (or kept, so a caller
+    can tell a line cut short), skipping the leading comment block."""
     with open(path, encoding="utf-8") as fh:
         in_header = True
         for line in fh:
@@ -132,7 +134,7 @@ def iter_data_lines(path: str | os.PathLike) -> Iterator[str]:
                 if line.startswith("#"):
                     continue
                 in_header = False
-            yield line.rstrip("\n")
+            yield line if keep_newline else line.rstrip("\n")
 
 
 # ---------------------------------------------------------------------------

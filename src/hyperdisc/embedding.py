@@ -9,9 +9,10 @@ position is
 with h the context mean, u the output vectors, and negatives drawn from
 the unigram^(3/4) distribution (redrawn when they collide with the
 center). The learning rate decays linearly to 10% of its initial value
-over all positions of all epochs. Single-worker training is exactly
-reproducible for a fixed seed; multi-worker training is lock-free over
-shared weights and therefore not reproducible.
+over all positions of all epochs. Training is serial and exactly
+reproducible for a fixed seed. Its only weight update is ``apply_step``;
+``cbow_step_loss`` is the independent oracle for the same loss and
+gradients.
 
 The projection maps a hyponym vector toward its hypernym region: either a
 single offset vector (the closed-form mean of y - x over training pairs)
@@ -23,16 +24,16 @@ distance.
 from __future__ import annotations
 
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus_io import (
     CandidateVocabulary,
+    FormatError,
     format_header,
     iter_data_lines,
     term_to_token,
@@ -133,19 +134,25 @@ def cbow_step_loss(
 
 
 def apply_step(
-    model: EmbeddingModel,
-    center: int,
-    context: Sequence[int],
-    negatives: Sequence[int],
-    learning_rate: float,
-) -> float:
-    """One SGD step on the model in place; returns the pre-step loss."""
-    step = cbow_step_loss(model, center, context, negatives)
-    ctx = np.asarray(context, dtype=np.intp)
-    targets = np.asarray([center, *negatives], dtype=np.intp)
-    np.add.at(model.output_vectors, targets, -learning_rate * step.target_grads)
-    np.add.at(model.input_vectors, ctx, -learning_rate * step.context_grad)
-    return step.loss
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    context: np.ndarray,
+    targets: np.ndarray,
+    lr: float,
+) -> None:
+    """One SGD step of learning rate ``lr`` on the weights in place.
+
+    ``context`` holds the input rows of the context, ``targets`` the output
+    rows ``[center, *negatives]``; repeated rows accumulate. The step is
+    ``-lr`` times the gradients ``cbow_step_loss`` returns.
+    """
+    h = w_in[context].mean(axis=0)
+    u = w_out[targets] @ h
+    g = 1.0 / (1.0 + np.exp(-u))
+    g[0] -= 1.0
+    grad_h = g @ w_out[targets]
+    np.add.at(w_out, targets, np.outer(g, (-lr) * h))
+    np.add.at(w_in, context, (-lr / context.size) * grad_h)
 
 
 def _encode_corpus(path, index) -> list[np.ndarray]:
@@ -157,20 +164,20 @@ def _encode_corpus(path, index) -> list[np.ndarray]:
     return encoded
 
 
-def _train_shard(
+def _train(
     lines: Sequence[np.ndarray],
     w_in: np.ndarray,
     w_out: np.ndarray,
     noise_cdf: np.ndarray,
     config: EmbeddingConfig,
     rng: np.random.Generator,
-    progress: list[int],
     total: int,
 ) -> None:
     window = config.window
     n_neg = config.negatives
     lr0 = config.learning_rate
     lr_floor = LR_FLOOR_FRACTION * lr0
+    done = 0
     with np.errstate(over="ignore"):
         for _ in range(config.epochs):
             for ids in lines:
@@ -189,24 +196,16 @@ def _train_shard(
                         negs[clash] = np.searchsorted(
                             noise_cdf, rng.random(int(clash.sum()))
                         )
-                    lr = lr0 * (1.0 - 0.9 * progress[0] / total)
+                    lr = lr0 * (1.0 - 0.9 * done / total)
                     if lr < lr_floor:
                         lr = lr_floor
-                    progress[0] += 1
-                    targets = np.concatenate(([center], negs))
-                    h = w_in[ctx].mean(axis=0)
-                    u = w_out[targets] @ h
-                    g = 1.0 / (1.0 + np.exp(-u))
-                    g[0] -= 1.0
-                    grad_h = g @ w_out[targets]
-                    np.add.at(w_out, targets, np.outer(g, (-lr) * h))
-                    np.add.at(w_in, ctx, (-lr / ctx.size) * grad_h)
+                    done += 1
+                    apply_step(w_in, w_out, ctx, np.concatenate(([center], negs)), lr)
 
 
 def train_cbow(
     normalized_corpus_path: str | os.PathLike,
     config: EmbeddingConfig,
-    workers: int = 1,
 ) -> EmbeddingModel:
     """Train CBOW vectors over a normalized corpus file.
 
@@ -240,33 +239,7 @@ def train_cbow(
 
     total = config.epochs * sum(len(ids) for ids in encoded)
     if total > 0:
-        if workers <= 1:
-            _train_shard(encoded, w_in, w_out, noise_cdf, config, rng, [0], total)
-        else:
-            shards: list[list[np.ndarray]] = [[] for _ in range(workers)]
-            for i, ids in enumerate(encoded):
-                shards[i % workers].append(ids)
-            progress = [0]
-            threads = [
-                threading.Thread(
-                    target=_train_shard,
-                    args=(
-                        shard,
-                        w_in,
-                        w_out,
-                        noise_cdf,
-                        config,
-                        np.random.default_rng([config.seed, wid + 1]),
-                        progress,
-                        total,
-                    ),
-                )
-                for wid, shard in enumerate(shards)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        _train(encoded, w_in, w_out, noise_cdf, config, rng, total)
     return EmbeddingModel(
         vocab=vocab,
         input_vectors=w_in,
@@ -404,20 +377,39 @@ def save_embedding(
             fh.write(token + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
 
 
+def _bad_line(
+    path: str | os.PathLike, what: str, line: str, width: int | None
+) -> FormatError:
+    """The error for a data line (newline kept) that is missing, cut short
+    by truncation, or not ``width`` fields wide."""
+    if not line.endswith("\n"):
+        state = "cut short" if line else "missing"
+        return FormatError(f"{path}: {what} is {state}; the file is truncated")
+    return FormatError(f"{path}: {what} has {len(line.split())} fields, expected {width}")
+
+
+def _fields(
+    lines: Iterator[str], path: str | os.PathLike, what: str, width: int | None = None
+) -> list[str]:
+    """Fields of the next line of ``iter_data_lines(path, keep_newline=True)``."""
+    line = next(lines, "")
+    parts = line.split()
+    if not line.endswith("\n") or (width is not None and len(parts) != width):
+        raise _bad_line(path, what, line, width)
+    return parts
+
+
 def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
     """Load a saved embedding (input vectors only; frequencies not stored)."""
-    lines = iter_data_lines(path)
-    try:
-        head = next(lines)
-    except StopIteration:
-        raise ValueError(f"{path}: empty embedding file") from None
-    n, dim = (int(part) for part in head.split())
+    lines = iter_data_lines(path, keep_newline=True)
+    n, dim = (int(part) for part in _fields(lines, path, "the size line", 2))
     vocab = []
     vectors = np.empty((n, dim))
     for i in range(n):
-        parts = next(lines).split()
-        if len(parts) != dim + 1:
-            raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
+        line = next(lines, "")
+        parts = line.split()
+        if len(parts) != dim + 1 or not line.endswith("\n"):
+            raise _bad_line(path, f"row {i + 1} of {n}", line, dim + 1)
         vocab.append(parts[0])
         vectors[i] = [float(v) for v in parts[1:]]
     return EmbeddingModel(vocab=vocab, input_vectors=vectors)
@@ -443,16 +435,18 @@ def save_phi(
 
 
 def load_phi(path: str | os.PathLike) -> PhiTransform:
-    lines = iter_data_lines(path)
+    lines = iter_data_lines(path, keep_newline=True)
+    mode_line = " ".join(_fields(lines, path, "the mode line"))
     try:
-        mode = PhiMode(next(lines).strip())
-    except (StopIteration, ValueError):
-        raise ValueError(f"{path}: missing or unknown projection mode line") from None
+        mode = PhiMode(mode_line)
+    except ValueError:
+        raise FormatError(f"{path}: unknown projection mode {mode_line!r}") from None
     if mode is PhiMode.OFFSET:
-        offset = np.array([float(v) for v in next(lines).split()])
+        offset = np.array([float(v) for v in _fields(lines, path, "the offset row")])
         return PhiTransform(PhiMode.OFFSET, offset=offset)
-    rows, cols = (int(part) for part in next(lines).split())
+    rows, cols = (int(part) for part in _fields(lines, path, "the size line", 2))
     matrix = np.empty((rows, cols))
     for i in range(rows):
-        matrix[i] = [float(v) for v in next(lines).split()]
+        parts = _fields(lines, path, f"matrix row {i + 1} of {rows}", cols)
+        matrix[i] = [float(v) for v in parts]
     return PhiTransform(PhiMode.MATRIX, matrix=matrix)

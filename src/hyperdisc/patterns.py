@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from .corpus_io import (
@@ -319,14 +320,18 @@ def format_isa_line(match: PatternMatch) -> str:
     return f"{match.hyponyms[0]}\t{match.hypernym}"
 
 
-def _extract_line(line: str) -> tuple[list[str], list[str], int]:
+def _extract_line(line: str, hearst: bool, isa: bool) -> tuple[list[str], list[str], int]:
     stats = ReadStats()
     paragraph = parse_tagged_line(line, stats)
     if paragraph is None:
         return [], [], stats.bad_tokens
-    hearst = [format_hearst_line(m) for m in extract_hearst(paragraph)]
-    isa = [format_isa_line(m) for m in extract_isa(paragraph)]
-    return hearst, isa, stats.bad_tokens
+    hearst_lines: list[str] = []
+    isa_lines: list[str] = []
+    if hearst:
+        hearst_lines = [format_hearst_line(m) for m in extract_hearst(paragraph)]
+    if isa:
+        isa_lines = [format_isa_line(m) for m in extract_isa(paragraph)]
+    return hearst_lines, isa_lines, stats.bad_tokens
 
 
 def extract_corpus(
@@ -339,10 +344,13 @@ def extract_corpus(
     """Scan a tagged corpus and write pattern-corpus files in corpus order.
 
     Hearst lines are ``hypernym<TAB>hyponym1,hyponym2,...``; IS-A lines are
-    ``hyponym<TAB>hypernym``. Either output may be omitted.
+    ``hyponym<TAB>hypernym``. Either output may be omitted; only the
+    grammars of the requested outputs run, and an omitted output's match
+    count stays 0.
     """
     stats = ExtractStats()
     lines = (line for line in iter_data_lines(in_path) if line.strip())
+    scan = partial(_extract_line, hearst=hearst_out is not None, isa=isa_out is not None)
 
     def _open(path):
         if path is None:
@@ -355,7 +363,7 @@ def extract_corpus(
     hearst_fh = _open(hearst_out)
     isa_fh = _open(isa_out)
     try:
-        for hearst_lines, isa_lines, bad in map_lines(_extract_line, lines, workers):
+        for hearst_lines, isa_lines, bad in map_lines(scan, lines, workers):
             stats.bad_tokens += bad
             stats.hearst_matches += len(hearst_lines)
             stats.isa_matches += len(isa_lines)

@@ -133,6 +133,39 @@ def test_pipeline_is_deterministic(tmp_path, dataset):
         assert open(getattr(cfg, key), "rb").read() == body, key
 
 
+def test_pipeline_bytes_do_not_depend_on_workers(tmp_path, dataset):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    serial = {key: open(getattr(cfg, key), "rb").read() for key in ARTIFACT_KEYS}
+    assert run(cfg_path, "pipeline", "--workers", "2") == 0
+    for key in ARTIFACT_KEYS:
+        assert open(getattr(cfg, key), "rb").read() == serial[key], key
+
+
+def test_workers_change_leaves_artifacts_current(tmp_path, dataset):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    assert run(cfg_path, "predict", "--workers", "2") == 0
+
+
+def test_truncated_embedding_is_clean_error(tmp_path, dataset, capsys):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    lines = open(cfg.embedding, encoding="utf-8").readlines()
+    with open(cfg.embedding, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:-1])
+    capsys.readouterr()
+    assert run(cfg_path, "fit-phi") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cfg.embedding in err and "truncated" in err
+
+
 def test_stale_artifact_rejected(tmp_path, dataset, capsys):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"

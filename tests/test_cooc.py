@@ -17,13 +17,17 @@ from hyperdisc.cooc import (
     merge_cooc_indexes,
     save_cooc_index,
 )
+from hyperdisc import synthetic
 from hyperdisc.corpus_io import (
     CandidateVocabulary,
     Query,
     QueryKind,
     ReadStats,
+    load_queries,
     read_header,
+    term_to_token,
 )
+from hyperdisc.normalize import normalize_corpus
 
 
 def brute_force_cooc(lines: list[list[str]], queries: set[str]) -> dict:
@@ -115,16 +119,19 @@ def test_shard_merge_homomorphism(tmp_path):
 
 
 def test_parallel_build_equals_serial(tmp_path):
-    rng = np.random.default_rng(2)
-    vocab = [f"w{i}" for i in range(10)]
-    lines = [list(rng.choice(vocab, size=4)) for _ in range(200)]
-    path = tmp_path / "n.txt"
-    write_lines(path, lines)
-    queries = {"w0", "w5"}
-    assert (
-        build_cooc_index(path, queries, workers=1).counts
-        == build_cooc_index(path, queries, workers=3).counts
+    # workers spread the normalization that feeds the index; the index built
+    # from a parallel normalization must equal the serial one
+    data = synthetic.generate(
+        tmp_path, n_hypernyms=3, n_hyponyms=4, seed=2, noise_lines=600
     )
+    queries = {term_to_token(q.term) for q in load_queries(data.queries)}
+    indexes = []
+    for workers in (1, 3):
+        normalized = tmp_path / f"normalized_{workers}.txt"
+        normalize_corpus(data.corpus, normalized, workers=workers)
+        indexes.append(build_cooc_index(normalized, queries))
+    assert indexes[0].counts  # the queries do co-occur with something
+    assert indexes[0].counts == indexes[1].counts
 
 
 class TestCandidatesFromCooc:

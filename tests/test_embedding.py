@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hyperdisc.corpus_io import CandidateVocabulary
+from hyperdisc import synthetic
+from hyperdisc.corpus_io import CandidateVocabulary, FormatError
 from hyperdisc.embedding import (
     EmbeddingConfig,
     EmbeddingModel,
@@ -19,6 +20,7 @@ from hyperdisc.embedding import (
     save_phi,
     train_cbow,
 )
+from hyperdisc.normalize import normalize_corpus
 
 
 def random_model(rng, vocab_size=20, dim=8, scale=0.5):
@@ -125,15 +127,41 @@ def test_negative_equal_to_center_lower_bound():
         assert step.loss >= 2 * math.log(2) - 1e-12
 
 
+def step_rows(center, context, negatives):
+    return (
+        np.asarray(context, dtype=np.intp),
+        np.asarray([center, *negatives], dtype=np.intp),
+    )
+
+
 def test_sgd_step_decreases_loss():
     rng = np.random.default_rng(7)
     for _ in range(50):
         model = random_model(rng)
         center, context, negatives = random_example(rng)
         before = cbow_step_loss(model, center, context, negatives).loss
-        apply_step(model, center, context, negatives, learning_rate=1e-3)
+        apply_step(
+            model.input_vectors, model.output_vectors,
+            *step_rows(center, context, negatives), lr=1e-3,
+        )
         after = cbow_step_loss(model, center, context, negatives).loss
         assert after < before
+
+
+def test_apply_step_is_minus_lr_times_oracle_gradients():
+    rng = np.random.default_rng(17)
+    lr = 0.05
+    for _ in range(100):
+        model = random_model(rng)
+        center, context, negatives = random_example(rng)
+        # repeated rows must accumulate, as they do in the oracle
+        context = [*context, context[0]]
+        negatives = [*negatives, negatives[0], center]
+        grad_in, grad_out = analytic_gradients(model, center, context, negatives)
+        w_in, w_out = model.input_vectors.copy(), model.output_vectors.copy()
+        apply_step(w_in, w_out, *step_rows(center, context, negatives), lr)
+        assert relative_error(w_in - model.input_vectors, -lr * grad_in) < 1e-12
+        assert relative_error(w_out - model.output_vectors, -lr * grad_out) < 1e-12
 
 
 def write_corpus(path, lines):
@@ -205,16 +233,24 @@ def test_correlated_tokens_end_up_similar(tmp_path):
 
 
 def test_multi_worker_training_produces_valid_model(tmp_path):
-    # lock-free mode: not reproducible, but must train all vectors finitely
-    path = tmp_path / "c.txt"
-    rng = np.random.default_rng(12)
-    words = [f"w{i}" for i in range(10)]
-    write_corpus(path, [list(rng.choice(words, size=5)) for _ in range(300)])
+    # workers spread the normalization that feeds training; the model trained
+    # on a parallel normalization must be valid and equal the serial one
+    data = synthetic.generate(
+        tmp_path, n_hypernyms=3, n_hyponyms=4, seed=12, noise_lines=600
+    )
     config = EmbeddingConfig(dimension=8, window=3, min_count=2, epochs=2, seed=1)
-    model = train_cbow(path, config, workers=3)
+    models = []
+    for workers in (1, 3):
+        normalized = tmp_path / f"normalized_{workers}.txt"
+        normalize_corpus(data.corpus, normalized, workers=workers)
+        models.append(train_cbow(normalized, config))
+    serial, model = models
     assert np.isfinite(model.input_vectors).all()
     assert np.isfinite(model.output_vectors).all()
-    assert model.output_vectors.any()  # all shards actually trained
+    assert model.output_vectors.any()  # the output vectors were trained
+    assert model.vocab == serial.vocab
+    assert np.array_equal(model.input_vectors, serial.input_vectors)
+    assert np.array_equal(model.output_vectors, serial.output_vectors)
 
 
 def test_training_is_deterministic_for_fixed_seed(tmp_path):
@@ -418,3 +454,43 @@ def test_config_validation():
         EmbeddingConfig(epochs=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(learning_rate=0.0)
+
+
+def truncations(text, header_lines):
+    """The saved ``text`` cut at the start of its last line, in the middle of
+    that line, and just after its ``header_lines`` leading lines."""
+    lines = text.splitlines(keepends=True)
+    last = len(text) - len(lines[-1])
+    return {
+        "row_boundary": text[:last],
+        "mid_row": text[: last + len(lines[-1]) // 2],
+        "header_only": "".join(lines[:header_lines]),
+    }
+
+
+def save_for(kind, path):
+    rng = np.random.default_rng(12)
+    if kind == "embedding":
+        vectors = rng.normal(0, 1, (3, 4))
+        model = EmbeddingModel(vocab=["a", "b", "c"], input_vectors=vectors)
+        save_embedding(path, model, header={"config-hash": "f00d"})
+        return load_embedding, 2     # stamp, size line
+    if kind == "offset_phi":
+        save_phi(path, PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4)),
+                 header={"config-hash": "f00d"})
+        return load_phi, 2           # stamp, mode line
+    save_phi(path, PhiTransform(PhiMode.MATRIX, matrix=rng.normal(0, 1, (3, 3))),
+             header={"config-hash": "f00d"})
+    return load_phi, 3               # stamp, mode line, size line
+
+
+@pytest.mark.parametrize("cut", ["row_boundary", "mid_row", "header_only"])
+@pytest.mark.parametrize("kind", ["embedding", "offset_phi", "matrix_phi"])
+def test_truncated_file_is_format_error(tmp_path, kind, cut):
+    path = tmp_path / f"{kind}.txt"
+    load, header_lines = save_for(kind, path)
+    path.write_text(truncations(path.read_text(), header_lines)[cut])
+    with pytest.raises(FormatError, match="truncated") as info:
+        load(path)
+    assert str(path) in str(info.value)
+    assert "row" in str(info.value)

@@ -118,6 +118,19 @@ def test_extract_corpus_files(tmp_path):
     assert isa_out.read_text() == "fennel\tplant\n"
 
 
+def test_extract_corpus_runs_only_requested_grammars(tmp_path):
+    src = tmp_path / "c.txt"
+    src.write_text("".join(line + "\n" for line, _ in SENTENCES) * 2)
+    both = (tmp_path / "h.tsv", tmp_path / "i.tsv")
+    full = extract_corpus(src, *both)
+    hearst_only = extract_corpus(src, hearst_out=tmp_path / "h2.tsv")
+    isa_only = extract_corpus(src, isa_out=tmp_path / "i2.tsv")
+    assert (hearst_only.hearst_matches, hearst_only.isa_matches) == (full.hearst_matches, 0)
+    assert (isa_only.hearst_matches, isa_only.isa_matches) == (0, full.isa_matches)
+    assert (tmp_path / "h2.tsv").read_bytes() == both[0].read_bytes()
+    assert (tmp_path / "i2.tsv").read_bytes() == both[1].read_bytes()
+
+
 def test_extract_corpus_empty(tmp_path):
     src = tmp_path / "c.txt"
     src.write_text("")
