@@ -1,7 +1,7 @@
 """Order-preserving parallel mapping over corpus lines.
 
-This is the package's only concurrency. It serves normalize and extract,
-whose per-line work is heavy enough to gain from a second process; every
+This is the package's only concurrency. It serves the tagged-corpus scan
+(normalize and extract), whose per-line work gains from a second process; every
 other stage runs serially. Workers are separate processes (the map
 functions are pure and picklable); results are yielded in input order
 regardless of worker count, so any stage built on this produces

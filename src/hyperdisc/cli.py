@@ -11,7 +11,7 @@ without re-scanning the corpus:
     fit-phi          embedding + training queries/gold -> projection file
     predict          all four evidence sources -> merged predictions
     evaluate         predictions + gold -> metric table and report file
-    pipeline         all of the above, in order
+    pipeline         all of the above, in order, reading the corpus once
 
 Configuration is a flat ``key=value`` file; every key can be overridden
 with a ``--key value`` flag. Each artifact is stamped with a hash of the
@@ -41,6 +41,7 @@ from .cooc import (
     save_cooc_index,
 )
 from .corpus_io import (
+    CONFIG_HASH_KEY,
     FormatError,
     Query,
     QueryKind,
@@ -67,8 +68,6 @@ from .metrics import evaluate, format_table, write_report
 from .normalize import normalize_corpus
 from .patterns import extract_corpus
 from .rank import ModuleOrder, RankedPrediction, choose_order, merge
-
-CONFIG_HASH_KEY = "config-hash"
 
 
 class CliError(Exception):
@@ -219,31 +218,30 @@ def _require_artifact(cfg: PipelineConfig, path: str, stage: str) -> None:
         )
 
 
+SCAN_SUMMARIES = {  # corpus stage -> one-line summary of its ScanStats
+    "normalize": "normalize: {0.paragraphs_in} paragraphs in, {0.paragraphs_out} out, "
+    "{0.phrases_appended} phrases appended",
+    "extract-hearst": "extract-hearst: {0.hearst_matches} matches",
+    "extract-isa": "extract-isa: {0.isa_matches} matches",
+}
+
+
 def cmd_normalize(cfg: PipelineConfig) -> None:
     _require_input(cfg.corpus, "corpus")
-    stats = normalize_corpus(
-        cfg.corpus, cfg.normalized, workers=cfg.workers, header=cfg.header()
-    )
-    print(
-        f"normalize: {stats.paragraphs_in} paragraphs in, "
-        f"{stats.paragraphs_out} out, {stats.phrases_appended} phrases appended"
-    )
+    stats = normalize_corpus(cfg.corpus, cfg.normalized, cfg.workers, cfg.header())
+    print(SCAN_SUMMARIES["normalize"].format(stats))
 
 
 def cmd_extract_hearst(cfg: PipelineConfig) -> None:
     _require_input(cfg.corpus, "corpus")
-    stats = extract_corpus(
-        cfg.corpus, hearst_out=cfg.hearst_corpus, workers=cfg.workers, header=cfg.header()
-    )
-    print(f"extract-hearst: {stats.hearst_matches} matches")
+    stats = extract_corpus(cfg.corpus, cfg.hearst_corpus, None, cfg.workers, cfg.header())
+    print(SCAN_SUMMARIES["extract-hearst"].format(stats))
 
 
 def cmd_extract_isa(cfg: PipelineConfig) -> None:
     _require_input(cfg.corpus, "corpus")
-    stats = extract_corpus(
-        cfg.corpus, isa_out=cfg.isa_corpus, workers=cfg.workers, header=cfg.header()
-    )
-    print(f"extract-isa: {stats.isa_matches} matches")
+    stats = extract_corpus(cfg.corpus, None, cfg.isa_corpus, cfg.workers, cfg.header())
+    print(SCAN_SUMMARIES["extract-isa"].format(stats))
 
 
 def cmd_train_embedding(cfg: PipelineConfig) -> None:
@@ -398,8 +396,15 @@ PIPELINE_STAGES = [
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
-    for _, handler in PIPELINE_STAGES:
-        handler(cfg)
+    """Every stage in order; the corpus stages share one pass over the corpus."""
+    _require_input(cfg.corpus, "corpus")
+    stats = extract_corpus(cfg.corpus, cfg.hearst_corpus, cfg.isa_corpus, cfg.workers,
+                           cfg.header(), normalized_out=cfg.normalized)
+    for stage, handler in PIPELINE_STAGES:
+        if stage in SCAN_SUMMARIES:
+            print(SCAN_SUMMARIES[stage].format(stats))
+        else:
+            handler(cfg)
 
 
 COMMANDS = dict(PIPELINE_STAGES) | {"pipeline": cmd_pipeline}

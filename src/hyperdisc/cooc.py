@@ -21,12 +21,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus_io import (
     CandidateVocabulary,
+    FormatError,
     Query,
     QueryKind,
     ReadStats,
     format_header,
     iter_data_lines,
     read_header,
+    require_complete,
     term_to_token,
     token_to_term,
 )
@@ -181,7 +183,7 @@ def build_pair_index(
 
     Hearst lines (``hypernym<TAB>h1,h2,...``) add one count per listed
     hyponym; IS-A lines (``hyponym<TAB>hypernym``) add one count. Malformed
-    lines are skipped and counted in ``stats``.
+    lines are skipped and counted in ``stats``; a cut-short last line is a FormatError.
     """
     if kind not in (Source.HEARST, Source.ISA):
         raise ValueError(f"pair index kind must be Hearst or IsA, got {kind}")
@@ -191,6 +193,7 @@ def build_pair_index(
         row = counts.setdefault(hypo, {})
         row[hyper] = row.get(hyper, 0) + 1
 
+    require_complete(pattern_corpus_path)
     for line in iter_data_lines(pattern_corpus_path):
         if not line.strip():
             continue
@@ -235,13 +238,18 @@ def save_cooc_index(
 
 
 def load_cooc_index(path: str | os.PathLike) -> CoocIndex:
+    """Read a snapshot back; a malformed or cut-short row is a `FormatError`."""
     meta = read_header(path)
     if meta.get(COOC_INDEX_MAGIC[0]) != COOC_INDEX_MAGIC[1]:
-        raise ValueError(f"{path}: not a {COOC_INDEX_MAGIC[0]} {COOC_INDEX_MAGIC[1]} file")
+        raise FormatError(f"{path}: not a {COOC_INDEX_MAGIC[0]} {COOC_INDEX_MAGIC[1]} file")
+    require_complete(path)
     counts: dict[str, dict[str, int]] = {}
-    for line in iter_data_lines(path):
-        if not line:
-            continue
-        term, token, count = line.split("\t")
-        counts.setdefault(term, {})[token] = int(count)
+    for lineno, line in enumerate(iter_data_lines(path), start=1):
+        try:
+            term, token, count = line.split("\t")
+            counts.setdefault(term, {})[token] = int(count)
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {lineno} is not term<TAB>candidate<TAB>count: {line!r}"
+            ) from None
     return CoocIndex(counts)

@@ -13,7 +13,8 @@ Formats (all UTF-8, ``\\n`` line endings):
 
 Any file may begin with ``#key value`` comment lines; readers skip this
 leading block and the pipeline uses it to stamp artifacts with the config
-hash that produced them.
+hash that produced them. The ``#config-hash`` stamp closes the header: any
+line after it is data, even one that starts with ``#``.
 
 Multiword terms are written with single spaces externally and joined with
 underscores internally so that phrase tokens stay atomic in indexes and
@@ -22,13 +23,19 @@ embeddings; `term_to_token` / `token_to_term` convert between the forms.
 
 from __future__ import annotations
 
+import itertools
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+
+from ._parallel import map_lines
 
 MAX_PREDICTIONS = 15
 MAX_TERM_WORDS = 3
+CONFIG_HASH_KEY = "config-hash"
 
 
 class TaggedToken(NamedTuple):
@@ -77,7 +84,6 @@ class ReadStats:
     """Counts of skipped input recorded by the lenient readers."""
 
     bad_tokens: int = 0
-    empty_lines: int = 0
     rejected_terms: int = 0
     malformed_lines: int = 0
 
@@ -109,32 +115,43 @@ def format_header(meta: dict[str, str]) -> str:
     return "".join(f"#{key} {value}\n" for key, value in meta.items())
 
 
-def read_header(path: str | os.PathLike) -> dict[str, str]:
-    """Parse the leading ``#key value`` comment block of a file."""
+def _read_header(fh: TextIO) -> tuple[dict[str, str], str]:
+    """Consume the leading ``#key value`` lines of an open file, up to and
+    including the stamp; return them and the first data line ('' at EOF)."""
     meta: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line[1:].rstrip("\n")
-            key, _, value = body.partition(" ")
-            meta[key] = value
-    return meta
+    line = fh.readline()
+    while line.startswith("#") and CONFIG_HASH_KEY not in meta:
+        key, _, value = line[1:].rstrip("\n").partition(" ")
+        meta[key] = value
+        line = fh.readline()
+    return meta, line
 
 
-def iter_data_lines(
-    path: str | os.PathLike, keep_newline: bool = False
-) -> Iterator[str]:
-    """Yield lines with the trailing newline stripped (or kept, so a caller
-    can tell a line cut short), skipping the leading comment block."""
+def read_header(path: str | os.PathLike) -> dict[str, str]:
+    """Parse the header comment block of a file."""
     with open(path, encoding="utf-8") as fh:
-        in_header = True
-        for line in fh:
-            if in_header:
-                if line.startswith("#"):
-                    continue
-                in_header = False
-            yield line if keep_newline else line.rstrip("\n")
+        return _read_header(fh)[0]
+
+
+def iter_data_lines(path: str | os.PathLike) -> Iterator[str]:
+    """Yield lines with the trailing newline stripped, skipping the header
+    comment block."""
+    with open(path, encoding="utf-8") as fh:
+        _, first = _read_header(fh)
+        for line in itertools.chain((first,) if first else (), fh):
+            yield line.rstrip("\n")
+
+
+def require_complete(path: str | os.PathLike) -> None:
+    """Raise `FormatError` when the last row of a file is cut short by
+    truncation, which leaves it without its newline. Every artifact loader
+    checks this before it reads."""
+    with open(path, "rb") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
+            return
+    rows = sum(1 for _ in iter_data_lines(path))
+    raise FormatError(f"{path}: last row cut short at data line {rows}; the file is truncated")
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +182,69 @@ def read_tagged_corpus(
 ) -> Iterator[TaggedParagraph]:
     """Stream paragraphs from a tagged corpus file in file order."""
     for line in iter_data_lines(path):
-        if not line.strip():
-            if stats is not None:
-                stats.empty_lines += 1
-            continue
         paragraph = parse_tagged_line(line, stats)
         if paragraph is not None:
             yield paragraph
+
+
+@dataclass
+class ScanStats:
+    """Counts from one pass over a tagged corpus (`scan_tagged_corpus`)."""
+
+    paragraphs_in: int = 0      # lines with at least one valid token
+    paragraphs_out: int = 0     # normalized lines written
+    phrases_appended: int = 0   # noun phrases appended to those lines
+    hearst_matches: int = 0
+    isa_matches: int = 0
+    bad_tokens: int = 0
+
+
+class ParagraphScan(NamedTuple):
+    """One paragraph's lines per output of a scan, and its appended phrases."""
+
+    normalized: tuple[str, ...] = ()
+    hearst: tuple[str, ...] = ()
+    isa: tuple[str, ...] = ()
+    phrases: int = 0
+
+
+def _scan_line(line: str, work: Callable[[TaggedParagraph], ParagraphScan]):
+    stats = ReadStats()
+    paragraph = parse_tagged_line(line, stats)
+    return stats.bad_tokens, None if paragraph is None else work(paragraph)
+
+
+def scan_tagged_corpus(
+    in_path: str | os.PathLike, work: Callable[[TaggedParagraph], ParagraphScan],
+    outputs: Sequence[str | os.PathLike | None], workers: int = 1,
+    header: dict[str, str] | None = None,
+) -> ScanStats:
+    """Parse each non-blank data line of a tagged corpus once, apply the
+    picklable ``work`` and write the normalized, Hearst and IS-A lines it
+    returns to ``outputs`` (a path or None each), after ``header``, in corpus
+    order; `map_lines` spreads the lines over ``workers`` processes."""
+    stats = ScanStats()
+    lines = (line for line in iter_data_lines(in_path) if line.strip())
+    with ExitStack() as stack:
+        files = [
+            None if path is None else stack.enter_context(open(path, "w", encoding="utf-8"))
+            for path in outputs
+        ]
+        for fh in filter(None, files):
+            fh.write(format_header(header or {}))
+        for bad_tokens, scan in map_lines(partial(_scan_line, work=work), lines, workers):
+            stats.bad_tokens += bad_tokens
+            if scan is None:
+                continue
+            stats.paragraphs_in += 1
+            stats.paragraphs_out += len(scan.normalized)
+            stats.phrases_appended += scan.phrases
+            stats.hearst_matches += len(scan.hearst)
+            stats.isa_matches += len(scan.isa)
+            for fh, out in zip(files, (scan.normalized, scan.hearst, scan.isa)):
+                if out:
+                    fh.write("\n".join(out) + "\n")
+    return stats
 
 
 def format_tagged_paragraph(paragraph: TaggedParagraph) -> str:
@@ -276,6 +349,7 @@ def write_predictions(
 
 def read_predictions(path: str | os.PathLike) -> list[list[str]]:
     """Read candidate lines back; the inverse of `write_predictions`."""
+    require_complete(path)
     rows = []
     for line in iter_data_lines(path):
         rows.append([part for part in line.split("\t") if part])

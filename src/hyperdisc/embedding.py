@@ -36,6 +36,7 @@ from .corpus_io import (
     FormatError,
     format_header,
     iter_data_lines,
+    require_complete,
     term_to_token,
     token_to_term,
 )
@@ -377,39 +378,36 @@ def save_embedding(
             fh.write(token + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
 
 
-def _bad_line(
-    path: str | os.PathLike, what: str, line: str, width: int | None
+def _bad_fields(
+    path: str | os.PathLike, what: str, parts: list[str], width: int | None
 ) -> FormatError:
-    """The error for a data line (newline kept) that is missing, cut short
-    by truncation, or not ``width`` fields wide."""
-    if not line.endswith("\n"):
-        state = "cut short" if line else "missing"
-        return FormatError(f"{path}: {what} is {state}; the file is truncated")
-    return FormatError(f"{path}: {what} has {len(line.split())} fields, expected {width}")
+    """The error for a data line that is missing or not ``width`` fields wide."""
+    if not parts:
+        return FormatError(f"{path}: {what} is missing; the file is truncated")
+    return FormatError(f"{path}: {what} has {len(parts)} fields, expected {width}")
 
 
 def _fields(
     lines: Iterator[str], path: str | os.PathLike, what: str, width: int | None = None
 ) -> list[str]:
-    """Fields of the next line of ``iter_data_lines(path, keep_newline=True)``."""
-    line = next(lines, "")
-    parts = line.split()
-    if not line.endswith("\n") or (width is not None and len(parts) != width):
-        raise _bad_line(path, what, line, width)
+    """Fields of the next line of ``iter_data_lines(path)``."""
+    parts = next(lines, "").split()
+    if not parts or (width is not None and len(parts) != width):
+        raise _bad_fields(path, what, parts, width)
     return parts
 
 
 def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
     """Load a saved embedding (input vectors only; frequencies not stored)."""
-    lines = iter_data_lines(path, keep_newline=True)
+    require_complete(path)
+    lines = iter_data_lines(path)
     n, dim = (int(part) for part in _fields(lines, path, "the size line", 2))
     vocab = []
     vectors = np.empty((n, dim))
     for i in range(n):
-        line = next(lines, "")
-        parts = line.split()
-        if len(parts) != dim + 1 or not line.endswith("\n"):
-            raise _bad_line(path, f"row {i + 1} of {n}", line, dim + 1)
+        parts = next(lines, "").split()
+        if len(parts) != dim + 1:
+            raise _bad_fields(path, f"row {i + 1} of {n}", parts, dim + 1)
         vocab.append(parts[0])
         vectors[i] = [float(v) for v in parts[1:]]
     return EmbeddingModel(vocab=vocab, input_vectors=vectors)
@@ -435,7 +433,8 @@ def save_phi(
 
 
 def load_phi(path: str | os.PathLike) -> PhiTransform:
-    lines = iter_data_lines(path, keep_newline=True)
+    require_complete(path)
+    lines = iter_data_lines(path)
     mode_line = " ".join(_fields(lines, path, "the mode line"))
     try:
         mode = PhiMode(mode_line)

@@ -11,17 +11,9 @@ line as underscore-joined tokens.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .corpus_io import (
-    ReadStats,
-    TaggedParagraph,
-    format_header,
-    iter_data_lines,
-    parse_tagged_line,
-)
-from ._parallel import map_lines
+from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_corpus
 
 KEEP_PREFIXES = ("NN", "VB", "JJ", "RB")
 CHUNK_PREFIXES = ("NN", "JJ")
@@ -49,14 +41,6 @@ class NounPhrase(NamedTuple):
         return "_".join(self.words)
 
 
-@dataclass(frozen=True)
-class NormalizedParagraph:
-    tokens: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def chunk_noun_phrases(paragraph: TaggedParagraph) -> list[NounPhrase]:
     """All 2- and 3-token adjective/noun windows whose last token is a noun.
 
@@ -79,35 +63,17 @@ def chunk_noun_phrases(paragraph: TaggedParagraph) -> list[NounPhrase]:
     return phrases
 
 
-def normalize_paragraph(paragraph: TaggedParagraph) -> NormalizedParagraph:
-    """Lowercased kept-class surfaces in order, then the chunked phrases."""
+def normalize_paragraph(paragraph: TaggedParagraph) -> ParagraphScan:
+    """The normalized line, none when nothing is kept: lowercased kept-class
+    surfaces in order, then the chunked phrases."""
     kept = [
         tok.surface.lower() for tok in paragraph.tokens if is_kept_tag(tok.pos)
     ]
-    kept.extend(phrase.token for phrase in chunk_noun_phrases(paragraph))
-    return NormalizedParagraph(tuple(kept))
-
-
-@dataclass
-class NormalizeStats:
-    paragraphs_in: int = 0
-    paragraphs_out: int = 0
-    phrases_appended: int = 0
-    bad_tokens: int = 0
-
-
-def _normalize_line(line: str) -> tuple[str | None, bool, int, int]:
-    """Worker: tagged line -> (output line or None, parsed?, phrases, bad tokens)."""
-    stats = ReadStats()
-    paragraph = parse_tagged_line(line, stats)
-    if paragraph is None:
-        return None, False, 0, stats.bad_tokens
     phrases = chunk_noun_phrases(paragraph)
-    kept = [tok.surface.lower() for tok in paragraph.tokens if is_kept_tag(tok.pos)]
     kept.extend(phrase.token for phrase in phrases)
     if not kept:
-        return None, True, 0, stats.bad_tokens
-    return " ".join(kept), True, len(phrases), stats.bad_tokens
+        return ParagraphScan()
+    return ParagraphScan(normalized=(" ".join(kept),), phrases=len(phrases))
 
 
 def normalize_corpus(
@@ -115,24 +81,8 @@ def normalize_corpus(
     out_path: str | os.PathLike,
     workers: int = 1,
     header: dict[str, str] | None = None,
-) -> NormalizeStats:
-    """Normalize a tagged corpus file line by line, preserving input order.
-
-    Paragraphs that filter to zero tokens are skipped. With ``workers > 1``
-    lines are processed in parallel but written in input order, so the
-    output bytes do not depend on the worker count.
-    """
-    stats = NormalizeStats()
-    lines = (line for line in iter_data_lines(in_path) if line.strip())
-    with open(out_path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(format_header(header))
-        for out_line, parsed, n_phrases, bad in map_lines(_normalize_line, lines, workers):
-            stats.paragraphs_in += int(parsed)
-            stats.phrases_appended += n_phrases
-            stats.bad_tokens += bad
-            if out_line is not None:
-                fh.write(out_line + "\n")
-                stats.paragraphs_out += 1
-    return stats
-
+) -> ScanStats:
+    """Normalize a tagged corpus file line by line, preserving input order
+    at any ``workers``; paragraphs that filter to zero tokens are skipped."""
+    outputs = (out_path, None, None)
+    return scan_tagged_corpus(in_path, normalize_paragraph, outputs, workers, header)

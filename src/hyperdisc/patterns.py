@@ -17,7 +17,9 @@ standalone NP is the hypernym and the list holds hyponyms; in 5-6 the roles
 flip; IS-A reads left as hyponym, right as hypernym. Trigger words are
 matched on the lowercase surface regardless of POS tag, which tolerates
 tagger noise on words like "such". Matches of one grammar never overlap
-each other; different grammars scan independently.
+each other; different grammars scan independently, each only where its
+trigger word (``such``, ``including``, ``especially``, ``or``, ``and``,
+``is``) occurs.
 """
 
 from __future__ import annotations
@@ -29,15 +31,13 @@ from functools import partial
 from typing import Callable
 
 from .corpus_io import (
-    ReadStats,
+    ParagraphScan,
+    ScanStats,
     TaggedParagraph,
     TaggedToken,
-    format_header,
-    iter_data_lines,
-    parse_tagged_line,
+    scan_tagged_corpus,
 )
-from .normalize import NounPhrase, is_chunk_tag, is_noun_tag
-from ._parallel import map_lines
+from .normalize import NounPhrase, is_chunk_tag, is_noun_tag, normalize_paragraph
 
 MAX_NP_WORDS = 3
 
@@ -61,9 +61,9 @@ class PatternMatch:
     hyponyms: tuple[str, ...]
 
 
-def _surface(tokens: tuple[TaggedToken, ...], i: int) -> str | None:
-    if 0 <= i < len(tokens):
-        return tokens[i].surface.lower()
+def _word(words: tuple[str, ...], i: int) -> str | None:
+    if 0 <= i < len(words):
+        return words[i]
     return None
 
 
@@ -107,7 +107,7 @@ def _match_np_before(
 
 
 def _match_np_list(
-    tokens: tuple[TaggedToken, ...], start: int
+    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], start: int
 ) -> tuple[list[NounPhrase], int] | None:
     """Forward NP-list: NP ("," NP)* ((",")? ("and"|"or") NP)?"""
     first = match_np(tokens, start)
@@ -116,9 +116,9 @@ def _match_np_list(
     phrase, pos = first
     phrases = [phrase]
     while True:
-        here = _surface(tokens, pos)
+        here = _word(words, pos)
         if here == ",":
-            nxt = _surface(tokens, pos + 1)
+            nxt = _word(words, pos + 1)
             if nxt in ("and", "or"):
                 tail = match_np(tokens, pos + 2)
                 if tail is not None:
@@ -142,18 +142,18 @@ def _match_np_list(
 
 
 def _match_np_list_before(
-    tokens: tuple[TaggedToken, ...], end: int
+    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], end: int
 ) -> tuple[list[NounPhrase], int] | None:
     """Backward NP-list ending just before ``end``: NP ("," NP)* (",")?"""
     pos = end
-    if _surface(tokens, pos - 1) == ",":
+    if _word(words, pos - 1) == ",":
         pos -= 1
     anchor = _match_np_before(tokens, pos)
     if anchor is None:
         return None
     phrase, pos = anchor
     phrases = [phrase]
-    while pos >= 2 and _surface(tokens, pos - 1) == ",":
+    while pos >= 2 and _word(words, pos - 1) == ",":
         more = _match_np_before(tokens, pos - 1)
         if more is None:
             break
@@ -172,61 +172,54 @@ def _emit(
     return PatternMatch(pattern_id, hyper, hypos)
 
 
-# one scanner per grammar; each returns (match, span_start, span_end) or None
+# one scanner per grammar, called with the tokens, their lowercased surfaces and
+# a position; each returns (match, span_start, span_end) or None
 
 
-def _scan_such_as(tokens, i):
-    if _surface(tokens, i) != "such" or _surface(tokens, i + 1) != "as":
+def _scan_such_as(tokens, words, i):
+    if _word(words, i) != "such" or _word(words, i + 1) != "as":
         return None
     left = _match_np_before(tokens, i)
     if left is None:
         return None
-    rest = _match_np_list(tokens, i + 2)
+    rest = _match_np_list(tokens, words, i + 2)
     if rest is None:
         return None
     match = _emit(PatternId.SUCH_AS, left[0], rest[0])
     return (match, left[1], rest[1]) if match else None
 
 
-def _scan_such_np_as(tokens, i):
-    if _surface(tokens, i) != "such" or _surface(tokens, i + 1) == "as":
+def _scan_such_np_as(tokens, words, i):
+    if _word(words, i) != "such" or _word(words, i + 1) == "as":
         return None
     mid = match_np(tokens, i + 1)
-    if mid is None or _surface(tokens, mid[1]) != "as":
+    if mid is None or _word(words, mid[1]) != "as":
         return None
-    rest = _match_np_list(tokens, mid[1] + 1)
+    rest = _match_np_list(tokens, words, mid[1] + 1)
     if rest is None:
         return None
     match = _emit(PatternId.SUCH_NP_AS, mid[0], rest[0])
     return (match, i, rest[1]) if match else None
 
 
-def _scan_trigger_word(tokens, i, word, pattern_id):
-    if _surface(tokens, i) != word:
+def _scan_trigger_word(word, pattern_id, tokens, words, i):
+    if _word(words, i) != word:
         return None
-    before = i - 1 if _surface(tokens, i - 1) == "," else i
+    before = i - 1 if _word(words, i - 1) == "," else i
     left = _match_np_before(tokens, before)
     if left is None:
         return None
-    rest = _match_np_list(tokens, i + 1)
+    rest = _match_np_list(tokens, words, i + 1)
     if rest is None:
         return None
     match = _emit(pattern_id, left[0], rest[0])
     return (match, left[1], rest[1]) if match else None
 
 
-def _scan_including(tokens, i):
-    return _scan_trigger_word(tokens, i, "including", PatternId.INCLUDING)
-
-
-def _scan_especially(tokens, i):
-    return _scan_trigger_word(tokens, i, "especially", PatternId.ESPECIALLY)
-
-
-def _scan_other(tokens, i, conj, pattern_id):
-    if _surface(tokens, i) != conj or _surface(tokens, i + 1) != "other":
+def _scan_other(conj, pattern_id, tokens, words, i):
+    if _word(words, i) != conj or _word(words, i + 1) != "other":
         return None
-    left = _match_np_list_before(tokens, i)
+    left = _match_np_list_before(tokens, words, i)
     if left is None:
         return None
     right = match_np(tokens, i + 2)
@@ -236,16 +229,8 @@ def _scan_other(tokens, i, conj, pattern_id):
     return (match, left[1], right[1]) if match else None
 
 
-def _scan_or_other(tokens, i):
-    return _scan_other(tokens, i, "or", PatternId.OR_OTHER)
-
-
-def _scan_and_other(tokens, i):
-    return _scan_other(tokens, i, "and", PatternId.AND_OTHER)
-
-
-def _scan_isa(tokens, i):
-    if _surface(tokens, i) != "is" or _surface(tokens, i + 1) not in ISA_DETERMINERS:
+def _scan_isa(tokens, words, i):
+    if _word(words, i) != "is" or _word(words, i + 1) not in ISA_DETERMINERS:
         return None
     left = _match_np_before(tokens, i)
     if left is None:
@@ -260,56 +245,60 @@ def _scan_isa(tokens, i):
     return PatternMatch(PatternId.IS_A, hyper, (hypo,)), left[1], right[1]
 
 
-_HEARST_SCANNERS: list[Callable] = [
-    _scan_such_as,
-    _scan_such_np_as,
-    _scan_including,
-    _scan_especially,
-    _scan_or_other,
-    _scan_and_other,
-]
+# (trigger word, scanner) per grammar, in output order; a scanner checks its
+# trigger itself, so only trigger positions can match.
+_HEARST_GRAMMARS: tuple[tuple[str, Callable], ...] = (
+    ("such", _scan_such_as),
+    ("such", _scan_such_np_as),
+    ("including", partial(_scan_trigger_word, "including", PatternId.INCLUDING)),
+    ("especially", partial(_scan_trigger_word, "especially", PatternId.ESPECIALLY)),
+    ("or", partial(_scan_other, "or", PatternId.OR_OTHER)),
+    ("and", partial(_scan_other, "and", PatternId.AND_OTHER)),
+)
+_ISA_GRAMMARS: tuple[tuple[str, Callable], ...] = (("is", _scan_isa),)
 
 
-def _run_scan(paragraph: TaggedParagraph, scanner: Callable) -> list[PatternMatch]:
-    """Left-to-right scan; matches of one grammar never overlap each other."""
-    tokens = paragraph.tokens
+def _run_scan(tokens, words, scanner, positions: list[int]) -> list[PatternMatch]:
+    """Left-to-right scan over ``positions``; matches of one grammar never
+    overlap each other: a match must start at or after the end of the
+    previous one, and the scan resumes at that end."""
     matches = []
     floor = 0
-    i = 0
-    while i < len(tokens):
-        hit = scanner(tokens, i)
-        if hit is None or hit[1] < floor:
-            i += 1
+    for i in positions:
+        if i < floor:
             continue
-        match, _, span_end = hit
+        hit = scanner(tokens, words, i)
+        if hit is None or hit[1] < floor:
+            continue
+        match, _, floor = hit
         matches.append(match)
-        floor = span_end
-        i = max(span_end, i + 1)
+    return matches
+
+
+def _scan(paragraph: TaggedParagraph, grammars) -> list[PatternMatch]:
+    """All matches of ``grammars``, grammar-major then left-to-right, each
+    tried only where its trigger word occurs."""
+    words = tuple(tok.surface.lower() for tok in paragraph.tokens)
+    matches = []
+    for trigger, scanner in grammars:
+        if trigger in words:
+            positions = [i for i, word in enumerate(words) if word == trigger]
+            matches.extend(_run_scan(paragraph.tokens, words, scanner, positions))
     return matches
 
 
 def extract_hearst(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of the six Hearst grammars, grammar-major then left-to-right."""
-    matches = []
-    for scanner in _HEARST_SCANNERS:
-        matches.extend(_run_scan(paragraph, scanner))
-    return matches
+    return _scan(paragraph, _HEARST_GRAMMARS)
 
 
 def extract_isa(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of NP ``is`` (``a``|``an``|``the``) NP, left-to-right."""
-    return _run_scan(paragraph, _scan_isa)
+    return _scan(paragraph, _ISA_GRAMMARS)
 
 
 # ---------------------------------------------------------------------------
 # corpus-scale extraction
-
-
-@dataclass
-class ExtractStats:
-    hearst_matches: int = 0
-    isa_matches: int = 0
-    bad_tokens: int = 0
 
 
 def format_hearst_line(match: PatternMatch) -> str:
@@ -320,18 +309,18 @@ def format_isa_line(match: PatternMatch) -> str:
     return f"{match.hyponyms[0]}\t{match.hypernym}"
 
 
-def _extract_line(line: str, hearst: bool, isa: bool) -> tuple[list[str], list[str], int]:
-    stats = ReadStats()
-    paragraph = parse_tagged_line(line, stats)
-    if paragraph is None:
-        return [], [], stats.bad_tokens
-    hearst_lines: list[str] = []
-    isa_lines: list[str] = []
-    if hearst:
-        hearst_lines = [format_hearst_line(m) for m in extract_hearst(paragraph)]
-    if isa:
-        isa_lines = [format_isa_line(m) for m in extract_isa(paragraph)]
-    return hearst_lines, isa_lines, stats.bad_tokens
+def scan_paragraph(
+    paragraph: TaggedParagraph, normalized: bool, hearst: bool, isa: bool
+) -> ParagraphScan:
+    """One paragraph's normalized line and pattern-corpus lines, each only
+    when asked for; the surfaces are lowercased once for both grammar sets."""
+    scan = normalize_paragraph(paragraph) if normalized else ParagraphScan()
+    grammars = (_HEARST_GRAMMARS if hearst else ()) + (_ISA_GRAMMARS if isa else ())
+    matches = _scan(paragraph, grammars)
+    return scan._replace(
+        hearst=tuple(format_hearst_line(m) for m in matches if m.pattern_id != PatternId.IS_A),
+        isa=tuple(format_isa_line(m) for m in matches if m.pattern_id == PatternId.IS_A),
+    )
 
 
 def extract_corpus(
@@ -340,42 +329,16 @@ def extract_corpus(
     isa_out: str | os.PathLike | None = None,
     workers: int = 1,
     header: dict[str, str] | None = None,
-) -> ExtractStats:
+    normalized_out: str | os.PathLike | None = None,
+) -> ScanStats:
     """Scan a tagged corpus and write pattern-corpus files in corpus order.
 
     Hearst lines are ``hypernym<TAB>hyponym1,hyponym2,...``; IS-A lines are
     ``hyponym<TAB>hypernym``. Either output may be omitted; only the
     grammars of the requested outputs run, and an omitted output's match
-    count stays 0.
+    count stays 0. ``normalized_out`` adds the normalized corpus to the pass.
     """
-    stats = ExtractStats()
-    lines = (line for line in iter_data_lines(in_path) if line.strip())
-    scan = partial(_extract_line, hearst=hearst_out is not None, isa=isa_out is not None)
-
-    def _open(path):
-        if path is None:
-            return None
-        fh = open(path, "w", encoding="utf-8")
-        if header:
-            fh.write(format_header(header))
-        return fh
-
-    hearst_fh = _open(hearst_out)
-    isa_fh = _open(isa_out)
-    try:
-        for hearst_lines, isa_lines, bad in map_lines(scan, lines, workers):
-            stats.bad_tokens += bad
-            stats.hearst_matches += len(hearst_lines)
-            stats.isa_matches += len(isa_lines)
-            if hearst_fh is not None:
-                for out in hearst_lines:
-                    hearst_fh.write(out + "\n")
-            if isa_fh is not None:
-                for out in isa_lines:
-                    isa_fh.write(out + "\n")
-    finally:
-        if hearst_fh is not None:
-            hearst_fh.close()
-        if isa_fh is not None:
-            isa_fh.close()
-    return stats
+    outputs = (normalized_out, hearst_out, isa_out)
+    normalized, hearst, isa = (path is not None for path in outputs)
+    work = partial(scan_paragraph, normalized=normalized, hearst=hearst, isa=isa)
+    return scan_tagged_corpus(in_path, work, outputs, workers, header)

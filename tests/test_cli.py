@@ -1,10 +1,13 @@
 import os
+import sys
+from functools import partial
 
 import pytest
 
-from hyperdisc import synthetic
+from hyperdisc import corpus_io, synthetic
 from hyperdisc.cli import PipelineConfig, load_config, main, write_config
-from hyperdisc.corpus_io import read_header, read_predictions
+from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
+from hyperdisc.corpus_io import FormatError, read_header, read_predictions
 
 ARTIFACT_KEYS = (
     "normalized",
@@ -164,6 +167,60 @@ def test_truncated_embedding_is_clean_error(tmp_path, dataset, capsys):
     assert run(cfg_path, "fit-phi") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cfg.embedding in err and "truncated" in err
+
+
+def cut_mid_row(path):
+    """Truncate a file halfway through its middle non-blank data row."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    rows = [i for i in range(len(read_header(path)), len(lines)) if lines[i].strip()]
+    i = rows[len(rows) // 2]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:i])
+        fh.write(lines[i][: len(lines[i]) // 2])
+
+
+@pytest.mark.parametrize(
+    "key, loader, stage",
+    [
+        ("cooc_index", load_cooc_index, "predict"),
+        ("hearst_corpus", partial(build_pair_index, kind=Source.HEARST), "predict"),
+        ("isa_corpus", partial(build_pair_index, kind=Source.ISA), "predict"),
+        ("predictions", read_predictions, "evaluate"),
+    ],
+    ids=["cooc_index", "hearst_corpus", "isa_corpus", "predictions"],
+)
+def test_artifact_cut_mid_row_is_clean_error(tmp_path, dataset, capsys, key, loader, stage):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    path = getattr(cfg, key)
+    cut_mid_row(path)
+    with pytest.raises(FormatError, match="truncated"):
+        loader(path)
+    capsys.readouterr()
+    assert run(cfg_path, stage) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "truncated" in err
+
+
+def test_pipeline_reads_tagged_corpus_once(tmp_path, dataset, monkeypatch):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    original = corpus_io.iter_data_lines
+    reads = []
+
+    def counted(path, *args, **kwargs):
+        reads.append(os.path.abspath(path))
+        return original(path, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperdisc") and getattr(module, "iter_data_lines", None) is original:
+            monkeypatch.setattr(module, "iter_data_lines", counted)
+    assert run(cfg_path, "pipeline") == 0
+    assert reads.count(os.path.abspath(cfg.corpus)) == 1
 
 
 def test_stale_artifact_rejected(tmp_path, dataset, capsys):

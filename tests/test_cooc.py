@@ -20,6 +20,7 @@ from hyperdisc.cooc import (
 from hyperdisc import synthetic
 from hyperdisc.corpus_io import (
     CandidateVocabulary,
+    FormatError,
     Query,
     QueryKind,
     ReadStats,
@@ -28,6 +29,7 @@ from hyperdisc.corpus_io import (
     term_to_token,
 )
 from hyperdisc.normalize import normalize_corpus
+from hyperdisc.patterns import extract_corpus
 
 
 def brute_force_cooc(lines: list[list[str]], queries: set[str]) -> dict:
@@ -276,3 +278,34 @@ def test_load_rejects_wrong_magic(tmp_path):
     path.write_text("#something v2\na\tb\t1\n")
     with pytest.raises(ValueError, match="cooc-index"):
         load_cooc_index(path)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("a\tb\t1", "last row cut short at data line 2; the file is truncated"),
+        ("a\tb\t", "last row cut short at data line 2; the file is truncated"),
+        ("a\tb\n", "line 2 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t1\t2\n", "line 2 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\tmany\n", "line 2 is not term<TAB>candidate<TAB>count"),
+    ],
+    ids=["cut-in-count", "cut-before-count", "two-fields", "four-fields", "non-integer"],
+)
+def test_load_rejects_malformed_row(tmp_path, row, problem):
+    path = tmp_path / "idx.tsv"
+    path.write_text("#cooc-index v1\n#config-hash cafe\nq\tc\t12\n" + row)
+    with pytest.raises(FormatError) as info:
+        load_cooc_index(path)
+    assert str(info.value).startswith(f"{path}: {problem}")
+
+
+def test_hash_sign_line_after_stamp_is_data(tmp_path):
+    src = tmp_path / "c.txt"
+    src.write_text("the_DT ._.\n#hashtag_NN is_VBZ a_DT topic_NN\n")
+    header = {"config-hash": "cafe"}
+    normalize_corpus(src, tmp_path / "n.txt", header=header)
+    extract_corpus(src, isa_out=tmp_path / "isa.tsv", header=header)
+    index = build_cooc_index(tmp_path / "n.txt", ["topic"])
+    assert index.counts == {"topic": {"#hashtag": 1, "is": 1}}
+    pairs = build_pair_index(tmp_path / "isa.tsv", Source.ISA)
+    assert pairs.counts == {"#hashtag": {"topic": 1}}

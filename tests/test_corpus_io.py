@@ -161,6 +161,20 @@ def test_header_round_trip(tmp_path):
     assert list(iter_data_lines(path)) == ["data line"]
 
 
+def test_stamp_closes_the_header(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("#cooc-index v1\n#config-hash deadbeef\n#hashtag\ttopic\n#x\n")
+    assert read_header(path) == {"cooc-index": "v1", "config-hash": "deadbeef"}
+    assert list(iter_data_lines(path)) == ["#hashtag\ttopic", "#x"]
+
+
+def test_unstamped_file_skips_leading_comments(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("#note a\n#more b\ndata\n#later\n")
+    assert read_header(path) == {"note": "a", "more": "b"}
+    assert list(iter_data_lines(path)) == ["data", "#later"]
+
+
 def test_term_token_round_trip():
     assert term_to_token("oil plant") == "oil_plant"
     assert token_to_term("oil_plant") == "oil plant"

@@ -18,6 +18,10 @@ def paragraph_of(line):
     return parse_tagged_line(line)
 
 
+def normalized_tokens(paragraph):
+    return " ".join(normalize_paragraph(paragraph).normalized).split()
+
+
 def test_chunk_skips_determiner_windows():
     phrases = chunk_noun_phrases(paragraph_of("the_DT red_JJ car_NN"))
     assert [p.token for p in phrases] == ["red_car"]
@@ -36,17 +40,17 @@ def test_chunk_requires_noun_head():
 
 
 def test_normalize_filters_to_four_classes():
-    normalized = normalize_paragraph(paragraph_of("The_DT cat_NN sat_VBD ._."))
-    assert list(normalized.tokens) == ["cat", "sat"]
+    assert normalized_tokens(paragraph_of("The_DT cat_NN sat_VBD ._.")) == ["cat", "sat"]
 
 
 def test_normalize_appends_phrases():
     normalized = normalize_paragraph(paragraph_of("A_DT red_JJ car_NN"))
-    assert list(normalized.tokens) == ["red", "car", "red_car"]
+    assert normalized.normalized == ("red car red_car",)
+    assert normalized.phrases == 1
 
 
 def test_normalize_punctuation_only():
-    assert normalize_paragraph(paragraph_of("!_. ;_:")).tokens == ()
+    assert normalize_paragraph(paragraph_of("!_. ;_:")).normalized == ()
 
 
 def brute_force_windows(paragraph: TaggedParagraph) -> list[str]:
@@ -75,18 +79,16 @@ random_paragraphs = st.lists(
 
 @given(random_paragraphs)
 def test_output_is_filtered_surfaces_then_chunks(paragraph):
-    normalized = normalize_paragraph(paragraph)
     kept = [t.surface.lower() for t in paragraph.tokens if is_kept_tag(t.pos)]
-    assert list(normalized.tokens) == kept + brute_force_windows(paragraph)
+    assert normalized_tokens(paragraph) == kept + brute_force_windows(paragraph)
 
 
 @given(random_paragraphs)
 def test_no_whitespace_and_charset(paragraph):
-    normalized = normalize_paragraph(paragraph)
-    for token in normalized.tokens:
-        assert re.fullmatch(r"[a-z0-9'_-]+", token)
+    for line in normalize_paragraph(paragraph).normalized:
+        assert re.fullmatch(r"[a-z0-9'_-]+( [a-z0-9'_-]+)*", line)
     # punctuation-class tokens never survive
-    assert not any(t in {",", "."} for t in normalized.tokens)
+    assert not any(t in {",", "."} for t in normalized_tokens(paragraph))
 
 
 def test_normalize_corpus_fixture(tmp_path):

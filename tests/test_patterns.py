@@ -1,14 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import ReadStats, parse_tagged_line
+from hyperdisc.corpus_io import ReadStats, TaggedParagraph, TaggedToken, parse_tagged_line
 from hyperdisc.cooc import Source, build_pair_index
 from hyperdisc.patterns import (
+    _HEARST_GRAMMARS,
+    _ISA_GRAMMARS,
     PatternId,
     PatternMatch,
     extract_corpus,
     extract_hearst,
     extract_isa,
+    format_hearst_line,
+    format_isa_line,
     match_np,
+    scan_paragraph,
 )
 
 from pattern_fixture import SENTENCES
@@ -181,3 +188,75 @@ def test_workers_do_not_change_extraction(tmp_path):
     extract_corpus(src, *out_b, workers=3)
     assert out_a[0].read_bytes() == out_b[0].read_bytes()
     assert out_a[1].read_bytes() == out_b[1].read_bytes()
+
+
+def all_positions_scan(paragraph, grammars):
+    """Reference: every scanner tried at every token position, with the
+    non-overlap rule of one grammar's left-to-right scan."""
+    tokens = paragraph.tokens
+    words = tuple(tok.surface.lower() for tok in tokens)
+    matches = []
+    for _, scanner in grammars:
+        floor = 0
+        i = 0
+        while i < len(tokens):
+            hit = scanner(tokens, words, i)
+            if hit is None or hit[1] < floor:
+                i += 1
+                continue
+            match, _, span_end = hit
+            matches.append(match)
+            floor = span_end
+            i = max(span_end, i + 1)
+    return matches
+
+
+def assert_dispatch_matches_reference(paragraph):
+    hearst = all_positions_scan(paragraph, _HEARST_GRAMMARS)
+    isa = all_positions_scan(paragraph, _ISA_GRAMMARS)
+    assert extract_hearst(paragraph) == hearst
+    assert extract_isa(paragraph) == isa
+    scan = scan_paragraph(paragraph, normalized=False, hearst=True, isa=True)
+    assert scan.hearst == tuple(format_hearst_line(m) for m in hearst)
+    assert scan.isa == tuple(format_isa_line(m) for m in isa)
+
+
+grammar_words = ["herb", "Basil", "tree", "oak", "red", "such", "is"]
+noun_phrases = st.tuples(
+    st.lists(st.sampled_from([("a", "DT"), ("the", "DT")]), max_size=1),
+    st.lists(st.tuples(st.sampled_from(grammar_words), st.just("JJ")), max_size=2),
+    st.lists(
+        st.tuples(st.sampled_from(grammar_words), st.sampled_from(["NN", "NNS"])),
+        min_size=1,
+        max_size=2,
+    ),
+).map(lambda parts: parts[0] + parts[1] + parts[2])
+grammar_pieces = st.one_of(
+    noun_phrases,
+    st.sampled_from([
+        [("such", "JJ"), ("as", "IN")], [("Such", "JJ")], [("as", "IN")],
+        [("including", "VBG")], [("especially", "RB")], [("or", "CC")],
+        [("and", "CC")], [("other", "JJ")], [("or", "CC"), ("other", "JJ")],
+        [("and", "CC"), ("other", "JJ")], [("is", "VBZ"), ("a", "DT")],
+        [("Is", "VBZ"), ("an", "DT")], [("is", "VBZ")], [(",", ",")],
+    ]),
+    st.tuples(st.sampled_from(grammar_words), st.sampled_from(["VB", "JJ", "DT"])).map(
+        lambda pair: [pair]
+    ),
+)
+grammar_paragraphs = st.lists(grammar_pieces, min_size=1, max_size=12).map(
+    lambda pieces: TaggedParagraph(
+        tuple(TaggedToken(s, p) for piece in pieces for s, p in piece)
+    )
+)
+
+
+@settings(max_examples=400)
+@given(grammar_paragraphs)
+def test_trigger_dispatch_equals_all_positions_scan(paragraph):
+    assert_dispatch_matches_reference(paragraph)
+
+
+def test_trigger_dispatch_on_fixture():
+    for line, _ in SENTENCES:
+        assert_dispatch_matches_reference(parse_tagged_line(line))
