@@ -84,8 +84,10 @@ def build_cooc_index(
 
     ``query_terms`` must be in underscore-joined internal form. Counting is
     one serial pass; indexes of corpus shards combine with
-    ``merge_cooc_indexes``.
+    ``merge_cooc_indexes``. A corpus whose last line is cut short is a
+    `FormatError`.
     """
+    require_complete(normalized_corpus_path)
     query_tokens = frozenset(query_terms)
     counts: dict[str, dict[str, int]] = {q: {} for q in sorted(query_tokens)}
     for line in iter_data_lines(normalized_corpus_path):
@@ -238,18 +240,22 @@ def save_cooc_index(
 
 
 def load_cooc_index(path: str | os.PathLike) -> CoocIndex:
-    """Read a snapshot back; a malformed or cut-short row is a `FormatError`."""
+    """Read a snapshot back; a malformed or cut-short row, or a count that
+    is not ASCII decimal digits worth at least 1, is a `FormatError`."""
     meta = read_header(path)
     if meta.get(COOC_INDEX_MAGIC[0]) != COOC_INDEX_MAGIC[1]:
         raise FormatError(f"{path}: not a {COOC_INDEX_MAGIC[0]} {COOC_INDEX_MAGIC[1]} file")
     require_complete(path)
     counts: dict[str, dict[str, int]] = {}
     for lineno, line in enumerate(iter_data_lines(path), start=1):
-        try:
-            term, token, count = line.split("\t")
-            counts.setdefault(term, {})[token] = int(count)
-        except ValueError:
+        parts = line.split("\t")
+        # int() alone would also take signs, underscores and non-ASCII digits
+        if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
             raise FormatError(
                 f"{path}: line {lineno} is not term<TAB>candidate<TAB>count: {line!r}"
-            ) from None
+            )
+        count = int(parts[2])
+        if count < 1:
+            raise FormatError(f"{path}: line {lineno} has count {count}; counts are at least 1")
+        counts.setdefault(parts[0], {})[parts[1]] = count
     return CoocIndex(counts)

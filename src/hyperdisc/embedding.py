@@ -18,7 +18,10 @@ The projection maps a hyponym vector toward its hypernym region: either a
 single offset vector (the closed-form mean of y - x over training pairs)
 or a ridge-regularized linear map fit by least squares. Candidates are the
 vocabulary terms nearest to the projected query point in Euclidean
-distance.
+distance. The embedding rows of a candidate vocabulary are resolved once
+per (model, vocabulary) and kept on the model; each query then computes
+its distances in one array operation and picks the nearest ``k`` with a
+partition, sorting only the entries at or below the k-th distance.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ class EmbeddingModel:
     output_vectors: np.ndarray | None = None
     frequencies: dict[str, int] = field(default_factory=dict)
     index: dict[str, int] = field(init=False, repr=False)
+    # (vocabulary, its embedding rows) of the last `candidates_from_phi` call
+    _phi_pool: tuple[CandidateVocabulary | None, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.index = {token: i for i, token in enumerate(self.vocab)}
@@ -212,8 +219,10 @@ def train_cbow(
 
     The vocabulary is every token with frequency >= ``min_count``, ordered
     by descending frequency then token. Raises if nothing survives the
-    frequency filter.
+    frequency filter, and raises `FormatError` if the corpus's last line is
+    cut short.
     """
+    require_complete(normalized_corpus_path)
     freqs: Counter[str] = Counter()
     for line in iter_data_lines(normalized_corpus_path):
         freqs.update(line.split())
@@ -319,6 +328,23 @@ def fit_phi(
     )
 
 
+def _candidate_rows(model: EmbeddingModel, vocab: CandidateVocabulary | None) -> np.ndarray:
+    """Embedding rows of the vocabulary terms that have one, a row per term
+    (every row of ``model.index`` when ``vocab`` is None), resolved on the
+    first call for a vocabulary and reused while calls pass an equal one."""
+    cached = model._phi_pool
+    if cached is not None and (cached[0] is vocab or cached[0] == vocab):
+        return cached[1]
+    index = model.index
+    if vocab is None:
+        rows = np.fromiter(index.values(), dtype=np.intp, count=len(index))
+    else:
+        found = (index.get(term_to_token(term)) for term in vocab.terms)
+        rows = np.fromiter((row for row in found if row is not None), dtype=np.intp)
+    model._phi_pool = (vocab, rows)
+    return rows
+
+
 def candidates_from_phi(
     phi: PhiTransform,
     model: EmbeddingModel,
@@ -326,34 +352,28 @@ def candidates_from_phi(
     vocab: CandidateVocabulary | None,
     k: int = TOP_K,
 ) -> list[ScoredCandidate]:
-    """Vocabulary terms nearest to the projected query vector.
+    """The ``k`` vocabulary terms nearest to the projected query vector.
 
     Euclidean distance to vec(q) + offset (or matrix @ vec(q)), the query
     itself excluded, ties lexicographic, scores 1/(1 + distance). A query
-    missing from the embedding yields an empty list.
+    missing from the embedding, or ``k <= 0``, yields an empty list. The
+    candidate rows come from `_candidate_rows`, resolved once per (model,
+    vocabulary); a partition finds the k-th smallest distance and only the
+    entries at or below it are sorted, so ties at the cutoff still go by
+    term, as in a full sort.
     """
-    q_token = term_to_token(q)
-    q_row = model.index.get(q_token)
-    if q_row is None:
+    q_row = model.row(q)
+    if q_row is None or k <= 0:
         return []
     target = phi.apply(model.input_vectors[q_row])
-    if vocab is None:
-        pool = [(token, row) for token, row in model.index.items() if token != q_token]
-    else:
-        pool = []
-        for term in vocab.terms:
-            token = term_to_token(term)
-            row = model.index.get(token)
-            if row is not None and token != q_token:
-                pool.append((token, row))
-    if not pool:
-        return []
-    rows = np.fromiter((row for _, row in pool), dtype=np.intp, count=len(pool))
+    rows = _candidate_rows(model, vocab)
+    rows = rows[rows != q_row]
     dists = np.linalg.norm(model.input_vectors[rows] - target, axis=1)
-    ranked = sorted(
-        ((dists[i], token_to_term(token)) for i, (token, _) in enumerate(pool)),
-        key=lambda it: (it[0], it[1]),
-    )
+    if k < rows.size:
+        keep = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    else:
+        keep = range(rows.size)
+    ranked = sorted((dists[i], token_to_term(model.vocab[rows[i]])) for i in keep)
     return [
         ScoredCandidate(term, 1.0 / (1.0 + dist), Source.PHI)
         for dist, term in ranked[:k]
@@ -397,8 +417,19 @@ def _fields(
     return parts
 
 
+def _non_finite_row(values: np.ndarray) -> int | None:
+    """Index of the first row of ``values`` that holds a nan or an infinity."""
+    if np.isfinite(values).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+
+
 def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
-    """Load a saved embedding (input vectors only; frequencies not stored)."""
+    """Load a saved embedding (input vectors only; frequencies not stored).
+
+    A repeated token or a nan or infinite value is a `FormatError`: the
+    rows of a model map one-to-one to tokens, and distances must compare.
+    """
     require_complete(path)
     lines = iter_data_lines(path)
     n, dim = (int(part) for part in _fields(lines, path, "the size line", 2))
@@ -410,7 +441,19 @@ def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
             raise _bad_fields(path, f"row {i + 1} of {n}", parts, dim + 1)
         vocab.append(parts[0])
         vectors[i] = [float(v) for v in parts[1:]]
-    return EmbeddingModel(vocab=vocab, input_vectors=vectors)
+    i = _non_finite_row(vectors)
+    if i is not None:
+        raise FormatError(
+            f"{path}: row {i + 1} of {n} (token {vocab[i]!r}) has a non-finite value"
+        )
+    model = EmbeddingModel(vocab=vocab, input_vectors=vectors)
+    if len(model.index) != n:
+        seen = set()
+        for i, token in enumerate(vocab):
+            if token in seen:
+                raise FormatError(f"{path}: row {i + 1} of {n} repeats token {token!r}")
+            seen.add(token)
+    return model
 
 
 def save_phi(
@@ -442,10 +485,15 @@ def load_phi(path: str | os.PathLike) -> PhiTransform:
         raise FormatError(f"{path}: unknown projection mode {mode_line!r}") from None
     if mode is PhiMode.OFFSET:
         offset = np.array([float(v) for v in _fields(lines, path, "the offset row")])
+        if not np.isfinite(offset).all():
+            raise FormatError(f"{path}: the offset row has a non-finite value")
         return PhiTransform(PhiMode.OFFSET, offset=offset)
     rows, cols = (int(part) for part in _fields(lines, path, "the size line", 2))
     matrix = np.empty((rows, cols))
     for i in range(rows):
         parts = _fields(lines, path, f"matrix row {i + 1} of {rows}", cols)
         matrix[i] = [float(v) for v in parts]
+    i = _non_finite_row(matrix)
+    if i is not None:
+        raise FormatError(f"{path}: matrix row {i + 1} of {rows} has a non-finite value")
     return PhiTransform(PhiMode.MATRIX, matrix=matrix)

@@ -205,6 +205,21 @@ def test_artifact_cut_mid_row_is_clean_error(tmp_path, dataset, capsys, key, loa
     assert err.startswith(f"error: {path}: ") and "truncated" in err
 
 
+@pytest.mark.parametrize("stage", ["cooc-index", "train-embedding"])
+def test_normalized_corpus_cut_short_is_clean_error(tmp_path, dataset, capsys, stage):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "normalize") == 0
+    stamp = corpus_io.format_header(read_header(cfg.normalized))
+    with open(cfg.normalized, "w", encoding="utf-8") as fh:
+        fh.write(stamp + "herb basil mint\nherb basi")
+    capsys.readouterr()
+    assert run(cfg_path, stage) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg.normalized}: last row cut short at data line 2")
+
+
 def test_pipeline_reads_tagged_corpus_once(tmp_path, dataset, monkeypatch):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"

@@ -288,8 +288,13 @@ def test_load_rejects_wrong_magic(tmp_path):
         ("a\tb\n", "line 2 is not term<TAB>candidate<TAB>count"),
         ("a\tb\t1\t2\n", "line 2 is not term<TAB>candidate<TAB>count"),
         ("a\tb\tmany\n", "line 2 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t-3\n", "line 2 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t0\n", "line 2 has count 0; counts are at least 1"),
+        ("a\tb\t1_000\n", "line 2 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t+2\n", "line 2 is not term<TAB>candidate<TAB>count"),
     ],
-    ids=["cut-in-count", "cut-before-count", "two-fields", "four-fields", "non-integer"],
+    ids=["cut-in-count", "cut-before-count", "two-fields", "four-fields", "non-integer",
+         "negative", "zero", "underscore", "plus-sign"],
 )
 def test_load_rejects_malformed_row(tmp_path, row, problem):
     path = tmp_path / "idx.tsv"

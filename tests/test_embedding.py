@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperdisc import synthetic
-from hyperdisc.corpus_io import CandidateVocabulary, FormatError
+from hyperdisc import embedding, synthetic
+from hyperdisc.cooc import ScoredCandidate, Source
+from hyperdisc.corpus_io import CandidateVocabulary, FormatError, term_to_token, token_to_term
 from hyperdisc.embedding import (
     EmbeddingConfig,
     EmbeddingModel,
@@ -408,6 +411,105 @@ def test_phi_candidates_match_brute_force_scan():
     assert dists == sorted(dists)
 
 
+def full_sort_reference(phi, model, q, vocab, k):
+    """Projection retrieval as a full sort: every vocabulary term resolved to
+    its row on each call, the whole pool scored and sorted by (distance, term)."""
+    q_token = term_to_token(q)
+    q_row = model.index.get(q_token)
+    if q_row is None:
+        return []
+    target = phi.apply(model.input_vectors[q_row])
+    if vocab is None:
+        pool = [(token, row) for token, row in model.index.items() if token != q_token]
+    else:
+        pool = []
+        for term in vocab.terms:
+            token = term_to_token(term)
+            row = model.index.get(token)
+            if row is not None and token != q_token:
+                pool.append((token, row))
+    if not pool:
+        return []
+    rows = np.fromiter((row for _, row in pool), dtype=np.intp, count=len(pool))
+    dists = np.linalg.norm(model.input_vectors[rows] - target, axis=1)
+    ranked = sorted(
+        ((dists[i], token_to_term(token)) for i, (token, _) in enumerate(pool)),
+        key=lambda it: (it[0], it[1]),
+    )
+    return [
+        ScoredCandidate(term, 1.0 / (1.0 + dist), Source.PHI)
+        for dist, term in ranked[:k]
+    ]
+
+
+PHI_TOKENS = ["a", "b", "c", "d", "a_b", "b_c", "c_d_a"]
+# out-of-vocabulary terms, and "a b" spelled as its token too
+PHI_EXTRA_TERMS = ["zz", "q r", "a_b", " b "]
+
+
+@st.composite
+def phi_cases(draw):
+    tokens = draw(st.lists(st.sampled_from(PHI_TOKENS), min_size=1, unique=True))
+    dim = draw(st.integers(1, 3))
+    rows = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    # few distinct rows, so that rows repeat and distances tie exactly
+    distinct = draw(st.lists(rows, min_size=1, max_size=3))
+    vectors = [draw(st.sampled_from(distinct)) for _ in tokens]
+    model = EmbeddingModel(vocab=tokens, input_vectors=np.array(vectors, dtype=float))
+    if draw(st.booleans()):
+        phi = PhiTransform(PhiMode.OFFSET, offset=np.array(draw(rows), dtype=float))
+    else:
+        matrix = np.array(draw(st.lists(rows, min_size=dim, max_size=dim)), dtype=float)
+        phi = PhiTransform(PhiMode.MATRIX, matrix=matrix)
+    terms = [token_to_term(t) for t in PHI_TOKENS] + PHI_EXTRA_TERMS
+    vocab_sets = st.one_of(
+        st.none(), st.sets(st.sampled_from(terms)).map(lambda t: CandidateVocabulary(frozenset(t)))
+    )
+    vocabs = draw(st.lists(vocab_sets, min_size=1, max_size=3))
+    queries = draw(st.lists(st.sampled_from(terms + tokens), min_size=1, max_size=3))
+    ks = draw(st.lists(st.integers(-1, len(tokens) + len(terms) + 2), min_size=1, max_size=3))
+    return model, phi, vocabs, queries, ks
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi_cases())
+def test_phi_candidates_equal_full_sort_reference(case):
+    model, phi, vocabs, queries, ks = case
+    # several calls on one model: the cached rows must follow each vocabulary,
+    # including an equal copy of one already seen
+    if vocabs[0] is not None:
+        vocabs.append(CandidateVocabulary(frozenset(vocabs[0].terms)))
+    for vocab in vocabs:
+        for q in queries:
+            for k in ks:
+                got = candidates_from_phi(phi, model, q, vocab, k)
+                assert got == full_sort_reference(phi, model, q, vocab, max(k, 0))
+
+
+def test_phi_candidate_rows_resolved_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    tokens = [f"w{i}" for i in range(50)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (50, 4)))
+    phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4))
+    vocab = CandidateVocabulary(frozenset(tokens[:30]))
+    calls = []
+
+    def counting_term_to_token(term):
+        calls.append(term)
+        return term_to_token(term)
+
+    monkeypatch.setattr(embedding, "term_to_token", counting_term_to_token)
+    candidates_from_phi(phi, model, "w1", vocab)
+    resolved = len(calls)
+    candidates_from_phi(phi, model, "w2", vocab)
+    candidates_from_phi(phi, model, "w3", CandidateVocabulary(frozenset(tokens[:30])))
+    assert len(calls) == resolved + 2   # the two queries alone
+    other = CandidateVocabulary(frozenset(tokens[20:]))
+    for q in ("w1", "w25"):
+        got = candidates_from_phi(phi, model, q, other)
+        assert got == full_sort_reference(phi, model, q, other, 15)
+
+
 def test_matrix_phi_applies_matrix():
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
     phi = PhiTransform(PhiMode.MATRIX, matrix=matrix)
@@ -494,3 +596,23 @@ def test_truncated_file_is_format_error(tmp_path, kind, cut):
         load(path)
     assert str(path) in str(info.value)
     assert "row" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind, text, problem",
+    [
+        ("embedding", "2 2\na 1 2\na nan 1\n", "row 2 of 2 (token 'a') has a non-finite value"),
+        ("embedding", "2 2\na 1 2\na 3 1\n", "row 2 of 2 repeats token 'a'"),
+        ("embedding", "3 1\na 1\nb -inf\nc 2\n", "row 2 of 3 (token 'b') has a non-finite value"),
+        ("phi", "offset\n0.5 nan\n", "the offset row has a non-finite value"),
+        ("phi", "matrix\n2 2\n1 0\ninf 1\n", "matrix row 2 of 2 has a non-finite value"),
+    ],
+    ids=["nan-and-repeat", "repeated-token", "infinity", "nan-offset", "infinite-matrix"],
+)
+def test_malformed_vectors_are_format_error(tmp_path, kind, text, problem):
+    path = tmp_path / f"{kind}.txt"
+    path.write_text("#config-hash f00d\n" + text)
+    load = load_embedding if kind == "embedding" else load_phi
+    with pytest.raises(FormatError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {problem}"
