@@ -51,6 +51,7 @@ from .corpus_io import (
     read_header,
     read_predictions,
     term_to_token,
+    write_artifact,
     write_predictions,
 )
 from .embedding import (
@@ -190,7 +191,7 @@ def load_config(
 
 
 def write_config(path: str | os.PathLike, cfg: PipelineConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_artifact(path, None) as fh:
         fh.write(cfg.serialize())
 
 

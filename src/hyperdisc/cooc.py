@@ -8,7 +8,9 @@ hypernym). Pattern corpora count (hyponym, hypernym) pairs, one per match
 line.
 
 Candidate lists are ranked by count descending with lexicographic
-tie-breaking, vocabulary-filtered, and truncated to the top 15.
+tie-breaking, vocabulary-filtered, and truncated to the top 15. The index
+snapshot goes through `corpus_io`'s artifact layer: written whole or not at
+all, and rejected when its last row is cut short.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from .corpus_io import (
     Query,
     QueryKind,
     ReadStats,
-    format_header,
-    iter_data_lines,
-    read_header,
-    require_complete,
+    read_artifact,
     term_to_token,
     token_to_term,
+    write_artifact,
 )
 
 DEFAULT_THRESHOLD = 5
@@ -87,10 +87,9 @@ def build_cooc_index(
     ``merge_cooc_indexes``. A corpus whose last line is cut short is a
     `FormatError`.
     """
-    require_complete(normalized_corpus_path)
     query_tokens = frozenset(query_terms)
     counts: dict[str, dict[str, int]] = {q: {} for q in sorted(query_tokens)}
-    for line in iter_data_lines(normalized_corpus_path):
+    for line in read_artifact(normalized_corpus_path)[1]:
         tokens = line.split()
         present = query_tokens.intersection(tokens)
         if not present:
@@ -195,8 +194,7 @@ def build_pair_index(
         row = counts.setdefault(hypo, {})
         row[hyper] = row.get(hyper, 0) + 1
 
-    require_complete(pattern_corpus_path)
-    for line in iter_data_lines(pattern_corpus_path):
+    for line in read_artifact(pattern_corpus_path)[1]:
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -228,11 +226,7 @@ def save_cooc_index(
     header: dict[str, str] | None = None,
 ) -> None:
     """Write the snapshot: ``#cooc-index v1`` then sorted term/candidate/count."""
-    meta = {COOC_INDEX_MAGIC[0]: COOC_INDEX_MAGIC[1]}
-    if header:
-        meta.update(header)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_header(meta))
+    with write_artifact(path, {COOC_INDEX_MAGIC[0]: COOC_INDEX_MAGIC[1], **(header or {})}) as fh:
         for term in sorted(index.counts):
             row = index.counts[term]
             for token in sorted(row):
@@ -242,12 +236,11 @@ def save_cooc_index(
 def load_cooc_index(path: str | os.PathLike) -> CoocIndex:
     """Read a snapshot back; a malformed or cut-short row, or a count that
     is not ASCII decimal digits worth at least 1, is a `FormatError`."""
-    meta = read_header(path)
+    meta, lines = read_artifact(path)
     if meta.get(COOC_INDEX_MAGIC[0]) != COOC_INDEX_MAGIC[1]:
         raise FormatError(f"{path}: not a {COOC_INDEX_MAGIC[0]} {COOC_INDEX_MAGIC[1]} file")
-    require_complete(path)
     counts: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(iter_data_lines(path), start=1):
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
         # int() alone would also take signs, underscores and non-ASCII digits
         if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):

@@ -16,6 +16,10 @@ leading block and the pipeline uses it to stamp artifacts with the config
 hash that produced them. The ``#config-hash`` stamp closes the header: any
 line after it is data, even one that starts with ``#``.
 
+Artifacts are written whole or not at all by `write_artifact`, and read by
+`read_artifact`, which rejects a last row cut short by truncation. Every
+reader takes its lines from `iter_data_lines`.
+
 Multiword terms are written with single spaces externally and joined with
 underscores internally so that phrase tokens stay atomic in indexes and
 embeddings; `term_to_token` / `token_to_term` convert between the forms.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -115,43 +119,61 @@ def format_header(meta: dict[str, str]) -> str:
     return "".join(f"#{key} {value}\n" for key, value in meta.items())
 
 
-def _read_header(fh: TextIO) -> tuple[dict[str, str], str]:
-    """Consume the leading ``#key value`` lines of an open file, up to and
-    including the stamp; return them and the first data line ('' at EOF)."""
-    meta: dict[str, str] = {}
-    line = fh.readline()
-    while line.startswith("#") and CONFIG_HASH_KEY not in meta:
-        key, _, value = line[1:].rstrip("\n").partition(" ")
-        meta[key] = value
-        line = fh.readline()
-    return meta, line
+def iter_data_lines(
+    path: str | os.PathLike, _header: dict[str, str] | None = None
+) -> Iterator[str]:
+    """Yield lines with the trailing newline stripped, skipping the header
+    comment block. Bytes that are not UTF-8 are a `FormatError` naming the
+    file. `read_artifact` passes ``_header``, which receives the header and
+    makes a last row cut short (no newline) a `FormatError`."""
+    meta = {} if _header is None else _header
+    try:
+        with open(path, encoding="utf-8") as fh:
+            line = fh.readline()
+            while line.startswith("#") and CONFIG_HASH_KEY not in meta:  # the stamp ends it
+                key, _, value = line[1:].rstrip("\n").partition(" ")
+                meta[key] = value
+                line = fh.readline()
+            for n, line in enumerate(itertools.chain((line,) if line else (), fh), 1):
+                if _header is not None and not line.endswith("\n"):
+                    raise FormatError(
+                        f"{path}: last row cut short at data line {n}; the file is truncated"
+                    )
+                yield line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_artifact(path: str | os.PathLike) -> tuple[dict[str, str], Iterator[str]]:
+    """The header and the data lines of an artifact, from one open of the
+    file. Iterating the lines raises `FormatError` at a last row cut short
+    by truncation, naming the file and the data line."""
+    header: dict[str, str] = {}
+    lines = iter_data_lines(path, header)
+    first = next(lines, None)  # opens the file and reads the header
+    return header, itertools.chain(() if first is None else (first,), lines)
 
 
 def read_header(path: str | os.PathLike) -> dict[str, str]:
-    """Parse the header comment block of a file."""
-    with open(path, encoding="utf-8") as fh:
-        return _read_header(fh)[0]
+    """Parse the header comment block of an artifact."""
+    return read_artifact(path)[0]
 
 
-def iter_data_lines(path: str | os.PathLike) -> Iterator[str]:
-    """Yield lines with the trailing newline stripped, skipping the header
-    comment block."""
-    with open(path, encoding="utf-8") as fh:
-        _, first = _read_header(fh)
-        for line in itertools.chain((first,) if first else (), fh):
-            yield line.rstrip("\n")
-
-
-def require_complete(path: str | os.PathLike) -> None:
-    """Raise `FormatError` when the last row of a file is cut short by
-    truncation, which leaves it without its newline. Every artifact loader
-    checks this before it reads."""
-    with open(path, "rb") as fh:
-        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-        if fh.read(1) in (b"", b"\n"):
-            return
-    rows = sum(1 for _ in iter_data_lines(path))
-    raise FormatError(f"{path}: last row cut short at data line {rows}; the file is truncated")
+@contextmanager
+def write_artifact(path: str | os.PathLike, header: dict[str, str] | None) -> Iterator[TextIO]:
+    """Write an artifact whole or not at all: the header and what the block
+    writes go to a temporary file beside ``path`` that replaces it on a clean
+    exit. On an exception the temporary file is deleted; ``path`` is kept."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(format_header(header or {}))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +249,9 @@ def scan_tagged_corpus(
     lines = (line for line in iter_data_lines(in_path) if line.strip())
     with ExitStack() as stack:
         files = [
-            None if path is None else stack.enter_context(open(path, "w", encoding="utf-8"))
+            None if path is None else stack.enter_context(write_artifact(path, header))
             for path in outputs
         ]
-        for fh in filter(None, files):
-            fh.write(format_header(header or {}))
         for bad_tokens, scan in map_lines(partial(_scan_line, work=work), lines, workers):
             stats.bad_tokens += bad_tokens
             if scan is None:
@@ -247,16 +267,12 @@ def scan_tagged_corpus(
     return stats
 
 
-def format_tagged_paragraph(paragraph: TaggedParagraph) -> str:
-    return " ".join(f"{tok.surface}_{tok.pos}" for tok in paragraph.tokens)
-
-
 def write_tagged_corpus(
     path: str | os.PathLike, paragraphs: Iterable[TaggedParagraph]
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_artifact(path, None) as fh:
         for paragraph in paragraphs:
-            fh.write(format_tagged_paragraph(paragraph) + "\n")
+            fh.write(" ".join(f"{tok.surface}_{tok.pos}" for tok in paragraph.tokens) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +351,16 @@ def write_predictions(
     Each row is the ordered candidate terms for one query (at most 15,
     multiword candidates with spaces); an empty row writes an empty line.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(format_header(header))
-        for row in predictions:
+    with write_artifact(path, header) as fh:
+        for i, row in enumerate(predictions, 1):
             row = list(row)
             if len(row) > MAX_PREDICTIONS:
                 raise FormatError(
-                    f"prediction row has {len(row)} candidates (max {MAX_PREDICTIONS})"
+                    f"{path}: prediction row {i} has {len(row)} candidates (max {MAX_PREDICTIONS})"
                 )
             fh.write("\t".join(row) + "\n")
 
 
 def read_predictions(path: str | os.PathLike) -> list[list[str]]:
     """Read candidate lines back; the inverse of `write_predictions`."""
-    require_complete(path)
-    rows = []
-    for line in iter_data_lines(path):
-        rows.append([part for part in line.split("\t") if part])
-    return rows
+    return [[part for part in line.split("\t") if part] for line in read_artifact(path)[1]]

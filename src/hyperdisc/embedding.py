@@ -22,10 +22,13 @@ distance. The embedding rows of a candidate vocabulary are resolved once
 per (model, vocabulary) and kept on the model; each query then computes
 its distances in one array operation and picks the nearest ``k`` with a
 partition, sorting only the entries at or below the k-th distance.
+Embedding and projection files share one parser, which converts all rows
+in one `np.loadtxt` call and examines a row only when the call rejects it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,11 +40,10 @@ import numpy as np
 from .corpus_io import (
     CandidateVocabulary,
     FormatError,
-    format_header,
-    iter_data_lines,
-    require_complete,
+    read_artifact,
     term_to_token,
     token_to_term,
+    write_artifact,
 )
 from .cooc import ScoredCandidate, Source, TOP_K
 
@@ -165,7 +167,7 @@ def apply_step(
 
 def _encode_corpus(path, index) -> list[np.ndarray]:
     encoded = []
-    for line in iter_data_lines(path):
+    for line in read_artifact(path)[1]:
         ids = [index[t] for t in line.split() if t in index]
         if len(ids) >= 2:
             encoded.append(np.asarray(ids, dtype=np.intp))
@@ -222,9 +224,8 @@ def train_cbow(
     frequency filter, and raises `FormatError` if the corpus's last line is
     cut short.
     """
-    require_complete(normalized_corpus_path)
     freqs: Counter[str] = Counter()
-    for line in iter_data_lines(normalized_corpus_path):
+    for line in read_artifact(normalized_corpus_path)[1]:
         freqs.update(line.split())
     vocab = sorted(
         (t for t, c in freqs.items() if c >= config.min_count),
@@ -390,38 +391,64 @@ def save_embedding(
     header: dict[str, str] | None = None,
 ) -> None:
     """Text format: ``|vocab| dimension`` line, then ``token v1 ... vd`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(format_header(header))
+    with write_artifact(path, header) as fh:
         fh.write(f"{len(model.vocab)} {model.dimension}\n")
         for token, row in zip(model.vocab, model.input_vectors):
             fh.write(token + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
 
 
-def _bad_fields(
-    path: str | os.PathLike, what: str, parts: list[str], width: int | None
-) -> FormatError:
-    """The error for a data line that is missing or not ``width`` fields wide."""
-    if not parts:
-        return FormatError(f"{path}: {what} is missing; the file is truncated")
-    return FormatError(f"{path}: {what} has {len(parts)} fields, expected {width}")
+def _read_rows(path, lines, label, keys=None, sized=True) -> np.ndarray:
+    """The rest of ``lines`` as an array of finite numbers: the rows and
+    columns a leading ``rows width`` line says when ``sized``, else one row.
+    With ``keys``, each row starts with a token, appended to ``keys``. One
+    `np.loadtxt` call converts every row; it pulls one line at a time, so
+    the row it rejects is the last one pulled. Errors name rows by ``label``."""
+    n, width = 1, None
+    if sized:
+        line = next(lines, "")
+        parts = line.split()
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() and int(p) > 0 for p in parts):
+            raise FormatError(f"{path}: the size line {line!r} is not two positive integers")
+        n, width = int(parts[0]), int(parts[1])
 
+    def name(i: int) -> str:
+        token = f" (token {keys[i]!r})" if keys is not None and i < len(keys) else ""
+        return (f"{label} {i + 1} of {n}" if sized else label) + token
 
-def _fields(
-    lines: Iterator[str], path: str | os.PathLike, what: str, width: int | None = None
-) -> list[str]:
-    """Fields of the next line of ``iter_data_lines(path)``."""
-    parts = next(lines, "").split()
-    if not parts or (width is not None and len(parts) != width):
-        raise _bad_fields(path, what, parts, width)
-    return parts
+    last = [-1, ""]  # index and value text of the last row pulled
 
+    def rows() -> Iterator[str]:
+        for i, line in enumerate(lines):
+            if i == n:
+                raise FormatError(f"{path}: extra row after {name(n - 1)}")
+            if keys is not None:
+                key, _, line = line.partition(" ")
+                keys.append(key)
+            if not line or line.isspace():  # np.loadtxt would skip it
+                raise FormatError(f"{path}: {name(i)} has no values")
+            last[:] = i, line
+            yield line
+        if last[0] < n - 1:
+            raise FormatError(f"{path}: {name(last[0] + 1)} is missing; the file is truncated")
 
-def _non_finite_row(values: np.ndarray) -> int | None:
-    """Index of the first row of ``values`` that holds a nan or an infinity."""
-    if np.isfinite(values).all():
-        return None
-    return int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+    pulled = rows()
+    first = next(pulled)
+    width = width or len(first.split())
+    try:
+        if len(first.split()) != width:
+            raise ValueError
+        values = np.loadtxt(itertools.chain((first,), pulled), comments=None, ndmin=2)
+    except FormatError:
+        raise
+    except ValueError:
+        i, line = last
+        k = len(line.split())
+        fault = f"has {k} values, expected {width}" if k != width else "has a non-number"
+        raise FormatError(f"{path}: {name(i)} {fault}") from None
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: {name(int(bad[0]))} has a non-finite value")
+    return values
 
 
 def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
@@ -430,29 +457,12 @@ def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
     A repeated token or a nan or infinite value is a `FormatError`: the
     rows of a model map one-to-one to tokens, and distances must compare.
     """
-    require_complete(path)
-    lines = iter_data_lines(path)
-    n, dim = (int(part) for part in _fields(lines, path, "the size line", 2))
-    vocab = []
-    vectors = np.empty((n, dim))
-    for i in range(n):
-        parts = next(lines, "").split()
-        if len(parts) != dim + 1:
-            raise _bad_fields(path, f"row {i + 1} of {n}", parts, dim + 1)
-        vocab.append(parts[0])
-        vectors[i] = [float(v) for v in parts[1:]]
-    i = _non_finite_row(vectors)
-    if i is not None:
-        raise FormatError(
-            f"{path}: row {i + 1} of {n} (token {vocab[i]!r}) has a non-finite value"
-        )
-    model = EmbeddingModel(vocab=vocab, input_vectors=vectors)
-    if len(model.index) != n:
-        seen = set()
-        for i, token in enumerate(vocab):
-            if token in seen:
-                raise FormatError(f"{path}: row {i + 1} of {n} repeats token {token!r}")
-            seen.add(token)
+    vocab: list[str] = []
+    model = EmbeddingModel(vocab, _read_rows(path, read_artifact(path)[1], "row", vocab))
+    if len(model.index) != len(vocab):
+        first: dict[str, int] = {}
+        i = next(i for i, token in enumerate(vocab) if first.setdefault(token, i) != i)
+        raise FormatError(f"{path}: row {i + 1} of {len(vocab)} repeats token {vocab[i]!r}")
     return model
 
 
@@ -462,9 +472,7 @@ def save_phi(
     header: dict[str, str] | None = None,
 ) -> None:
     """Mode line, then the offset vector or a dimension header plus matrix rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(format_header(header))
+    with write_artifact(path, header) as fh:
         fh.write(phi.mode.value + "\n")
         if phi.mode is PhiMode.OFFSET:
             fh.write(" ".join(f"{v:.17g}" for v in phi.offset) + "\n")
@@ -476,24 +484,13 @@ def save_phi(
 
 
 def load_phi(path: str | os.PathLike) -> PhiTransform:
-    require_complete(path)
-    lines = iter_data_lines(path)
-    mode_line = " ".join(_fields(lines, path, "the mode line"))
+    _, lines = read_artifact(path)
+    mode_line = next(lines, "")
     try:
-        mode = PhiMode(mode_line)
+        mode = PhiMode(mode_line.strip())
     except ValueError:
         raise FormatError(f"{path}: unknown projection mode {mode_line!r}") from None
     if mode is PhiMode.OFFSET:
-        offset = np.array([float(v) for v in _fields(lines, path, "the offset row")])
-        if not np.isfinite(offset).all():
-            raise FormatError(f"{path}: the offset row has a non-finite value")
-        return PhiTransform(PhiMode.OFFSET, offset=offset)
-    rows, cols = (int(part) for part in _fields(lines, path, "the size line", 2))
-    matrix = np.empty((rows, cols))
-    for i in range(rows):
-        parts = _fields(lines, path, f"matrix row {i + 1} of {rows}", cols)
-        matrix[i] = [float(v) for v in parts]
-    i = _non_finite_row(matrix)
-    if i is not None:
-        raise FormatError(f"{path}: matrix row {i + 1} of {rows} has a non-finite value")
-    return PhiTransform(PhiMode.MATRIX, matrix=matrix)
+        offset = _read_rows(path, lines, "the offset row", sized=False)
+        return PhiTransform(PhiMode.OFFSET, offset=offset[0])
+    return PhiTransform(PhiMode.MATRIX, matrix=_read_rows(path, lines, "matrix row"))

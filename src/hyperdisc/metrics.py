@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus_io import GoldSet, QueryKind, format_header, normalize_term
+from .corpus_io import GoldSet, QueryKind, normalize_term, write_artifact
 
 CUTOFF = 15
 P_AT_KS = (1, 3, 5, 15)
@@ -160,9 +160,7 @@ def write_report(
     Sections for filtered reports are prefixed with the filter label, e.g.
     ``concept:mrr``.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(format_header(header))
+    with write_artifact(path, header) as fh:
         for report in reports:
             prefix = "" if report.kind_filter is None else f"{report.label}:"
             fh.write(f"{prefix}n_queries\t{report.n_queries}\n")

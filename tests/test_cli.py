@@ -220,6 +220,24 @@ def test_normalized_corpus_cut_short_is_clean_error(tmp_path, dataset, capsys, s
     assert err.startswith(f"error: {cfg.normalized}: last row cut short at data line 2")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_undecodable_corpus_leaves_no_artifact(tmp_path, dataset, capsys, workers):
+    lines = [f"herb_NN basil_NN is_VBZ a_DT plant_NN {i}_CD ._.\n".encode() for i in range(600)]
+    lines.insert(300, b"herb_NN \xff_NN\n")
+    corpus = tmp_path / "corpus.pos.txt"
+    corpus.write_bytes(b"".join(lines))
+    cfg = make_config(dataset, tmp_path, corpus=str(corpus), workers=workers)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    before = sorted(os.listdir(tmp_path))
+    assert run(cfg_path, "normalize") == 2
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: not UTF-8 text")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert run(cfg_path, "cooc-index") == 2
+    err = capsys.readouterr().err
+    assert "missing artifact" in err and "run the 'normalize' stage first" in err
+
+
 def test_pipeline_reads_tagged_corpus_once(tmp_path, dataset, monkeypatch):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"

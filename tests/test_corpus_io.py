@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hyperdisc.corpus_io import (
     read_tagged_corpus,
     term_to_token,
     token_to_term,
+    write_artifact,
     write_predictions,
     write_tagged_corpus,
 )
@@ -150,8 +153,31 @@ def test_predictions_round_trip(tmp_path):
 
 
 def test_write_predictions_rejects_overlong_row(tmp_path):
-    with pytest.raises(FormatError):
-        write_predictions(tmp_path / "p.tsv", [[f"t{i}" for i in range(16)]])
+    path = tmp_path / "p.tsv"
+    write_predictions(path, [["storm"]], header={"config-hash": "abc"})
+    before = path.read_bytes()
+    with pytest.raises(FormatError, match="prediction row 3 has 16 candidates"):
+        write_predictions(path, [["a"], ["b"], [f"t{i}" for i in range(16)]])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["p.tsv"]
+
+
+@pytest.mark.parametrize("existing", [None, b"old\n"])
+def test_write_artifact_is_all_or_nothing(tmp_path, existing):
+    path = tmp_path / "artifact.txt"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(RuntimeError):
+        with write_artifact(path, {"config-hash": "abc"}) as fh:
+            fh.write("row\n")
+            raise RuntimeError("stop")
+    assert os.listdir(tmp_path) == ([] if existing is None else ["artifact.txt"])
+    if existing is not None:
+        assert path.read_bytes() == existing
+    with write_artifact(path, {"config-hash": "abc"}) as fh:
+        fh.write("row\n")
+    assert path.read_text() == "#config-hash abc\nrow\n"
+    assert os.listdir(tmp_path) == ["artifact.txt"]
 
 
 def test_header_round_trip(tmp_path):

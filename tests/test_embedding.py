@@ -606,8 +606,21 @@ def test_truncated_file_is_format_error(tmp_path, kind, cut):
         ("embedding", "3 1\na 1\nb -inf\nc 2\n", "row 2 of 3 (token 'b') has a non-finite value"),
         ("phi", "offset\n0.5 nan\n", "the offset row has a non-finite value"),
         ("phi", "matrix\n2 2\n1 0\ninf 1\n", "matrix row 2 of 2 has a non-finite value"),
+        ("embedding", "2 3\na 1 2 3\nb 4 5 6\nc 7 8 9\n", "extra row after row 2 of 2 (token 'b')"),
+        ("phi", "offset\n1 2\n3 4\n", "extra row after the offset row"),
+        ("phi", "matrix\n1 2\n1 2\n3 4\n", "extra row after matrix row 1 of 1"),
+        ("embedding", "2 -3\na 1 2\n", "the size line '2 -3' is not two positive integers"),
+        ("phi", "matrix\n-1 2\n1 2\n", "the size line '-1 2' is not two positive integers"),
+        ("embedding", "2 2\na 1 2\nb x 1\n", "row 2 of 2 (token 'b') has a non-number"),
+        ("phi", "offset\n0.5 x\n", "the offset row has a non-number"),
+        ("embedding", "2 2\na 1 2\nb 1 2 3\n", "row 2 of 2 (token 'b') has 3 values, expected 2"),
+        ("embedding", "2 2\na 1 2 3\nb 1 2\n", "row 1 of 2 (token 'a') has 3 values, expected 2"),
+        ("phi", "matrix\n2 2\n1 2\n\n", "matrix row 2 of 2 has no values"),
     ],
-    ids=["nan-and-repeat", "repeated-token", "infinity", "nan-offset", "infinite-matrix"],
+    ids=["nan-and-repeat", "repeated-token", "infinity", "nan-offset", "infinite-matrix",
+         "extra-row", "extra-offset-row", "extra-matrix-row", "negative-size",
+         "negative-matrix-size", "non-number", "non-number-offset", "wide-row",
+         "wide-first-row", "blank-matrix-row"],
 )
 def test_malformed_vectors_are_format_error(tmp_path, kind, text, problem):
     path = tmp_path / f"{kind}.txt"
