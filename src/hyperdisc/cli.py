@@ -45,6 +45,7 @@ from .corpus_io import (
     FormatError,
     Query,
     QueryKind,
+    decode_error,
     load_gold,
     load_queries,
     load_vocabulary,
@@ -172,19 +173,22 @@ def load_config(
     if path:
         if not os.path.exists(path):
             raise CliError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, raw = line.partition("=")
-                key = key.strip()
-                if not sep or key not in _FIELD_TYPES:
-                    raise CliError(f"{path}: line {lineno}: unknown config key {key!r}")
-                try:
-                    values[key] = _coerce(key, raw)
-                except ValueError as exc:
-                    raise CliError(f"{path}: line {lineno}: {exc}") from None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    key, sep, raw = line.partition("=")
+                    key = key.strip()
+                    if not sep or key not in _FIELD_TYPES:
+                        raise CliError(f"{path}: line {lineno}: unknown config key {key!r}")
+                    try:
+                        values[key] = _coerce(key, raw)
+                    except ValueError as exc:
+                        raise CliError(f"{path}: line {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CliError(str(decode_error(path, exc))) from None
     if overrides:
         values.update(overrides)
     return PipelineConfig(**values)

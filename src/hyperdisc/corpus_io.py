@@ -124,8 +124,9 @@ def iter_data_lines(
 ) -> Iterator[str]:
     """Yield lines with the trailing newline stripped, skipping the header
     comment block. Bytes that are not UTF-8 are a `FormatError` naming the
-    file. `read_artifact` passes ``_header``, which receives the header and
-    makes a last row cut short (no newline) a `FormatError`."""
+    file and the line (`decode_error`). `read_artifact` passes ``_header``,
+    which receives the header and makes a last row cut short (no newline) a
+    `FormatError`."""
     meta = {} if _header is None else _header
     try:
         with open(path, encoding="utf-8") as fh:
@@ -141,7 +142,22 @@ def iter_data_lines(
                     )
                 yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise decode_error(path, exc) from None
+
+
+def decode_error(path: str | os.PathLike, exc: UnicodeDecodeError) -> FormatError:
+    """The `FormatError` for a file that failed to decode as UTF-8, naming
+    the first line (counted from 1 over every line of the file) that holds a
+    bad byte. A text read decodes in chunks, so the file is read again in
+    binary and decoded line by line; a newline byte never occurs inside a
+    UTF-8 sequence, so the lines fail where the whole file did."""
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return FormatError(f"{path}: not UTF-8 text at line {n} ({line_exc.reason})")
+    return FormatError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def read_artifact(path: str | os.PathLike) -> tuple[dict[str, str], Iterator[str]]:

@@ -9,8 +9,16 @@ position is
 with h the context mean, u the output vectors, and negatives drawn from
 the unigram^(3/4) distribution (redrawn when they collide with the
 center). The learning rate decays linearly to 10% of its initial value
-over all positions of all epochs. Training is serial and exactly
-reproducible for a fixed seed. Its only weight update is ``apply_step``;
+over all positions of all epochs.
+
+Training is block-batched: the lines are concatenated, and each block of
+``BLOCK`` consecutive positions is one weight update, ``apply_step``, the
+only one. A block takes every gradient at its start weights, masks each
+context window at its line's ends, draws its negatives in one RNG call
+(clashes with the center redrawn per block) and keeps each position's own
+learning rate; with blocks of one position it is the plain per-position
+SGD. Training stays single-process and uses no BLAS call, so the weights
+are byte-reproducible for a fixed seed, whatever the CPU count.
 ``cbow_step_loss`` is the independent oracle for the same loss and
 gradients.
 
@@ -49,6 +57,7 @@ from .cooc import ScoredCandidate, Source, TOP_K
 
 NOISE_POWER = 0.75
 LR_FLOOR_FRACTION = 0.1
+BLOCK = 256  # training positions per weight update
 
 
 @dataclass(frozen=True)
@@ -148,21 +157,43 @@ def apply_step(
     w_out: np.ndarray,
     context: np.ndarray,
     targets: np.ndarray,
-    lr: float,
+    lr: np.ndarray,
 ) -> None:
-    """One SGD step of learning rate ``lr`` on the weights in place.
+    """One SGD update for a block of positions, on the weights in place.
 
-    ``context`` holds the input rows of the context, ``targets`` the output
-    rows ``[center, *negatives]``; repeated rows accumulate. The step is
-    ``-lr`` times the gradients ``cbow_step_loss`` returns.
+    Row ``b`` of ``context`` holds the input rows of position ``b``'s
+    context, padded with -1 (each row has at least one input row); row ``b``
+    of ``targets`` holds its output rows ``[center, *negatives]``, and
+    ``lr[b]`` its learning rate. Every gradient is taken at the block-start
+    weights and repeated rows accumulate, so the update is the sum over the
+    block of ``-lr[b]`` times the gradients ``cbow_step_loss`` returns for
+    position ``b``.
     """
-    h = w_in[context].mean(axis=0)
-    u = w_out[targets] @ h
+    inside = context >= 0
+    n_ctx = inside.sum(axis=1)
+    # padding gathers the last row and weighs it by zero
+    h = np.einsum("bk,bkd->bd", inside.astype(w_in.dtype), w_in[context]) / n_ctx[:, None]
+    out = w_out[targets]
+    u = np.einsum("bd,bnd->bn", h, out)
     g = 1.0 / (1.0 + np.exp(-u))
-    g[0] -= 1.0
-    grad_h = g @ w_out[targets]
-    np.add.at(w_out, targets, np.outer(g, (-lr) * h))
-    np.add.at(w_in, context, (-lr / context.size) * grad_h)
+    g[:, 0] -= 1.0
+    grad_h = np.einsum("bn,bnd->bd", g, out)
+    step_h = (-lr)[:, None] * h
+    step_out = g[:, :, None] * step_h[:, None, :]
+    _scatter_add(w_out, targets.ravel(), step_out.reshape(-1, h.shape[1]))
+    step_in = (-lr / n_ctx)[:, None] * grad_h
+    _scatter_add(w_in, context[inside], np.repeat(step_in, n_ctx, axis=0))
+
+
+def _scatter_add(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``w[rows] += values`` with repeated rows accumulating: one
+    `np.bincount` sums the values of each distinct row, in the order given,
+    and each distinct row is then added to once."""
+    dim = w.shape[1]
+    distinct, slot = np.unique(rows, return_inverse=True)
+    cells = (slot[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(cells, values.ravel(), minlength=distinct.size * dim)
+    w[distinct] += sums.reshape(-1, dim)
 
 
 def _encode_corpus(path, index) -> list[np.ndarray]:
@@ -181,36 +212,43 @@ def _train(
     noise_cdf: np.ndarray,
     config: EmbeddingConfig,
     rng: np.random.Generator,
-    total: int,
+    block: int = BLOCK,
 ) -> None:
+    """Train over ``lines`` (at least one, each of at least two ids, so that
+    every position has a context) in blocks of ``block`` consecutive
+    positions of the concatenated lines, one `apply_step` per block."""
+    flat = np.concatenate(lines)
+    total = config.epochs * flat.size
+    sizes = np.fromiter((len(ids) for ids in lines), dtype=np.intp, count=len(lines))
+    line_end = np.repeat(np.cumsum(sizes), sizes)
+    line_start = line_end - np.repeat(sizes, sizes)
     window = config.window
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     n_neg = config.negatives
     lr0 = config.learning_rate
     lr_floor = LR_FLOOR_FRACTION * lr0
-    done = 0
     with np.errstate(over="ignore"):
-        for _ in range(config.epochs):
-            for ids in lines:
-                n = len(ids)
-                for pos in range(n):
-                    lo = pos - window if pos > window else 0
-                    ctx = np.concatenate((ids[lo:pos], ids[pos + 1 : pos + 1 + window]))
-                    if ctx.size == 0:
-                        continue
-                    center = ids[pos]
-                    negs = np.searchsorted(noise_cdf, rng.random(n_neg))
-                    while True:
-                        clash = negs == center
-                        if not clash.any():
-                            break
-                        negs[clash] = np.searchsorted(
-                            noise_cdf, rng.random(int(clash.sum()))
-                        )
-                    lr = lr0 * (1.0 - 0.9 * done / total)
-                    if lr < lr_floor:
-                        lr = lr_floor
-                    done += 1
-                    apply_step(w_in, w_out, ctx, np.concatenate(([center], negs)), lr)
+        for epoch in range(config.epochs):
+            for first in range(0, flat.size, block):
+                pos = np.arange(first, min(first + block, flat.size))
+                at = pos[:, None] + offsets
+                inside = (at >= line_start[pos, None]) & (at < line_end[pos, None])
+                context = np.where(inside, flat[np.where(inside, at, 0)], -1)
+                centers = flat[pos]
+                negs = np.searchsorted(noise_cdf, rng.random(pos.size * n_neg))
+                negs = negs.reshape(pos.size, n_neg)
+                while True:
+                    clash = negs == centers[:, None]
+                    if not clash.any():
+                        break
+                    negs[clash] = np.searchsorted(
+                        noise_cdf, rng.random(int(clash.sum()))
+                    )
+                lr = lr0 * (1.0 - 0.9 * (epoch * flat.size + pos) / total)
+                apply_step(
+                    w_in, w_out, context, np.column_stack((centers, negs)),
+                    np.maximum(lr, lr_floor),
+                )
 
 
 def train_cbow(
@@ -248,9 +286,8 @@ def train_cbow(
     noise_cdf = np.cumsum(counts**NOISE_POWER)
     noise_cdf /= noise_cdf[-1]
 
-    total = config.epochs * sum(len(ids) for ids in encoded)
-    if total > 0:
-        _train(encoded, w_in, w_out, noise_cdf, config, rng, total)
+    if encoded:
+        _train(encoded, w_in, w_out, noise_cdf, config, rng)
     return EmbeddingModel(
         vocab=vocab,
         input_vectors=w_in,

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from hyperdisc import corpus_io, synthetic
-from hyperdisc.cli import PipelineConfig, load_config, main, write_config
+from hyperdisc.cli import CliError, PipelineConfig, load_config, main, write_config
 from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
 from hyperdisc.corpus_io import FormatError, read_header, read_predictions
 
@@ -292,6 +292,23 @@ def test_unknown_config_key_is_error(tmp_path):
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text("no_such_key=1\n")
     assert main(["normalize", "--config", str(cfg_path)]) == 2
+
+
+def test_config_not_utf8_names_file_and_line(tmp_path, capsys):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_bytes(b"# written by hand\n# caf\xe9\nk=5\n")
+    assert main(["normalize", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg_path}: not UTF-8 text at line 2 (invalid continuation byte)\n"
+    )
+
+
+def test_config_error_lines_count_comments(tmp_path):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text("# caf\u00e9\n\nk=5\nno_such_key=1\n", encoding="utf-8")
+    with pytest.raises(CliError) as info:
+        load_config(str(cfg_path))
+    assert str(info.value) == f"{cfg_path}: line 4: unknown config key 'no_such_key'"
 
 
 def test_invalid_parameter_values():

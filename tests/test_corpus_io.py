@@ -16,6 +16,7 @@ from hyperdisc.corpus_io import (
     load_queries,
     load_vocabulary,
     parse_tagged_line,
+    read_artifact,
     read_header,
     read_predictions,
     read_tagged_corpus,
@@ -199,6 +200,19 @@ def test_unstamped_file_skips_leading_comments(tmp_path):
     path.write_text("#note a\n#more b\ndata\n#later\n")
     assert read_header(path) == {"note": "a", "more": "b"}
     assert list(iter_data_lines(path)) == ["data", "#later"]
+
+
+@pytest.mark.parametrize("header", [b"", b"#config-hash f00d\n"])
+def test_bad_byte_is_located_by_line(tmp_path, header):
+    lines = [f"herb_NN basil_NN is_VBZ a_DT plant_NN {i}_CD ._.\n".encode() for i in range(600)]
+    lines.insert(300, b"herb_NN \xff_NN\n")
+    path = tmp_path / "corpus.pos.txt"
+    path.write_bytes(header + b"".join(lines))
+    line = 301 + header.count(b"\n")  # lines of the file, the header's included
+    for read in (iter_data_lines, read_tagged_corpus, lambda p: read_artifact(p)[1]):
+        with pytest.raises(FormatError) as info:
+            list(read(path))
+        assert str(info.value) == f"{path}: not UTF-8 text at line {line} (invalid start byte)"
 
 
 def test_term_token_round_trip():

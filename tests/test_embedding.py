@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -131,9 +132,10 @@ def test_negative_equal_to_center_lower_bound():
 
 
 def step_rows(center, context, negatives):
+    """A block of one position: its context row and its target row."""
     return (
-        np.asarray(context, dtype=np.intp),
-        np.asarray([center, *negatives], dtype=np.intp),
+        np.asarray([context], dtype=np.intp),
+        np.asarray([[center, *negatives]], dtype=np.intp),
     )
 
 
@@ -145,7 +147,7 @@ def test_sgd_step_decreases_loss():
         before = cbow_step_loss(model, center, context, negatives).loss
         apply_step(
             model.input_vectors, model.output_vectors,
-            *step_rows(center, context, negatives), lr=1e-3,
+            *step_rows(center, context, negatives), lr=np.array([1e-3]),
         )
         after = cbow_step_loss(model, center, context, negatives).loss
         assert after < before
@@ -162,9 +164,174 @@ def test_apply_step_is_minus_lr_times_oracle_gradients():
         negatives = [*negatives, negatives[0], center]
         grad_in, grad_out = analytic_gradients(model, center, context, negatives)
         w_in, w_out = model.input_vectors.copy(), model.output_vectors.copy()
-        apply_step(w_in, w_out, *step_rows(center, context, negatives), lr)
+        apply_step(w_in, w_out, *step_rows(center, context, negatives), np.array([lr]))
         assert relative_error(w_in - model.input_vectors, -lr * grad_in) < 1e-12
         assert relative_error(w_out - model.output_vectors, -lr * grad_out) < 1e-12
+
+
+def test_block_update_is_sum_of_oracle_steps():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        model = random_model(rng)
+        size, width, n_neg = int(rng.integers(2, 9)), 6, 3
+        context = np.full((size, width), -1, dtype=np.intp)
+        targets = np.empty((size, 1 + n_neg), dtype=np.intp)
+        lr = rng.uniform(0.01, 0.1, size)
+        grad_in = np.zeros_like(model.input_vectors)
+        grad_out = np.zeros_like(model.output_vectors)
+        for b in range(size):
+            center, ctx, _ = random_example(rng)
+            ctx = [*ctx, ctx[0]]                    # a repeated context row
+            negatives = [*rng.choice(20, n_neg - 1), center]  # a clash left in
+            if b > 0:
+                negatives[0] = targets[0, 0]        # a row of another position
+            slots = np.sort(rng.choice(width, size=len(ctx), replace=False))
+            context[b, slots] = ctx                 # padding scattered in between
+            targets[b] = [center, *negatives]
+            # every position's gradient at the block-start weights
+            step_in, step_out = analytic_gradients(model, center, ctx, negatives)
+            grad_in += lr[b] * step_in
+            grad_out += lr[b] * step_out
+        w_in, w_out = model.input_vectors.copy(), model.output_vectors.copy()
+        apply_step(w_in, w_out, context, targets, lr)
+        assert relative_error(w_in - model.input_vectors, -grad_in) < 1e-12
+        assert relative_error(w_out - model.output_vectors, -grad_out) < 1e-12
+
+
+def per_position_reference(lines, w_in, w_out, noise_cdf, config, rng, total):
+    """The trainer as one SGD step per position, each taken at the weights
+    the previous step left: the reference the block trainer reduces to at
+    block size 1."""
+    window = config.window
+    n_neg = config.negatives
+    lr0 = config.learning_rate
+    lr_floor = embedding.LR_FLOOR_FRACTION * lr0
+    done = 0
+    with np.errstate(over="ignore"):
+        for _ in range(config.epochs):
+            for ids in lines:
+                n = len(ids)
+                for pos in range(n):
+                    lo = pos - window if pos > window else 0
+                    ctx = np.concatenate((ids[lo:pos], ids[pos + 1 : pos + 1 + window]))
+                    if ctx.size == 0:
+                        continue
+                    center = ids[pos]
+                    negs = np.searchsorted(noise_cdf, rng.random(n_neg))
+                    while True:
+                        clash = negs == center
+                        if not clash.any():
+                            break
+                        negs[clash] = np.searchsorted(
+                            noise_cdf, rng.random(int(clash.sum()))
+                        )
+                    lr = lr0 * (1.0 - 0.9 * done / total)
+                    if lr < lr_floor:
+                        lr = lr_floor
+                    done += 1
+                    targets = np.concatenate(([center], negs))
+                    h = w_in[ctx].mean(axis=0)
+                    u = w_out[targets] @ h
+                    g = 1.0 / (1.0 + np.exp(-u))
+                    g[0] -= 1.0
+                    grad_h = g @ w_out[targets]
+                    np.add.at(w_out, targets, np.outer(g, (-lr) * h))
+                    np.add.at(w_in, ctx, (-lr / ctx.size) * grad_h)
+
+
+@st.composite
+def training_cases(draw):
+    vocab_size = draw(st.integers(2, 6))
+    lines = draw(st.lists(
+        st.lists(st.integers(0, vocab_size - 1), min_size=2, max_size=12),
+        min_size=1, max_size=6,
+    ))
+    config = EmbeddingConfig(
+        dimension=draw(st.integers(2, 8)), window=draw(st.integers(1, 4)),
+        negatives=draw(st.integers(1, 4)), epochs=draw(st.integers(1, 2)),
+        learning_rate=draw(st.floats(0.01, 0.5)), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    counts = np.array(draw(st.lists(
+        st.integers(1, 50), min_size=vocab_size, max_size=vocab_size)), dtype=float)
+    return [np.asarray(ids, dtype=np.intp) for ids in lines], config, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(training_cases())
+def test_block_size_one_reproduces_per_position_trainer(case):
+    lines, config, counts = case
+    noise_cdf = np.cumsum(counts**embedding.NOISE_POWER)
+    noise_cdf /= noise_cdf[-1]
+    init = np.random.default_rng(config.seed)
+    shape = (len(counts), config.dimension)
+    w_in, w_out = init.normal(0, 0.5, shape), init.normal(0, 0.5, shape)
+    total = config.epochs * sum(len(ids) for ids in lines)
+    runs = []
+    for train in (
+        functools.partial(per_position_reference, total=total),
+        functools.partial(embedding._train, block=1),
+    ):
+        rng = np.random.default_rng(config.seed)
+        weights = w_in.copy(), w_out.copy()
+        train(lines, *weights, noise_cdf, config, rng)
+        runs.append((rng.bit_generator.state, *weights))
+    (state_a, in_a, out_a), (state_b, in_b, out_b) = runs
+    # the same draws, clash redraws included, and the same steps
+    assert state_a == state_b
+    assert relative_error(in_b, in_a) < 1e-12
+    assert relative_error(out_b, out_a) < 1e-12
+
+
+def record_blocks(monkeypatch, lines, w_in, w_out, config, rng):
+    """Train at the module block size; each block's weights before its
+    update, with the arguments of its `apply_step` call."""
+    noise_cdf = np.cumsum(np.ones(len(w_in)))
+    noise_cdf /= noise_cdf[-1]
+    blocks = []
+    real_step = embedding.apply_step
+
+    def recording_step(w_in, w_out, context, targets, lr):
+        blocks.append((w_in.copy(), w_out.copy(), context, targets, lr))
+        real_step(w_in, w_out, context, targets, lr)
+
+    monkeypatch.setattr(embedding, "apply_step", recording_step)
+    embedding._train(lines, w_in, w_out, noise_cdf, config, rng)
+    return blocks
+
+
+def test_block_context_stays_in_its_paragraph(monkeypatch):
+    # two paragraphs over disjoint vocabularies, so long that a block of the
+    # module size holds positions of both
+    rng = np.random.default_rng(31)
+    lines = [rng.integers(0, 5, embedding.BLOCK - 40), rng.integers(5, 10, embedding.BLOCK)]
+    dim = 4
+    w_in, w_out = rng.normal(0, 0.5, (10, dim)), rng.normal(0, 0.5, (10, dim))
+    config = EmbeddingConfig(dimension=dim, window=4, negatives=2, epochs=1, seed=1)
+    mixed = 0
+    for w_in, w_out, context, targets, lr in record_blocks(
+        monkeypatch, lines, w_in, w_out, config, rng
+    ):
+        in_first = targets[:, 0] < 5
+        mixed += in_first.any() and not in_first.all()
+        for own, other in ((in_first, np.arange(5, 10)), (~in_first, np.arange(5))):
+            # the block's update from one paragraph's positions alone
+            keep_in, keep_out = w_in.copy(), w_out.copy()
+            apply_step(keep_in, keep_out, context[own], targets[own], lr[own])
+            assert np.array_equal(keep_in[other], w_in[other])
+    assert mixed == 1
+
+
+def test_block_learning_rate_is_per_position(monkeypatch):
+    rng = np.random.default_rng(37)
+    lines = [rng.integers(0, 8, int(n)) for n in rng.integers(2, 40, 60)]
+    config = EmbeddingConfig(dimension=3, window=2, negatives=1, epochs=2,
+                             learning_rate=0.05, seed=2)
+    w_in, w_out = rng.normal(0, 0.5, (8, 3)), np.zeros((8, 3))
+    blocks = record_blocks(monkeypatch, lines, w_in, w_out, config, rng)
+    assert len(blocks) > 2
+    total = config.epochs * sum(map(len, lines))
+    schedule = [max(0.05 * (1.0 - 0.9 * i / total), 0.005) for i in range(total)]
+    assert np.concatenate([lr for *_, lr in blocks]).tolist() == schedule
 
 
 def write_corpus(path, lines):
