@@ -1,29 +1,29 @@
-"""Order-preserving parallel mapping over corpus lines.
+"""Order-preserving parallel mapping over batches of corpus lines.
 
 This is the package's only concurrency. It serves the tagged-corpus scan
-(normalize and extract), whose per-line work gains from a second process; every
-other stage runs serially. Workers are separate processes (the map
-functions are pure and picklable); results are yielded in input order
-regardless of worker count, so any stage built on this produces
-byte-identical output for every ``workers`` setting."""
+(normalize and extract), which hands it batches of lines joined into one
+string each, so that a worker process receives one string and returns one
+result per batch; every other stage runs serially. Workers are separate
+processes (the map functions are pure and picklable); results are yielded in
+input order regardless of worker count, so any stage built on this produces
+byte-identical output for every ``workers`` setting. At ``workers=1`` the
+function runs in this process and `multiprocessing` is never imported."""
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-CHUNK_SIZE = 512
 
 
 def map_lines(
     func: Callable[[T], R], items: Iterable[T], workers: int = 1
 ) -> Iterator[R]:
     if workers <= 1:
-        for item in items:
-            yield func(item)
+        yield from map(func, items)
         return
+    import multiprocessing
+
     with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap(func, items, chunksize=CHUNK_SIZE)
+        yield from pool.imap(func, items)

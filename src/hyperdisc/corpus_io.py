@@ -246,10 +246,28 @@ class ParagraphScan(NamedTuple):
     phrases: int = 0
 
 
-def _scan_line(line: str, work: Callable[[TaggedParagraph], ParagraphScan]):
-    stats = ReadStats()
-    paragraph = parse_tagged_line(line, stats)
-    return stats.bad_tokens, None if paragraph is None else work(paragraph)
+BATCH_LINES = 2048  # corpus lines per unit of work handed to `map_lines`
+
+
+def _scan_batch(
+    text: str, work: Callable[[TaggedParagraph], ParagraphScan]
+) -> tuple[ScanStats, list[str]]:
+    """Parse and ``work`` each line of ``text`` (lines joined by ``\\n``);
+    the batch's counts and, per output, the text of its lines."""
+    stats, read = ScanStats(), ReadStats()
+    outs: tuple[list[str], ...] = ([], [], [])
+    for line in text.split("\n"):
+        paragraph = parse_tagged_line(line, read)
+        if paragraph is None:
+            continue
+        scan = work(paragraph)
+        stats.paragraphs_in += 1
+        stats.phrases_appended += scan.phrases
+        for out, lines in zip(outs, (scan.normalized, scan.hearst, scan.isa)):
+            out.extend(lines)
+    stats.bad_tokens = read.bad_tokens
+    stats.paragraphs_out, stats.hearst_matches, stats.isa_matches = map(len, outs)
+    return stats, ["".join(f"{line}\n" for line in out) for out in outs]
 
 
 def scan_tagged_corpus(
@@ -260,26 +278,27 @@ def scan_tagged_corpus(
     """Parse each non-blank data line of a tagged corpus once, apply the
     picklable ``work`` and write the normalized, Hearst and IS-A lines it
     returns to ``outputs`` (a path or None each), after ``header``, in corpus
-    order; `map_lines` spreads the lines over ``workers`` processes."""
+    order.
+
+    The lines go out in batches of `BATCH_LINES`, each joined into one
+    string; `map_lines` spreads the batches over ``workers`` processes and
+    returns, per batch, its `ScanStats` and one text per output, so no line
+    and no per-line result crosses a process boundary. Here the lines are
+    only read, the counts summed and the texts written in batch order."""
     stats = ScanStats()
-    lines = (line for line in iter_data_lines(in_path) if line.strip())
+    lines = iter_data_lines(in_path)
+    batches = map("\n".join, iter(lambda: list(itertools.islice(lines, BATCH_LINES)), []))
     with ExitStack() as stack:
         files = [
             None if path is None else stack.enter_context(write_artifact(path, header))
             for path in outputs
         ]
-        for bad_tokens, scan in map_lines(partial(_scan_line, work=work), lines, workers):
-            stats.bad_tokens += bad_tokens
-            if scan is None:
-                continue
-            stats.paragraphs_in += 1
-            stats.paragraphs_out += len(scan.normalized)
-            stats.phrases_appended += scan.phrases
-            stats.hearst_matches += len(scan.hearst)
-            stats.isa_matches += len(scan.isa)
-            for fh, out in zip(files, (scan.normalized, scan.hearst, scan.isa)):
-                if out:
-                    fh.write("\n".join(out) + "\n")
+        for part, texts in map_lines(partial(_scan_batch, work=work), batches, workers):
+            for name, value in vars(part).items():
+                setattr(stats, name, getattr(stats, name) + value)
+            for fh, text in zip(files, texts):
+                if text:
+                    fh.write(text)
     return stats
 
 

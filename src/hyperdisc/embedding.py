@@ -43,8 +43,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .corpus_io import (
     CandidateVocabulary,
     FormatError,
@@ -54,6 +52,21 @@ from .corpus_io import (
     write_artifact,
 )
 from .cooc import ScoredCandidate, Source, TOP_K
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy until this module first uses it, so importing the
+    package (and the CLI stages that train nothing) does not load numpy. The
+    first attribute read imports numpy and rebinds the global ``np`` to it."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _NumpyOnFirstUse()
 
 NOISE_POWER = 0.75
 LR_FLOOR_FRACTION = 0.1
@@ -196,10 +209,10 @@ def _scatter_add(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     w[distinct] += sums.reshape(-1, dim)
 
 
-def _encode_corpus(path, index) -> list[np.ndarray]:
+def _encode_corpus(lines: Iterable[list[str]], index: dict[str, int]) -> list[np.ndarray]:
     encoded = []
-    for line in read_artifact(path)[1]:
-        ids = [index[t] for t in line.split() if t in index]
+    for tokens in lines:
+        ids = [index[t] for t in tokens if t in index]
         if len(ids) >= 2:
             encoded.append(np.asarray(ids, dtype=np.intp))
     return encoded
@@ -262,9 +275,8 @@ def train_cbow(
     frequency filter, and raises `FormatError` if the corpus's last line is
     cut short.
     """
-    freqs: Counter[str] = Counter()
-    for line in read_artifact(normalized_corpus_path)[1]:
-        freqs.update(line.split())
+    lines = [line.split() for line in read_artifact(normalized_corpus_path)[1]]
+    freqs = Counter(itertools.chain.from_iterable(lines))
     vocab = sorted(
         (t for t, c in freqs.items() if c >= config.min_count),
         key=lambda t: (-freqs[t], t),
@@ -276,7 +288,7 @@ def train_cbow(
     if len(vocab) < 2:
         raise ValueError("need at least two vocabulary tokens for negative sampling")
     index = {t: i for i, t in enumerate(vocab)}
-    encoded = _encode_corpus(normalized_corpus_path, index)
+    encoded = _encode_corpus(lines, index)
 
     rng = np.random.default_rng(config.seed)
     dim = config.dimension

@@ -1,9 +1,11 @@
 import os
+import subprocess
 import sys
 from functools import partial
 
 import pytest
 
+import hyperdisc
 from hyperdisc import corpus_io, synthetic
 from hyperdisc.cli import CliError, PipelineConfig, load_config, main, write_config
 from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
@@ -347,3 +349,36 @@ def test_evaluate_rejects_row_mismatch(tmp_path, dataset, capsys):
     capsys.readouterr()
     assert run(cfg_path, "evaluate") == 2
     assert "prediction lines" in capsys.readouterr().err
+
+
+NUMPY_ON_FIRST_USE = """
+import sys
+import hyperdisc.cli as cli
+import hyperdisc
+assert "numpy" not in sys.modules and "hyperdisc.embedding" in sys.modules
+for stage in ("normalize", "extract-hearst", "extract-isa", "cooc-index"):
+    assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
+    assert "numpy" not in sys.modules, stage
+for stage in ("train-embedding", "fit-phi"):  # train_cbow, load_embedding
+    assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
+from hyperdisc import embedding
+import numpy
+assert embedding.np is numpy
+cfg = cli.load_config(sys.argv[1])
+model = embedding.load_embedding(cfg.embedding)
+found = embedding.candidates_from_phi(embedding.load_phi(cfg.phi), model, model.vocab[0], None, 3)
+assert [c.term for c in found] and all(c.term != model.vocab[0] for c in found)
+"""
+
+
+def test_stages_that_train_nothing_never_import_numpy(tmp_path, dataset):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    src = os.path.dirname(os.path.dirname(hyperdisc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ON_FIRST_USE, str(cfg_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

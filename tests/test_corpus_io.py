@@ -1,14 +1,17 @@
 import os
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperdisc import corpus_io
 from hyperdisc.corpus_io import (
     FormatError,
     Query,
     QueryKind,
     ReadStats,
+    ScanStats,
     TaggedParagraph,
     TaggedToken,
     iter_data_lines,
@@ -26,6 +29,7 @@ from hyperdisc.corpus_io import (
     write_predictions,
     write_tagged_corpus,
 )
+from hyperdisc.patterns import extract_corpus, scan_paragraph
 
 surfaces = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz-_'"), min_size=1, max_size=8
@@ -232,3 +236,67 @@ def test_vocabulary_never_larger_than_line_count(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("v") / "v.txt"
     path.write_text("".join(line + "\n" for line in lines))
     assert len(load_vocabulary(path)) <= len(lines)
+
+
+# tokens that fire every grammar and the phrase chunker, plus bad tokens
+SCAN_TOKENS = [
+    "herb_NN", "herbs_NNS", "basil_NN", "green_JJ", "mint_NN", "such_JJ", "as_IN",
+    "including_VBG", "especially_RB", "is_VBZ", "a_DT", "the_DT", "and_CC", "or_CC",
+    "other_JJ", ",_,", "._.", "#x_NN", "nounderscore", "_NN", "tag_",
+]
+scan_lines = st.lists(st.sampled_from(SCAN_TOKENS), max_size=10).map(" ".join) | st.sampled_from([
+    "", " ", "\t", "herb_NN\tbasil_NN ", "#note", "#config-hash 0",
+    "such_JJ herbs_NNS as_IN basil_NN and_CC mint_NN",
+    "basil_NN is_VBZ a_DT green_JJ herb_NN",
+    "basil_NN ,_, mint_NN and_CC other_JJ herbs_NNS",
+])
+scan_corpora = st.tuples(
+    st.lists(st.sampled_from(["#source x", "#tagger y"]), max_size=2),
+    st.booleans(),  # stamped: a `#` line after the stamp is data
+    st.lists(scan_lines, max_size=14),
+)
+
+
+def per_line_reference(path):
+    """The scan of all three outputs one data line at a time: its counts and
+    the text of each output."""
+    stats = ScanStats()
+    outs = ([], [], [])
+    for line in iter_data_lines(path):
+        if not line.strip():
+            continue
+        read = ReadStats()
+        paragraph = parse_tagged_line(line, read)
+        stats.bad_tokens += read.bad_tokens
+        if paragraph is None:
+            continue
+        scan = scan_paragraph(paragraph, normalized=True, hearst=True, isa=True)
+        stats.paragraphs_in += 1
+        stats.paragraphs_out += len(scan.normalized)
+        stats.phrases_appended += scan.phrases
+        stats.hearst_matches += len(scan.hearst)
+        stats.isa_matches += len(scan.isa)
+        for out, lines in zip(outs, (scan.normalized, scan.hearst, scan.isa)):
+            out.extend(lines)
+    return stats, ["".join(line + "\n" for line in out) for out in outs]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(corpus=scan_corpora)
+def test_batched_scan_equals_per_line_reference(tmp_path_factory, workers, corpus):
+    meta, stamped, lines = corpus
+    root = tmp_path_factory.mktemp("scan")
+    src = root / "corpus.pos.txt"
+    head = "".join(f"{m}\n" for m in meta) + ("#config-hash abc\n" if stamped else "")
+    src.write_text(head + "".join(f"{line}\n" for line in lines), encoding="utf-8")
+    expected_stats, expected = per_line_reference(src)
+    normalized, hearst, isa = (root / name for name in ("norm.txt", "hearst.tsv", "isa.tsv"))
+    for batch in (1, 2, 3):
+        with mock.patch.object(corpus_io, "BATCH_LINES", batch):
+            stats = extract_corpus(
+                src, hearst, isa, workers, {"config-hash": "s"}, normalized_out=normalized
+            )
+        assert stats == expected_stats, batch
+        written = [p.read_text(encoding="utf-8") for p in (normalized, hearst, isa)]
+        assert written == ["#config-hash s\n" + text for text in expected], batch
