@@ -16,28 +16,22 @@ from hyperdisc.cli import PipelineConfig, _source_lists, main as cli_main, write
 from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
 from hyperdisc.corpus_io import load_gold, load_queries, load_vocabulary
 from hyperdisc.embedding import load_embedding, load_phi
-from hyperdisc.metrics import evaluate
+from hyperdisc.rank import module_reports
 
 
 def standalone_reports(cfg: PipelineConfig):
     vocab = load_vocabulary(cfg.vocab)
-    queries = load_queries(cfg.queries)
-    gold_sets = load_gold(cfg.gold, queries)
+    gold_sets = load_gold(cfg.gold, load_queries(cfg.queries))
     cooc_idx = load_cooc_index(cfg.cooc_index)
     hearst_idx = build_pair_index(cfg.hearst_corpus, Source.HEARST)
     isa_idx = build_pair_index(cfg.isa_corpus, Source.ISA)
     model = load_embedding(cfg.embedding)
     phi = load_phi(cfg.phi)
-    by_source = {source: [] for source in Source}
-    for query in queries:
-        lists = _source_lists(
-            query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg
-        )
-        for source in Source:
-            by_source[source].append([c.term for c in lists[source]])
-    return {
-        source: evaluate(rows, gold_sets) for source, rows in by_source.items()
-    }
+    lists = [
+        _source_lists(g.query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg)
+        for g in gold_sets
+    ]
+    return module_reports(lists, gold_sets)
 
 
 def main() -> None:

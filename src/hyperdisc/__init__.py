@@ -44,6 +44,6 @@ from .metrics import (
 )
 from .normalize import chunk_noun_phrases, normalize_corpus, normalize_paragraph
 from .patterns import PatternMatch, extract_corpus, extract_hearst, extract_isa, match_np
-from .rank import ModuleOrder, RankedPrediction, choose_order, merge
+from .rank import ModuleOrder, RankedPrediction, choose_order, merge, module_reports
 
 __version__ = "0.1.0"

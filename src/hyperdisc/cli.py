@@ -43,13 +43,14 @@ from .cooc import (
 from .corpus_io import (
     CONFIG_HASH_KEY,
     FormatError,
+    GoldSet,
     Query,
     QueryKind,
     decode_error,
     load_gold,
     load_queries,
     load_vocabulary,
-    read_header,
+    read_artifact,
     read_predictions,
     term_to_token,
     write_artifact,
@@ -69,7 +70,7 @@ from .embedding import (
 from .metrics import evaluate, format_table, write_report
 from .normalize import normalize_corpus
 from .patterns import extract_corpus
-from .rank import ModuleOrder, RankedPrediction, choose_order, merge
+from .rank import ModuleOrder, choose_order, merge, module_reports
 
 
 class CliError(Exception):
@@ -215,7 +216,7 @@ def _require_artifact(cfg: PipelineConfig, path: str, stage: str) -> None:
         raise CliError(
             f"missing artifact {path!r}: run the '{stage}' stage first"
         )
-    stamped = read_header(path).get(CONFIG_HASH_KEY)
+    stamped = read_artifact(path)[0].get(CONFIG_HASH_KEY)
     if stamped is not None and stamped != cfg.hash():
         raise CliError(
             f"stale artifact {path!r}: built with config-hash {stamped}, current "
@@ -283,15 +284,17 @@ def cmd_cooc_index(cfg: PipelineConfig) -> None:
     print(f"cooc-index: {len(index.counts)} query terms, {n_rows} candidate counts")
 
 
-def cmd_fit_phi(cfg: PipelineConfig) -> None:
-    _require_artifact(cfg, cfg.embedding, "train-embedding")
+def _train_gold(cfg: PipelineConfig) -> list[GoldSet]:
     _require_input(cfg.train_queries, "train_queries")
     _require_input(cfg.train_gold, "train_gold")
-    train_queries = load_queries(cfg.train_queries)
-    train_gold = load_gold(cfg.train_gold, train_queries)
+    return load_gold(cfg.train_gold, load_queries(cfg.train_queries))
+
+
+def cmd_fit_phi(cfg: PipelineConfig) -> None:
+    _require_artifact(cfg, cfg.embedding, "train-embedding")
     pairs = [
         (gold_set.query.term, hypernym)
-        for gold_set in train_gold
+        for gold_set in _train_gold(cfg)
         for hypernym in gold_set.hypernyms
     ]
     model = load_embedding(cfg.embedding)
@@ -344,19 +347,8 @@ def cmd_predict(cfg: PipelineConfig) -> None:
         )
 
     if cfg.order_mode == "trained":
-        _require_input(cfg.train_queries, "train_queries")
-        _require_input(cfg.train_gold, "train_gold")
-        train_queries = load_queries(cfg.train_queries)
-        train_gold = load_gold(cfg.train_gold, train_queries)
-        train_lists = [lists_for(q) for q in train_queries]
-        per_source = {
-            source: [
-                RankedPrediction(q, tuple(lists[source]))
-                for q, lists in zip(train_queries, train_lists)
-            ]
-            for source in Source
-        }
-        order = choose_order(per_source, train_gold)
+        train_gold = _train_gold(cfg)
+        order = choose_order(module_reports([lists_for(g.query) for g in train_gold], train_gold))
     else:
         order = ModuleOrder()
     predictions = [merge(q, lists_for(q), order, cfg.k) for q in queries]

@@ -60,13 +60,6 @@ class CoocIndex:
 
     counts: dict[str, dict[str, int]]
 
-    def merge(self, other: "CoocIndex") -> None:
-        """Add another shard's counts in place; addition is the shard merge."""
-        for term, row in other.counts.items():
-            mine = self.counts.setdefault(term, {})
-            for token, count in row.items():
-                mine[token] = mine.get(token, 0) + count
-
 
 @dataclass
 class PairIndex:
@@ -104,11 +97,15 @@ def build_cooc_index(
 
 
 def merge_cooc_indexes(parts: Sequence[CoocIndex]) -> CoocIndex:
-    """Combine shard indexes; equals the index of the concatenated corpus."""
-    merged = CoocIndex({})
+    """Combine shard indexes by adding their counts; equals the index of
+    the concatenated corpus."""
+    counts: dict[str, dict[str, int]] = {}
     for part in parts:
-        merged.merge(part)
-    return merged
+        for term, row in part.counts.items():
+            mine = counts.setdefault(term, {})
+            for token, count in row.items():
+                mine[token] = mine.get(token, 0) + count
+    return CoocIndex(counts)
 
 
 def _ranked(

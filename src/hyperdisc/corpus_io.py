@@ -11,10 +11,12 @@ Formats (all UTF-8, ``\\n`` line endings):
 * predictions: line i holds the tab-separated predicted hypernyms for
   query i (at most 15; empty line when there are none).
 
-Any file may begin with ``#key value`` comment lines; readers skip this
-leading block and the pipeline uses it to stamp artifacts with the config
-hash that produced them. The ``#config-hash`` stamp closes the header: any
-line after it is data, even one that starts with ``#``.
+Any file may begin with ``#key value`` comment lines, where the key is a
+lowercase identifier (``[a-z][a-z0-9-]*``); readers skip this leading block
+and the pipeline uses it to stamp artifacts with the config hash that
+produced them. The first line that is not of that form is data, even one
+that starts with ``#`` (a ``#_#`` token, a ``#tag`` query), and the
+``#config-hash`` stamp closes the header: any line after it is data.
 
 Artifacts are written whole or not at all by `write_artifact`, and read by
 `read_artifact`, which rejects a last row cut short by truncation. Every
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +43,7 @@ from ._parallel import map_lines
 MAX_PREDICTIONS = 15
 MAX_TERM_WORDS = 3
 CONFIG_HASH_KEY = "config-hash"
+HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key lowercase
 
 
 class TaggedToken(NamedTuple):
@@ -131,9 +135,8 @@ def iter_data_lines(
     try:
         with open(path, encoding="utf-8") as fh:
             line = fh.readline()
-            while line.startswith("#") and CONFIG_HASH_KEY not in meta:  # the stamp ends it
-                key, _, value = line[1:].rstrip("\n").partition(" ")
-                meta[key] = value
+            while CONFIG_HASH_KEY not in meta and (m := HEADER_LINE.fullmatch(line.rstrip("\n"))):
+                meta[m[1]] = m[2]  # the stamp ends the header
                 line = fh.readline()
             for n, line in enumerate(itertools.chain((line,) if line else (), fh), 1):
                 if _header is not None and not line.endswith("\n"):
@@ -168,11 +171,6 @@ def read_artifact(path: str | os.PathLike) -> tuple[dict[str, str], Iterator[str
     lines = iter_data_lines(path, header)
     first = next(lines, None)  # opens the file and reads the header
     return header, itertools.chain(() if first is None else (first,), lines)
-
-
-def read_header(path: str | os.PathLike) -> dict[str, str]:
-    """Parse the header comment block of an artifact."""
-    return read_artifact(path)[0]
 
 
 @contextmanager
@@ -213,16 +211,6 @@ def parse_tagged_line(line: str, stats: ReadStats | None = None) -> TaggedParagr
     if not tokens:
         return None
     return TaggedParagraph(tuple(tokens))
-
-
-def read_tagged_corpus(
-    path: str | os.PathLike, stats: ReadStats | None = None
-) -> Iterator[TaggedParagraph]:
-    """Stream paragraphs from a tagged corpus file in file order."""
-    for line in iter_data_lines(path):
-        paragraph = parse_tagged_line(line, stats)
-        if paragraph is not None:
-            yield paragraph
 
 
 @dataclass
@@ -300,14 +288,6 @@ def scan_tagged_corpus(
                 if text:
                     fh.write(text)
     return stats
-
-
-def write_tagged_corpus(
-    path: str | os.PathLike, paragraphs: Iterable[TaggedParagraph]
-) -> None:
-    with write_artifact(path, None) as fh:
-        for paragraph in paragraphs:
-            fh.write(" ".join(f"{tok.surface}_{tok.pos}" for tok in paragraph.tokens) + "\n")
 
 
 # ---------------------------------------------------------------------------

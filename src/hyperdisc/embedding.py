@@ -322,7 +322,6 @@ class PhiTransform:
     mode: PhiMode
     offset: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    ridge: float = 0.0
     skipped_pairs: int = 0
 
     def __post_init__(self) -> None:
@@ -373,9 +372,7 @@ def fit_phi(
         raise ValueError("ridge must be non-negative")
     gram = x.T @ x + ridge * np.eye(model.dimension)
     matrix_t = np.linalg.solve(gram, x.T @ y)
-    return PhiTransform(
-        PhiMode.MATRIX, matrix=matrix_t.T, ridge=ridge, skipped_pairs=skipped
-    )
+    return PhiTransform(PhiMode.MATRIX, matrix=matrix_t.T, skipped_pairs=skipped)
 
 
 def _candidate_rows(model: EmbeddingModel, vocab: CandidateVocabulary | None) -> np.ndarray:

@@ -3,9 +3,10 @@
 Lists are concatenated in module order (block concatenation, no score
 fusion), deduplicated first-occurrence-wins, the query term itself is
 dropped, and the result is truncated to k. The default order puts IS-A
-evidence first and embedding-projection evidence last; `choose_order`
-instead ranks the modules by their standalone MRR on training data and
-applies that order to the test data.
+evidence first and embedding-projection evidence last. The trained order
+instead scores each module alone on training data with `module_reports`
+(one `metrics.evaluate` report per module) and `choose_order` sorts the
+modules by those reports' MRR; that order is applied to the test data.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .cooc import ScoredCandidate, Source, TOP_K
 from .corpus_io import GoldSet, Query, normalize_term
-from .metrics import reciprocal_rank
+from .metrics import MetricsReport, evaluate
 
 DEFAULT_ORDER = (Source.ISA, Source.COOC, Source.HEARST, Source.PHI)
 
@@ -63,29 +64,23 @@ def merge(
     return RankedPrediction(query, tuple(out))
 
 
-def choose_order(
-    per_source_predictions: Mapping[Source, Sequence[RankedPrediction]],
-    train_gold: Sequence[GoldSet],
-) -> ModuleOrder:
-    """Order modules by standalone MRR on training data, best first.
+def module_reports(
+    lists: Sequence[Mapping[Source, Sequence[ScoredCandidate]]],
+    gold_sets: Sequence[GoldSet],
+) -> dict[Source, MetricsReport]:
+    """Each module's standalone `evaluate` report, in `Source` order:
+    ``lists[i]`` holds the per-module candidates for ``gold_sets[i]``. Empty
+    or misaligned gold is a `ValueError`."""
+    if not gold_sets:
+        raise ValueError("cannot score modules on empty gold")
+    return {
+        source: evaluate([[c.term for c in per.get(source, ())] for per in lists], gold_sets)
+        for source in Source
+    }
 
-    Ties fall back to the fixed Source enum order, so the result is a
-    deterministic function of the per-source MRR values.
-    """
-    if not train_gold:
-        raise ValueError("cannot choose a module order from empty training gold")
-    enum_position = {source: i for i, source in enumerate(Source)}
-    mrr: dict[Source, float] = {}
-    for source in Source:
-        predictions = per_source_predictions.get(source, ())
-        if predictions and len(predictions) != len(train_gold):
-            raise ValueError(
-                f"{source.value}: {len(predictions)} predictions for "
-                f"{len(train_gold)} gold sets"
-            )
-        total = 0.0
-        for prediction, gold_set in zip(predictions, train_gold):
-            total += reciprocal_rank(prediction.terms(), gold_set.hypernyms)
-        mrr[source] = total / len(train_gold) if predictions else 0.0
-    ranked = sorted(Source, key=lambda s: (-mrr[s], enum_position[s]))
-    return ModuleOrder(tuple(ranked))
+
+def choose_order(reports: Mapping[Source, MetricsReport]) -> ModuleOrder:
+    """Order modules by the MRR of their `module_reports`, best first; ties
+    keep `Source` order, so the order is a deterministic function of the
+    MRR values."""
+    return ModuleOrder(tuple(sorted(Source, key=lambda s: -reports[s].mrr)))

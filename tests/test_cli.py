@@ -9,7 +9,7 @@ import hyperdisc
 from hyperdisc import corpus_io, synthetic
 from hyperdisc.cli import CliError, PipelineConfig, load_config, main, write_config
 from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
-from hyperdisc.corpus_io import FormatError, read_header, read_predictions
+from hyperdisc.corpus_io import FormatError, read_artifact, read_predictions
 
 ARTIFACT_KEYS = (
     "normalized",
@@ -71,7 +71,7 @@ def test_pipeline_produces_predictions_and_metrics(tmp_path, dataset, capsys):
     assert all(len(row) <= 15 for row in rows)
     # artifacts carry the config hash
     for key in ARTIFACT_KEYS:
-        assert read_header(getattr(cfg, key)).get("config-hash") == cfg.hash(), key
+        assert read_artifact(getattr(cfg, key))[0].get("config-hash") == cfg.hash(), key
 
 
 def test_predict_without_cooc_index_names_stage(tmp_path, dataset, capsys):
@@ -175,7 +175,7 @@ def cut_mid_row(path):
     """Truncate a file halfway through its middle non-blank data row."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
-    rows = [i for i in range(len(read_header(path)), len(lines)) if lines[i].strip()]
+    rows = [i for i in range(len(read_artifact(path)[0]), len(lines)) if lines[i].strip()]
     i = rows[len(rows) // 2]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines[:i])
@@ -213,7 +213,7 @@ def test_normalized_corpus_cut_short_is_clean_error(tmp_path, dataset, capsys, s
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     assert run(cfg_path, "normalize") == 0
-    stamp = corpus_io.format_header(read_header(cfg.normalized))
+    stamp = corpus_io.format_header(read_artifact(cfg.normalized)[0])
     with open(cfg.normalized, "w", encoding="utf-8") as fh:
         fh.write(stamp + "herb basil mint\nherb basi")
     capsys.readouterr()

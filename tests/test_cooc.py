@@ -25,7 +25,7 @@ from hyperdisc.corpus_io import (
     QueryKind,
     ReadStats,
     load_queries,
-    read_header,
+    read_artifact,
     term_to_token,
 )
 from hyperdisc.normalize import normalize_corpus
@@ -270,7 +270,7 @@ def test_snapshot_round_trip(tmp_path):
     assert body == sorted(body)
     loaded = load_cooc_index(path)
     assert loaded.counts == {"a": {"z": 7}, "b": {"x": 2, "a": 1}}
-    assert read_header(path)["config-hash"] == "cafe"
+    assert read_artifact(path)[0]["config-hash"] == "cafe"
 
 
 def test_load_rejects_wrong_magic(tmp_path):

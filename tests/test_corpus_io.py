@@ -20,24 +20,28 @@ from hyperdisc.corpus_io import (
     load_vocabulary,
     parse_tagged_line,
     read_artifact,
-    read_header,
     read_predictions,
-    read_tagged_corpus,
     term_to_token,
     token_to_term,
     write_artifact,
     write_predictions,
-    write_tagged_corpus,
 )
 from hyperdisc.patterns import extract_corpus, scan_paragraph
 
+# `#` included, so a paragraph, the first one too, may open with it
 surfaces = st.text(
-    alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz-_'"), min_size=1, max_size=8
+    alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz-_'#"), min_size=1, max_size=8
 )
 pos_tags = st.sampled_from(["NN", "NNS", "VB", "VBD", "JJ", "RB", "DT", "IN", ",", "."])
 paragraphs = st.lists(
     st.builds(TaggedToken, surfaces, pos_tags), min_size=1, max_size=12
 ).map(lambda toks: TaggedParagraph(tuple(toks)))
+
+
+def read_paragraphs(path):
+    """A tagged corpus's paragraphs as the scan reads them: each data line
+    through `parse_tagged_line`, lines without a valid token dropped."""
+    return [p for line in iter_data_lines(path) if (p := parse_tagged_line(line)) is not None]
 
 
 def test_parse_simple_line():
@@ -49,14 +53,14 @@ def test_parse_simple_line():
 def test_empty_line_yields_nothing(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("\n\nThe_DT cat_NN\n\n")
-    paragraphs = list(read_tagged_corpus(path))
+    paragraphs = read_paragraphs(path)
     assert len(paragraphs) == 1
 
 
 def test_surface_with_hyphen_splits_on_last_underscore(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("loved-ones_NNS such_JJ as_IN family_NN\n")
-    (paragraph,) = read_tagged_corpus(path)
+    (paragraph,) = read_paragraphs(path)
     assert len(paragraph) == 4
     assert paragraph.tokens[0].surface == "loved-ones"
     assert paragraph.tokens[0].pos == "NNS"
@@ -79,8 +83,10 @@ def test_bad_token_skipped_and_counted():
 @given(st.lists(paragraphs, max_size=8))
 def test_tagged_corpus_round_trip(tmp_path_factory, corpus):
     path = tmp_path_factory.mktemp("rt") / "c.txt"
-    write_tagged_corpus(path, corpus)
-    assert list(read_tagged_corpus(path)) == corpus
+    path.write_text(
+        "".join(" ".join(f"{t.surface}_{t.pos}" for t in p.tokens) + "\n" for p in corpus)
+    )
+    assert read_paragraphs(path) == corpus
 
 
 def test_vocabulary_case_folds_and_dedups(tmp_path):
@@ -188,22 +194,47 @@ def test_write_artifact_is_all_or_nothing(tmp_path, existing):
 def test_header_round_trip(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("#cooc-index v1\n#config-hash deadbeef\ndata line\n")
-    assert read_header(path) == {"cooc-index": "v1", "config-hash": "deadbeef"}
+    assert read_artifact(path)[0] == {"cooc-index": "v1", "config-hash": "deadbeef"}
     assert list(iter_data_lines(path)) == ["data line"]
 
 
 def test_stamp_closes_the_header(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("#cooc-index v1\n#config-hash deadbeef\n#hashtag\ttopic\n#x\n")
-    assert read_header(path) == {"cooc-index": "v1", "config-hash": "deadbeef"}
+    assert read_artifact(path)[0] == {"cooc-index": "v1", "config-hash": "deadbeef"}
     assert list(iter_data_lines(path)) == ["#hashtag\ttopic", "#x"]
 
 
 def test_unstamped_file_skips_leading_comments(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("#note a\n#more b\ndata\n#later\n")
-    assert read_header(path) == {"note": "a", "more": "b"}
+    assert read_artifact(path)[0] == {"note": "a", "more": "b"}
     assert list(iter_data_lines(path)) == ["data", "#later"]
+
+
+@pytest.mark.parametrize("first", ["#_# 1_CD herb_NN", "#Note a", "#note\ta", "#", "#1st x"])
+def test_leading_line_without_lowercase_key_is_data(tmp_path, first):
+    path = tmp_path / "f.txt"
+    path.write_text(f"#note a\n{first}\ndata\n")
+    assert read_artifact(path)[0] == {"note": "a"}
+    assert list(iter_data_lines(path)) == [first, "data"]
+
+
+def test_corpus_opening_with_hash_token_keeps_that_paragraph(tmp_path):
+    path = tmp_path / "corpus.pos.txt"
+    path.write_text("#_# 1_CD herb_NN basil_NN\nbasil_NN is_VBZ a_DT herb_NN\n")
+    first, _ = read_paragraphs(path)
+    assert first.tokens[:2] == (TaggedToken("#", "#"), TaggedToken("1", "CD"))
+    stats = extract_corpus(path, None, None, 1, None, normalized_out=tmp_path / "n.txt")
+    assert stats.paragraphs_in == 2
+
+
+def test_queries_opening_with_hash_term_keep_that_query(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_text("#tag\tConcept\nherb\tConcept\n")
+    assert load_queries(path) == [
+        Query("#tag", QueryKind.CONCEPT), Query("herb", QueryKind.CONCEPT)
+    ]
 
 
 @pytest.mark.parametrize("header", [b"", b"#config-hash f00d\n"])
@@ -213,7 +244,7 @@ def test_bad_byte_is_located_by_line(tmp_path, header):
     path = tmp_path / "corpus.pos.txt"
     path.write_bytes(header + b"".join(lines))
     line = 301 + header.count(b"\n")  # lines of the file, the header's included
-    for read in (iter_data_lines, read_tagged_corpus, lambda p: read_artifact(p)[1]):
+    for read in (iter_data_lines, read_paragraphs, lambda p: read_artifact(p)[1]):
         with pytest.raises(FormatError) as info:
             list(read(path))
         assert str(info.value) == f"{path}: not UTF-8 text at line {line} (invalid start byte)"

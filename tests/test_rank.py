@@ -4,12 +4,13 @@ from hypothesis import strategies as st
 
 from hyperdisc.cooc import ScoredCandidate, Source
 from hyperdisc.corpus_io import GoldSet, Query, QueryKind
+from hyperdisc.metrics import evaluate
 from hyperdisc.rank import (
     DEFAULT_ORDER,
     ModuleOrder,
-    RankedPrediction,
     choose_order,
     merge,
+    module_reports,
 )
 
 QUERY = Query("lemongrass", QueryKind.CONCEPT)
@@ -119,51 +120,79 @@ def test_disjoint_lists_concatenate_exactly():
     assert merged.terms() == ["a", "b", "c", "d", "e"]
 
 
-def prediction(term, *candidate_terms):
-    query = Query(term, QueryKind.CONCEPT)
-    return RankedPrediction(query, tuple(cands(Source.ISA, *candidate_terms)))
+GOLD = [GoldSet(Query("q", QueryKind.CONCEPT), ("gold",))]
 
 
 def make_training_data(rr_by_source):
     """One query; each source predicts the gold term at a chosen rank."""
-    gold = [GoldSet(Query("q", QueryKind.CONCEPT), ("gold",))]
-    per_source = {}
-    for source, rank in rr_by_source.items():
-        fillers = [f"junk{i}" for i in range(rank - 1)]
-        per_source[source] = [prediction("q", *fillers, "gold")]
-    return per_source, gold
+    lists = [{
+        source: cands(source, *(f"junk{i}" for i in range(rank - 1)), "gold")
+        for source, rank in rr_by_source.items()
+    }]
+    return lists, GOLD
+
+
+def test_module_reports_equal_per_module_evaluate():
+    gold = [
+        GoldSet(Query("basil", QueryKind.CONCEPT), ("herb", "plant")),
+        GoldSet(Query("paris", QueryKind.ENTITY), ("city",)),
+    ]
+    lists = [
+        {Source.ISA: cands(Source.ISA, "herb"), Source.COOC: cands(Source.COOC, "x", "plant")},
+        {Source.ISA: cands(Source.ISA, "town"), Source.PHI: cands(Source.PHI, "city", "herb")},
+    ]
+    reports = module_reports(lists, gold)
+    assert tuple(reports) == tuple(Source)
+    expected = {
+        Source.ISA: [["herb"], ["town"]],
+        Source.COOC: [["x", "plant"], []],
+        Source.HEARST: [[], []],
+        Source.PHI: [[], ["city", "herb"]],
+    }
+    for source, rows in expected.items():
+        assert reports[source] == evaluate(rows, gold), source
+    assert reports[Source.COOC].mrr == 0.25 and reports[Source.PHI].mrr == 0.5
+
+
+def test_module_reports_misaligned_lists_is_error():
+    with pytest.raises(ValueError, match="2 prediction rows for 1 gold sets"):
+        module_reports([{}, {}], GOLD)
+
+
+def test_module_reports_empty_gold_is_error():
+    with pytest.raises(ValueError, match="empty gold"):
+        module_reports([], [])
 
 
 def test_choose_order_sorts_by_mrr():
     # standalone quality: IsA best, then Cooc, then Phi, then Hearst
-    per_source, gold = make_training_data(
+    lists, gold = make_training_data(
         {Source.ISA: 1, Source.COOC: 2, Source.PHI: 5, Source.HEARST: 10}
     )
-    order = choose_order(per_source, gold)
+    order = choose_order(module_reports(lists, gold))
     assert order.order == (Source.ISA, Source.COOC, Source.PHI, Source.HEARST)
 
 
 def test_choose_order_all_zero_falls_back_to_enum_order():
-    per_source = {src: [prediction("q", "junk")] for src in Source}
-    gold = [GoldSet(Query("q", QueryKind.CONCEPT), ("gold",))]
-    order = choose_order(per_source, gold)
+    lists = [{src: cands(src, "junk") for src in Source}]
+    order = choose_order(module_reports(lists, GOLD))
     assert order.order == tuple(Source)
 
 
 def test_choose_order_tie_break_is_enum_order():
-    per_source, gold = make_training_data(
+    lists, gold = make_training_data(
         {Source.ISA: 2, Source.HEARST: 2, Source.COOC: 1, Source.PHI: 1}
     )
-    order = choose_order(per_source, gold)
+    order = choose_order(module_reports(lists, gold))
     assert order.order == (Source.COOC, Source.PHI, Source.HEARST, Source.ISA)
 
 
 def test_choose_order_empty_gold_is_error():
     with pytest.raises(ValueError):
-        choose_order({}, [])
+        choose_order(module_reports([], []))
 
 
 def test_choose_order_misaligned_predictions_is_error():
-    gold = [GoldSet(Query("q", QueryKind.CONCEPT), ("gold",))]
+    lists = [{Source.ISA: cands(Source.ISA, "a")}, {Source.ISA: cands(Source.ISA, "b")}]
     with pytest.raises(ValueError):
-        choose_order({Source.ISA: [prediction("q", "a"), prediction("r", "b")]}, gold)
+        choose_order(module_reports(lists, GOLD))
