@@ -134,10 +134,7 @@ def iter_data_lines(
     meta = {} if _header is None else _header
     try:
         with open(path, encoding="utf-8") as fh:
-            line = fh.readline()
-            while CONFIG_HASH_KEY not in meta and (m := HEADER_LINE.fullmatch(line.rstrip("\n"))):
-                meta[m[1]] = m[2]  # the stamp ends the header
-                line = fh.readline()
+            line, _ = _read_header(fh, meta)
             for n, line in enumerate(itertools.chain((line,) if line else (), fh), 1):
                 if _header is not None and not line.endswith("\n"):
                     raise FormatError(
@@ -146,6 +143,16 @@ def iter_data_lines(
                 yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise decode_error(path, exc) from None
+
+
+def _read_header(fh: TextIO, meta: dict[str, str]) -> tuple[str, int]:
+    """Read the header block of an open file into ``meta``: the line after
+    it (empty at the end of the file) and the number of header lines."""
+    line, count = fh.readline(), 0
+    while CONFIG_HASH_KEY not in meta and (m := HEADER_LINE.fullmatch(line.rstrip("\n"))):
+        meta[m[1]] = m[2]  # the stamp ends the header
+        line, count = fh.readline(), count + 1
+    return line, count
 
 
 def decode_error(path: str | os.PathLike, exc: UnicodeDecodeError) -> FormatError:
@@ -194,23 +201,43 @@ def write_artifact(path: str | os.PathLike, header: dict[str, str] | None) -> It
 # tagged corpus
 
 
+def split_tokens(line: str) -> tuple[list[tuple[str, str]], int]:
+    """The ``(surface, tag)`` pair of each valid token of a tagged line, in
+    order, and the number of bad tokens. A token splits on its last
+    underscore and is valid when both the surface and the tag are non-empty,
+    so a token without an underscore is bad."""
+    raws = line.split()
+    pairs = [(surface, pos) for surface, _, pos in [raw.rpartition("_") for raw in raws]
+             if surface and pos]
+    return pairs, len(raws) - len(pairs)
+
+
+# a line of ``word_TAG`` tokens with one underscore each, single-spaced: every
+# token valid by the `split_tokens` rule, one more than there are spaces
+_PLAIN_LINE = re.compile(r"[^\s_]+_[^\s_]+(?: [^\s_]+_[^\s_]+)*")
+
+
+def count_tokens(line: str) -> tuple[int, int]:
+    """The numbers of valid and of bad tokens of a tagged line, as
+    `split_tokens` counts them; a plain line is counted without a split."""
+    if _PLAIN_LINE.fullmatch(line):
+        return line.count(" ") + 1, 0
+    pairs, bad = split_tokens(line)
+    return len(pairs), bad
+
+
+# `TaggedToken._make` without its length check, in C: each pair has two fields
+_tagged_token = partial(tuple.__new__, TaggedToken)
+
+
 def parse_tagged_line(line: str, stats: ReadStats | None = None) -> TaggedParagraph | None:
     """Parse one ``surface_POS ...`` line; None for lines with no valid token.
 
-    Tokens are split on the last underscore. A token without an underscore
-    (or with an empty surface or tag) is skipped and counted in ``stats``.
-    """
-    tokens = []
-    for raw in line.split():
-        surface, sep, pos = raw.rpartition("_")
-        if not sep or not surface or not pos:
-            if stats is not None:
-                stats.bad_tokens += 1
-            continue
-        tokens.append(TaggedToken(surface, pos))
-    if not tokens:
-        return None
-    return TaggedParagraph(tuple(tokens))
+    Bad tokens (`split_tokens`) are skipped and counted in ``stats``."""
+    pairs, bad = split_tokens(line)
+    if stats is not None:
+        stats.bad_tokens += bad
+    return TaggedParagraph(tuple(map(_tagged_token, pairs))) if pairs else None
 
 
 @dataclass
@@ -238,13 +265,20 @@ BATCH_LINES = 2048  # corpus lines per unit of work handed to `map_lines`
 
 
 def _scan_batch(
-    text: str, work: Callable[[TaggedParagraph], ParagraphScan]
+    text: str, work: Callable[[TaggedParagraph], ParagraphScan],
+    gate: Callable[[str], bool] | None,
 ) -> tuple[ScanStats, list[str]]:
-    """Parse and ``work`` each line of ``text`` (lines joined by ``\\n``);
-    the batch's counts and, per output, the text of its lines."""
+    """Parse and ``work`` each line of ``text`` (lines joined by ``\\n``)
+    that ``gate`` passes, and only count the tokens of the others; the
+    batch's counts and, per output, the text of its lines."""
     stats, read = ScanStats(), ReadStats()
     outs: tuple[list[str], ...] = ([], [], [])
     for line in text.split("\n"):
+        if gate is not None and not gate(line):
+            valid, bad = count_tokens(line)
+            read.bad_tokens += bad
+            stats.paragraphs_in += 1 if valid else 0
+            continue
         paragraph = parse_tagged_line(line, read)
         if paragraph is None:
             continue
@@ -261,12 +295,20 @@ def _scan_batch(
 def scan_tagged_corpus(
     in_path: str | os.PathLike, work: Callable[[TaggedParagraph], ParagraphScan],
     outputs: Sequence[str | os.PathLike | None], workers: int = 1,
-    header: dict[str, str] | None = None,
+    header: dict[str, str] | None = None, gate: Callable[[str], bool] | None = None,
 ) -> ScanStats:
     """Parse each non-blank data line of a tagged corpus once, apply the
     picklable ``work`` and write the normalized, Hearst and IS-A lines it
     returns to ``outputs`` (a path or None each), after ``header``, in corpus
     order.
+
+    ``gate``, when given, is a picklable test on the raw line that passes
+    every line ``work`` could return a line for. A line it rejects is not
+    parsed, only its tokens counted (`count_tokens`, by the rule
+    `parse_tagged_line` applies), so the returned counts, ``bad_tokens`` and
+    ``paragraphs_in`` included, are those of the ungated scan. A pass that
+    writes the normalized corpus takes no gate: nearly every line yields a
+    normalized line.
 
     The lines go out in batches of `BATCH_LINES`, each joined into one
     string; `map_lines` spreads the batches over ``workers`` processes and
@@ -281,7 +323,8 @@ def scan_tagged_corpus(
             None if path is None else stack.enter_context(write_artifact(path, header))
             for path in outputs
         ]
-        for part, texts in map_lines(partial(_scan_batch, work=work), batches, workers):
+        scan = partial(_scan_batch, work=work, gate=gate)
+        for part, texts in map_lines(scan, batches, workers):
             for name, value in vars(part).items():
                 setattr(stats, name, getattr(stats, name) + value)
             for fh, text in zip(files, texts):
@@ -317,7 +360,7 @@ def load_vocabulary(
 def load_queries(path: str | os.PathLike) -> list[Query]:
     """Load ``term<TAB>kind`` queries, preserving line order."""
     queries = []
-    for lineno, line in enumerate(iter_data_lines(path), start=1):
+    for n, line in enumerate(iter_data_lines(path), start=1):
         if not line.strip():
             continue
         term, _, kind_text = line.partition("\t")
@@ -325,6 +368,8 @@ def load_queries(path: str | os.PathLike) -> list[Query]:
         try:
             kind = QueryKind(kind_text)
         except ValueError:
+            with open(path, encoding="utf-8") as fh:  # number the line in the whole file
+                lineno = n + _read_header(fh, {})[1]
             raise FormatError(
                 f"{path}: line {lineno}: unknown query kind {kind_text!r} "
                 f"(expected Concept or Entity)"

@@ -11,6 +11,9 @@ line as underscore-joined tokens.
 from __future__ import annotations
 
 import os
+import re
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_corpus
@@ -18,6 +21,7 @@ from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_co
 KEEP_PREFIXES = ("NN", "VB", "JJ", "RB")
 CHUNK_PREFIXES = ("NN", "JJ")
 PHRASE_LENGTHS = (2, 3)
+_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `_token_classes` codes
 
 
 def is_noun_tag(pos: str) -> bool:
@@ -41,39 +45,77 @@ class NounPhrase(NamedTuple):
         return "_".join(self.words)
 
 
+class _TagCodes(dict):
+    """One code per tag, worked out the first time the tag is seen: ``N``
+    noun, ``J`` other chunk tag, ``K`` other kept tag, ``-`` dropped (every
+    chunk tag is a kept tag). A code depends on the tag alone, so one table
+    serves every caller; it keeps at most 4096 tags, against junk tags."""
+
+    def __missing__(self, pos: str) -> str:
+        code = (
+            "N" if is_noun_tag(pos) else "J" if is_chunk_tag(pos)
+            else "K" if is_kept_tag(pos) else "-"
+        )
+        if len(self) < 4096:
+            self[pos] = code
+        return code
+
+
+_TAG_CODES = _TagCodes()
+_KEPT_CODES = frozenset("NJK")
+_surface, _tag = itemgetter(0), itemgetter(1)
+
+
+def _token_classes(paragraph: TaggedParagraph) -> tuple[list[str], list[str], str]:
+    """One pass over the tokens: every surface lowercased (each on its own,
+    as `str.lower` lowercases a final sigma by context), the kept-class ones
+    among them, and the `_TagCodes` code of every token."""
+    tokens = paragraph.tokens
+    words = list(map(str.lower, map(_surface, tokens)))
+    codes = "".join(map(_TAG_CODES.__getitem__, map(_tag, tokens)))
+    return words, list(compress(words, map(_KEPT_CODES.__contains__, codes))), codes
+
+
+def _phrase_spans(codes: str) -> list[tuple[int, int]]:
+    """The ``(start, end)`` span of every 2- and 3-token window of chunk
+    codes that ends in a noun, position-major, shorter first. A window that
+    runs past its run of chunk codes ends the windows of its start; one that
+    ends on a non-noun is skipped."""
+    spans = []
+    for run in _CHUNK_RUN.finditer(codes):
+        run_start, run_end = run.span()
+        for start in range(run_start, run_end - 1):
+            for length in PHRASE_LENGTHS:
+                end = start + length
+                if end > run_end:
+                    break
+                if codes[end - 1] == "N":
+                    spans.append((start, end))
+    return spans
+
+
 def chunk_noun_phrases(paragraph: TaggedParagraph) -> list[NounPhrase]:
     """All 2- and 3-token adjective/noun windows whose last token is a noun.
 
     Windows may overlap; enumeration is position-major (both windows starting
     at token i come before any window starting at i+1), shorter first.
     """
-    tokens = paragraph.tokens
-    phrases = []
-    for start in range(len(tokens)):
-        for length in PHRASE_LENGTHS:
-            window = tokens[start : start + length]
-            if len(window) < length:
-                break
-            if not all(is_chunk_tag(tok.pos) for tok in window):
-                break
-            if not is_noun_tag(window[-1].pos):
-                continue
-            words = tuple(tok.surface.lower() for tok in window)
-            phrases.append(NounPhrase(words, head_index=length - 1))
-    return phrases
+    words, _, codes = _token_classes(paragraph)
+    return [
+        NounPhrase(tuple(words[start:end]), head_index=end - start - 1)
+        for start, end in _phrase_spans(codes)
+    ]
 
 
 def normalize_paragraph(paragraph: TaggedParagraph) -> ParagraphScan:
     """The normalized line, none when nothing is kept: lowercased kept-class
     surfaces in order, then the chunked phrases."""
-    kept = [
-        tok.surface.lower() for tok in paragraph.tokens if is_kept_tag(tok.pos)
-    ]
-    phrases = chunk_noun_phrases(paragraph)
-    kept.extend(phrase.token for phrase in phrases)
+    words, kept, codes = _token_classes(paragraph)
+    spans = _phrase_spans(codes)
+    kept.extend(["_".join(words[start:end]) for start, end in spans])
     if not kept:
         return ParagraphScan()
-    return ParagraphScan(normalized=(" ".join(kept),), phrases=len(phrases))
+    return ParagraphScan(normalized=(" ".join(kept),), phrases=len(spans))
 
 
 def normalize_corpus(

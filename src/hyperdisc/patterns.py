@@ -20,14 +20,24 @@ tagger noise on words like "such". Matches of one grammar never overlap
 each other; different grammars scan independently, each only where its
 trigger word (``such``, ``including``, ``especially``, ``or``, ``and``,
 ``is``) occurs.
+
+A corpus pass that writes no normalized corpus (``extract-hearst``,
+``extract-isa``) parses only the lines that may hold a trigger word of the
+grammars it runs; the gate is built from the grammar tables, so a new
+grammar's trigger is gated in with it. A line the gate rejects is not
+parsed, only its tokens are counted, by the rule the parser applies, so the
+pass writes the same bytes and returns the same counts as parsing every
+line.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 from typing import Callable
 
 from .corpus_io import (
@@ -275,26 +285,29 @@ def _run_scan(tokens, words, scanner, positions: list[int]) -> list[PatternMatch
     return matches
 
 
-def _scan(paragraph: TaggedParagraph, grammars) -> list[PatternMatch]:
+def _lowered(paragraph: TaggedParagraph) -> tuple[str, ...]:
+    return tuple(map(str.lower, map(itemgetter(0), paragraph.tokens)))
+
+
+def _scan(tokens, words, grammars) -> list[PatternMatch]:
     """All matches of ``grammars``, grammar-major then left-to-right, each
     tried only where its trigger word occurs."""
-    words = tuple(tok.surface.lower() for tok in paragraph.tokens)
     matches = []
     for trigger, scanner in grammars:
         if trigger in words:
             positions = [i for i, word in enumerate(words) if word == trigger]
-            matches.extend(_run_scan(paragraph.tokens, words, scanner, positions))
+            matches.extend(_run_scan(tokens, words, scanner, positions))
     return matches
 
 
 def extract_hearst(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of the six Hearst grammars, grammar-major then left-to-right."""
-    return _scan(paragraph, _HEARST_GRAMMARS)
+    return _scan(paragraph.tokens, _lowered(paragraph), _HEARST_GRAMMARS)
 
 
 def extract_isa(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of NP ``is`` (``a``|``an``|``the``) NP, left-to-right."""
-    return _scan(paragraph, _ISA_GRAMMARS)
+    return _scan(paragraph.tokens, _lowered(paragraph), _ISA_GRAMMARS)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +328,35 @@ def scan_paragraph(
     """One paragraph's normalized line and pattern-corpus lines, each only
     when asked for; the surfaces are lowercased once for both grammar sets."""
     scan = normalize_paragraph(paragraph) if normalized else ParagraphScan()
-    grammars = (_HEARST_GRAMMARS if hearst else ()) + (_ISA_GRAMMARS if isa else ())
-    matches = _scan(paragraph, grammars)
-    return scan._replace(
-        hearst=tuple(format_hearst_line(m) for m in matches if m.pattern_id != PatternId.IS_A),
-        isa=tuple(format_isa_line(m) for m in matches if m.pattern_id == PatternId.IS_A),
+    tokens, words = paragraph.tokens, _lowered(paragraph)
+    return ParagraphScan(
+        normalized=scan.normalized,
+        hearst=tuple(map(format_hearst_line, _scan(tokens, words, _HEARST_GRAMMARS)))
+        if hearst else (),
+        isa=tuple(map(format_isa_line, _scan(tokens, words, _ISA_GRAMMARS))) if isa else (),
+        phrases=scan.phrases,
     )
+
+
+def _may_hold_trigger(needles: tuple[str, ...], pattern: re.Pattern, line: str) -> bool:
+    """Whether some token of the raw ``line`` may have a trigger word as its
+    lowercased surface: ``pattern`` finds a ``trigger_`` needle at a token
+    start of the lowercased line, after a cheap substring test for the
+    needles. `str.lower` maps each character of the line as it maps it in a
+    surface alone, except a capital sigma, whose form depends on its
+    neighbours; no trigger holds a sigma, and whitespace (the same set for
+    ``\\s`` as for `str.split`) and ``_`` lowercase to themselves. So a
+    token whose lowercased surface is a trigger always passes."""
+    low = line.lower()
+    return any(map(low.__contains__, needles)) and pattern.search(low) is not None
+
+
+def _trigger_gate(grammars) -> Callable[[str], bool]:
+    """The line gate of an extract-only pass, from the trigger words of the
+    grammars it runs: no other line can hold a match."""
+    needles = tuple(sorted({f"{trigger}_" for trigger, _ in grammars}))
+    pattern = re.compile(r"(?:^|\s)(?:%s)" % "|".join(map(re.escape, needles)))
+    return partial(_may_hold_trigger, needles, pattern)
 
 
 def extract_corpus(
@@ -337,8 +373,12 @@ def extract_corpus(
     ``hyponym<TAB>hypernym``. Either output may be omitted; only the
     grammars of the requested outputs run, and an omitted output's match
     count stays 0. ``normalized_out`` adds the normalized corpus to the pass.
+    Without it, only lines that may hold a trigger word of those grammars
+    are parsed (`_trigger_gate`); the others are only counted.
     """
     outputs = (normalized_out, hearst_out, isa_out)
     normalized, hearst, isa = (path is not None for path in outputs)
     work = partial(scan_paragraph, normalized=normalized, hearst=hearst, isa=isa)
-    return scan_tagged_corpus(in_path, work, outputs, workers, header)
+    grammars = (_HEARST_GRAMMARS if hearst else ()) + (_ISA_GRAMMARS if isa else ())
+    gate = None if normalized else _trigger_gate(grammars)
+    return scan_tagged_corpus(in_path, work, outputs, workers, header, gate)

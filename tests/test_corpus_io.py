@@ -129,6 +129,19 @@ def test_load_queries_unknown_kind_names_line(tmp_path):
         load_queries(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("#config-hash abc\nherb\tConcept\nx\tThing\n", 3),
+    ("#source a\n#source b\nherb\tConcept\nx\tThing\n", 4),  # a repeated key is two lines
+    ("#source a\n#config-hash abc\n#tag\tConcept\nx\tThing\n", 4),  # `#tag` is data
+], ids=["stamp", "repeated-key", "hash-after-stamp"])
+def test_load_queries_unknown_kind_counts_header_lines(tmp_path, text, line):
+    path = tmp_path / "q.tsv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        load_queries(path)
+    assert str(info.value).startswith(f"{path}: line {line}: unknown query kind 'Thing'")
+
+
 def test_load_gold(tmp_path):
     qpath = tmp_path / "q.tsv"
     qpath.write_text("lemongrass\tConcept\nliberalism\tConcept\n")
@@ -269,17 +282,23 @@ def test_vocabulary_never_larger_than_line_count(tmp_path_factory, lines):
     assert len(load_vocabulary(path)) <= len(lines)
 
 
-# tokens that fire every grammar and the phrase chunker, plus bad tokens
+# tokens that fire every grammar and the phrase chunker, plus bad tokens, triggers
+# in capitals and lookalikes that a line gate must tell from triggers
 SCAN_TOKENS = [
     "herb_NN", "herbs_NNS", "basil_NN", "green_JJ", "mint_NN", "such_JJ", "as_IN",
     "including_VBG", "especially_RB", "is_VBZ", "a_DT", "the_DT", "and_CC", "or_CC",
     "other_JJ", ",_,", "._.", "#x_NN", "nounderscore", "_NN", "tag_",
+    "Such_JJ", "IS_VBZ", "Or_CC", "this_DT", "island_NN", "for_IN", "is__X", "is_",
+    "xis_VBZ", "İs_VBZ",
 ]
-scan_lines = st.lists(st.sampled_from(SCAN_TOKENS), max_size=10).map(" ".join) | st.sampled_from([
+scan_tokens = st.lists(st.sampled_from(SCAN_TOKENS), max_size=10)
+scan_lines = scan_tokens.map(" ".join) | scan_tokens.map("\t".join) | st.sampled_from([
     "", " ", "\t", "herb_NN\tbasil_NN ", "#note", "#config-hash 0",
     "such_JJ herbs_NNS as_IN basil_NN and_CC mint_NN",
     "basil_NN is_VBZ a_DT green_JJ herb_NN",
     "basil_NN ,_, mint_NN and_CC other_JJ herbs_NNS",
+    "Basil_NN IS_VBZ the_DT herb_NN",
+    "basil_NN\tOr_CC\tother_JJ herbs_NNS",
 ])
 scan_corpora = st.tuples(
     st.lists(st.sampled_from(["#source x", "#tagger y"]), max_size=2),
@@ -288,9 +307,17 @@ scan_corpora = st.tuples(
 )
 
 
-def per_line_reference(path):
-    """The scan of all three outputs one data line at a time: its counts and
-    the text of each output."""
+def write_scan_corpus(root, corpus):
+    meta, stamped, lines = corpus
+    src = root / "corpus.pos.txt"
+    head = "".join(f"{m}\n" for m in meta) + ("#config-hash abc\n" if stamped else "")
+    src.write_text(head + "".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return src
+
+
+def per_line_reference(path, normalized=True, hearst=True, isa=True):
+    """The scan of the requested outputs one data line at a time, every
+    line parsed: its counts and the text of each output."""
     stats = ScanStats()
     outs = ([], [], [])
     for line in iter_data_lines(path):
@@ -301,7 +328,7 @@ def per_line_reference(path):
         stats.bad_tokens += read.bad_tokens
         if paragraph is None:
             continue
-        scan = scan_paragraph(paragraph, normalized=True, hearst=True, isa=True)
+        scan = scan_paragraph(paragraph, normalized=normalized, hearst=hearst, isa=isa)
         stats.paragraphs_in += 1
         stats.paragraphs_out += len(scan.normalized)
         stats.phrases_appended += scan.phrases
@@ -316,11 +343,8 @@ def per_line_reference(path):
 @settings(max_examples=30, deadline=None)
 @given(corpus=scan_corpora)
 def test_batched_scan_equals_per_line_reference(tmp_path_factory, workers, corpus):
-    meta, stamped, lines = corpus
     root = tmp_path_factory.mktemp("scan")
-    src = root / "corpus.pos.txt"
-    head = "".join(f"{m}\n" for m in meta) + ("#config-hash abc\n" if stamped else "")
-    src.write_text(head + "".join(f"{line}\n" for line in lines), encoding="utf-8")
+    src = write_scan_corpus(root, corpus)
     expected_stats, expected = per_line_reference(src)
     normalized, hearst, isa = (root / name for name in ("norm.txt", "hearst.tsv", "isa.tsv"))
     for batch in (1, 2, 3):
@@ -331,3 +355,25 @@ def test_batched_scan_equals_per_line_reference(tmp_path_factory, workers, corpu
         assert stats == expected_stats, batch
         written = [p.read_text(encoding="utf-8") for p in (normalized, hearst, isa)]
         assert written == ["#config-hash s\n" + text for text in expected], batch
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("hearst, isa", [(True, False), (False, True), (True, True)],
+                         ids=["hearst", "isa", "hearst+isa"])
+@settings(max_examples=20, deadline=None)
+@given(corpus=scan_corpora)
+def test_gated_extract_equals_ungated_reference(tmp_path_factory, workers, hearst, isa, corpus):
+    """An extract-only pass parses only the lines its trigger gate passes and
+    counts the others; its bytes and every count (``bad_tokens`` and
+    ``paragraphs_in`` included) are those of parsing every line."""
+    root = tmp_path_factory.mktemp("gated")
+    src = write_scan_corpus(root, corpus)
+    expected_stats, expected = per_line_reference(src, normalized=False, hearst=hearst, isa=isa)
+    paths = (root / "hearst.tsv" if hearst else None, root / "isa.tsv" if isa else None)
+    for batch in (1, 2, 3):
+        with mock.patch.object(corpus_io, "BATCH_LINES", batch):
+            stats = extract_corpus(src, *paths, workers, {"config-hash": "s"})
+        assert stats == expected_stats, batch
+        for path, text in zip(paths, expected[1:]):
+            if path is not None:
+                assert path.read_text(encoding="utf-8") == "#config-hash s\n" + text, batch
