@@ -26,10 +26,12 @@ The projection maps a hyponym vector toward its hypernym region: either a
 single offset vector (the closed-form mean of y - x over training pairs)
 or a ridge-regularized linear map fit by least squares. Candidates are the
 vocabulary terms nearest to the projected query point in Euclidean
-distance. The embedding rows of a candidate vocabulary are resolved once
-per (model, vocabulary) and kept on the model; each query then computes
-its distances in one array operation and picks the nearest ``k`` with a
-partition, sorting only the entries at or below the k-th distance.
+distance. The candidate pool of a vocabulary, its embedding rows and one
+contiguous dimension-major copy of their vectors, is built once per
+(model, vocabulary, ``input_vectors`` array) and kept on the model. Each
+query then takes every distance in one fused pass over that copy (an
+einsum, no BLAS call), picks the nearest ``k`` other terms with a
+partition and sorts only the entries at or below the cutoff.
 Embedding and projection files share one parser, which converts all rows
 in one `np.loadtxt` call and examines a row only when the call rejects it.
 """
@@ -93,6 +95,15 @@ class EmbeddingConfig:
             raise ValueError("learning_rate must be positive")
 
 
+class _PhiPool(NamedTuple):
+    """The candidates of one vocabulary in one model's embedding."""
+
+    vocab: CandidateVocabulary | None
+    source: np.ndarray   # the ``input_vectors`` array the vectors were copied from
+    rows: np.ndarray     # an embedding row per vocabulary term that has one
+    vectors: np.ndarray  # ``source[rows].T``, one contiguous (dim, len(rows)) copy
+
+
 @dataclass
 class EmbeddingModel:
     vocab: list[str]
@@ -100,8 +111,8 @@ class EmbeddingModel:
     output_vectors: np.ndarray | None = None
     frequencies: dict[str, int] = field(default_factory=dict)
     index: dict[str, int] = field(init=False, repr=False)
-    # (vocabulary, its embedding rows) of the last `candidates_from_phi` call
-    _phi_pool: tuple[CandidateVocabulary | None, np.ndarray] | None = field(
+    # the candidate pool of the last `candidates_from_phi` call
+    _phi_pool: _PhiPool | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -375,21 +386,32 @@ def fit_phi(
     return PhiTransform(PhiMode.MATRIX, matrix=matrix_t.T, skipped_pairs=skipped)
 
 
-def _candidate_rows(model: EmbeddingModel, vocab: CandidateVocabulary | None) -> np.ndarray:
-    """Embedding rows of the vocabulary terms that have one, a row per term
-    (every row of ``model.index`` when ``vocab`` is None), resolved on the
-    first call for a vocabulary and reused while calls pass an equal one."""
-    cached = model._phi_pool
-    if cached is not None and (cached[0] is vocab or cached[0] == vocab):
-        return cached[1]
+def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) -> _PhiPool:
+    """The pool of the vocabulary terms that have an embedding row, a row
+    per term (every row of ``model.index`` when ``vocab`` is None), built on
+    the first call and reused while calls pass an equal vocabulary and
+    ``model.input_vectors`` is the array it was built from. Editing that
+    array in place is not seen; assigning a new one is."""
+    pool = model._phi_pool
+    if (
+        pool is not None
+        and pool.source is model.input_vectors
+        and (pool.vocab is vocab or pool.vocab == vocab)
+    ):
+        return pool
     index = model.index
     if vocab is None:
         rows = np.fromiter(index.values(), dtype=np.intp, count=len(index))
     else:
         found = (index.get(term_to_token(term)) for term in vocab.terms)
         rows = np.fromiter((row for row in found if row is not None), dtype=np.intp)
-    model._phi_pool = (vocab, rows)
-    return rows
+    source = model.input_vectors
+    # filled one dimension at a time, so no second full-size copy is made
+    vectors = np.empty((source.shape[1], rows.size), dtype=source.dtype)
+    for line, values in zip(vectors, source.T):
+        line[:] = values[rows]
+    model._phi_pool = _PhiPool(vocab, source, rows, vectors)
+    return model._phi_pool
 
 
 def candidates_from_phi(
@@ -403,24 +425,30 @@ def candidates_from_phi(
 
     Euclidean distance to vec(q) + offset (or matrix @ vec(q)), the query
     itself excluded, ties lexicographic, scores 1/(1 + distance). A query
-    missing from the embedding, or ``k <= 0``, yields an empty list. The
-    candidate rows come from `_candidate_rows`, resolved once per (model,
-    vocabulary); a partition finds the k-th smallest distance and only the
-    entries at or below it are sorted, so ties at the cutoff still go by
-    term, as in a full sort.
+    missing from the embedding, or ``k <= 0``, yields an empty list. One
+    einsum over the dimension-major vectors of `_candidate_pool` gives every
+    distance, a contiguous pass per dimension (a row-major layout would
+    broadcast the target once per row). A partition finds the (k + m)-th
+    smallest, m the number of the query's own slots; only the entries at or
+    below it are sorted, the query's slots left out, so ties at the cutoff
+    still go by term, as in a full sort.
     """
     q_row = model.row(q)
     if q_row is None or k <= 0:
         return []
-    target = phi.apply(model.input_vectors[q_row])
-    rows = _candidate_rows(model, vocab)
-    rows = rows[rows != q_row]
-    dists = np.linalg.norm(model.input_vectors[rows] - target, axis=1)
-    if k < rows.size:
-        keep = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    else:
-        keep = range(rows.size)
-    ranked = sorted((dists[i], token_to_term(model.vocab[rows[i]])) for i in keep)
+    pool = _candidate_pool(model, vocab)
+    diff = pool.vectors - phi.apply(model.input_vectors[q_row])[:, None]
+    dists = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+    rows = pool.rows
+    cut = k + int(np.count_nonzero(rows == q_row))
+    if cut < rows.size:
+        keep = np.flatnonzero(dists <= np.partition(dists, cut - 1)[cut - 1])
+        dists, rows = dists[keep], rows[keep]
+    ranked = sorted(
+        (dist, token_to_term(model.vocab[row]))
+        for dist, row in zip(dists.tolist(), rows.tolist())
+        if row != q_row
+    )
     return [
         ScoredCandidate(term, 1.0 / (1.0 + dist), Source.PHI)
         for dist, term in ranked[:k]

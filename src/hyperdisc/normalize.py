@@ -16,12 +16,12 @@ from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
-from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_corpus
+from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, TaggedToken, scan_tagged_corpus
 
 KEEP_PREFIXES = ("NN", "VB", "JJ", "RB")
 CHUNK_PREFIXES = ("NN", "JJ")
 PHRASE_LENGTHS = (2, 3)
-_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `_token_classes` codes
+_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `_tag_codes` codes
 
 
 def is_noun_tag(pos: str) -> bool:
@@ -66,14 +66,16 @@ _KEPT_CODES = frozenset("NJK")
 _surface, _tag = itemgetter(0), itemgetter(1)
 
 
-def _token_classes(paragraph: TaggedParagraph) -> tuple[list[str], list[str], str]:
-    """One pass over the tokens: every surface lowercased (each on its own,
-    as `str.lower` lowercases a final sigma by context), the kept-class ones
-    among them, and the `_TagCodes` code of every token."""
-    tokens = paragraph.tokens
-    words = list(map(str.lower, map(_surface, tokens)))
-    codes = "".join(map(_TAG_CODES.__getitem__, map(_tag, tokens)))
-    return words, list(compress(words, map(_KEPT_CODES.__contains__, codes))), codes
+def lowered_surfaces(tokens: tuple[TaggedToken, ...]) -> tuple[str, ...]:
+    """Every surface lowercased, each on its own, as `str.lower` lowercases
+    a final sigma by context; one pass serves the normalizer and the
+    grammar scanners alike."""
+    return tuple(map(str.lower, map(_surface, tokens)))
+
+
+def _tag_codes(tokens: tuple[TaggedToken, ...]) -> str:
+    """The `_TagCodes` code of every token."""
+    return "".join(map(_TAG_CODES.__getitem__, map(_tag, tokens)))
 
 
 def _phrase_spans(codes: str) -> list[tuple[int, int]]:
@@ -100,17 +102,23 @@ def chunk_noun_phrases(paragraph: TaggedParagraph) -> list[NounPhrase]:
     Windows may overlap; enumeration is position-major (both windows starting
     at token i come before any window starting at i+1), shorter first.
     """
-    words, _, codes = _token_classes(paragraph)
+    words = lowered_surfaces(paragraph.tokens)
     return [
-        NounPhrase(tuple(words[start:end]), head_index=end - start - 1)
-        for start, end in _phrase_spans(codes)
+        NounPhrase(words[start:end], head_index=end - start - 1)
+        for start, end in _phrase_spans(_tag_codes(paragraph.tokens))
     ]
 
 
 def normalize_paragraph(paragraph: TaggedParagraph) -> ParagraphScan:
     """The normalized line, none when nothing is kept: lowercased kept-class
     surfaces in order, then the chunked phrases."""
-    words, kept, codes = _token_classes(paragraph)
+    return normalize_lowered(paragraph, lowered_surfaces(paragraph.tokens))
+
+
+def normalize_lowered(paragraph: TaggedParagraph, words: tuple[str, ...]) -> ParagraphScan:
+    """`normalize_paragraph`, given the `lowered_surfaces` of the paragraph."""
+    codes = _tag_codes(paragraph.tokens)
+    kept = list(compress(words, map(_KEPT_CODES.__contains__, codes)))
     spans = _phrase_spans(codes)
     kept.extend(["_".join(words[start:end]) for start, end in spans])
     if not kept:

@@ -37,7 +37,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import itemgetter
 from typing import Callable
 
 from .corpus_io import (
@@ -47,7 +46,7 @@ from .corpus_io import (
     TaggedToken,
     scan_tagged_corpus,
 )
-from .normalize import NounPhrase, is_chunk_tag, is_noun_tag, normalize_paragraph
+from .normalize import NounPhrase, is_chunk_tag, is_noun_tag, lowered_surfaces, normalize_lowered
 
 MAX_NP_WORDS = 3
 
@@ -85,6 +84,13 @@ def match_np(
 
     Returns the phrase (determiner stripped) and the index just past it.
     """
+    return _match_np(tokens, lowered_surfaces(tokens), start)
+
+
+def _match_np(
+    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], start: int
+) -> tuple[NounPhrase, int] | None:
+    """`match_np`, given the `lowered_surfaces` of ``tokens``."""
     i = start
     if i < len(tokens) and tokens[i].pos == "DT":
         i += 1
@@ -95,12 +101,11 @@ def match_np(
         end -= 1
     if end == i:
         return None
-    words = tuple(tok.surface.lower() for tok in tokens[i:end])
-    return NounPhrase(words, head_index=len(words) - 1), end
+    return NounPhrase(words[i:end], head_index=end - i - 1), end
 
 
 def _match_np_before(
-    tokens: tuple[TaggedToken, ...], end: int
+    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], end: int
 ) -> tuple[NounPhrase, int] | None:
     """Greedy right-anchored NP whose last token is ``tokens[end - 1]``.
 
@@ -112,15 +117,14 @@ def _match_np_before(
     start = end - 1
     while start > 0 and end - start < MAX_NP_WORDS and is_chunk_tag(tokens[start - 1].pos):
         start -= 1
-    words = tuple(tok.surface.lower() for tok in tokens[start:end])
-    return NounPhrase(words, head_index=len(words) - 1), start
+    return NounPhrase(words[start:end], head_index=end - start - 1), start
 
 
 def _match_np_list(
     tokens: tuple[TaggedToken, ...], words: tuple[str, ...], start: int
 ) -> tuple[list[NounPhrase], int] | None:
     """Forward NP-list: NP ("," NP)* ((",")? ("and"|"or") NP)?"""
-    first = match_np(tokens, start)
+    first = _match_np(tokens, words, start)
     if first is None:
         return None
     phrase, pos = first
@@ -130,18 +134,18 @@ def _match_np_list(
         if here == ",":
             nxt = _word(words, pos + 1)
             if nxt in ("and", "or"):
-                tail = match_np(tokens, pos + 2)
+                tail = _match_np(tokens, words, pos + 2)
                 if tail is not None:
                     phrases.append(tail[0])
                     pos = tail[1]
                 break
-            more = match_np(tokens, pos + 1)
+            more = _match_np(tokens, words, pos + 1)
             if more is None:
                 break
             phrases.append(more[0])
             pos = more[1]
         elif here in ("and", "or"):
-            tail = match_np(tokens, pos + 1)
+            tail = _match_np(tokens, words, pos + 1)
             if tail is not None:
                 phrases.append(tail[0])
                 pos = tail[1]
@@ -158,13 +162,13 @@ def _match_np_list_before(
     pos = end
     if _word(words, pos - 1) == ",":
         pos -= 1
-    anchor = _match_np_before(tokens, pos)
+    anchor = _match_np_before(tokens, words, pos)
     if anchor is None:
         return None
     phrase, pos = anchor
     phrases = [phrase]
     while pos >= 2 and _word(words, pos - 1) == ",":
-        more = _match_np_before(tokens, pos - 1)
+        more = _match_np_before(tokens, words, pos - 1)
         if more is None:
             break
         phrases.insert(0, more[0])
@@ -189,7 +193,7 @@ def _emit(
 def _scan_such_as(tokens, words, i):
     if _word(words, i) != "such" or _word(words, i + 1) != "as":
         return None
-    left = _match_np_before(tokens, i)
+    left = _match_np_before(tokens, words, i)
     if left is None:
         return None
     rest = _match_np_list(tokens, words, i + 2)
@@ -202,7 +206,7 @@ def _scan_such_as(tokens, words, i):
 def _scan_such_np_as(tokens, words, i):
     if _word(words, i) != "such" or _word(words, i + 1) == "as":
         return None
-    mid = match_np(tokens, i + 1)
+    mid = _match_np(tokens, words, i + 1)
     if mid is None or _word(words, mid[1]) != "as":
         return None
     rest = _match_np_list(tokens, words, mid[1] + 1)
@@ -216,7 +220,7 @@ def _scan_trigger_word(word, pattern_id, tokens, words, i):
     if _word(words, i) != word:
         return None
     before = i - 1 if _word(words, i - 1) == "," else i
-    left = _match_np_before(tokens, before)
+    left = _match_np_before(tokens, words, before)
     if left is None:
         return None
     rest = _match_np_list(tokens, words, i + 1)
@@ -232,7 +236,7 @@ def _scan_other(conj, pattern_id, tokens, words, i):
     left = _match_np_list_before(tokens, words, i)
     if left is None:
         return None
-    right = match_np(tokens, i + 2)
+    right = _match_np(tokens, words, i + 2)
     if right is None:
         return None
     match = _emit(pattern_id, right[0], left[0])
@@ -242,10 +246,10 @@ def _scan_other(conj, pattern_id, tokens, words, i):
 def _scan_isa(tokens, words, i):
     if _word(words, i) != "is" or _word(words, i + 1) not in ISA_DETERMINERS:
         return None
-    left = _match_np_before(tokens, i)
+    left = _match_np_before(tokens, words, i)
     if left is None:
         return None
-    right = match_np(tokens, i + 2)
+    right = _match_np(tokens, words, i + 2)
     if right is None:
         return None
     hyper = right[0].token
@@ -285,10 +289,6 @@ def _run_scan(tokens, words, scanner, positions: list[int]) -> list[PatternMatch
     return matches
 
 
-def _lowered(paragraph: TaggedParagraph) -> tuple[str, ...]:
-    return tuple(map(str.lower, map(itemgetter(0), paragraph.tokens)))
-
-
 def _scan(tokens, words, grammars) -> list[PatternMatch]:
     """All matches of ``grammars``, grammar-major then left-to-right, each
     tried only where its trigger word occurs."""
@@ -302,12 +302,12 @@ def _scan(tokens, words, grammars) -> list[PatternMatch]:
 
 def extract_hearst(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of the six Hearst grammars, grammar-major then left-to-right."""
-    return _scan(paragraph.tokens, _lowered(paragraph), _HEARST_GRAMMARS)
+    return _scan(paragraph.tokens, lowered_surfaces(paragraph.tokens), _HEARST_GRAMMARS)
 
 
 def extract_isa(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of NP ``is`` (``a``|``an``|``the``) NP, left-to-right."""
-    return _scan(paragraph.tokens, _lowered(paragraph), _ISA_GRAMMARS)
+    return _scan(paragraph.tokens, lowered_surfaces(paragraph.tokens), _ISA_GRAMMARS)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +326,10 @@ def scan_paragraph(
     paragraph: TaggedParagraph, normalized: bool, hearst: bool, isa: bool
 ) -> ParagraphScan:
     """One paragraph's normalized line and pattern-corpus lines, each only
-    when asked for; the surfaces are lowercased once for both grammar sets."""
-    scan = normalize_paragraph(paragraph) if normalized else ParagraphScan()
-    tokens, words = paragraph.tokens, _lowered(paragraph)
+    when asked for; the surfaces are lowercased once for all three."""
+    tokens = paragraph.tokens
+    words = lowered_surfaces(tokens)
+    scan = normalize_lowered(paragraph, words) if normalized else ParagraphScan()
     return ParagraphScan(
         normalized=scan.normalized,
         hearst=tuple(map(format_hearst_line, _scan(tokens, words, _HEARST_GRAMMARS)))

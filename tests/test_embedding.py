@@ -677,6 +677,54 @@ def test_phi_candidate_rows_resolved_once(monkeypatch):
         assert got == full_sort_reference(phi, model, q, other, 15)
 
 
+def test_phi_pool_follows_input_vectors_and_vocabulary():
+    rng = np.random.default_rng(11)
+    tokens = [f"w{i}" for i in range(40)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (40, 5)))
+    phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 5))
+    vocab = CandidateVocabulary(frozenset(tokens[:25]))
+    assert candidates_from_phi(phi, model, "w3", vocab) == full_sort_reference(
+        phi, model, "w3", vocab, 15
+    )
+    pool = model._phi_pool
+    # a new array, not an in-place edit: the pool must be rebuilt from it
+    model.input_vectors = rng.normal(0, 1, (40, 5))
+    for q in ("w3", "w30"):
+        got = candidates_from_phi(phi, model, q, vocab)
+        assert got == full_sort_reference(phi, model, q, vocab, 15)
+    assert model._phi_pool is not pool
+    rebuilt = model._phi_pool
+    other = CandidateVocabulary(frozenset(tokens[10:]))
+    got = candidates_from_phi(phi, model, "w12", other)
+    assert got == full_sort_reference(phi, model, "w12", other, 15)
+    assert model._phi_pool is not rebuilt
+    assert model._phi_pool.vocab == other
+
+
+@pytest.mark.parametrize("dim", [16, 300])
+@pytest.mark.parametrize("mode", list(PhiMode))
+def test_phi_candidates_float_vectors_match_full_sort(dim, mode):
+    rng = np.random.default_rng(dim)
+    n = 400
+    tokens = [f"w{i:03d}" for i in range(n)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (n, dim)))
+    if mode is PhiMode.OFFSET:
+        phi = PhiTransform(mode, offset=rng.normal(0, 1, dim))
+    else:
+        phi = PhiTransform(mode, matrix=rng.normal(0, 1 / np.sqrt(dim), (dim, dim)))
+    # part of the embedding, every query among it, and a term it lacks
+    vocab = CandidateVocabulary(frozenset(tokens[::3]) | {"missing"})
+    pool_size = len(tokens[::3])
+    for q in ("w000", "w150", "w399"):
+        for k in (1, 15, pool_size - 1, pool_size, pool_size + 5):
+            got = candidates_from_phi(phi, model, q, vocab, k)
+            want = full_sort_reference(phi, model, q, vocab, k)
+            assert [c.term for c in got] == [c.term for c in want]
+            assert [c.score for c in got] == [pytest.approx(c.score, rel=1e-12) for c in want]
+            assert q not in [c.term for c in got]
+            assert len(got) == min(k, pool_size - 1)
+
+
 def test_matrix_phi_applies_matrix():
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
     phi = PhiTransform(PhiMode.MATRIX, matrix=matrix)
