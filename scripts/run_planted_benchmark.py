@@ -19,6 +19,31 @@ from hyperdisc.embedding import load_embedding, load_phi
 from hyperdisc.rank import module_reports
 
 
+def planted_config(
+    dataset: synthetic.PlantedDataset, artifacts: Path, **settings
+) -> PipelineConfig:
+    """A pipeline over ``dataset`` writing into ``artifacts``, with window 5,
+    min_count 5 and learning rate 0.05 unless ``settings`` say otherwise."""
+    artifacts.mkdir(parents=True, exist_ok=True)
+    return PipelineConfig(
+        corpus=str(dataset.corpus),
+        vocab=str(dataset.vocab),
+        queries=str(dataset.queries),
+        gold=str(dataset.gold),
+        train_queries=str(dataset.train_queries),
+        train_gold=str(dataset.train_gold),
+        normalized=str(artifacts / "normalized.txt"),
+        hearst_corpus=str(artifacts / "hearst_corpus.tsv"),
+        isa_corpus=str(artifacts / "isa_corpus.tsv"),
+        cooc_index=str(artifacts / "cooc_index.tsv"),
+        embedding=str(artifacts / "embedding.txt"),
+        phi=str(artifacts / "phi.txt"),
+        predictions=str(artifacts / "predictions.tsv"),
+        metrics=str(artifacts / "metrics.tsv"),
+        **({"window": 5, "min_count": 5, "lr": 0.05} | settings),
+    )
+
+
 def standalone_reports(cfg: PipelineConfig):
     vocab = load_vocabulary(cfg.vocab)
     gold_sets = load_gold(cfg.gold, load_queries(cfg.queries))
@@ -52,30 +77,9 @@ def main() -> None:
         n_hyponyms=args.hyponyms,
         seed=args.seed,
     )
-    artifacts = args.workdir / "artifacts"
-    artifacts.mkdir(exist_ok=True)
-    cfg = PipelineConfig(
-        corpus=str(dataset.corpus),
-        vocab=str(dataset.vocab),
-        queries=str(dataset.queries),
-        gold=str(dataset.gold),
-        train_queries=str(dataset.train_queries),
-        train_gold=str(dataset.train_gold),
-        normalized=str(artifacts / "normalized.txt"),
-        hearst_corpus=str(artifacts / "hearst_corpus.tsv"),
-        isa_corpus=str(artifacts / "isa_corpus.tsv"),
-        cooc_index=str(artifacts / "cooc_index.tsv"),
-        embedding=str(artifacts / "embedding.txt"),
-        phi=str(artifacts / "phi.txt"),
-        predictions=str(artifacts / "predictions.tsv"),
-        metrics=str(artifacts / "metrics.tsv"),
-        dim=args.dim,
-        window=5,
-        min_count=5,
-        epochs=args.epochs,
-        lr=0.05,
-        seed=args.seed,
-        order_mode=args.order_mode,
+    cfg = planted_config(
+        dataset, args.workdir / "artifacts", dim=args.dim, epochs=args.epochs,
+        seed=args.seed, order_mode=args.order_mode,
     )
     cfg_path = args.workdir / "config.txt"
     write_config(cfg_path, cfg)

@@ -7,16 +7,18 @@ position is
     -log s(u_c . h) - sum_neg log s(-u_n . h)
 
 with h the context mean, u the output vectors, and negatives drawn from
-the unigram^(3/4) distribution (redrawn when they collide with the
-center). The learning rate decays linearly to 10% of its initial value
-over all positions of all epochs.
+the unigram^(3/4) distribution. The learning rate decays linearly to 10%
+of its initial value over all positions of all epochs.
 
 Training is block-batched: the lines are concatenated, and each block of
 ``BLOCK`` consecutive positions is one weight update, ``apply_step``, the
 only one. A block takes every gradient at its start weights, masks each
-context window at its line's ends, draws its negatives in one RNG call
-(clashes with the center redrawn per block) and keeps each position's own
-learning rate; with blocks of one position it is the plain per-position
+context window at its line's ends and keeps each position's own learning
+rate. After Ji et al. (arXiv:1604.04661), each group of ``GROUP``
+consecutive positions shares one row of negatives, all drawn in one RNG
+call; a negative equal to any center of its group is redrawn, and a group
+holds fewer positions than the vocabulary has tokens, so that a valid
+negative exists. With blocks of one position it is the plain per-position
 SGD. Training stays single-process and uses no BLAS call, so the weights
 are byte-reproducible for a fixed seed, whatever the CPU count.
 ``cbow_step_loss`` is the independent oracle for the same loss and
@@ -73,6 +75,7 @@ np = _NumpyOnFirstUse()
 NOISE_POWER = 0.75
 LR_FLOOR_FRACTION = 0.1
 BLOCK = 256  # training positions per weight update
+GROUP = 16  # consecutive positions of a block that share one row of negatives
 
 
 @dataclass(frozen=True)
@@ -180,31 +183,43 @@ def apply_step(
     w_in: np.ndarray,
     w_out: np.ndarray,
     context: np.ndarray,
-    targets: np.ndarray,
+    centers: np.ndarray,
+    negatives: np.ndarray,
     lr: np.ndarray,
 ) -> None:
     """One SGD update for a block of positions, on the weights in place.
 
     Row ``b`` of ``context`` holds the input rows of position ``b``'s
-    context, padded with -1 (each row has at least one input row); row ``b``
-    of ``targets`` holds its output rows ``[center, *negatives]``, and
-    ``lr[b]`` its learning rate. Every gradient is taken at the block-start
-    weights and repeated rows accumulate, so the update is the sum over the
-    block of ``-lr[b]`` times the gradients ``cbow_step_loss`` returns for
-    position ``b``.
+    context, padded with -1 (each row has at least one input row),
+    ``centers[b]`` its center and ``lr[b]`` its learning rate. Position
+    ``b`` takes row ``b // width`` of ``negatives``, with ``width =
+    ceil(len(centers) / len(negatives))``: groups of consecutive positions
+    share a row, the last group possibly shorter. Every gradient is taken
+    at the block-start weights and repeated rows accumulate, so the update
+    is the sum over the block of ``-lr[b]`` times the gradients
+    ``cbow_step_loss`` returns for position ``b`` with its group's
+    negatives, a negative equal to a center included. `_train` redraws
+    those, and caps the group size at the vocabulary size minus one so that
+    a valid negative always exists.
     """
     inside = context >= 0
     n_ctx = inside.sum(axis=1)
+    size, groups, dim = len(centers), len(negatives), w_in.shape[1]
+    width = -(-size // groups)
+    # zero rows pad the last group, so a padding position adds nothing
+    h, step_h = np.zeros((2, groups * width, dim))
     # padding gathers the last row and weighs it by zero
-    h = np.einsum("bk,bkd->bd", inside.astype(w_in.dtype), w_in[context]) / n_ctx[:, None]
-    out = w_out[targets]
-    u = np.einsum("bd,bnd->bn", h, out)
-    g = 1.0 / (1.0 + np.exp(-u))
-    g[:, 0] -= 1.0
-    grad_h = np.einsum("bn,bnd->bd", g, out)
-    step_h = (-lr)[:, None] * h
-    step_out = g[:, :, None] * step_h[:, None, :]
-    _scatter_add(w_out, targets.ravel(), step_out.reshape(-1, h.shape[1]))
+    h[:size] = np.einsum("bk,bkd->bd", inside.astype(w_in.dtype), w_in[context]) / n_ctx[:, None]
+    step_h[:size] = (-lr)[:, None] * h[:size]
+    out_c, out_n = w_out[centers], w_out[negatives]
+    g_c = 1.0 / (1.0 + np.exp(-np.einsum("bd,bd->b", h[:size], out_c))) - 1.0
+    u_n = np.einsum("kgd,knd->kgn", h.reshape(groups, width, dim), out_n)
+    g_n = 1.0 / (1.0 + np.exp(-u_n))
+    grad_h = g_c[:, None] * out_c
+    grad_h += np.einsum("kgn,knd->kgd", g_n, out_n).reshape(h.shape)[:size]
+    step_n = np.einsum("kgn,kgd->knd", g_n, step_h.reshape(groups, width, dim))
+    step_out = np.concatenate((g_c[:, None] * step_h[:size], step_n.reshape(-1, dim)))
+    _scatter_add(w_out, np.concatenate((centers, negatives.ravel())), step_out)
     step_in = (-lr / n_ctx)[:, None] * grad_h
     _scatter_add(w_in, context[inside], np.repeat(step_in, n_ctx, axis=0))
 
@@ -249,6 +264,8 @@ def _train(
     window = config.window
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     n_neg = config.negatives
+    # fewer centers than vocabulary tokens, so every group has a valid negative
+    group = min(GROUP, block, noise_cdf.size - 1)
     lr0 = config.learning_rate
     lr_floor = LR_FLOOR_FRACTION * lr0
     with np.errstate(over="ignore"):
@@ -259,10 +276,14 @@ def _train(
                 inside = (at >= line_start[pos, None]) & (at < line_end[pos, None])
                 context = np.where(inside, flat[np.where(inside, at, 0)], -1)
                 centers = flat[pos]
-                negs = np.searchsorted(noise_cdf, rng.random(pos.size * n_neg))
-                negs = negs.reshape(pos.size, n_neg)
+                groups = -(-pos.size // group)
+                width = -(-pos.size // groups)  # as `apply_step` reads it, <= group
+                negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg))
+                negs = negs.reshape(groups, n_neg)
                 while True:
-                    clash = negs == centers[:, None]
+                    # a negative clashes with any center of its group
+                    hits = np.repeat(negs, width, axis=0)[: pos.size] == centers[:, None]
+                    clash = np.logical_or.reduceat(hits, np.arange(0, pos.size, width))
                     if not clash.any():
                         break
                     negs[clash] = np.searchsorted(
@@ -270,8 +291,7 @@ def _train(
                     )
                 lr = lr0 * (1.0 - 0.9 * (epoch * flat.size + pos) / total)
                 apply_step(
-                    w_in, w_out, context, np.column_stack((centers, negs)),
-                    np.maximum(lr, lr_floor),
+                    w_in, w_out, context, centers, negs, np.maximum(lr, lr_floor)
                 )
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -132,10 +133,12 @@ def test_negative_equal_to_center_lower_bound():
 
 
 def step_rows(center, context, negatives):
-    """A block of one position: its context row and its target row."""
+    """A block of one position, a group of its own: its context row, its
+    center and its row of negatives."""
     return (
         np.asarray([context], dtype=np.intp),
-        np.asarray([[center, *negatives]], dtype=np.intp),
+        np.asarray([center], dtype=np.intp),
+        np.asarray([negatives], dtype=np.intp),
     )
 
 
@@ -171,31 +174,42 @@ def test_apply_step_is_minus_lr_times_oracle_gradients():
 
 def test_block_update_is_sum_of_oracle_steps():
     rng = np.random.default_rng(23)
-    for _ in range(50):
+    short = 0
+    for trial in range(50):
         model = random_model(rng)
-        size, width, n_neg = int(rng.integers(2, 9)), 6, 3
-        context = np.full((size, width), -1, dtype=np.intp)
-        targets = np.empty((size, 1 + n_neg), dtype=np.intp)
+        groups, width, n_neg = int(rng.integers(2, 5)), int(rng.integers(1, 5)), 3
+        # every other trial ends in a short group; ``apply_step`` reads the
+        # width back as ceil(size / groups)
+        size = groups * width - (trial % 2) * int(rng.integers(0, min(groups, width)))
+        assert -(-size // groups) == width
+        short += size < groups * width
+        context = np.full((size, 6), -1, dtype=np.intp)
+        centers = rng.integers(0, 20, size)
+        negatives = rng.integers(0, 20, (groups, n_neg))
+        negatives[:, 1] = negatives[:, 0]            # a repeated negative row
+        negatives[0, 2] = centers[0]                 # a clash left in
+        if groups > 1:
+            negatives[1, 2] = centers[0]             # another group's center, allowed
         lr = rng.uniform(0.01, 0.1, size)
         grad_in = np.zeros_like(model.input_vectors)
         grad_out = np.zeros_like(model.output_vectors)
         for b in range(size):
-            center, ctx, _ = random_example(rng)
-            ctx = [*ctx, ctx[0]]                    # a repeated context row
-            negatives = [*rng.choice(20, n_neg - 1), center]  # a clash left in
-            if b > 0:
-                negatives[0] = targets[0, 0]        # a row of another position
-            slots = np.sort(rng.choice(width, size=len(ctx), replace=False))
-            context[b, slots] = ctx                 # padding scattered in between
-            targets[b] = [center, *negatives]
-            # every position's gradient at the block-start weights
-            step_in, step_out = analytic_gradients(model, center, ctx, negatives)
+            _, ctx, _ = random_example(rng)
+            ctx = [*ctx, ctx[0]]                     # a repeated context row
+            slots = np.sort(rng.choice(6, size=len(ctx), replace=False))
+            context[b, slots] = ctx                  # padding scattered in between
+            # every position's gradient at the block-start weights, with the
+            # negatives of its group
+            step_in, step_out = analytic_gradients(
+                model, centers[b], ctx, negatives[b // width].tolist()
+            )
             grad_in += lr[b] * step_in
             grad_out += lr[b] * step_out
         w_in, w_out = model.input_vectors.copy(), model.output_vectors.copy()
-        apply_step(w_in, w_out, context, targets, lr)
+        apply_step(w_in, w_out, context, centers, negatives, lr)
         assert relative_error(w_in - model.input_vectors, -grad_in) < 1e-12
         assert relative_error(w_out - model.output_vectors, -grad_out) < 1e-12
+    assert short > 5
 
 
 def per_position_reference(lines, w_in, w_out, noise_cdf, config, rng, total):
@@ -284,15 +298,19 @@ def test_block_size_one_reproduces_per_position_trainer(case):
 
 def record_blocks(monkeypatch, lines, w_in, w_out, config, rng):
     """Train at the module block size; each block's weights before its
-    update, with the arguments of its `apply_step` call."""
+    update, with the arguments of its `apply_step` call. Checks that no
+    negative equals a center of its group."""
     noise_cdf = np.cumsum(np.ones(len(w_in)))
     noise_cdf /= noise_cdf[-1]
     blocks = []
     real_step = embedding.apply_step
 
-    def recording_step(w_in, w_out, context, targets, lr):
-        blocks.append((w_in.copy(), w_out.copy(), context, targets, lr))
-        real_step(w_in, w_out, context, targets, lr)
+    def recording_step(w_in, w_out, context, centers, negatives, lr):
+        width = -(-len(centers) // len(negatives))
+        for b, center in enumerate(centers):
+            assert center not in negatives[b // width]
+        blocks.append((w_in.copy(), w_out.copy(), context, centers, negatives, lr))
+        real_step(w_in, w_out, context, centers, negatives, lr)
 
     monkeypatch.setattr(embedding, "apply_step", recording_step)
     embedding._train(lines, w_in, w_out, noise_cdf, config, rng)
@@ -308,15 +326,20 @@ def test_block_context_stays_in_its_paragraph(monkeypatch):
     w_in, w_out = rng.normal(0, 0.5, (10, dim)), rng.normal(0, 0.5, (10, dim))
     config = EmbeddingConfig(dimension=dim, window=4, negatives=2, epochs=1, seed=1)
     mixed = 0
-    for w_in, w_out, context, targets, lr in record_blocks(
+    for w_in, w_out, context, centers, negatives, lr in record_blocks(
         monkeypatch, lines, w_in, w_out, config, rng
     ):
-        in_first = targets[:, 0] < 5
+        in_first = centers < 5
         mixed += in_first.any() and not in_first.all()
+        # each position's row of negatives, so that a position is a group of one
+        width = -(-len(centers) // len(negatives))
+        rows = np.repeat(negatives, width, axis=0)[: len(centers)]
         for own, other in ((in_first, np.arange(5, 10)), (~in_first, np.arange(5))):
+            if not own.any():
+                continue
             # the block's update from one paragraph's positions alone
             keep_in, keep_out = w_in.copy(), w_out.copy()
-            apply_step(keep_in, keep_out, context[own], targets[own], lr[own])
+            apply_step(keep_in, keep_out, context[own], centers[own], rows[own], lr[own])
             assert np.array_equal(keep_in[other], w_in[other])
     assert mixed == 1
 
@@ -332,6 +355,31 @@ def test_block_learning_rate_is_per_position(monkeypatch):
     total = config.epochs * sum(map(len, lines))
     schedule = [max(0.05 * (1.0 - 0.9 * i / total), 0.005) for i in range(total)]
     assert np.concatenate([lr for *_, lr in blocks]).tolist() == schedule
+
+
+@pytest.mark.parametrize("vocab_size", [2, 3, 8, 16, 17, 40])
+def test_groups_covering_the_vocabulary_still_train(monkeypatch, vocab_size):
+    # every line cycles through the whole vocabulary, so a group of GROUP
+    # positions would hold every token as a center whenever GROUP >= the
+    # vocabulary size, and no negative could avoid them all
+    lines = [np.arange(embedding.BLOCK + 7) % vocab_size] * 3
+    rng = np.random.default_rng(41)
+    w_in, w_out = rng.normal(0, 0.5, (vocab_size, 3)), np.zeros((vocab_size, 3))
+    config = EmbeddingConfig(dimension=3, window=2, negatives=3, epochs=1, seed=3)
+    previous = signal.signal(signal.SIGALRM, _took_too_long)
+    signal.alarm(15)
+    try:
+        blocks = record_blocks(monkeypatch, lines, w_in, w_out, config, rng)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    width = -(-len(blocks[0][3]) // len(blocks[0][4]))
+    assert width == min(embedding.GROUP, vocab_size - 1)
+    assert np.isfinite(w_in).all() and np.isfinite(w_out).all()
+
+
+def _took_too_long(signum, frame):
+    raise TimeoutError("training did not finish within 15 s")
 
 
 def write_corpus(path, lines):
