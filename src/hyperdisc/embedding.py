@@ -30,10 +30,17 @@ or a ridge-regularized linear map fit by least squares. Candidates are the
 vocabulary terms nearest to the projected query point in Euclidean
 distance. The candidate pool of a vocabulary, its embedding rows and one
 contiguous dimension-major copy of their vectors, is built once per
-(model, vocabulary, ``input_vectors`` array) and kept on the model. Each
-query then takes every distance in one fused pass over that copy (an
-einsum, no BLAS call), picks the nearest ``k`` other terms with a
-partition and sorts only the entries at or below the cutoff.
+(model, vocabulary, ``input_vectors`` array) and kept on the model. A
+pool of at least ``SCREEN_CELLS`` cells (terms x dim) holds that copy in
+float32, with its squared norms, and a query first screens every column
+by ||v||^2 - 2<t, v> in float32, keeping each column within twice a
+proven error bound of the cutoff; on a smaller pool the screen costs more
+than it saves, and the copy is in float64. The exact steps then take the
+distances of the survivors (gathered from ``input_vectors``), or of every
+column of a small pool, in one fused float64 pass (an einsum, no BLAS
+call), pick the nearest ``k`` other terms with a partition and sort only
+the entries at or below the cutoff. The screen never changes the result:
+`candidates_from_phi` derives the bound and shows why.
 Embedding and projection files share one parser, which converts all rows
 in one `np.loadtxt` call and examines a row only when the call rejects it.
 """
@@ -41,6 +48,7 @@ in one `np.loadtxt` call and examines a row only when the call rejects it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -76,6 +84,12 @@ NOISE_POWER = 0.75
 LR_FLOOR_FRACTION = 0.1
 BLOCK = 256  # training positions per weight update
 GROUP = 16  # consecutive positions of a block that share one row of negatives
+# projection retrieval screens a pool in float32 from this many cells (terms x
+# dim), past the measured break-even (16k cells at dim 16, 19k to 38k at dim
+# 300); on smaller pools the screen costs more than it saves
+SCREEN_CELLS = 32768
+SCREEN_MAX_DIM = 4096  # widest vectors for which the screen's bound is proven
+SCREEN_MAX_NORM = 2.0**60  # larger norms could overflow float32 squares
 
 
 @dataclass(frozen=True)
@@ -104,7 +118,13 @@ class _PhiPool(NamedTuple):
     vocab: CandidateVocabulary | None
     source: np.ndarray   # the ``input_vectors`` array the vectors were copied from
     rows: np.ndarray     # an embedding row per vocabulary term that has one
-    vectors: np.ndarray  # ``source[rows].T``, one contiguous (dim, len(rows)) copy
+    # ``source[rows].T``, one contiguous (dim, len(rows)) copy, in float64
+    # on a pool too small to screen and in float32 on one screened by
+    # `candidates_from_phi`; the other one is None
+    vectors: np.ndarray | None
+    v32: np.ndarray | None
+    sq: np.ndarray | None  # the squared norms of ``v32``'s columns, in float32
+    norm: float            # V, the largest norm of a column, on a screened pool
 
 
 @dataclass
@@ -410,8 +430,10 @@ def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) ->
     """The pool of the vocabulary terms that have an embedding row, a row
     per term (every row of ``model.index`` when ``vocab`` is None), built on
     the first call and reused while calls pass an equal vocabulary and
-    ``model.input_vectors`` is the array it was built from. Editing that
-    array in place is not seen; assigning a new one is."""
+    ``model.input_vectors`` is the array it was built from. Assigning a new
+    array is seen. Editing it in place is not supported: the pool's copy
+    would not see the edit, while a screened pool reads its survivors'
+    float64 vectors from the array."""
     pool = model._phi_pool
     if (
         pool is not None
@@ -426,12 +448,27 @@ def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) ->
         found = (index.get(term_to_token(term)) for term in vocab.terms)
         rows = np.fromiter((row for row in found if row is not None), dtype=np.intp)
     source = model.input_vectors
-    # filled one dimension at a time, so no second full-size copy is made
-    vectors = np.empty((source.shape[1], rows.size), dtype=source.dtype)
-    for line, values in zip(vectors, source.T):
-        line[:] = values[rows]
-    model._phi_pool = _PhiPool(vocab, source, rows, vectors)
+    dim = source.shape[1]
+    vectors = v32 = sq = None
+    norm = math.inf
+    if 0 < rows.size * dim >= SCREEN_CELLS and dim <= SCREEN_MAX_DIM:
+        norm = math.sqrt(np.einsum("ij,ij->i", source, source)[rows].max())
+        if norm < SCREEN_MAX_NORM:  # false for inf and nan too
+            v32 = _columns(source, rows, np.float32)
+            sq = np.einsum("ij,ij->j", v32, v32)
+    if v32 is None:
+        vectors = _columns(source, rows, source.dtype)
+    model._phi_pool = _PhiPool(vocab, source, rows, vectors, v32, sq, norm)
     return model._phi_pool
+
+
+def _columns(source: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
+    """``source[rows].T`` as one contiguous array of ``dtype``, filled one
+    dimension at a time, so that no second full-size copy is made."""
+    columns = np.empty((source.shape[1], rows.size), dtype=dtype)
+    for line, values in zip(columns, source.T):
+        line[:] = values[rows]
+    return columns
 
 
 def candidates_from_phi(
@@ -452,15 +489,71 @@ def candidates_from_phi(
     smallest, m the number of the query's own slots; only the entries at or
     below it are sorted, the query's slots left out, so ties at the cutoff
     still go by term, as in a full sort.
+
+    On a large pool those exact steps see only the columns that survive a
+    float32 screen (`_screen`), gathered from ``model.input_vectors``, the
+    pool keeping no float64 copy; the coarse-then-exact pattern of
+    nearest-neighbour search (Johnson et al., arXiv:1702.08734). With t the
+    target, v_j the pool's columns and t32, v32_j their float32 copies, the
+    screen scores s_j = sq_j - 2<t32, v32_j> in float32, sq_j = ||v32_j||^2
+    cached with the pool. s_j is ||v_j - t||^2 - ||t32||^2 (the same shift
+    for every column) to within
+
+        E = (dim + 8) u (V + T)^2 + (dim + 2) 2^-148,    u = 2^-24,
+
+    V the pool's largest float64 norm and T = ||t||. Derivation, with
+    eta = 2^-150 the error of a float32 rounding that underflows (gradual
+    underflow, numpy's default):
+
+    * Inputs. Rounding moves a component x by at most u|x| + eta, so by
+      the triangle inequality ||v32_j - t32|| is within
+      rho = u(V + T) + 2 sqrt(dim) eta of ||v_j - t||, and its square
+      within rho (2(V + T) + rho) = (2u + u^2)(V + T)^2 + cross terms.
+    * Arithmetic. A float32 sum of dim products errs by at most
+      gamma_dim = dim u / (1 - dim u) times the sum of their magnitudes,
+      in any order (Higham, Accuracy and Stability, 3.1), plus eta per
+      product that underflows; the subtraction adds u |sq_j - 2<t32, v32_j>|.
+      With ||v32_j|| + ||t32|| <= (1 + u)(V + T) + 2 sqrt(dim) eta that is
+      gamma_(dim+3) (V + T)^2 + 3 dim eta + cross terms.
+    * The exact steps' own float64 rounding, (dim + 2) 2^-53 (V + T)^2 on a
+      squared distance and an ulp in its root, is below u (V + T)^2 / 64;
+      by AM-GM the eta cross terms are below u (V + T)^2 / 64 + eta.
+
+    The sum stays below E while (dim + 3)^2 u <= 2, up to dim 5789:
+    ``SCREEN_MAX_DIM`` keeps below it. The screen keeps every column with
+    s_j at most the (cut + 1)-th smallest score plus 2E, cut = k + m. Let
+    D be the cut-th smallest exact squared distance, less the shift. Each
+    score is within E of its column's value, so the cut-th smallest score
+    is at least D - E, and a column at or below the exact cutoff scores at
+    most D + E: it survives. The survivors' cut-th smallest distance is
+    then the global one, and the exact steps pick the same columns, ties
+    at the cutoff still by term. The survivors are gathered into a
+    C-contiguous array, so einsum adds each column's terms in the same
+    order as over a whole pool, and the list is the same bit for bit as
+    without the screen. The (cut + 1)-th score keeps at least two columns:
+    einsum would sum a lone (dim, 1) column in another order.
+
+    The screen runs only on a pool of at least ``SCREEN_CELLS`` cells
+    (terms x dim), where it was measured to pay for its fixed costs, with
+    dim <= ``SCREEN_MAX_DIM``, and with V and T finite and below
+    ``SCREEN_MAX_NORM``, so that no float32 square or product overflows.
+    Otherwise every column goes to the exact steps, from the pool's float64
+    copy, or gathered from ``model.input_vectors`` on a screened pool.
     """
     q_row = model.row(q)
     if q_row is None or k <= 0:
         return []
     pool = _candidate_pool(model, vocab)
-    diff = pool.vectors - phi.apply(model.input_vectors[q_row])[:, None]
-    dists = np.sqrt(np.einsum("ij,ij->j", diff, diff))
-    rows = pool.rows
+    target = phi.apply(model.input_vectors[q_row])
+    vectors, rows = pool.vectors, pool.rows
     cut = k + int(np.count_nonzero(rows == q_row))
+    if vectors is None:  # a screened pool: its float64 columns come from source
+        keep = _screen(pool, target, cut) if cut < rows.size else None
+        if keep is not None:
+            rows = rows[keep]
+        vectors = np.ascontiguousarray(pool.source[rows].T)
+    diff = vectors - target[:, None]
+    dists = np.sqrt(np.einsum("ij,ij->j", diff, diff))
     if cut < rows.size:
         keep = np.flatnonzero(dists <= np.partition(dists, cut - 1)[cut - 1])
         dists, rows = dists[keep], rows[keep]
@@ -473,6 +566,24 @@ def candidates_from_phi(
         ScoredCandidate(term, 1.0 / (1.0 + dist), Source.PHI)
         for dist, term in ranked[:k]
     ]
+
+
+def _screen(pool: _PhiPool, target: np.ndarray, cut: int) -> np.ndarray | None:
+    """The indices of the columns of a screened pool that may be among the
+    ``cut`` nearest to ``target``, ascending, or None when the target's
+    norm is too large to screen; ``cut`` < the pool size. See
+    `candidates_from_phi`."""
+    t_norm = math.sqrt(np.einsum("i,i->", target, target))
+    if not t_norm < SCREEN_MAX_NORM:  # true for inf and nan too
+        return None
+    dim = target.size
+    bound = (dim + 8) * 2.0**-24 * (pool.norm + t_norm) ** 2 + (dim + 2) * 2.0**-148
+    # scaling t32 by -2 is exact, so this is sq - 2<t32, v32> in one pass
+    score = np.einsum("i,ij->j", target.astype(np.float32) * -2, pool.v32)
+    score += pool.sq
+    cutoff = float(np.partition(score, cut)[cut]) + 2 * bound
+    # rounded up to float32, so that no column at or below it is lost
+    return np.flatnonzero(score <= np.nextafter(np.float32(cutoff), np.float32(np.inf)))
 
 
 # ---------------------------------------------------------------------------

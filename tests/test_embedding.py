@@ -701,6 +701,12 @@ def test_phi_candidates_equal_full_sort_reference(case):
                 assert got == full_sort_reference(phi, model, q, vocab, max(k, 0))
 
 
+def test_phi_candidates_screened_equal_full_sort_reference(monkeypatch):
+    # every pool takes the float32 screen: tiny integer pools with exact ties
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", 0)
+    test_phi_candidates_equal_full_sort_reference()
+
+
 def test_phi_candidate_rows_resolved_once(monkeypatch):
     rng = np.random.default_rng(9)
     tokens = [f"w{i}" for i in range(50)]
@@ -725,6 +731,21 @@ def test_phi_candidate_rows_resolved_once(monkeypatch):
         assert got == full_sort_reference(phi, model, q, other, 15)
 
 
+def assert_screen_copy(pool, screened):
+    """A screened pool holds its vectors in float32 only, any other pool in
+    float64 only."""
+    columns = pool.source[pool.rows].T
+    if not screened:
+        assert pool.v32 is None and pool.sq is None
+        assert np.array_equal(pool.vectors, columns)
+        return
+    assert pool.vectors is None
+    assert pool.v32.dtype == np.float32 and pool.sq.dtype == np.float32
+    assert np.array_equal(pool.v32, columns.astype(np.float32))
+    assert np.array_equal(pool.sq, np.einsum("ij,ij->j", pool.v32, pool.v32))
+    assert pool.norm == pytest.approx(np.linalg.norm(columns, axis=0).max(), rel=1e-12)
+
+
 def test_phi_pool_follows_input_vectors_and_vocabulary():
     rng = np.random.default_rng(11)
     tokens = [f"w{i}" for i in range(40)]
@@ -735,6 +756,7 @@ def test_phi_pool_follows_input_vectors_and_vocabulary():
         phi, model, "w3", vocab, 15
     )
     pool = model._phi_pool
+    assert_screen_copy(pool, False)  # 25 x 5 cells, below the screen's threshold
     # a new array, not an in-place edit: the pool must be rebuilt from it
     model.input_vectors = rng.normal(0, 1, (40, 5))
     for q in ("w3", "w30"):
@@ -742,11 +764,42 @@ def test_phi_pool_follows_input_vectors_and_vocabulary():
         assert got == full_sort_reference(phi, model, q, vocab, 15)
     assert model._phi_pool is not pool
     rebuilt = model._phi_pool
+    assert_screen_copy(rebuilt, False)
     other = CandidateVocabulary(frozenset(tokens[10:]))
     got = candidates_from_phi(phi, model, "w12", other)
     assert got == full_sort_reference(phi, model, "w12", other, 15)
     assert model._phi_pool is not rebuilt
     assert model._phi_pool.vocab == other
+
+
+def test_phi_pool_above_screen_threshold_follows_input_vectors():
+    rng = np.random.default_rng(12)
+    n, dim = 4000, 16
+    tokens = [f"w{i}" for i in range(n)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (n, dim)))
+    phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, dim))
+    vocab = CandidateVocabulary(frozenset(tokens[:3000]))
+    assert 3000 * dim >= embedding.SCREEN_CELLS
+
+    def check(q):
+        got = candidates_from_phi(phi, model, q, vocab)
+        want = full_sort_reference(phi, model, q, vocab, 15)
+        assert [c.term for c in got] == [c.term for c in want]
+        assert [c.score for c in got] == [pytest.approx(c.score, rel=1e-12) for c in want]
+
+    check("w3")
+    pool = model._phi_pool
+    assert_screen_copy(pool, True)
+    # a new array: the float32 copy must be rebuilt from it with the pool
+    model.input_vectors = rng.normal(0, 1, (n, dim))
+    for q in ("w3", "w3500"):
+        check(q)
+    rebuilt = model._phi_pool
+    assert rebuilt is not pool
+    assert_screen_copy(rebuilt, True)
+    assert not np.array_equal(rebuilt.v32, pool.v32)
+    check("w12")
+    assert model._phi_pool is rebuilt
 
 
 @pytest.mark.parametrize("dim", [16, 300])
@@ -771,6 +824,119 @@ def test_phi_candidates_float_vectors_match_full_sort(dim, mode):
             assert [c.score for c in got] == [pytest.approx(c.score, rel=1e-12) for c in want]
             assert q not in [c.term for c in got]
             assert len(got) == min(k, pool_size - 1)
+
+
+def screen_model(dim, mode, scale, outlier):
+    """A query, its projection and a pool with three groups of columns near
+    one distance D, placed between the 12th and 13th nearest random rows:
+    eight 1 to 4 ulps apart (they differ from the target in one coordinate,
+    by 1 to 4 ulps a step, so both sides compute the same distances), six
+    duplicates just beyond, and eight along random directions whose
+    distances differ by 1e-9 of D, far below float32's resolution."""
+    rng = np.random.default_rng(dim)
+    n_random = 240
+    vectors = rng.normal(0, scale, (n_random + 22, dim))
+    if outlier:
+        vectors[7] *= 1e6
+    if mode is PhiMode.OFFSET:
+        phi = PhiTransform(mode, offset=rng.normal(0, scale, dim))
+    else:
+        phi = PhiTransform(mode, matrix=rng.normal(0, 1 / np.sqrt(dim), (dim, dim)))
+    target = phi.apply(vectors[0])
+    near = np.sort(np.linalg.norm(vectors[1:n_random] - target, axis=1))
+    radius = (near[11] + near[12]) / 2
+    ulps = vectors[n_random : n_random + 8]
+    ulps[:] = target
+    ulps[0, 0] = target[0] + radius
+    for i in range(1, 8):
+        ulps[i, 0] = ulps[i - 1, 0]
+        for _ in range(1 + (i - 1) % 4):
+            ulps[i, 0] = np.nextafter(ulps[i, 0], np.inf)
+    direction = rng.normal(0, 1, dim)
+    vectors[n_random + 8 : n_random + 14] = (
+        target + radius * (1 + 5e-10) * direction / np.linalg.norm(direction)
+    )
+    for i in range(8):
+        direction = rng.normal(0, 1, dim)
+        length = radius * (1 + 1e-8 + i * 1e-9)
+        vectors[n_random + 14 + i] = target + length * direction / np.linalg.norm(direction)
+    tokens = [f"w_{i:03d}" for i in range(len(vectors))]
+    model = EmbeddingModel(vocab=tokens, input_vectors=vectors)
+    terms = {token_to_term(t) for t in tokens}
+    # both spellings of the query and of a duplicate, so rows repeat in the
+    # pool; and a vocabulary without the query, where the cut is k itself
+    spelled = terms | {"w_000", f"w_{n_random + 9}"}
+    vocabs = [spelled, terms - {"w 000"}]
+    return model, phi, [CandidateVocabulary(frozenset(v)) for v in vocabs]
+
+
+@pytest.mark.parametrize("dim", [16, 300])
+@pytest.mark.parametrize("mode", list(PhiMode))
+@pytest.mark.parametrize(
+    "scale, outlier",
+    [(1.0, False), (1e25, False), (1e-22, False), (1e-30, False), (1.0, True)],
+    ids=["plain", "scaled 1e25", "scaled 1e-22", "scaled 1e-30", "outlier"],
+)
+def test_phi_screen_keeps_every_candidate(monkeypatch, dim, mode, scale, outlier):
+    # at 1e-22 float32 products underflow to subnormals, at 1e-30 to zero
+    model, phi, vocabs = screen_model(dim, mode, scale, outlier)
+    screened = []
+
+    def spy(pool, target, cut):
+        keep = screen(pool, target, cut)
+        screened.append(None if keep is None else keep.size)
+        return keep
+
+    screen = embedding._screen
+    calls = [(vocab, k) for vocab in vocabs for k in range(1, 40)]
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "_screen", spy)
+        patch.setattr(embedding, "SCREEN_CELLS", 0)
+        lists = [candidates_from_phi(phi, model, "w 000", vocab, k) for vocab, k in calls]
+        screened_pool = model._phi_pool
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", math.inf)
+    for (vocab, k), got in zip(calls, lists):
+        want = full_sort_reference(phi, model, "w 000", vocab, k)
+        assert [c.term for c in got] == [c.term for c in want]
+        assert [c.score for c in got] == [pytest.approx(c.score, rel=1e-12) for c in want]
+        # the exact steps over the whole pool give the same list, bit for bit
+        assert got == candidates_from_phi(phi, model, "w 000", vocab, k)
+        assert model._phi_pool.v32 is None
+    if scale == 1e25:
+        # norms above SCREEN_MAX_NORM: no float32 copy, every call exact
+        assert screened == [] and screened_pool.v32 is None
+    else:
+        assert None not in screened and len(screened) == len(calls)
+        if scale == 1.0 and not outlier:
+            assert max(screened) < len(model.vocab) / 4  # the screen prunes
+
+
+def test_phi_screen_falls_back_on_large_norms(monkeypatch):
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", 0)
+    rng = np.random.default_rng(13)
+    tokens = [f"w{i}" for i in range(100)]
+    vectors = rng.normal(0, 1, (100, 16))
+    phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 16))
+    model = EmbeddingModel(vocab=tokens, input_vectors=vectors)
+    candidates_from_phi(phi, model, "w0", None)
+    pool = model._phi_pool
+    assert pool.v32 is not None
+    for far in (2.0**60, math.inf, math.nan):
+        assert embedding._screen(pool, np.full(16, far), 15) is None
+    assert embedding._screen(pool, np.full(16, 2.0**55), 15) is not None
+    # a target that far is ranked from all the pool's columns, exactly
+    far = PhiTransform(PhiMode.OFFSET, offset=np.full(16, 2.0**61))
+    got = candidates_from_phi(far, model, "w0", None)
+    with monkeypatch.context() as exact:
+        exact.setattr(embedding, "SCREEN_CELLS", math.inf)
+        model._phi_pool = None
+        assert got == candidates_from_phi(far, model, "w0", None)
+    vectors[7] *= 2.0**60  # one row whose norm float32 squares could not hold
+    model.input_vectors = vectors.copy()
+    got = candidates_from_phi(phi, model, "w0", None)
+    assert model._phi_pool.v32 is None
+    want = full_sort_reference(phi, model, "w0", None, 15)
+    assert [c.term for c in got] == [c.term for c in want]
 
 
 def test_matrix_phi_applies_matrix():
