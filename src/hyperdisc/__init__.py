@@ -23,7 +23,6 @@ from .corpus_io import (
     Query,
     QueryKind,
     TaggedParagraph,
-    TaggedToken,
 )
 from .embedding import (
     EmbeddingConfig,
@@ -42,8 +41,8 @@ from .metrics import (
     precision_at_k,
     reciprocal_rank,
 )
-from .normalize import chunk_noun_phrases, normalize_corpus, normalize_paragraph
-from .patterns import PatternMatch, extract_corpus, extract_hearst, extract_isa, match_np
+from .normalize import normalize_corpus, normalize_paragraph
+from .patterns import PatternMatch, extract_corpus, extract_hearst, extract_isa
 from .rank import ModuleOrder, RankedPrediction, choose_order, merge, module_reports
 
 __version__ = "0.1.0"

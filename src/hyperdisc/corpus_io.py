@@ -46,17 +46,16 @@ CONFIG_HASH_KEY = "config-hash"
 HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key lowercase
 
 
-class TaggedToken(NamedTuple):
-    surface: str
-    pos: str
-
-
 @dataclass(frozen=True)
 class TaggedParagraph:
-    tokens: tuple[TaggedToken, ...]
+    """One tagged line as two columns: the surface and the tag of each valid
+    token, in order."""
+
+    surfaces: tuple[str, ...]
+    tags: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
 
 class QueryKind(Enum):
@@ -201,20 +200,25 @@ def write_artifact(path: str | os.PathLike, header: dict[str, str] | None) -> It
 # tagged corpus
 
 
-def split_tokens(line: str) -> tuple[list[tuple[str, str]], int]:
-    """The ``(surface, tag)`` pair of each valid token of a tagged line, in
-    order, and the number of bad tokens. A token splits on its last
-    underscore and is valid when both the surface and the tag are non-empty,
-    so a token without an underscore is bad."""
-    raws = line.split()
-    pairs = [(surface, pos) for surface, _, pos in [raw.rpartition("_") for raw in raws]
-             if surface and pos]
-    return pairs, len(raws) - len(pairs)
-
-
 # a line of ``word_TAG`` tokens with one underscore each, single-spaced: every
 # token valid by the `split_tokens` rule, one more than there are spaces
 _PLAIN_LINE = re.compile(r"[^\s_]+_[^\s_]+(?: [^\s_]+_[^\s_]+)*")
+
+
+def split_tokens(line: str) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+    """The surfaces and the tags of the valid tokens of a tagged line, in
+    order, and the number of bad tokens. A token splits on its last
+    underscore and is valid when both the surface and the tag are non-empty,
+    so a token without an underscore is bad. A plain line is split in one
+    pass, with the same result."""
+    if _PLAIN_LINE.fullmatch(line):
+        parts = line.replace("_", " ").split(" ")
+        return tuple(parts[0::2]), tuple(parts[1::2]), 0
+    raws = line.split()
+    pairs = [(surface, pos) for surface, _, pos in [raw.rpartition("_") for raw in raws]
+             if surface and pos]
+    surfaces, tags = tuple(zip(*pairs)) or ((), ())
+    return surfaces, tags, len(raws) - len(pairs)
 
 
 def count_tokens(line: str) -> tuple[int, int]:
@@ -222,22 +226,18 @@ def count_tokens(line: str) -> tuple[int, int]:
     `split_tokens` counts them; a plain line is counted without a split."""
     if _PLAIN_LINE.fullmatch(line):
         return line.count(" ") + 1, 0
-    pairs, bad = split_tokens(line)
-    return len(pairs), bad
-
-
-# `TaggedToken._make` without its length check, in C: each pair has two fields
-_tagged_token = partial(tuple.__new__, TaggedToken)
+    surfaces, _, bad = split_tokens(line)
+    return len(surfaces), bad
 
 
 def parse_tagged_line(line: str, stats: ReadStats | None = None) -> TaggedParagraph | None:
     """Parse one ``surface_POS ...`` line; None for lines with no valid token.
 
     Bad tokens (`split_tokens`) are skipped and counted in ``stats``."""
-    pairs, bad = split_tokens(line)
+    surfaces, tags, bad = split_tokens(line)
     if stats is not None:
         stats.bad_tokens += bad
-    return TaggedParagraph(tuple(map(_tagged_token, pairs))) if pairs else None
+    return TaggedParagraph(surfaces, tags) if surfaces else None
 
 
 @dataclass

@@ -13,15 +13,13 @@ from __future__ import annotations
 import os
 import re
 from itertools import compress
-from operator import itemgetter
-from typing import NamedTuple
 
-from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, TaggedToken, scan_tagged_corpus
+from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_corpus
 
 KEEP_PREFIXES = ("NN", "VB", "JJ", "RB")
 CHUNK_PREFIXES = ("NN", "JJ")
 PHRASE_LENGTHS = (2, 3)
-_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `_tag_codes` codes
+_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `_TagCodes` codes
 
 
 def is_noun_tag(pos: str) -> bool:
@@ -36,24 +34,18 @@ def is_kept_tag(pos: str) -> bool:
     return pos.startswith(KEEP_PREFIXES)
 
 
-class NounPhrase(NamedTuple):
-    words: tuple[str, ...]
-    head_index: int
-
-    @property
-    def token(self) -> str:
-        return "_".join(self.words)
-
-
 class _TagCodes(dict):
-    """One code per tag, worked out the first time the tag is seen: ``N``
-    noun, ``J`` other chunk tag, ``K`` other kept tag, ``-`` dropped (every
-    chunk tag is a kept tag). A code depends on the tag alone, so one table
-    serves every caller; it keeps at most 4096 tags, against junk tags."""
+    """One code per tag, worked out the first time the tag is seen: ``D``
+    the determiner tag ``DT`` (exactly; not ``PDT``, ``WDT`` or ``dt``),
+    ``N`` noun, ``J`` other chunk tag, ``K`` other kept tag, ``-`` dropped
+    (every chunk tag is a kept tag, and ``D`` is neither). This is the one
+    place tags are classified: the chunker and the grammars read codes. A
+    code depends on the tag alone, so one table serves every caller; it
+    keeps at most 4096 tags, against junk tags."""
 
     def __missing__(self, pos: str) -> str:
         code = (
-            "N" if is_noun_tag(pos) else "J" if is_chunk_tag(pos)
+            "D" if pos == "DT" else "N" if is_noun_tag(pos) else "J" if is_chunk_tag(pos)
             else "K" if is_kept_tag(pos) else "-"
         )
         if len(self) < 4096:
@@ -63,27 +55,25 @@ class _TagCodes(dict):
 
 _TAG_CODES = _TagCodes()
 _KEPT_CODES = frozenset("NJK")
-_surface, _tag = itemgetter(0), itemgetter(1)
 
 
-def lowered_surfaces(tokens: tuple[TaggedToken, ...]) -> tuple[str, ...]:
+def columns(paragraph: TaggedParagraph) -> tuple[tuple[str, ...], str]:
     """Every surface lowercased, each on its own, as `str.lower` lowercases
-    a final sigma by context; one pass serves the normalizer and the
-    grammar scanners alike."""
-    return tuple(map(str.lower, map(_surface, tokens)))
+    a final sigma by context, and the `_TagCodes` code of every tag; one
+    pass serves the normalizer, the chunker and the grammar scanners alike."""
+    return (
+        tuple(map(str.lower, paragraph.surfaces)),
+        "".join(map(_TAG_CODES.__getitem__, paragraph.tags)),
+    )
 
 
-def _tag_codes(tokens: tuple[TaggedToken, ...]) -> str:
-    """The `_TagCodes` code of every token."""
-    return "".join(map(_TAG_CODES.__getitem__, map(_tag, tokens)))
-
-
-def _phrase_spans(codes: str) -> list[tuple[int, int]]:
-    """The ``(start, end)`` span of every 2- and 3-token window of chunk
-    codes that ends in a noun, position-major, shorter first. A window that
-    runs past its run of chunk codes ends the windows of its start; one that
-    ends on a non-noun is skipped."""
-    spans = []
+def noun_phrases(words: tuple[str, ...], codes: str) -> list[str]:
+    """Every 2- and 3-token window of chunk codes that ends in a noun,
+    underscore-joined. Windows may overlap; enumeration is position-major
+    (both windows starting at token i come before any window starting at
+    i+1), shorter first. A window that runs past its run of chunk codes
+    ends the windows of its start; one that ends on a non-noun is skipped."""
+    phrases = []
     for run in _CHUNK_RUN.finditer(codes):
         run_start, run_end = run.span()
         for start in range(run_start, run_end - 1):
@@ -92,38 +82,24 @@ def _phrase_spans(codes: str) -> list[tuple[int, int]]:
                 if end > run_end:
                     break
                 if codes[end - 1] == "N":
-                    spans.append((start, end))
-    return spans
-
-
-def chunk_noun_phrases(paragraph: TaggedParagraph) -> list[NounPhrase]:
-    """All 2- and 3-token adjective/noun windows whose last token is a noun.
-
-    Windows may overlap; enumeration is position-major (both windows starting
-    at token i come before any window starting at i+1), shorter first.
-    """
-    words = lowered_surfaces(paragraph.tokens)
-    return [
-        NounPhrase(words[start:end], head_index=end - start - 1)
-        for start, end in _phrase_spans(_tag_codes(paragraph.tokens))
-    ]
+                    phrases.append("_".join(words[start:end]))
+    return phrases
 
 
 def normalize_paragraph(paragraph: TaggedParagraph) -> ParagraphScan:
     """The normalized line, none when nothing is kept: lowercased kept-class
     surfaces in order, then the chunked phrases."""
-    return normalize_lowered(paragraph, lowered_surfaces(paragraph.tokens))
+    return normalize_columns(*columns(paragraph))
 
 
-def normalize_lowered(paragraph: TaggedParagraph, words: tuple[str, ...]) -> ParagraphScan:
-    """`normalize_paragraph`, given the `lowered_surfaces` of the paragraph."""
-    codes = _tag_codes(paragraph.tokens)
+def normalize_columns(words: tuple[str, ...], codes: str) -> ParagraphScan:
+    """`normalize_paragraph`, given the `columns` of the paragraph."""
     kept = list(compress(words, map(_KEPT_CODES.__contains__, codes)))
-    spans = _phrase_spans(codes)
-    kept.extend(["_".join(words[start:end]) for start, end in spans])
+    phrases = noun_phrases(words, codes)
+    kept.extend(phrases)
     if not kept:
         return ParagraphScan()
-    return ParagraphScan(normalized=(" ".join(kept),), phrases=len(spans))
+    return ParagraphScan(normalized=(" ".join(kept),), phrases=len(phrases))
 
 
 def normalize_corpus(

@@ -1,8 +1,10 @@
 """Hearst-pattern and IS-A extraction over tagged paragraphs.
 
 The six Hearst grammars and the IS-A grammar, with NP = optional determiner
-followed by adjectives/nouns ending in a noun head (1-3 content words,
-determiner stripped from the emitted phrase):
+(the tag ``DT``) followed by adjectives/nouns ending in a noun head (1-3
+content words, determiner stripped from the emitted phrase). The grammars
+read a paragraph as its lowercased surfaces and one tag code per token
+(`normalize.columns`); a phrase is its words joined by underscores:
 
 1. NP ``such as`` NP-list
 2. ``such`` NP ``as`` NP-list
@@ -39,14 +41,8 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .corpus_io import (
-    ParagraphScan,
-    ScanStats,
-    TaggedParagraph,
-    TaggedToken,
-    scan_tagged_corpus,
-)
-from .normalize import NounPhrase, is_chunk_tag, is_noun_tag, lowered_surfaces, normalize_lowered
+from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_corpus
+from .normalize import columns, normalize_columns
 
 MAX_NP_WORDS = 3
 
@@ -76,55 +72,43 @@ def _word(words: tuple[str, ...], i: int) -> str | None:
     return None
 
 
-def match_np(
-    tokens: tuple[TaggedToken, ...], start: int
-) -> tuple[NounPhrase, int] | None:
-    """Greedy left-anchored NP at ``start``: optional DT, then up to three
+# over `normalize._TagCodes` codes: an optional determiner, then up to three
+# adjective/noun codes, backtracked from the right to end in a noun
+_NP = re.compile(r"D?([NJ]{0,%d}N)" % (MAX_NP_WORDS - 1))
+
+
+def _match_np(words: tuple[str, ...], codes: str, start: int) -> tuple[str, int] | None:
+    """Greedy left-anchored NP at ``start``: optional ``DT``, then up to three
     adjective/noun tokens, shrunk from the right until the last is a noun.
 
     Returns the phrase (determiner stripped) and the index just past it.
     """
-    return _match_np(tokens, lowered_surfaces(tokens), start)
-
-
-def _match_np(
-    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], start: int
-) -> tuple[NounPhrase, int] | None:
-    """`match_np`, given the `lowered_surfaces` of ``tokens``."""
-    i = start
-    if i < len(tokens) and tokens[i].pos == "DT":
-        i += 1
-    end = i
-    while end < len(tokens) and end - i < MAX_NP_WORDS and is_chunk_tag(tokens[end].pos):
-        end += 1
-    while end > i and not is_noun_tag(tokens[end - 1].pos):
-        end -= 1
-    if end == i:
+    np_match = _NP.match(codes, start)
+    if np_match is None:
         return None
-    return NounPhrase(words[i:end], head_index=end - i - 1), end
+    i, end = np_match.span(1)
+    return "_".join(words[i:end]), end
 
 
-def _match_np_before(
-    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], end: int
-) -> tuple[NounPhrase, int] | None:
-    """Greedy right-anchored NP whose last token is ``tokens[end - 1]``.
+def _match_np_before(words: tuple[str, ...], codes: str, end: int) -> tuple[str, int] | None:
+    """Greedy right-anchored NP whose last token is ``words[end - 1]``.
 
-    Returns the phrase and its start index, or None when ``tokens[end - 1]``
-    is not a noun.
+    Returns the phrase and its start index, or None when that token is not
+    a noun.
     """
-    if end <= 0 or not is_noun_tag(tokens[end - 1].pos):
+    if end <= 0 or codes[end - 1] != "N":
         return None
     start = end - 1
-    while start > 0 and end - start < MAX_NP_WORDS and is_chunk_tag(tokens[start - 1].pos):
+    while start > 0 and end - start < MAX_NP_WORDS and codes[start - 1] in "NJ":
         start -= 1
-    return NounPhrase(words[start:end], head_index=end - start - 1), start
+    return "_".join(words[start:end]), start
 
 
 def _match_np_list(
-    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], start: int
-) -> tuple[list[NounPhrase], int] | None:
+    words: tuple[str, ...], codes: str, start: int
+) -> tuple[list[str], int] | None:
     """Forward NP-list: NP ("," NP)* ((",")? ("and"|"or") NP)?"""
-    first = _match_np(tokens, words, start)
+    first = _match_np(words, codes, start)
     if first is None:
         return None
     phrase, pos = first
@@ -134,18 +118,18 @@ def _match_np_list(
         if here == ",":
             nxt = _word(words, pos + 1)
             if nxt in ("and", "or"):
-                tail = _match_np(tokens, words, pos + 2)
+                tail = _match_np(words, codes, pos + 2)
                 if tail is not None:
                     phrases.append(tail[0])
                     pos = tail[1]
                 break
-            more = _match_np(tokens, words, pos + 1)
+            more = _match_np(words, codes, pos + 1)
             if more is None:
                 break
             phrases.append(more[0])
             pos = more[1]
         elif here in ("and", "or"):
-            tail = _match_np(tokens, words, pos + 1)
+            tail = _match_np(words, codes, pos + 1)
             if tail is not None:
                 phrases.append(tail[0])
                 pos = tail[1]
@@ -156,19 +140,19 @@ def _match_np_list(
 
 
 def _match_np_list_before(
-    tokens: tuple[TaggedToken, ...], words: tuple[str, ...], end: int
-) -> tuple[list[NounPhrase], int] | None:
+    words: tuple[str, ...], codes: str, end: int
+) -> tuple[list[str], int] | None:
     """Backward NP-list ending just before ``end``: NP ("," NP)* (",")?"""
     pos = end
     if _word(words, pos - 1) == ",":
         pos -= 1
-    anchor = _match_np_before(tokens, words, pos)
+    anchor = _match_np_before(words, codes, pos)
     if anchor is None:
         return None
     phrase, pos = anchor
     phrases = [phrase]
     while pos >= 2 and _word(words, pos - 1) == ",":
-        more = _match_np_before(tokens, words, pos - 1)
+        more = _match_np_before(words, codes, pos - 1)
         if more is None:
             break
         phrases.insert(0, more[0])
@@ -176,84 +160,81 @@ def _match_np_list_before(
     return phrases, pos
 
 
-def _emit(
-    pattern_id: PatternId, hypernym: NounPhrase, hyponyms: list[NounPhrase]
-) -> PatternMatch | None:
-    hyper = hypernym.token
-    hypos = tuple(np.token for np in hyponyms if np.token != hyper)
+def _emit(pattern_id: PatternId, hypernym: str, hyponyms: list[str]) -> PatternMatch | None:
+    hypos = tuple(np for np in hyponyms if np != hypernym)
     if not hypos:
         return None
-    return PatternMatch(pattern_id, hyper, hypos)
+    return PatternMatch(pattern_id, hypernym, hypos)
 
 
-# one scanner per grammar, called with the tokens, their lowercased surfaces and
-# a position; each returns (match, span_start, span_end) or None
+# one scanner per grammar, called with the lowercased surfaces, the tag codes
+# (`normalize.columns`) and a position; each returns (match, span_start,
+# span_end) or None
 
 
-def _scan_such_as(tokens, words, i):
+def _scan_such_as(words, codes, i):
     if _word(words, i) != "such" or _word(words, i + 1) != "as":
         return None
-    left = _match_np_before(tokens, words, i)
+    left = _match_np_before(words, codes, i)
     if left is None:
         return None
-    rest = _match_np_list(tokens, words, i + 2)
+    rest = _match_np_list(words, codes, i + 2)
     if rest is None:
         return None
     match = _emit(PatternId.SUCH_AS, left[0], rest[0])
     return (match, left[1], rest[1]) if match else None
 
 
-def _scan_such_np_as(tokens, words, i):
+def _scan_such_np_as(words, codes, i):
     if _word(words, i) != "such" or _word(words, i + 1) == "as":
         return None
-    mid = _match_np(tokens, words, i + 1)
+    mid = _match_np(words, codes, i + 1)
     if mid is None or _word(words, mid[1]) != "as":
         return None
-    rest = _match_np_list(tokens, words, mid[1] + 1)
+    rest = _match_np_list(words, codes, mid[1] + 1)
     if rest is None:
         return None
     match = _emit(PatternId.SUCH_NP_AS, mid[0], rest[0])
     return (match, i, rest[1]) if match else None
 
 
-def _scan_trigger_word(word, pattern_id, tokens, words, i):
+def _scan_trigger_word(word, pattern_id, words, codes, i):
     if _word(words, i) != word:
         return None
     before = i - 1 if _word(words, i - 1) == "," else i
-    left = _match_np_before(tokens, words, before)
+    left = _match_np_before(words, codes, before)
     if left is None:
         return None
-    rest = _match_np_list(tokens, words, i + 1)
+    rest = _match_np_list(words, codes, i + 1)
     if rest is None:
         return None
     match = _emit(pattern_id, left[0], rest[0])
     return (match, left[1], rest[1]) if match else None
 
 
-def _scan_other(conj, pattern_id, tokens, words, i):
+def _scan_other(conj, pattern_id, words, codes, i):
     if _word(words, i) != conj or _word(words, i + 1) != "other":
         return None
-    left = _match_np_list_before(tokens, words, i)
+    left = _match_np_list_before(words, codes, i)
     if left is None:
         return None
-    right = _match_np(tokens, words, i + 2)
+    right = _match_np(words, codes, i + 2)
     if right is None:
         return None
     match = _emit(pattern_id, right[0], left[0])
     return (match, left[1], right[1]) if match else None
 
 
-def _scan_isa(tokens, words, i):
+def _scan_isa(words, codes, i):
     if _word(words, i) != "is" or _word(words, i + 1) not in ISA_DETERMINERS:
         return None
-    left = _match_np_before(tokens, words, i)
+    left = _match_np_before(words, codes, i)
     if left is None:
         return None
-    right = _match_np(tokens, words, i + 2)
+    right = _match_np(words, codes, i + 2)
     if right is None:
         return None
-    hyper = right[0].token
-    hypo = left[0].token
+    hyper, hypo = right[0], left[0]
     if hyper == hypo:
         return None
     return PatternMatch(PatternId.IS_A, hyper, (hypo,)), left[1], right[1]
@@ -272,7 +253,7 @@ _HEARST_GRAMMARS: tuple[tuple[str, Callable], ...] = (
 _ISA_GRAMMARS: tuple[tuple[str, Callable], ...] = (("is", _scan_isa),)
 
 
-def _run_scan(tokens, words, scanner, positions: list[int]) -> list[PatternMatch]:
+def _run_scan(words, codes, scanner, positions: list[int]) -> list[PatternMatch]:
     """Left-to-right scan over ``positions``; matches of one grammar never
     overlap each other: a match must start at or after the end of the
     previous one, and the scan resumes at that end."""
@@ -281,7 +262,7 @@ def _run_scan(tokens, words, scanner, positions: list[int]) -> list[PatternMatch
     for i in positions:
         if i < floor:
             continue
-        hit = scanner(tokens, words, i)
+        hit = scanner(words, codes, i)
         if hit is None or hit[1] < floor:
             continue
         match, _, floor = hit
@@ -289,25 +270,25 @@ def _run_scan(tokens, words, scanner, positions: list[int]) -> list[PatternMatch
     return matches
 
 
-def _scan(tokens, words, grammars) -> list[PatternMatch]:
+def _scan(words, codes, grammars) -> list[PatternMatch]:
     """All matches of ``grammars``, grammar-major then left-to-right, each
     tried only where its trigger word occurs."""
     matches = []
     for trigger, scanner in grammars:
         if trigger in words:
             positions = [i for i, word in enumerate(words) if word == trigger]
-            matches.extend(_run_scan(tokens, words, scanner, positions))
+            matches.extend(_run_scan(words, codes, scanner, positions))
     return matches
 
 
 def extract_hearst(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of the six Hearst grammars, grammar-major then left-to-right."""
-    return _scan(paragraph.tokens, lowered_surfaces(paragraph.tokens), _HEARST_GRAMMARS)
+    return _scan(*columns(paragraph), _HEARST_GRAMMARS)
 
 
 def extract_isa(paragraph: TaggedParagraph) -> list[PatternMatch]:
     """All matches of NP ``is`` (``a``|``an``|``the``) NP, left-to-right."""
-    return _scan(paragraph.tokens, lowered_surfaces(paragraph.tokens), _ISA_GRAMMARS)
+    return _scan(*columns(paragraph), _ISA_GRAMMARS)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +307,14 @@ def scan_paragraph(
     paragraph: TaggedParagraph, normalized: bool, hearst: bool, isa: bool
 ) -> ParagraphScan:
     """One paragraph's normalized line and pattern-corpus lines, each only
-    when asked for; the surfaces are lowercased once for all three."""
-    tokens = paragraph.tokens
-    words = lowered_surfaces(tokens)
-    scan = normalize_lowered(paragraph, words) if normalized else ParagraphScan()
+    when asked for; the columns are built once for all three."""
+    words, codes = columns(paragraph)
+    scan = normalize_columns(words, codes) if normalized else ParagraphScan()
     return ParagraphScan(
         normalized=scan.normalized,
-        hearst=tuple(map(format_hearst_line, _scan(tokens, words, _HEARST_GRAMMARS)))
+        hearst=tuple(map(format_hearst_line, _scan(words, codes, _HEARST_GRAMMARS)))
         if hearst else (),
-        isa=tuple(map(format_isa_line, _scan(tokens, words, _ISA_GRAMMARS))) if isa else (),
+        isa=tuple(map(format_isa_line, _scan(words, codes, _ISA_GRAMMARS))) if isa else (),
         phrases=scan.phrases,
     )
 

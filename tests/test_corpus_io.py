@@ -13,7 +13,6 @@ from hyperdisc.corpus_io import (
     ReadStats,
     ScanStats,
     TaggedParagraph,
-    TaggedToken,
     iter_data_lines,
     load_gold,
     load_queries,
@@ -21,6 +20,7 @@ from hyperdisc.corpus_io import (
     parse_tagged_line,
     read_artifact,
     read_predictions,
+    split_tokens,
     term_to_token,
     token_to_term,
     write_artifact,
@@ -33,9 +33,9 @@ surfaces = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz-_'#"), min_size=1, max_size=8
 )
 pos_tags = st.sampled_from(["NN", "NNS", "VB", "VBD", "JJ", "RB", "DT", "IN", ",", "."])
-paragraphs = st.lists(
-    st.builds(TaggedToken, surfaces, pos_tags), min_size=1, max_size=12
-).map(lambda toks: TaggedParagraph(tuple(toks)))
+paragraphs = st.lists(st.tuples(surfaces, pos_tags), min_size=1, max_size=12).map(
+    lambda pairs: TaggedParagraph(*map(tuple, zip(*pairs)))
+)
 
 
 def read_paragraphs(path):
@@ -46,8 +46,8 @@ def read_paragraphs(path):
 
 def test_parse_simple_line():
     paragraph = parse_tagged_line("The_DT cat_NN sat_VBD")
-    assert [t.surface for t in paragraph.tokens] == ["The", "cat", "sat"]
-    assert [t.pos for t in paragraph.tokens] == ["DT", "NN", "VBD"]
+    assert paragraph.surfaces == ("The", "cat", "sat")
+    assert paragraph.tags == ("DT", "NN", "VBD")
 
 
 def test_empty_line_yields_nothing(tmp_path):
@@ -62,13 +62,13 @@ def test_surface_with_hyphen_splits_on_last_underscore(tmp_path):
     path.write_text("loved-ones_NNS such_JJ as_IN family_NN\n")
     (paragraph,) = read_paragraphs(path)
     assert len(paragraph) == 4
-    assert paragraph.tokens[0].surface == "loved-ones"
-    assert paragraph.tokens[0].pos == "NNS"
+    assert paragraph.surfaces[0] == "loved-ones"
+    assert paragraph.tags[0] == "NNS"
 
 
 def test_underscore_in_surface():
     paragraph = parse_tagged_line("a_b_NN")
-    assert paragraph.tokens[0] == TaggedToken("a_b", "NN")
+    assert paragraph == TaggedParagraph(("a_b",), ("NN",))
 
 
 def test_bad_token_skipped_and_counted():
@@ -76,7 +76,7 @@ def test_bad_token_skipped_and_counted():
     paragraph = parse_tagged_line("ok_NN broken also_bad_ _VB x", stats)
     # "broken" has no underscore, "also_bad_" has an empty tag, "_VB" an
     # empty surface, "x" no underscore
-    assert [t.surface for t in paragraph.tokens] == ["ok"]
+    assert paragraph.surfaces == ("ok",)
     assert stats.bad_tokens == 4
 
 
@@ -84,7 +84,7 @@ def test_bad_token_skipped_and_counted():
 def test_tagged_corpus_round_trip(tmp_path_factory, corpus):
     path = tmp_path_factory.mktemp("rt") / "c.txt"
     path.write_text(
-        "".join(" ".join(f"{t.surface}_{t.pos}" for t in p.tokens) + "\n" for p in corpus)
+        "".join(" ".join(map("{}_{}".format, p.surfaces, p.tags)) + "\n" for p in corpus)
     )
     assert read_paragraphs(path) == corpus
 
@@ -237,7 +237,7 @@ def test_corpus_opening_with_hash_token_keeps_that_paragraph(tmp_path):
     path = tmp_path / "corpus.pos.txt"
     path.write_text("#_# 1_CD herb_NN basil_NN\nbasil_NN is_VBZ a_DT herb_NN\n")
     first, _ = read_paragraphs(path)
-    assert first.tokens[:2] == (TaggedToken("#", "#"), TaggedToken("1", "CD"))
+    assert (first.surfaces[:2], first.tags[:2]) == (("#", "1"), ("#", "CD"))
     stats = extract_corpus(path, None, None, 1, None, normalized_out=tmp_path / "n.txt")
     assert stats.paragraphs_in == 2
 
@@ -305,6 +305,20 @@ scan_corpora = st.tuples(
     st.booleans(),  # stamped: a `#` line after the stamp is data
     st.lists(scan_lines, max_size=14),
 )
+
+
+@settings(max_examples=300)
+@given(scan_lines)
+def test_split_tokens_equals_last_underscore_rule(line):
+    """`split_tokens` splits a plain line in one pass; its columns and its
+    bad-token count are those of splitting each token on its last
+    underscore, on plain lines and all others alike."""
+    pairs = [raw.rpartition("_") for raw in line.split()]
+    valid = [(surface, tag) for surface, _, tag in pairs if surface and tag]
+    surfaces, tags, bad = split_tokens(line)
+    assert surfaces == tuple(surface for surface, _ in valid)
+    assert tags == tuple(tag for _, tag in valid)
+    assert bad == len(pairs) - len(valid)
 
 
 def write_scan_corpus(root, corpus):

@@ -668,7 +668,7 @@ def phi_cases(draw):
     dim = draw(st.integers(1, 3))
     rows = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
     # few distinct rows, so that rows repeat and distances tie exactly
-    distinct = draw(st.lists(rows, min_size=1, max_size=3))
+    distinct = draw(st.lists(rows, min_size=2, max_size=3))
     vectors = [draw(st.sampled_from(distinct)) for _ in tokens]
     model = EmbeddingModel(vocab=tokens, input_vectors=np.array(vectors, dtype=float))
     if draw(st.booleans()):
@@ -682,7 +682,11 @@ def phi_cases(draw):
     )
     vocabs = draw(st.lists(vocab_sets, min_size=1, max_size=3))
     queries = draw(st.lists(st.sampled_from(terms + tokens), min_size=1, max_size=3))
-    ks = draw(st.lists(st.integers(-1, len(tokens) + len(terms) + 2), min_size=1, max_size=3))
+    # most k below the pool size (at most len(tokens)), so a screened pool prunes
+    k_values = st.one_of(
+        st.integers(-1, len(tokens)), st.integers(-1, len(tokens) + len(terms) + 2)
+    )
+    ks = draw(st.lists(k_values, min_size=1, max_size=3))
     return model, phi, vocabs, queries, ks
 
 

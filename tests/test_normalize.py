@@ -3,14 +3,16 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import TaggedParagraph, TaggedToken, parse_tagged_line
+from hyperdisc.corpus_io import TaggedParagraph, parse_tagged_line
 from hyperdisc.normalize import (
-    chunk_noun_phrases,
+    _TAG_CODES,
+    columns,
     is_chunk_tag,
     is_kept_tag,
     is_noun_tag,
     normalize_corpus,
     normalize_paragraph,
+    noun_phrases,
 )
 
 
@@ -18,25 +20,26 @@ def paragraph_of(line):
     return parse_tagged_line(line)
 
 
+def phrases_of(line):
+    return noun_phrases(*columns(paragraph_of(line)))
+
+
 def normalized_tokens(paragraph):
     return " ".join(normalize_paragraph(paragraph).normalized).split()
 
 
 def test_chunk_skips_determiner_windows():
-    phrases = chunk_noun_phrases(paragraph_of("the_DT red_JJ car_NN"))
-    assert [p.token for p in phrases] == ["red_car"]
+    assert phrases_of("the_DT red_JJ car_NN") == ["red_car"]
 
 
 def test_chunk_all_nouns_overlapping_windows():
-    phrases = chunk_noun_phrases(paragraph_of("web_NN base_NN corpus_NN"))
-    assert [p.token for p in phrases] == ["web_base", "web_base_corpus", "base_corpus"]
-    assert all(p.head_index == len(p.words) - 1 for p in phrases)
+    assert phrases_of("web_NN base_NN corpus_NN") == ["web_base", "web_base_corpus", "base_corpus"]
 
 
 def test_chunk_requires_noun_head():
-    assert chunk_noun_phrases(paragraph_of("run_VB walk_VB swim_VB")) == []
+    assert phrases_of("run_VB walk_VB swim_VB") == []
     # adjective-final window is not a phrase
-    assert chunk_noun_phrases(paragraph_of("red_JJ big_JJ")) == []
+    assert phrases_of("red_JJ big_JJ") == []
 
 
 def test_normalize_filters_to_four_classes():
@@ -56,17 +59,15 @@ def test_normalize_punctuation_only():
 def brute_force_windows(paragraph: TaggedParagraph) -> list[str]:
     """Independent window enumerator: every 2-3 window of chunk-class tags
     whose last tag is a noun, position-major then shorter-first."""
-    tokens = paragraph.tokens
     out = []
-    for start in range(len(tokens)):
+    for start in range(len(paragraph)):
         for length in (2, 3):
-            window = tokens[start : start + length]
-            if len(window) != length:
+            tags = paragraph.tags[start : start + length]
+            if len(tags) != length:
                 continue
-            if all(t.pos.startswith(("JJ", "NN")) for t in window) and window[
-                -1
-            ].pos.startswith("NN"):
-                out.append("_".join(t.surface.lower() for t in window))
+            if all(t.startswith(("JJ", "NN")) for t in tags) and tags[-1].startswith("NN"):
+                surfaces = paragraph.surfaces[start : start + length]
+                out.append("_".join(s.lower() for s in surfaces))
     return out
 
 
@@ -81,7 +82,7 @@ cased_words = st.text(alphabet=st.sampled_from(letters + "ABXYZΣσςİı'"), mi
 def paragraphs_of(surfaces):
     return st.lists(
         st.tuples(surfaces, st.sampled_from(tag_pool)), min_size=1, max_size=20
-    ).map(lambda pairs: TaggedParagraph(tuple(TaggedToken(s, p) for s, p in pairs)))
+    ).map(lambda pairs: TaggedParagraph(*map(tuple, zip(*pairs))))
 
 
 random_paragraphs = paragraphs_of(cased_words)
@@ -90,7 +91,7 @@ ascii_paragraphs = paragraphs_of(words)
 
 @given(random_paragraphs)
 def test_output_is_filtered_surfaces_then_chunks(paragraph):
-    kept = [t.surface.lower() for t in paragraph.tokens if is_kept_tag(t.pos)]
+    kept = [s.lower() for s, t in zip(paragraph.surfaces, paragraph.tags) if is_kept_tag(t)]
     assert normalized_tokens(paragraph) == kept + brute_force_windows(paragraph)
 
 
@@ -170,3 +171,7 @@ def test_tag_classes():
     assert is_noun_tag("NNS") and not is_noun_tag("VB")
     assert is_chunk_tag("JJR") and not is_chunk_tag("RB")
     assert is_kept_tag("RBR") and not is_kept_tag("IN")
+    # the determiner code is the exact tag `DT`; the grammars strip only it
+    codes = {"DT": "D", "NNS": "N", "JJR": "J", "RB": "K", "IN": "-", "PDT": "-",
+             "WDT": "-", "dt": "-"}
+    assert {tag: _TAG_CODES[tag] for tag in codes} == codes

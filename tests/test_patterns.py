@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import ReadStats, TaggedParagraph, TaggedToken, parse_tagged_line
+from hyperdisc.corpus_io import ReadStats, TaggedParagraph, parse_tagged_line
 from hyperdisc.cooc import Source, build_pair_index
+from hyperdisc.normalize import columns
 from hyperdisc.patterns import (
     _HEARST_GRAMMARS,
     _ISA_GRAMMARS,
+    _match_np,
     PatternId,
     PatternMatch,
     extract_corpus,
@@ -14,49 +16,50 @@ from hyperdisc.patterns import (
     extract_isa,
     format_hearst_line,
     format_isa_line,
-    match_np,
     scan_paragraph,
 )
 
 from pattern_fixture import SENTENCES
 
 
-def tokens_of(line):
-    return parse_tagged_line(line).tokens
+def match_np(line, start):
+    return _match_np(*columns(parse_tagged_line(line)), start)
 
 
 class TestMatchNp:
     def test_strips_determiner(self):
-        np_match = match_np(tokens_of("the_DT loved-ones_NNS such_JJ as_IN x_NN"), 0)
+        np_match = match_np("the_DT loved-ones_NNS such_JJ as_IN x_NN", 0)
         phrase, end = np_match
-        assert phrase.words == ("loved-ones",)
+        assert phrase == "loved-ones"
         assert end == 2
 
     def test_single_noun_after_article(self):
-        phrase, end = match_np(tokens_of("a_DT fennel_NN is_VBZ"), 0)
-        assert phrase.token == "fennel"
+        phrase, end = match_np("a_DT fennel_NN is_VBZ", 0)
+        assert phrase == "fennel"
         assert end == 2
 
     def test_no_noun_is_no_match(self):
-        assert match_np(tokens_of("run_VB fast_RB"), 0) is None
+        assert match_np("run_VB fast_RB", 0) is None
 
     def test_caps_at_three_content_words(self):
-        phrase, end = match_np(tokens_of("web_NN base_NN corpus_NN system_NN"), 0)
-        assert phrase.token == "web_base_corpus"
+        phrase, end = match_np("web_NN base_NN corpus_NN system_NN", 0)
+        assert phrase == "web_base_corpus"
         assert end == 3
 
     def test_shrinks_to_noun_head(self):
-        phrase, end = match_np(tokens_of("red_JJ car_NN fast_JJ thing_VB"), 0)
-        assert phrase.token == "red_car"
+        phrase, end = match_np("red_JJ car_NN fast_JJ thing_VB", 0)
+        assert phrase == "red_car"
         assert end == 2
 
     def test_all_adjectives_no_match(self):
-        assert match_np(tokens_of("nice_JJ big_JJ red_JJ car_NN"), 0) is None
+        assert match_np("nice_JJ big_JJ red_JJ car_NN", 0) is None
 
-    def test_head_index_is_noun(self):
-        phrase, _ = match_np(tokens_of("violent_JJ storm_NN"), 0)
-        assert phrase.head_index == 1
-        assert phrase.words[phrase.head_index] == "storm"
+    @pytest.mark.parametrize("tag", ["PDT", "WDT", "dt"])
+    def test_only_exact_dt_is_stripped(self, tag):
+        # another determiner-like tag is neither stripped nor part of an NP
+        assert match_np(f"all_{tag} storms_NNS", 0) is None
+        assert match_np(f"all_{tag} storms_NNS", 1) == ("storms", 2)
+        assert match_np(f"the_DT all_{tag} storms_NNS", 0) is None
 
 
 @pytest.mark.parametrize("line,expected", SENTENCES)
@@ -193,14 +196,13 @@ def test_workers_do_not_change_extraction(tmp_path):
 def all_positions_scan(paragraph, grammars):
     """Reference: every scanner tried at every token position, with the
     non-overlap rule of one grammar's left-to-right scan."""
-    tokens = paragraph.tokens
-    words = tuple(tok.surface.lower() for tok in tokens)
+    words, codes = columns(paragraph)
     matches = []
     for _, scanner in grammars:
         floor = 0
         i = 0
-        while i < len(tokens):
-            hit = scanner(tokens, words, i)
+        while i < len(words):
+            hit = scanner(words, codes, i)
             if hit is None or hit[1] < floor:
                 i += 1
                 continue
@@ -245,9 +247,7 @@ grammar_pieces = st.one_of(
     ),
 )
 grammar_paragraphs = st.lists(grammar_pieces, min_size=1, max_size=12).map(
-    lambda pieces: TaggedParagraph(
-        tuple(TaggedToken(s, p) for piece in pieces for s, p in piece)
-    )
+    lambda pieces: TaggedParagraph(*map(tuple, zip(*(pair for piece in pieces for pair in piece))))
 )
 
 
