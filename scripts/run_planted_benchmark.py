@@ -12,10 +12,8 @@ import time
 from pathlib import Path
 
 from hyperdisc import synthetic
-from hyperdisc.cli import PipelineConfig, _source_lists, main as cli_main, write_config
-from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
-from hyperdisc.corpus_io import load_gold, load_queries, load_vocabulary
-from hyperdisc.embedding import load_embedding, load_phi
+from hyperdisc.cli import PipelineConfig, main as cli_main, module_lists, write_config
+from hyperdisc.corpus_io import load_gold, load_queries
 from hyperdisc.rank import module_reports
 
 
@@ -45,18 +43,9 @@ def planted_config(
 
 
 def standalone_reports(cfg: PipelineConfig):
-    vocab = load_vocabulary(cfg.vocab)
     gold_sets = load_gold(cfg.gold, load_queries(cfg.queries))
-    cooc_idx = load_cooc_index(cfg.cooc_index)
-    hearst_idx = build_pair_index(cfg.hearst_corpus, Source.HEARST)
-    isa_idx = build_pair_index(cfg.isa_corpus, Source.ISA)
-    model = load_embedding(cfg.embedding)
-    phi = load_phi(cfg.phi)
-    lists = [
-        _source_lists(g.query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg)
-        for g in gold_sets
-    ]
-    return module_reports(lists, gold_sets)
+    lists_for = module_lists(cfg)
+    return module_reports([lists_for(g.query) for g in gold_sets], gold_sets)
 
 
 def main() -> None:

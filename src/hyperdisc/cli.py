@@ -28,6 +28,7 @@ import argparse
 import hashlib
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .cooc import (
@@ -325,33 +326,36 @@ def _source_lists(query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg):
     }
 
 
-def cmd_predict(cfg: PipelineConfig) -> None:
+def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
+    """Check the vocabulary and the five artifacts `predict` reads, load
+    each once, and return the function from a query to its four module
+    lists."""
     _require_input(cfg.vocab, "vocab")
-    _require_input(cfg.queries, "queries")
     _require_artifact(cfg, cfg.cooc_index, "cooc-index")
     _require_artifact(cfg, cfg.hearst_corpus, "extract-hearst")
     _require_artifact(cfg, cfg.isa_corpus, "extract-isa")
     _require_artifact(cfg, cfg.embedding, "train-embedding")
     _require_artifact(cfg, cfg.phi, "fit-phi")
-    vocab = load_vocabulary(cfg.vocab)
-    queries = load_queries(cfg.queries)
-    cooc_idx = load_cooc_index(cfg.cooc_index)
-    hearst_idx = build_pair_index(cfg.hearst_corpus, Source.HEARST)
-    isa_idx = build_pair_index(cfg.isa_corpus, Source.ISA)
-    model = load_embedding(cfg.embedding)
-    phi = load_phi(cfg.phi)
+    sources = (
+        load_vocabulary(cfg.vocab),
+        load_cooc_index(cfg.cooc_index),
+        build_pair_index(cfg.hearst_corpus, Source.HEARST),
+        build_pair_index(cfg.isa_corpus, Source.ISA),
+        load_embedding(cfg.embedding),
+        load_phi(cfg.phi),
+    )
+    return lambda query: _source_lists(query, *sources, cfg)
 
-    def lists_for(query: Query):
-        return _source_lists(
-            query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg
-        )
 
+def cmd_predict(cfg: PipelineConfig) -> None:
+    _require_input(cfg.queries, "queries")
+    lists_for = module_lists(cfg)
     if cfg.order_mode == "trained":
         train_gold = _train_gold(cfg)
         order = choose_order(module_reports([lists_for(g.query) for g in train_gold], train_gold))
     else:
         order = ModuleOrder()
-    predictions = [merge(q, lists_for(q), order, cfg.k) for q in queries]
+    predictions = [merge(q, lists_for(q), order, cfg.k) for q in load_queries(cfg.queries)]
     write_predictions(
         cfg.predictions, (p.terms() for p in predictions), header=cfg.header()
     )

@@ -117,7 +117,7 @@ class _PhiPool(NamedTuple):
 
     vocab: CandidateVocabulary | None
     source: np.ndarray   # the ``input_vectors`` array the vectors were copied from
-    rows: np.ndarray     # an embedding row per vocabulary term that has one
+    rows: np.ndarray     # the candidates' embedding rows, each at most once
     # ``source[rows].T``, one contiguous (dim, len(rows)) copy, in float64
     # on a pool too small to screen and in float32 on one screened by
     # `candidates_from_phi`; the other one is None
@@ -427,9 +427,11 @@ def fit_phi(
 
 
 def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) -> _PhiPool:
-    """The pool of the vocabulary terms that have an embedding row, a row
-    per term (every row of ``model.index`` when ``vocab`` is None), built on
-    the first call and reused while calls pass an equal vocabulary and
+    """The pool of the embedding rows whose token's term is in the
+    vocabulary (every row when ``vocab`` is None), in row order: the rule
+    the count modules apply to their tokens, so a row enters once, and a
+    vocabulary term spelled with ``_`` names no candidate. Built on the
+    first call and reused while calls pass an equal vocabulary and
     ``model.input_vectors`` is the array it was built from. Assigning a new
     array is seen. Editing it in place is not supported: the pool's copy
     would not see the edit, while a screened pool reads its survivors'
@@ -442,11 +444,9 @@ def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) ->
     ):
         return pool
     index = model.index
-    if vocab is None:
-        rows = np.fromiter(index.values(), dtype=np.intp, count=len(index))
-    else:
-        found = (index.get(term_to_token(term)) for term in vocab.terms)
-        rows = np.fromiter((row for row in found if row is not None), dtype=np.intp)
+    if vocab is not None:
+        index = {token: row for token, row in index.items() if token_to_term(token) in vocab.terms}
+    rows = np.fromiter(index.values(), dtype=np.intp, count=len(index))
     source = model.input_vectors
     dim = source.shape[1]
     vectors = v32 = sq = None
@@ -485,10 +485,10 @@ def candidates_from_phi(
     missing from the embedding, or ``k <= 0``, yields an empty list. One
     einsum over the dimension-major vectors of `_candidate_pool` gives every
     distance, a contiguous pass per dimension (a row-major layout would
-    broadcast the target once per row). A partition finds the (k + m)-th
-    smallest, m the number of the query's own slots; only the entries at or
-    below it are sorted, the query's slots left out, so ties at the cutoff
-    still go by term, as in a full sort.
+    broadcast the target once per row). A partition finds the (k + 1)-th
+    smallest, as the query's own row is at most one column of the pool;
+    only the entries at or below it are sorted, the query's row left out,
+    so ties at the cutoff still go by term, as in a full sort.
 
     On a large pool those exact steps see only the columns that survive a
     float32 screen (`_screen`), gathered from ``model.input_vectors``, the
@@ -521,7 +521,7 @@ def candidates_from_phi(
 
     The sum stays below E while (dim + 3)^2 u <= 2, up to dim 5789:
     ``SCREEN_MAX_DIM`` keeps below it. The screen keeps every column with
-    s_j at most the (cut + 1)-th smallest score plus 2E, cut = k + m. Let
+    s_j at most the (cut + 1)-th smallest score plus 2E, cut = k + 1. Let
     D be the cut-th smallest exact squared distance, less the shift. Each
     score is within E of its column's value, so the cut-th smallest score
     is at least D - E, and a column at or below the exact cutoff scores at
@@ -546,7 +546,7 @@ def candidates_from_phi(
     pool = _candidate_pool(model, vocab)
     target = phi.apply(model.input_vectors[q_row])
     vectors, rows = pool.vectors, pool.rows
-    cut = k + int(np.count_nonzero(rows == q_row))
+    cut = k + 1
     if vectors is None:  # a screened pool: its float64 columns come from source
         keep = _screen(pool, target, cut) if cut < rows.size else None
         if keep is not None:
@@ -582,8 +582,9 @@ def _screen(pool: _PhiPool, target: np.ndarray, cut: int) -> np.ndarray | None:
     score = np.einsum("i,ij->j", target.astype(np.float32) * -2, pool.v32)
     score += pool.sq
     cutoff = float(np.partition(score, cut)[cut]) + 2 * bound
-    # rounded up to float32, so that no column at or below it is lost
-    return np.flatnonzero(score <= np.nextafter(np.float32(cutoff), np.float32(np.inf)))
+    # rounding to the nearest float32 is monotone, so a float32 score at or
+    # below the cutoff is at or below its rounding too: no column is lost
+    return np.flatnonzero(score <= np.float32(cutoff))
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,6 @@ PHRASE_LENGTHS = (2, 3)
 _CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `_TagCodes` codes
 
 
-def is_noun_tag(pos: str) -> bool:
-    return pos.startswith("NN")
-
-
-def is_chunk_tag(pos: str) -> bool:
-    return pos.startswith(CHUNK_PREFIXES)
-
-
-def is_kept_tag(pos: str) -> bool:
-    return pos.startswith(KEEP_PREFIXES)
-
-
 class _TagCodes(dict):
     """One code per tag, worked out the first time the tag is seen: ``D``
     the determiner tag ``DT`` (exactly; not ``PDT``, ``WDT`` or ``dt``),
@@ -45,8 +33,9 @@ class _TagCodes(dict):
 
     def __missing__(self, pos: str) -> str:
         code = (
-            "D" if pos == "DT" else "N" if is_noun_tag(pos) else "J" if is_chunk_tag(pos)
-            else "K" if is_kept_tag(pos) else "-"
+            "D" if pos == "DT" else "N" if pos.startswith("NN")
+            else "J" if pos.startswith(CHUNK_PREFIXES)
+            else "K" if pos.startswith(KEEP_PREFIXES) else "-"
         )
         if len(self) < 4096:
             self[pos] = code

@@ -7,9 +7,15 @@ import pytest
 
 import hyperdisc
 from hyperdisc import corpus_io, synthetic
-from hyperdisc.cli import CliError, PipelineConfig, load_config, main, write_config
+from hyperdisc.cli import CliError, PipelineConfig, load_config, main, module_lists, write_config
 from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
-from hyperdisc.corpus_io import FormatError, read_artifact, read_predictions
+from hyperdisc.corpus_io import (
+    FormatError,
+    load_queries,
+    load_vocabulary,
+    read_artifact,
+    read_predictions,
+)
 
 ARTIFACT_KEYS = (
     "normalized",
@@ -81,6 +87,31 @@ def test_predict_without_cooc_index_names_stage(tmp_path, dataset, capsys):
     assert run(cfg_path, "predict") == 2
     err = capsys.readouterr().err
     assert "cooc-index" in err
+
+
+def test_module_lists_name_each_vocabulary_term_once(tmp_path, dataset):
+    # the `_` spellings of the multiword vocabulary and query terms join the
+    # vocabulary; they name no candidate in any module
+    queries = load_queries(dataset.queries) + load_queries(dataset.train_queries)
+    terms = dataset.vocab.read_text(encoding="utf-8").splitlines()
+    spelled = sorted({t.replace(" ", "_") for t in terms + [q.term for q in queries] if " " in t})
+    assert len(spelled) == 3
+    vocab_path = tmp_path / "vocab.txt"
+    vocab_path.write_text("".join(t + "\n" for t in terms + spelled), encoding="utf-8")
+    cfg = make_config(dataset, tmp_path, vocab=str(vocab_path))
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    vocab = load_vocabulary(vocab_path)
+    lists_for = module_lists(cfg)
+    named = set()
+    for query in queries:
+        for source, cands in lists_for(query).items():
+            names = [c.term for c in cands]
+            assert len(names) == len(set(names)), (query.term, source)
+            assert set(names) <= vocab.terms - set(spelled), (query.term, source)
+            named.update(names)
+    assert any(" " in t for t in named)  # a term with both spellings is named
 
 
 def test_stage_chain_requires_upstream(tmp_path, dataset, capsys):

@@ -628,7 +628,8 @@ def test_phi_candidates_match_brute_force_scan():
 
 def full_sort_reference(phi, model, q, vocab, k):
     """Projection retrieval as a full sort: every vocabulary term resolved to
-    its row on each call, the whole pool scored and sorted by (distance, term)."""
+    its row on each call, the whole pool scored and sorted by (distance, term).
+    A term that is not its token's term (``a_b``, `` b ``) names no candidate."""
     q_token = term_to_token(q)
     q_row = model.index.get(q_token)
     if q_row is None:
@@ -641,7 +642,7 @@ def full_sort_reference(phi, model, q, vocab, k):
         for term in vocab.terms:
             token = term_to_token(term)
             row = model.index.get(token)
-            if row is not None and token != q_token:
+            if row is not None and token != q_token and token_to_term(token) == term:
                 pool.append((token, row))
     if not pool:
         return []
@@ -711,28 +712,65 @@ def test_phi_candidates_screened_equal_full_sort_reference(monkeypatch):
     test_phi_candidates_equal_full_sort_reference()
 
 
-def test_phi_candidate_rows_resolved_once(monkeypatch):
+def test_phi_candidate_rows_resolved_once():
     rng = np.random.default_rng(9)
     tokens = [f"w{i}" for i in range(50)]
     model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (50, 4)))
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4))
     vocab = CandidateVocabulary(frozenset(tokens[:30]))
-    calls = []
-
-    def counting_term_to_token(term):
-        calls.append(term)
-        return term_to_token(term)
-
-    monkeypatch.setattr(embedding, "term_to_token", counting_term_to_token)
     candidates_from_phi(phi, model, "w1", vocab)
-    resolved = len(calls)
+    pool = model._phi_pool
     candidates_from_phi(phi, model, "w2", vocab)
     candidates_from_phi(phi, model, "w3", CandidateVocabulary(frozenset(tokens[:30])))
-    assert len(calls) == resolved + 2   # the two queries alone
+    assert model._phi_pool is pool  # the same and an equal vocabulary reuse the rows
     other = CandidateVocabulary(frozenset(tokens[20:]))
     for q in ("w1", "w25"):
         got = candidates_from_phi(phi, model, q, other)
         assert got == full_sort_reference(phi, model, q, other, 15)
+
+
+@pytest.mark.parametrize("cells", [math.inf, 0], ids=["exact", "screened"])
+def test_phi_names_each_vocabulary_term_once(monkeypatch, cells):
+    # both spellings of five phrase tokens, and one only as its token: a row
+    # enters the pool when its token's term is in the vocabulary, as in the
+    # count modules, so no term is named twice or from outside the vocabulary
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", cells)
+    rng = np.random.default_rng(14)
+    phrases = [f"t{i}_x" for i in range(6)]
+    tokens = phrases + [f"w{i}" for i in range(20)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (len(tokens), 4)))
+    phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4))
+    terms = {token_to_term(t) for t in tokens if t != "t5_x"} | set(phrases)
+    vocab = CandidateVocabulary(frozenset(terms))
+    pool_size = 25  # t0_x to t4_x and the twenty words, t5_x not among them
+    for q in ("w0", "t0 x", "t0_x", "t5 x"):
+        others = pool_size if q == "t5 x" else pool_size - 1
+        for k in (3, 15, 40):
+            got = candidates_from_phi(phi, model, q, vocab, k)
+            names = [c.term for c in got]
+            assert len(names) == len(set(names)) == min(k, others)
+            assert set(names) <= vocab.terms and "t5 x" not in names
+            assert got == full_sort_reference(phi, model, q, vocab, k)
+
+
+def test_screen_cutoff_rounds_to_nearest_float32():
+    # a zero target scores each column by its cached squared norm alone, exactly
+    steps = [np.float32(1)]
+    for _ in range(4):
+        steps.append(np.nextafter(steps[-1], np.float32(2)))
+    sq = np.array([0.25, 0.5, *steps], dtype=np.float32)
+    norm = math.sqrt(1.75 / 9)  # at dim 1, 2E is 1.75 float32 steps of 1.0
+    pool = embedding._PhiPool(
+        vocab=None, source=None, rows=np.arange(sq.size), vectors=None,
+        v32=np.zeros((1, sq.size), np.float32), sq=sq, norm=norm,
+    )
+    cut = 2  # the (cut + 1)-th smallest score is 1.0
+    cutoff = 1.0 + 2 * (9 * 2.0**-24 * norm**2 + 3 * 2.0**-148)
+    # float32 cannot hold the cutoff, and rounds it up
+    assert float(steps[1]) < cutoff < float(np.float32(cutoff)) == float(steps[2])
+    keep = embedding._screen(pool, np.zeros(1), cut).tolist()
+    assert set(np.flatnonzero(sq <= cutoff).tolist()) <= set(keep)
+    assert 5 not in keep  # steps[3]: two steps above steps[1], the float32 below the cutoff
 
 
 def assert_screen_copy(pool, screened):
@@ -867,8 +905,8 @@ def screen_model(dim, mode, scale, outlier):
     tokens = [f"w_{i:03d}" for i in range(len(vectors))]
     model = EmbeddingModel(vocab=tokens, input_vectors=vectors)
     terms = {token_to_term(t) for t in tokens}
-    # both spellings of the query and of a duplicate, so rows repeat in the
-    # pool; and a vocabulary without the query, where the cut is k itself
+    # both spellings of the query and of a duplicate, the `_` ones naming no
+    # candidate; and a vocabulary without the query
     spelled = terms | {"w_000", f"w_{n_random + 9}"}
     vocabs = [spelled, terms - {"w 000"}]
     return model, phi, [CandidateVocabulary(frozenset(v)) for v in vocabs]
