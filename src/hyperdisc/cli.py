@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -121,6 +122,11 @@ class PipelineConfig:
             raise CliError(f"order_mode must be 'fixed' or 'trained', got {self.order_mode!r}")
         if self.workers < 1:
             raise CliError("workers must be at least 1")
+        if self.threshold < 0:
+            raise CliError(f"threshold must be at least 0, got {self.threshold}")
+        for name in ("lr", "ridge"):
+            if not math.isfinite(getattr(self, name)):
+                raise CliError(f"{name} must be a finite number, got {getattr(self, name)}")
 
     def serialize(self, skip: tuple[str, ...] = ()) -> str:
         parts = []
@@ -280,8 +286,9 @@ def cmd_cooc_index(cfg: PipelineConfig) -> None:
     _require_artifact(cfg, cfg.normalized, "normalize")
     _require_input(cfg.queries, "queries")
     index = build_cooc_index(cfg.normalized, _query_tokens(cfg))
-    save_cooc_index(cfg.cooc_index, index, header=cfg.header())
-    n_rows = sum(len(row) for row in index.counts.values())
+    floor = cfg.threshold + 1  # `predict` reads only the counts above threshold
+    save_cooc_index(cfg.cooc_index, index, header=cfg.header(), floor=floor)
+    n_rows = sum(count >= floor for row in index.counts.values() for count in row.values())
     print(f"cooc-index: {len(index.counts)} query terms, {n_rows} candidate counts")
 
 
@@ -336,9 +343,14 @@ def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
     _require_artifact(cfg, cfg.isa_corpus, "extract-isa")
     _require_artifact(cfg, cfg.embedding, "train-embedding")
     _require_artifact(cfg, cfg.phi, "fit-phi")
+    cooc_idx = load_cooc_index(cfg.cooc_index)
+    if cooc_idx.floor > cfg.threshold + 1:
+        raise CliError(f"{cfg.cooc_index}: the snapshot keeps only counts of at least "
+                       f"{cooc_idx.floor}, too few for threshold {cfg.threshold}; "
+                       "re-run the 'cooc-index' stage")
     sources = (
         load_vocabulary(cfg.vocab),
-        load_cooc_index(cfg.cooc_index),
+        cooc_idx,
         build_pair_index(cfg.hearst_corpus, Source.HEARST),
         build_pair_index(cfg.isa_corpus, Source.ISA),
         load_embedding(cfg.embedding),

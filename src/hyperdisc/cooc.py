@@ -10,7 +10,8 @@ line.
 Candidate lists are ranked by count descending with lexicographic
 tie-breaking, vocabulary-filtered, and truncated to the top 15. The index
 snapshot goes through `corpus_io`'s artifact layer: written whole or not at
-all, and rejected when its last row is cut short.
+all, and rejected when its last row is cut short. It holds only the counts
+at or above its floor, the smallest count a candidate list can use.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ DEFAULT_THRESHOLD = 5
 TOP_K = 15
 
 COOC_INDEX_MAGIC = ("cooc-index", "v1")
+COOC_FLOOR_KEY = "cooc-floor"
 
 
 class Source(Enum):
@@ -56,9 +58,11 @@ class ScoredCandidate(NamedTuple):
 
 @dataclass
 class CoocIndex:
-    """query token -> context token -> co-occurrence count (all counts >= 1)."""
+    """query token -> context token -> co-occurrence count. A snapshot keeps
+    only the counts >= ``floor``, so it answers every ``threshold >= floor - 1``."""
 
     counts: dict[str, dict[str, int]]
+    floor: int = 1
 
 
 @dataclass
@@ -221,21 +225,34 @@ def save_cooc_index(
     path: str | os.PathLike,
     index: CoocIndex,
     header: dict[str, str] | None = None,
+    floor: int = 1,
 ) -> None:
-    """Write the snapshot: ``#cooc-index v1`` then sorted term/candidate/count."""
-    with write_artifact(path, {COOC_INDEX_MAGIC[0]: COOC_INDEX_MAGIC[1], **(header or {})}) as fh:
+    """Write the snapshot: ``#cooc-index v1``, then ``#cooc-floor N`` when
+    ``floor`` is above 1, then sorted term/candidate/count rows for the
+    counts >= ``floor``. `candidates_from_cooc` at ``threshold`` reads only
+    counts above it, so ``floor = threshold + 1`` drops nothing it reads."""
+    meta = {COOC_INDEX_MAGIC[0]: COOC_INDEX_MAGIC[1]}
+    if floor > 1:
+        meta[COOC_FLOOR_KEY] = str(floor)
+    with write_artifact(path, meta | (header or {})) as fh:
         for term in sorted(index.counts):
             row = index.counts[term]
-            for token in sorted(row):
-                fh.write(f"{term}\t{token}\t{row[token]}\n")
+            fh.write("".join(
+                f"{term}\t{token}\t{row[token]}\n" for token in sorted(row) if row[token] >= floor
+            ))
 
 
 def load_cooc_index(path: str | os.PathLike) -> CoocIndex:
-    """Read a snapshot back; a malformed or cut-short row, or a count that
-    is not ASCII decimal digits worth at least 1, is a `FormatError`."""
+    """Read a snapshot back, with its floor (1 when the header names none).
+    A floor or count that is not ASCII decimal digits, a malformed or
+    cut-short row, or a count below the floor is a `FormatError`."""
     meta, lines = read_artifact(path)
     if meta.get(COOC_INDEX_MAGIC[0]) != COOC_INDEX_MAGIC[1]:
         raise FormatError(f"{path}: not a {COOC_INDEX_MAGIC[0]} {COOC_INDEX_MAGIC[1]} file")
+    floor_text = meta.get(COOC_FLOOR_KEY, "1")
+    if not (floor_text.isascii() and floor_text.isdigit() and int(floor_text) >= 1):
+        raise FormatError(f"{path}: #{COOC_FLOOR_KEY} {floor_text!r} is not a positive integer")
+    floor = int(floor_text)
     counts: dict[str, dict[str, int]] = {}
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("\t")
@@ -245,7 +262,9 @@ def load_cooc_index(path: str | os.PathLike) -> CoocIndex:
                 f"{path}: line {lineno} is not term<TAB>candidate<TAB>count: {line!r}"
             )
         count = int(parts[2])
-        if count < 1:
-            raise FormatError(f"{path}: line {lineno} has count {count}; counts are at least 1")
+        if count < floor:
+            raise FormatError(
+                f"{path}: line {lineno} has count {count}; counts are at least {floor}"
+            )
         counts.setdefault(parts[0], {})[parts[1]] = count
-    return CoocIndex(counts)
+    return CoocIndex(counts, floor)

@@ -44,6 +44,7 @@ MAX_PREDICTIONS = 15
 MAX_TERM_WORDS = 3
 CONFIG_HASH_KEY = "config-hash"
 HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key lowercase
+READ_CHUNK = 1 << 13  # characters of whole lines per read of `iter_data_lines`
 
 
 @dataclass(frozen=True)
@@ -126,20 +127,28 @@ def iter_data_lines(
     path: str | os.PathLike, _header: dict[str, str] | None = None
 ) -> Iterator[str]:
     """Yield lines with the trailing newline stripped, skipping the header
-    comment block. Bytes that are not UTF-8 are a `FormatError` naming the
-    file and the line (`decode_error`). `read_artifact` passes ``_header``,
-    which receives the header and makes a last row cut short (no newline) a
-    `FormatError`."""
+    comment block; lines are read `READ_CHUNK` characters at a time. Bytes
+    that are not UTF-8 are a `FormatError` naming the file and the line
+    (`decode_error`). `read_artifact` passes ``_header``, which receives the
+    header and makes a last row cut short (no newline) a `FormatError`."""
     meta = {} if _header is None else _header
     try:
         with open(path, encoding="utf-8") as fh:
-            line, _ = _read_header(fh, meta)
-            for n, line in enumerate(itertools.chain((line,) if line else (), fh), 1):
-                if _header is not None and not line.endswith("\n"):
+            first, _ = _read_header(fh, meta)
+            chunks = iter(partial(fh.readlines, READ_CHUNK), [])
+            n = 0  # data lines read so far
+            for chunk in itertools.chain([[first]] if first else (), chunks):
+                n += len(chunk)
+                if chunk[-1].endswith("\n"):
+                    yield from [line[:-1] for line in chunk]
+                    continue
+                # only the last line of a file can lack its newline
+                yield from [line[:-1] for line in chunk[:-1]]
+                if _header is not None:
                     raise FormatError(
                         f"{path}: last row cut short at data line {n}; the file is truncated"
                     )
-                yield line.rstrip("\n")
+                yield chunk[-1]
     except UnicodeDecodeError as exc:
         raise decode_error(path, exc) from None
 

@@ -53,7 +53,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus_io import (
     CandidateVocabulary,
@@ -108,8 +108,8 @@ class EmbeddingConfig:
         for name in ("window", "min_count", "negatives", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 class _PhiPool(NamedTuple):
@@ -591,12 +591,24 @@ def _screen(pool: _PhiPool, target: np.ndarray, cut: int) -> np.ndarray | None:
 # file formats
 
 
+def _require_finite(path, values: np.ndarray, name: Callable[[int], str]) -> None:
+    """Reject a nan or infinite value, naming its row i by ``name(i)``; the
+    writers check as the readers do, so no file is written that is refused."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: {name(int(bad[0]))} has a non-finite value")
+
+
 def save_embedding(
     path: str | os.PathLike,
     model: EmbeddingModel,
     header: dict[str, str] | None = None,
 ) -> None:
-    """Text format: ``|vocab| dimension`` line, then ``token v1 ... vd`` rows."""
+    """Text format: ``|vocab| dimension`` line, then ``token v1 ... vd`` rows.
+    A nan or infinite value is a `FormatError`, as `load_embedding` makes it."""
+    vocab = model.vocab
+    _require_finite(path, model.input_vectors,
+                    lambda i: f"row {i + 1} of {len(vocab)} (token {vocab[i]!r})")
     with write_artifact(path, header) as fh:
         fh.write(f"{len(model.vocab)} {model.dimension}\n")
         for token, row in zip(model.vocab, model.input_vectors):
@@ -651,9 +663,7 @@ def _read_rows(path, lines, label, keys=None, sized=True) -> np.ndarray:
         k = len(line.split())
         fault = f"has {k} values, expected {width}" if k != width else "has a non-number"
         raise FormatError(f"{path}: {name(i)} {fault}") from None
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: {name(int(bad[0]))} has a non-finite value")
+    _require_finite(path, values, name)
     return values
 
 
@@ -677,7 +687,12 @@ def save_phi(
     phi: PhiTransform,
     header: dict[str, str] | None = None,
 ) -> None:
-    """Mode line, then the offset vector or a dimension header plus matrix rows."""
+    """Mode line, then the offset vector or a dimension header plus matrix
+    rows. A nan or infinite value is a `FormatError`, as `load_phi` makes it."""
+    if phi.mode is PhiMode.OFFSET:
+        _require_finite(path, phi.offset[None], lambda i: "the offset row")
+    else:
+        _require_finite(path, phi.matrix, lambda i: f"matrix row {i + 1} of {len(phi.matrix)}")
     with write_artifact(path, header) as fh:
         fh.write(phi.mode.value + "\n")
         if phi.mode is PhiMode.OFFSET:

@@ -3,18 +3,27 @@ import subprocess
 import sys
 from functools import partial
 
+import numpy as np
 import pytest
 
 import hyperdisc
 from hyperdisc import corpus_io, synthetic
 from hyperdisc.cli import CliError, PipelineConfig, load_config, main, module_lists, write_config
-from hyperdisc.cooc import Source, build_pair_index, load_cooc_index
+from hyperdisc.cooc import (
+    Source,
+    build_cooc_index,
+    build_pair_index,
+    candidates_from_cooc,
+    load_cooc_index,
+    save_cooc_index,
+)
 from hyperdisc.corpus_io import (
     FormatError,
     load_queries,
     load_vocabulary,
     read_artifact,
     read_predictions,
+    term_to_token,
 )
 
 ARTIFACT_KEYS = (
@@ -299,6 +308,74 @@ def test_stale_artifact_rejected(tmp_path, dataset, capsys):
     assert run(cfg_path, "predict", "--threshold", "2") == 2
     err = capsys.readouterr().err
     assert "stale artifact" in err and "re-run" in err
+
+
+def test_cooc_snapshot_holds_what_predict_reads(tmp_path, dataset, capsys):
+    """`cooc-index` keeps the counts above threshold, counts them in its
+    summary, and answers every query as the unpruned index does."""
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    out = capsys.readouterr().out
+    assert list(read_artifact(cfg.cooc_index)[0]) == ["cooc-index", "cooc-floor", "config-hash"]
+    snapshot = load_cooc_index(cfg.cooc_index)
+    assert snapshot.floor == cfg.threshold + 1
+    queries = load_queries(dataset.queries) + load_queries(dataset.train_queries)
+    full = build_cooc_index(cfg.normalized, {term_to_token(q.term) for q in queries})
+    kept = sum(len(row) for row in snapshot.counts.values())
+    assert 0 < kept < sum(len(row) for row in full.counts.values())
+    assert f"cooc-index: {len(full.counts)} query terms, {kept} candidate counts\n" in out
+    vocab = load_vocabulary(dataset.vocab)
+    for query in queries:
+        assert candidates_from_cooc(snapshot, query.term, vocab, cfg.threshold) == (
+            candidates_from_cooc(full, query.term, vocab, cfg.threshold)
+        )
+
+
+@pytest.mark.parametrize("floor, code", [(6, 0), (7, 2)])
+def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, capsys, floor, code):
+    # an unstamped snapshot passes the stale check, so only its floor can
+    # tell that it lacks counts the threshold reads
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    save_cooc_index(cfg.cooc_index, load_cooc_index(cfg.cooc_index), floor=floor)
+    capsys.readouterr()
+    assert run(cfg_path, "predict") == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg.cooc_index}: the snapshot keeps only counts of")
+        assert "re-run the 'cooc-index' stage" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, problem",
+    [
+        ("--threshold", "-5", "threshold must be at least 0, got -5"),
+        ("--lr", "nan", "lr must be a finite number, got nan"),
+        ("--ridge", "inf", "ridge must be a finite number, got inf"),
+    ],
+)
+def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag, value, problem):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline", flag, value) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not os.path.exists(cfg.normalized)
+
+
+def test_diverging_training_writes_no_embedding(tmp_path, dataset, capsys):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    with np.errstate(all="ignore"):
+        assert run(cfg_path, "pipeline", "--lr", "1e300") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg.embedding}: row ") and "has a non-finite value" in err
+    assert not os.path.exists(cfg.embedding)
 
 
 def test_flag_overrides_config(tmp_path, dataset):

@@ -314,3 +314,66 @@ def test_hash_sign_line_after_stamp_is_data(tmp_path):
     assert index.counts == {"topic": {"#hashtag": 1, "is": 1}}
     pairs = build_pair_index(tmp_path / "isa.tsv", Source.ISA)
     assert pairs.counts == {"#hashtag": {"topic": 1}}
+
+
+snapshot_indexes = st.dictionaries(
+    st.sampled_from(["q", "r", "oil_plant"]), counts_rows, max_size=3
+).map(CoocIndex)
+
+
+@settings(max_examples=50)
+@given(snapshot_indexes, st.integers(min_value=1, max_value=25))
+def test_snapshot_keeps_the_counts_at_or_above_its_floor(tmp_path_factory, index, floor):
+    path = tmp_path_factory.mktemp("snap") / "idx.tsv"
+    save_cooc_index(path, index, header={"config-hash": "cafe"}, floor=floor)
+    loaded = load_cooc_index(path)
+    kept = {
+        term: {token: count for token, count in row.items() if count >= floor}
+        for term, row in index.counts.items()
+    }
+    assert loaded.counts == {term: row for term, row in kept.items() if row}
+    assert loaded.floor == floor
+    assert list(read_artifact(path)[0]) == ["cooc-index"] + ["cooc-floor"] * (floor > 1) + [
+        "config-hash"
+    ]
+
+
+@given(counts_rows, st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=12))
+def test_snapshot_answers_every_threshold_from_its_floor(tmp_path_factory, row, floor, above):
+    """Pruned to ``floor``, a snapshot gives the lists of the full index for
+    every ``threshold >= floor - 1``."""
+    threshold = floor - 1 + above
+    path = tmp_path_factory.mktemp("snap") / "idx.tsv"
+    full = CoocIndex({"q": row})
+    save_cooc_index(path, full, floor=floor)
+    pruned = load_cooc_index(path)
+    vocab = CandidateVocabulary(frozenset(f"c{i}" for i in range(0, 40, 2)))
+    for v in (None, vocab):
+        for k in (1, 15):
+            assert candidates_from_cooc(pruned, "q", v, threshold, k) == candidates_from_cooc(
+                full, "q", v, threshold, k
+            )
+
+
+def test_snapshot_without_floor_line_loads_as_floor_one(tmp_path):
+    path = tmp_path / "idx.tsv"
+    path.write_text("#cooc-index v1\nq\tc\t1\n")
+    assert load_cooc_index(path) == CoocIndex({"q": {"c": 1}}, floor=1)
+
+
+@pytest.mark.parametrize(
+    "header, row, problem",
+    [
+        ("#cooc-floor 6\n", "q\tc\t5\n", "line 1 has count 5; counts are at least 6"),
+        ("#cooc-floor 0\n", "q\tc\t5\n", "#cooc-floor '0' is not a positive integer"),
+        ("#cooc-floor +6\n", "q\tc\t7\n", "#cooc-floor '+6' is not a positive integer"),
+        ("#cooc-floor\n", "q\tc\t7\n", "#cooc-floor '' is not a positive integer"),
+    ],
+    ids=["count-below-floor", "zero-floor", "signed-floor", "empty-floor"],
+)
+def test_load_rejects_bad_floor(tmp_path, header, row, problem):
+    path = tmp_path / "idx.tsv"
+    path.write_text("#cooc-index v1\n" + header + "#config-hash cafe\n" + row)
+    with pytest.raises(FormatError) as info:
+        load_cooc_index(path)
+    assert str(info.value).startswith(f"{path}: {problem}")

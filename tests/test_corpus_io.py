@@ -1,3 +1,4 @@
+import itertools
 import os
 from unittest import mock
 
@@ -261,6 +262,60 @@ def test_bad_byte_is_located_by_line(tmp_path, header):
         with pytest.raises(FormatError) as info:
             list(read(path))
         assert str(info.value) == f"{path}: not UTF-8 text at line {line} (invalid start byte)"
+
+
+def unchunked_reference(path, artifact):
+    """The per-line reader that `iter_data_lines` reads in chunks: the lines
+    it yields, and the text of the `FormatError` it stops at (None if none)."""
+    lines = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            line, _ = corpus_io._read_header(fh, {})
+            for n, line in enumerate(itertools.chain((line,) if line else (), fh), 1):
+                if artifact and not line.endswith("\n"):
+                    raise FormatError(
+                        f"{path}: last row cut short at data line {n}; the file is truncated"
+                    )
+                lines.append(line.rstrip("\n"))
+    except UnicodeDecodeError as exc:
+        return lines, str(corpus_io.decode_error(path, exc))
+    except FormatError as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+def chunked_read(path, artifact):
+    lines = []
+    try:
+        lines.extend(read_artifact(path)[1] if artifact else iter_data_lines(path))
+    except FormatError as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["", "#note a\n", "#cooc-index v1\n#config-hash cafe\n"]),
+    st.lists(st.text(alphabet="ab#\t \xe9\u20ac\r", max_size=6), max_size=8),
+    st.booleans(),
+)
+def test_chunked_reader_equals_per_line_reference(tmp_path_factory, chunk, header, lines, newline):
+    """With chunks of a few characters, so that chunk boundaries fall all
+    over the file: the same lines as the per-line reader with and without a
+    final newline, and for a cut at every byte (inside a UTF-8 sequence, at
+    a chunk boundary) the same `FormatError` text. Lines before a bad byte
+    are not compared: both readers decode ahead of the lines they yield."""
+    data = (header + "\n".join(lines) + ("\n" if newline else "")).encode("utf-8")
+    path = tmp_path_factory.mktemp("chunks") / "f.txt"
+    with mock.patch.object(corpus_io, "READ_CHUNK", chunk):
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            for artifact in (False, True):
+                got, want = chunked_read(path, artifact), unchunked_reference(path, artifact)
+                assert got[1] == want[1]
+                if "not UTF-8" not in str(want[1]):
+                    assert got[0] == want[0]
 
 
 def test_term_token_round_trip():

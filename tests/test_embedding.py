@@ -1020,13 +1020,40 @@ def test_phi_file_round_trip(tmp_path):
     assert np.array_equal(loaded.matrix, matrix_phi.matrix)
 
 
+@pytest.mark.parametrize(
+    "kind, problem",
+    [
+        ("embedding", "row 2 of 3 (token 'b') has a non-finite value"),
+        ("offset_phi", "the offset row has a non-finite value"),
+        ("matrix_phi", "matrix row 2 of 3 has a non-finite value"),
+    ],
+)
+def test_writers_refuse_non_finite_values(tmp_path, kind, problem):
+    """A writer rejects what its reader would, with the reader's words, and
+    leaves the file it would have replaced as it was."""
+    path = tmp_path / "out.txt"
+    path.write_text("earlier\n")
+    vectors = np.ones((3, 3))
+    vectors[1, 2] = np.nan
+    with pytest.raises(FormatError) as info:
+        if kind == "embedding":
+            save_embedding(path, EmbeddingModel(vocab=["a", "b", "c"], input_vectors=vectors))
+        elif kind == "offset_phi":
+            save_phi(path, PhiTransform(PhiMode.OFFSET, offset=np.array([1.0, np.inf])))
+        else:
+            save_phi(path, PhiTransform(PhiMode.MATRIX, matrix=vectors))
+    assert str(info.value) == f"{path}: {problem}"
+    assert path.read_text() == "earlier\n"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EmbeddingConfig(dimension=1)
     with pytest.raises(ValueError):
         EmbeddingConfig(epochs=0)
-    with pytest.raises(ValueError):
-        EmbeddingConfig(learning_rate=0.0)
+    for lr in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EmbeddingConfig(learning_rate=lr)
 
 
 def truncations(text, header_lines):
