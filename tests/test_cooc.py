@@ -355,12 +355,6 @@ def test_snapshot_answers_every_threshold_from_its_floor(tmp_path_factory, row, 
             )
 
 
-def test_snapshot_without_floor_line_loads_as_floor_one(tmp_path):
-    path = tmp_path / "idx.tsv"
-    path.write_text("#cooc-index v1\nq\tc\t1\n")
-    assert load_cooc_index(path) == CoocIndex({"q": {"c": 1}}, floor=1)
-
-
 @pytest.mark.parametrize(
     "header, row, problem",
     [
