@@ -19,6 +19,8 @@ def main() -> None:
     parser.add_argument("--hyponyms", type=int, default=50, help="per hypernym")
     parser.add_argument("--noise-lines", type=int, default=600)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--distractor-vocab", type=int, default=20,
+                        help="vocabulary terms that occur only in noise lines")
     args = parser.parse_args()
 
     dataset = synthetic.generate(
@@ -27,6 +29,7 @@ def main() -> None:
         n_hyponyms=args.hyponyms,
         seed=args.seed,
         noise_lines=args.noise_lines,
+        distractor_vocab=args.distractor_vocab,
     )
     n_lines = sum(1 for _ in open(dataset.corpus, encoding="utf-8"))
     print(f"corpus:        {dataset.corpus} ({n_lines} paragraphs)")

@@ -122,8 +122,10 @@ class PipelineConfig:
             raise CliError(f"order_mode must be 'fixed' or 'trained', got {self.order_mode!r}")
         if self.workers < 1:
             raise CliError("workers must be at least 1")
-        if self.threshold < 0:
-            raise CliError(f"threshold must be at least 0, got {self.threshold}")
+        for name, least in (("threshold", 0), ("dim", 2), ("window", 1), ("min_count", 1),
+                            ("negatives", 1), ("epochs", 1)):
+            if getattr(self, name) < least:
+                raise CliError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("lr", "ridge"):
             if not math.isfinite(getattr(self, name)):
                 raise CliError(f"{name} must be a finite number, got {getattr(self, name)}")

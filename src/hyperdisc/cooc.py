@@ -28,6 +28,7 @@ from .corpus_io import (
     Query,
     QueryKind,
     ReadStats,
+    file_line,
     read_artifact,
     term_to_token,
     token_to_term,
@@ -245,7 +246,8 @@ def save_cooc_index(
 def load_cooc_index(path: str | os.PathLike) -> CoocIndex:
     """Read a snapshot back, with its floor (1 when the header names none).
     A floor or count that is not ASCII decimal digits, a malformed or
-    cut-short row, or a count below the floor is a `FormatError`."""
+    cut-short row, or a count below the floor is a `FormatError`, naming a
+    bad row by its line in the whole file."""
     meta, lines = read_artifact(path)
     if meta.get(COOC_INDEX_MAGIC[0]) != COOC_INDEX_MAGIC[1]:
         raise FormatError(f"{path}: not a {COOC_INDEX_MAGIC[0]} {COOC_INDEX_MAGIC[1]} file")
@@ -254,17 +256,19 @@ def load_cooc_index(path: str | os.PathLike) -> CoocIndex:
         raise FormatError(f"{path}: #{COOC_FLOOR_KEY} {floor_text!r} is not a positive integer")
     floor = int(floor_text)
     counts: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for n, line in enumerate(lines, start=1):
         parts = line.split("\t")
         # int() alone would also take signs, underscores and non-ASCII digits
         if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
             raise FormatError(
-                f"{path}: line {lineno} is not term<TAB>candidate<TAB>count: {line!r}"
+                f"{path}: line {file_line(path, n)} is not term<TAB>candidate<TAB>count: "
+                f"{line!r}"
             )
         count = int(parts[2])
         if count < floor:
             raise FormatError(
-                f"{path}: line {lineno} has count {count}; counts are at least {floor}"
+                f"{path}: line {file_line(path, n)} has count {count}; "
+                f"counts are at least {floor}"
             )
         counts.setdefault(parts[0], {})[parts[1]] = count
     return CoocIndex(counts, floor)

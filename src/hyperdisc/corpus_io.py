@@ -163,6 +163,13 @@ def _read_header(fh: TextIO, meta: dict[str, str]) -> tuple[str, int]:
     return line, count
 
 
+def file_line(path: str | os.PathLike, n: int) -> int:
+    """The number, counted over every line of the file, of data line ``n``
+    (from 1) of ``path``: ``n`` plus its header lines. For error messages."""
+    with open(path, encoding="utf-8") as fh:
+        return n + _read_header(fh, {})[1]
+
+
 def decode_error(path: str | os.PathLike, exc: UnicodeDecodeError) -> FormatError:
     """The `FormatError` for a file that failed to decode as UTF-8, naming
     the first line (counted from 1 over every line of the file) that holds a
@@ -377,10 +384,8 @@ def load_queries(path: str | os.PathLike) -> list[Query]:
         try:
             kind = QueryKind(kind_text)
         except ValueError:
-            with open(path, encoding="utf-8") as fh:  # number the line in the whole file
-                lineno = n + _read_header(fh, {})[1]
             raise FormatError(
-                f"{path}: line {lineno}: unknown query kind {kind_text!r} "
+                f"{path}: line {file_line(path, n)}: unknown query kind {kind_text!r} "
                 f"(expected Concept or Entity)"
             ) from None
         queries.append(Query(normalize_term(term), kind))

@@ -30,17 +30,23 @@ or a ridge-regularized linear map fit by least squares. Candidates are the
 vocabulary terms nearest to the projected query point in Euclidean
 distance. The candidate pool of a vocabulary, its embedding rows and one
 contiguous dimension-major copy of their vectors, is built once per
-(model, vocabulary, ``input_vectors`` array) and kept on the model. A
-pool of at least ``SCREEN_CELLS`` cells (terms x dim) holds that copy in
-float32, with its squared norms, and a query first screens every column
-by ||v||^2 - 2<t, v> in float32, keeping each column within twice a
-proven error bound of the cutoff; on a smaller pool the screen costs more
-than it saves, and the copy is in float64. The exact steps then take the
-distances of the survivors (gathered from ``input_vectors``), or of every
-column of a small pool, in one fused float64 pass (an einsum, no BLAS
-call), pick the nearest ``k`` other terms with a partition and sort only
-the entries at or below the cutoff. The screen never changes the result:
-`candidates_from_phi` derives the bound and shows why.
+(model, vocabulary, ``input_vectors`` array) and kept on the model, with
+the term of each row. A pool of at least ``SCREEN_CELLS`` cells (terms x
+dim) holds that copy in float32, with its squared norms, and a query first
+screens every column by ||v||^2 - 2<t, v> in float32, from one BLAS
+matrix-vector product, keeping each column within twice a proven error
+bound of a cutoff; on a smaller pool the screen costs more than it saves,
+and the copy is in float64. The bound holds for any order of summation,
+so the BLAS build and its thread count may change which columns survive,
+never the result. On a large pool the cutoff comes from a partition of
+the minima of ``GROUPS`` groups of columns alone, which can only keep
+more columns than a partition of every score. The exact steps then take
+the distances of the survivors (gathered from ``input_vectors``), or of
+every column of a small pool, in one fused float64 pass (an einsum, no
+BLAS call), pick the nearest ``k`` other terms with a partition and sort
+only the entries at or below the cutoff. The screen never changes the
+result: `candidates_from_phi` derives the bound and shows why. So only
+the screen calls BLAS; training and the exact steps do not.
 Embedding and projection files share one parser, which converts all rows
 in one `np.loadtxt` call and examines a row only when the call rejects it.
 """
@@ -90,6 +96,9 @@ GROUP = 16  # consecutive positions of a block that share one row of negatives
 SCREEN_CELLS = 32768
 SCREEN_MAX_DIM = 4096  # widest vectors for which the screen's bound is proven
 SCREEN_MAX_NORM = 2.0**60  # larger norms could overflow float32 squares
+# the screen's cutoff partitions the minima of this many groups of columns,
+# on a pool of at least two columns a group and a cut below the group count
+GROUPS = 256
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,7 @@ class _PhiPool(NamedTuple):
     vocab: CandidateVocabulary | None
     source: np.ndarray   # the ``input_vectors`` array the vectors were copied from
     rows: np.ndarray     # the candidates' embedding rows, each at most once
+    terms: list[str]     # the term of each row's token, in the order of ``rows``
     # ``source[rows].T``, one contiguous (dim, len(rows)) copy, in float64
     # on a pool too small to screen and in float32 on one screened by
     # `candidates_from_phi`; the other one is None
@@ -443,10 +453,12 @@ def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) ->
         and (pool.vocab is vocab or pool.vocab == vocab)
     ):
         return pool
-    index = model.index
+    terms = list(map(token_to_term, model.index))
+    rows = np.fromiter(model.index.values(), dtype=np.intp, count=len(terms))
     if vocab is not None:
-        index = {token: row for token, row in index.items() if token_to_term(token) in vocab.terms}
-    rows = np.fromiter(index.values(), dtype=np.intp, count=len(index))
+        inside = np.fromiter(map(vocab.terms.__contains__, terms), dtype=bool, count=len(terms))
+        terms = list(itertools.compress(terms, inside))
+        rows = rows[inside]
     source = model.input_vectors
     dim = source.shape[1]
     vectors = v32 = sq = None
@@ -458,7 +470,7 @@ def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) ->
             sq = np.einsum("ij,ij->j", v32, v32)
     if v32 is None:
         vectors = _columns(source, rows, source.dtype)
-    model._phi_pool = _PhiPool(vocab, source, rows, vectors, v32, sq, norm)
+    model._phi_pool = _PhiPool(vocab, source, rows, terms, vectors, v32, sq, norm)
     return model._phi_pool
 
 
@@ -496,8 +508,9 @@ def candidates_from_phi(
     nearest-neighbour search (Johnson et al., arXiv:1702.08734). With t the
     target, v_j the pool's columns and t32, v32_j their float32 copies, the
     screen scores s_j = sq_j - 2<t32, v32_j> in float32, sq_j = ||v32_j||^2
-    cached with the pool. s_j is ||v_j - t||^2 - ||t32||^2 (the same shift
-    for every column) to within
+    cached with the pool, the dot products all from one BLAS matrix-vector
+    product. s_j is ||v_j - t||^2 - ||t32||^2 (the same shift for every
+    column) to within
 
         E = (dim + 8) u (V + T)^2 + (dim + 2) 2^-148,    u = 2^-24,
 
@@ -512,7 +525,12 @@ def candidates_from_phi(
     * Arithmetic. A float32 sum of dim products errs by at most
       gamma_dim = dim u / (1 - dim u) times the sum of their magnitudes,
       in any order (Higham, Accuracy and Stability, 3.1), plus eta per
-      product that underflows; the subtraction adds u |sq_j - 2<t32, v32_j>|.
+      product that underflows (an addition that underflows is exact); the
+      subtraction adds u |sq_j - 2<t32, v32_j>|. The bound holds for every
+      order of summation, so for whatever blocking, SIMD lanes or threads a
+      BLAS build uses, and for fused multiply-adds, which round once where
+      it counts two roundings. So the BLAS build and its thread count may
+      change which columns survive, but no score errs by more than E.
       With ||v32_j|| + ||t32|| <= (1 + u)(V + T) + 2 sqrt(dim) eta that is
       gamma_(dim+3) (V + T)^2 + 3 dim eta + cross terms.
     * The exact steps' own float64 rounding, (dim + 2) 2^-53 (V + T)^2 on a
@@ -521,17 +539,26 @@ def candidates_from_phi(
 
     The sum stays below E while (dim + 3)^2 u <= 2, up to dim 5789:
     ``SCREEN_MAX_DIM`` keeps below it. The screen keeps every column with
-    s_j at most the (cut + 1)-th smallest score plus 2E, cut = k + 1. Let
-    D be the cut-th smallest exact squared distance, less the shift. Each
-    score is within E of its column's value, so the cut-th smallest score
-    is at least D - E, and a column at or below the exact cutoff scores at
-    most D + E: it survives. The survivors' cut-th smallest distance is
+    s_j at most c + 2E, cut = k + 1, where c is at least the (cut + 1)-th
+    smallest score. Let D be the cut-th smallest exact squared distance,
+    less the shift. Each score is within E of its column's value, so the
+    cut-th smallest score, and so c, is at least D - E, and a column at or
+    below the exact cutoff scores at most D + E: it survives. On a pool of
+    at least 2 ``GROUPS`` columns, with cut < ``GROUPS``, c is the
+    (cut + 1)-th smallest of the minima of ``GROUPS`` groups of columns
+    (column j in group j mod ``GROUPS``), from a partition of those minima
+    alone. It is at least the (cut + 1)-th smallest score: the groups are
+    disjoint, so the cut + 1 smallest minima are the scores of cut + 1
+    distinct columns, all at or below c. On any other pool c is the
+    (cut + 1)-th smallest score, from a partition of them all. The
+    survivors' cut-th smallest distance is
     then the global one, and the exact steps pick the same columns, ties
     at the cutoff still by term. The survivors are gathered into a
     C-contiguous array, so einsum adds each column's terms in the same
     order as over a whole pool, and the list is the same bit for bit as
-    without the screen. The (cut + 1)-th score keeps at least two columns:
-    einsum would sum a lone (dim, 1) column in another order.
+    without the screen. A cutoff at or above the (cut + 1)-th score keeps
+    at least two columns: einsum would sum a lone (dim, 1) column in
+    another order.
 
     The screen runs only on a pool of at least ``SCREEN_CELLS`` cells
     (terms x dim), where it was measured to pay for its fixed costs, with
@@ -546,20 +573,25 @@ def candidates_from_phi(
     pool = _candidate_pool(model, vocab)
     target = phi.apply(model.input_vectors[q_row])
     vectors, rows = pool.vectors, pool.rows
+    at = None  # the pool indices of ``rows``, when not the whole pool
     cut = k + 1
     if vectors is None:  # a screened pool: its float64 columns come from source
-        keep = _screen(pool, target, cut) if cut < rows.size else None
-        if keep is not None:
-            rows = rows[keep]
+        at = _screen(pool, target, cut) if cut < rows.size else None
+        if at is not None:
+            rows = rows[at]
         vectors = np.ascontiguousarray(pool.source[rows].T)
     diff = vectors - target[:, None]
     dists = np.sqrt(np.einsum("ij,ij->j", diff, diff))
     if cut < rows.size:
         keep = np.flatnonzero(dists <= np.partition(dists, cut - 1)[cut - 1])
         dists, rows = dists[keep], rows[keep]
+        at = keep if at is None else at[keep]
+    terms = pool.terms
     ranked = sorted(
-        (dist, token_to_term(model.vocab[row]))
-        for dist, row in zip(dists.tolist(), rows.tolist())
+        (dist, terms[i])
+        for dist, i, row in zip(
+            dists.tolist(), range(rows.size) if at is None else at.tolist(), rows.tolist()
+        )
         if row != q_row
     )
     return [
@@ -578,10 +610,18 @@ def _screen(pool: _PhiPool, target: np.ndarray, cut: int) -> np.ndarray | None:
         return None
     dim = target.size
     bound = (dim + 8) * 2.0**-24 * (pool.norm + t_norm) ** 2 + (dim + 2) * 2.0**-148
-    # scaling t32 by -2 is exact, so this is sq - 2<t32, v32> in one pass
-    score = np.einsum("i,ij->j", target.astype(np.float32) * -2, pool.v32)
+    # scaling t32 by -2 is exact, so this is sq - 2<t32, v32>, one BLAS sgemv
+    score = (target.astype(np.float32) * -2) @ pool.v32
     score += pool.sq
-    cutoff = float(np.partition(score, cut)[cut]) + 2 * bound
+    lows = score
+    if score.size >= 2 * GROUPS and cut < GROUPS:
+        # the minimum of each group, column j in group j mod GROUPS: the
+        # columns past the last whole row of groups join the first groups
+        whole = score.size - score.size % GROUPS
+        lows = score[:whole].reshape(-1, GROUPS).min(axis=0)
+        first = lows[: score.size - whole]
+        np.minimum(first, score[whole:], out=first)
+    cutoff = float(np.partition(lows, cut)[cut]) + 2 * bound
     # rounding to the nearest float32 is monotone, so a float32 score at or
     # below the cutoff is at or below its rounding too: no column is lost
     return np.flatnonzero(score <= np.float32(cutoff))

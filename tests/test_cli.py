@@ -354,6 +354,8 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
     "flag, value, problem",
     [
         ("--threshold", "-5", "threshold must be at least 0, got -5"),
+        ("--dim", "1", "dim must be at least 2, got 1"),
+        ("--window", "0", "window must be at least 1, got 0"),
         ("--lr", "nan", "lr must be a finite number, got nan"),
         ("--ridge", "inf", "ridge must be a finite number, got inf"),
     ],

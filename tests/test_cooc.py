@@ -285,13 +285,13 @@ def test_load_rejects_wrong_magic(tmp_path):
     [
         ("a\tb\t1", "last row cut short at data line 2; the file is truncated"),
         ("a\tb\t", "last row cut short at data line 2; the file is truncated"),
-        ("a\tb\n", "line 2 is not term<TAB>candidate<TAB>count"),
-        ("a\tb\t1\t2\n", "line 2 is not term<TAB>candidate<TAB>count"),
-        ("a\tb\tmany\n", "line 2 is not term<TAB>candidate<TAB>count"),
-        ("a\tb\t-3\n", "line 2 is not term<TAB>candidate<TAB>count"),
-        ("a\tb\t0\n", "line 2 has count 0; counts are at least 1"),
-        ("a\tb\t1_000\n", "line 2 is not term<TAB>candidate<TAB>count"),
-        ("a\tb\t+2\n", "line 2 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\n", "line 4 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t1\t2\n", "line 4 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\tmany\n", "line 4 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t-3\n", "line 4 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t0\n", "line 4 has count 0; counts are at least 1"),
+        ("a\tb\t1_000\n", "line 4 is not term<TAB>candidate<TAB>count"),
+        ("a\tb\t+2\n", "line 4 is not term<TAB>candidate<TAB>count"),
     ],
     ids=["cut-in-count", "cut-before-count", "two-fields", "four-fields", "non-integer",
          "negative", "zero", "underscore", "plus-sign"],
@@ -358,7 +358,7 @@ def test_snapshot_answers_every_threshold_from_its_floor(tmp_path_factory, row, 
 @pytest.mark.parametrize(
     "header, row, problem",
     [
-        ("#cooc-floor 6\n", "q\tc\t5\n", "line 1 has count 5; counts are at least 6"),
+        ("#cooc-floor 6\n", "q\tc\t5\n", "line 4 has count 5; counts are at least 6"),
         ("#cooc-floor 0\n", "q\tc\t5\n", "#cooc-floor '0' is not a positive integer"),
         ("#cooc-floor +6\n", "q\tc\t7\n", "#cooc-floor '+6' is not a positive integer"),
         ("#cooc-floor\n", "q\tc\t7\n", "#cooc-floor '' is not a positive integer"),

@@ -761,7 +761,7 @@ def test_screen_cutoff_rounds_to_nearest_float32():
     sq = np.array([0.25, 0.5, *steps], dtype=np.float32)
     norm = math.sqrt(1.75 / 9)  # at dim 1, 2E is 1.75 float32 steps of 1.0
     pool = embedding._PhiPool(
-        vocab=None, source=None, rows=np.arange(sq.size), vectors=None,
+        vocab=None, source=None, rows=np.arange(sq.size), terms=list("abcdef"), vectors=None,
         v32=np.zeros((1, sq.size), np.float32), sq=sq, norm=norm,
     )
     cut = 2  # the (cut + 1)-th smallest score is 1.0
@@ -771,6 +771,57 @@ def test_screen_cutoff_rounds_to_nearest_float32():
     keep = embedding._screen(pool, np.zeros(1), cut).tolist()
     assert set(np.flatnonzero(sq <= cutoff).tolist()) <= set(keep)
     assert 5 not in keep  # steps[3]: two steps above steps[1], the float32 below the cutoff
+
+
+GROUPS = embedding.GROUPS
+
+
+@pytest.mark.parametrize(
+    "n, layout, k",
+    [
+        (3 * GROUPS + 100, "random", 15),
+        (3 * GROUPS + 100, "random", GROUPS - 2),  # cut = GROUPS - 1, the last grouped
+        (3 * GROUPS + 100, "random", GROUPS - 1),  # cut = GROUPS: the full partition
+        (3 * GROUPS + 100, "random", 300),
+        (2 * GROUPS, "random", 1),
+        (16 * GROUPS + 10, "one group", 15),
+        (2 * GROUPS + 1, "ties", 15),
+    ],
+    ids=["tail", "last-grouped-cut", "cut-at-groups", "cut-above-groups", "two-a-group",
+         "nearest-in-one-group", "ties"],
+)
+def test_grouped_screen_keeps_full_partition_survivors(monkeypatch, n, layout, k):
+    # pools of at least two columns a group, screened; column j is row j
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", 0)
+    rng = np.random.default_rng(n + k)
+    dim = 8
+    vectors = rng.normal(0, 1, (n, dim))
+    phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, dim))
+    target = phi.apply(vectors[0])
+    if layout == "one group":
+        # the 17 columns of group 5 (cut + 1 at k = 15) nearer than any other
+        vectors[5::GROUPS] = target + rng.normal(0, 1e-3, (len(vectors[5::GROUPS]), dim))
+    elif layout == "ties":
+        # three distinct vectors: every group's minimum ties, and so does the cutoff
+        vectors[1:] = rng.normal(0, 1, (3, dim))[rng.integers(0, 3, n - 1)]
+    tokens = [f"w{i:05d}" for i in range(n)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=vectors)
+    got = candidates_from_phi(phi, model, "w00000", None, k)
+    pool = model._phi_pool
+    assert pool.v32 is not None and pool.rows.size == n
+    keep = embedding._screen(pool, target, k + 1)
+    with monkeypatch.context() as full:
+        full.setattr(embedding, "GROUPS", math.inf)  # no groups: today's full partition
+        every = embedding._screen(pool, target, k + 1)
+    assert set(every.tolist()) <= set(keep.tolist())
+    if layout == "one group":
+        assert keep.size > every.size  # the grouped cutoff ran, and is looser here
+    if k + 1 >= GROUPS:
+        assert np.array_equal(keep, every)
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", math.inf)
+    model._phi_pool = None
+    assert got == candidates_from_phi(phi, model, "w00000", None, k)
+    assert len(got) == k
 
 
 def assert_screen_copy(pool, screened):
