@@ -7,12 +7,12 @@ Runs ``perfbench/run.py`` in ``DIR`` (default: the checkout holding this
 script) for every workload, once at ``--trace 0`` and once at ``--trace 1``,
 each as its own process, one after the other, all on one seed and for the
 benchmark's run length. The file records the machine, the git revision of
-``DIR``, the line count of its ``src/hyperdisc`` and, per workload and trace
-mode, the result object that the run printed as its last line (with every
-metric and unit). It is written to the root of the checkout holding this
-script, so that files from successive revisions sit side by side and
-compare metric by metric. Exits 1 if any run failed or reported a failed
-check; its entry then holds the error.
+``DIR``, the line counts of its ``src/hyperdisc`` and ``scripts`` and, per
+workload and trace mode, the result object that the run printed as its last
+line (with every metric and unit). It is written to the root of the
+checkout holding this script, so that files from successive revisions sit
+side by side and compare metric by metric. Exits 1 if any run failed or
+reported a failed check; its entry then holds the error.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ def git(checkout: Path, *args: str) -> str:
     ).stdout.strip()
 
 
-def src_lines(checkout: Path) -> int:
-    """Newlines in the package sources, counted as ``perfbench/run.py`` does."""
-    return sum(
-        path.read_text(encoding="utf-8").count("\n")
-        for path in (checkout / "src" / "hyperdisc").glob("*.py")
-    )
+def py_lines(directory: Path) -> int:
+    """Newlines in the ``*.py`` files of ``directory``, counted as
+    ``perfbench/run.py`` counts the package sources."""
+    return sum(path.read_text(encoding="utf-8").count("\n") for path in directory.glob("*.py"))
 
 
 def machine() -> dict:
@@ -89,8 +87,10 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "machine": machine(),
         "revision": git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
-        "src_lines": src_lines(checkout),
+        "dirty": bool(git(checkout, "status", "--porcelain", "--",
+                          "src", "scripts", "perfbench")),
+        "src_lines": py_lines(checkout / "src" / "hyperdisc"),
+        "scripts_lines": py_lines(checkout / "scripts"),
         "seed": SEED,
         "seconds": seconds,
         "runs": {},

@@ -123,12 +123,14 @@ class PipelineConfig:
         if self.workers < 1:
             raise CliError("workers must be at least 1")
         for name, least in (("threshold", 0), ("dim", 2), ("window", 1), ("min_count", 1),
-                            ("negatives", 1), ("epochs", 1)):
+                            ("negatives", 1), ("epochs", 1), ("ridge", 0)):
             if getattr(self, name) < least:
                 raise CliError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("lr", "ridge"):
             if not math.isfinite(getattr(self, name)):
                 raise CliError(f"{name} must be a finite number, got {getattr(self, name)}")
+        if self.lr <= 0:
+            raise CliError(f"lr must be positive, got {self.lr}")
 
     def serialize(self, skip: tuple[str, ...] = ()) -> str:
         parts = []
@@ -226,7 +228,12 @@ def _require_artifact(cfg: PipelineConfig, path: str, stage: str) -> None:
             f"missing artifact {path!r}: run the '{stage}' stage first"
         )
     stamped = read_artifact(path)[0].get(CONFIG_HASH_KEY)
-    if stamped is not None and stamped != cfg.hash():
+    if stamped is None:
+        raise CliError(
+            f"unstamped artifact {path!r}: it has no #{CONFIG_HASH_KEY} line; "
+            f"re-run the '{stage}' stage"
+        )
+    if stamped != cfg.hash():
         raise CliError(
             f"stale artifact {path!r}: built with config-hash {stamped}, current "
             f"config is {cfg.hash()}; re-run the '{stage}' stage"
@@ -288,9 +295,8 @@ def cmd_cooc_index(cfg: PipelineConfig) -> None:
     _require_artifact(cfg, cfg.normalized, "normalize")
     _require_input(cfg.queries, "queries")
     index = build_cooc_index(cfg.normalized, _query_tokens(cfg))
-    floor = cfg.threshold + 1  # `predict` reads only the counts above threshold
-    save_cooc_index(cfg.cooc_index, index, header=cfg.header(), floor=floor)
-    n_rows = sum(count >= floor for row in index.counts.values() for count in row.values())
+    # `predict` reads only the counts above threshold
+    n_rows = save_cooc_index(cfg.cooc_index, index, header=cfg.header(), floor=cfg.threshold + 1)
     print(f"cooc-index: {len(index.counts)} query terms, {n_rows} candidate counts")
 
 

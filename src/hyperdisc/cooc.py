@@ -27,7 +27,6 @@ from .corpus_io import (
     FormatError,
     Query,
     QueryKind,
-    ReadStats,
     file_line,
     read_artifact,
     term_to_token,
@@ -177,44 +176,29 @@ def head_word_heuristic(q: Query) -> ScoredCandidate | None:
 # pattern-corpus pair counting
 
 
-def build_pair_index(
-    pattern_corpus_path: str | os.PathLike,
-    kind: Source,
-    stats: ReadStats | None = None,
-) -> PairIndex:
+def build_pair_index(pattern_corpus_path: str | os.PathLike, kind: Source) -> PairIndex:
     """Count pairs from a Hearst or IS-A corpus file.
 
     Hearst lines (``hypernym<TAB>h1,h2,...``) add one count per listed
     hyponym; IS-A lines (``hyponym<TAB>hypernym``) add one count. Malformed
-    lines are skipped and counted in ``stats``; a cut-short last line is a FormatError.
+    lines are skipped; a cut-short last line is a FormatError.
     """
     if kind not in (Source.HEARST, Source.ISA):
         raise ValueError(f"pair index kind must be Hearst or IsA, got {kind}")
     counts: dict[str, dict[str, int]] = {}
-
-    def bump(hypo: str, hyper: str) -> None:
-        row = counts.setdefault(hypo, {})
-        row[hyper] = row.get(hyper, 0) + 1
-
     for line in read_artifact(pattern_corpus_path)[1]:
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            if stats is not None:
-                stats.malformed_lines += 1
             continue
         if kind is Source.HEARST:
-            hyper = parts[0]
-            hypos = [h for h in parts[1].split(",") if h]
-            if not hypos:
-                if stats is not None:
-                    stats.malformed_lines += 1
-                continue
-            for hypo in hypos:
-                bump(hypo, hyper)
+            hyper, hypos = parts[0], [h for h in parts[1].split(",") if h]
         else:
-            bump(parts[0], parts[1])
+            hyper, hypos = parts[1], [parts[0]]
+        for hypo in hypos:
+            row = counts.setdefault(hypo, {})
+            row[hyper] = row.get(hyper, 0) + 1
     return PairIndex(counts, kind)
 
 
@@ -227,20 +211,23 @@ def save_cooc_index(
     index: CoocIndex,
     header: dict[str, str] | None = None,
     floor: int = 1,
-) -> None:
+) -> int:
     """Write the snapshot: ``#cooc-index v1``, then ``#cooc-floor N`` when
     ``floor`` is above 1, then sorted term/candidate/count rows for the
-    counts >= ``floor``. `candidates_from_cooc` at ``threshold`` reads only
-    counts above it, so ``floor = threshold + 1`` drops nothing it reads."""
+    counts >= ``floor``; return the number of rows. `candidates_from_cooc`
+    at ``threshold`` reads only counts above it, so ``floor = threshold + 1``
+    drops nothing it reads."""
     meta = {COOC_INDEX_MAGIC[0]: COOC_INDEX_MAGIC[1]}
     if floor > 1:
         meta[COOC_FLOOR_KEY] = str(floor)
+    n_rows = 0
     with write_artifact(path, meta | (header or {})) as fh:
         for term in sorted(index.counts):
             row = index.counts[term]
-            fh.write("".join(
-                f"{term}\t{token}\t{row[token]}\n" for token in sorted(row) if row[token] >= floor
-            ))
+            kept = [token for token in sorted(row) if row[token] >= floor]
+            fh.write("".join(f"{term}\t{token}\t{row[token]}\n" for token in kept))
+            n_rows += len(kept)
+    return n_rows
 
 
 def load_cooc_index(path: str | os.PathLike) -> CoocIndex:

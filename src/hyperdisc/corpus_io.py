@@ -87,15 +87,6 @@ class CandidateVocabulary:
         return len(self.terms)
 
 
-@dataclass
-class ReadStats:
-    """Counts of skipped input recorded by the lenient readers."""
-
-    bad_tokens: int = 0
-    rejected_terms: int = 0
-    malformed_lines: int = 0
-
-
 class FormatError(ValueError):
     """Raised on input that violates a file-format contract."""
 
@@ -237,30 +228,21 @@ def split_tokens(line: str) -> tuple[tuple[str, ...], tuple[str, ...], int]:
     return surfaces, tags, len(raws) - len(pairs)
 
 
-def count_tokens(line: str) -> tuple[int, int]:
-    """The numbers of valid and of bad tokens of a tagged line, as
-    `split_tokens` counts them; a plain line is counted without a split."""
-    if _PLAIN_LINE.fullmatch(line):
-        return line.count(" ") + 1, 0
-    surfaces, _, bad = split_tokens(line)
-    return len(surfaces), bad
-
-
-def parse_tagged_line(line: str, stats: ReadStats | None = None) -> TaggedParagraph | None:
+def parse_tagged_line(line: str) -> TaggedParagraph | None:
     """Parse one ``surface_POS ...`` line; None for lines with no valid token.
 
-    Bad tokens (`split_tokens`) are skipped and counted in ``stats``."""
-    surfaces, tags, bad = split_tokens(line)
-    if stats is not None:
-        stats.bad_tokens += bad
+    Bad tokens (`split_tokens`) are skipped."""
+    surfaces, tags, _ = split_tokens(line)
     return TaggedParagraph(surfaces, tags) if surfaces else None
 
 
 @dataclass
 class ScanStats:
-    """Counts from one pass over a tagged corpus (`scan_tagged_corpus`)."""
+    """Counts from one pass over a tagged corpus (`scan_tagged_corpus`).
+    ``paragraphs_in`` and ``bad_tokens`` count only the lines the pass
+    parses: all of them unless it has a gate."""
 
-    paragraphs_in: int = 0      # lines with at least one valid token
+    paragraphs_in: int = 0      # parsed lines with at least one valid token
     paragraphs_out: int = 0     # normalized lines written
     phrases_appended: int = 0   # noun phrases appended to those lines
     hearst_matches: int = 0
@@ -285,25 +267,22 @@ def _scan_batch(
     gate: Callable[[str], bool] | None,
 ) -> tuple[ScanStats, list[str]]:
     """Parse and ``work`` each line of ``text`` (lines joined by ``\\n``)
-    that ``gate`` passes, and only count the tokens of the others; the
-    batch's counts and, per output, the text of its lines."""
-    stats, read = ScanStats(), ReadStats()
+    that ``gate`` passes, and skip the others; the batch's counts and, per
+    output, the text of its lines."""
+    stats = ScanStats()
     outs: tuple[list[str], ...] = ([], [], [])
     for line in text.split("\n"):
         if gate is not None and not gate(line):
-            valid, bad = count_tokens(line)
-            read.bad_tokens += bad
-            stats.paragraphs_in += 1 if valid else 0
             continue
-        paragraph = parse_tagged_line(line, read)
-        if paragraph is None:
+        surfaces, tags, bad = split_tokens(line)
+        stats.bad_tokens += bad
+        if not surfaces:
             continue
-        scan = work(paragraph)
+        scan = work(TaggedParagraph(surfaces, tags))
         stats.paragraphs_in += 1
         stats.phrases_appended += scan.phrases
         for out, lines in zip(outs, (scan.normalized, scan.hearst, scan.isa)):
             out.extend(lines)
-    stats.bad_tokens = read.bad_tokens
     stats.paragraphs_out, stats.hearst_matches, stats.isa_matches = map(len, outs)
     return stats, ["".join(f"{line}\n" for line in out) for out in outs]
 
@@ -320,11 +299,10 @@ def scan_tagged_corpus(
 
     ``gate``, when given, is a picklable test on the raw line that passes
     every line ``work`` could return a line for. A line it rejects is not
-    parsed, only its tokens counted (`count_tokens`, by the rule
-    `parse_tagged_line` applies), so the returned counts, ``bad_tokens`` and
-    ``paragraphs_in`` included, are those of the ungated scan. A pass that
-    writes the normalized corpus takes no gate: nearly every line yields a
-    normalized line.
+    parsed: the outputs and their counts are those of the ungated scan, and
+    ``paragraphs_in`` and ``bad_tokens`` count only the lines it passes. A
+    pass that writes the normalized corpus takes no gate: nearly every line
+    yields a normalized line.
 
     The lines go out in batches of `BATCH_LINES`, each joined into one
     string; `map_lines` spreads the batches over ``workers`` processes and
@@ -353,23 +331,16 @@ def scan_tagged_corpus(
 # vocabulary / queries / gold
 
 
-def load_vocabulary(
-    path: str | os.PathLike, stats: ReadStats | None = None
-) -> CandidateVocabulary:
+def load_vocabulary(path: str | os.PathLike) -> CandidateVocabulary:
     """Load the candidate-hypernym vocabulary, lowercased and deduplicated.
 
-    Lines with more than three words are rejected and counted.
+    Lines with more than three words are skipped.
     """
     terms = set()
     for line in iter_data_lines(path):
         term = normalize_term(line)
-        if not term:
-            continue
-        if term.count(" ") >= MAX_TERM_WORDS:
-            if stats is not None:
-                stats.rejected_terms += 1
-            continue
-        terms.add(term)
+        if term and term.count(" ") < MAX_TERM_WORDS:
+            terms.add(term)
     return CandidateVocabulary(frozenset(terms))
 
 

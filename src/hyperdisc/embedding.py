@@ -142,7 +142,6 @@ class EmbeddingModel:
     vocab: list[str]
     input_vectors: np.ndarray
     output_vectors: np.ndarray | None = None
-    frequencies: dict[str, int] = field(default_factory=dict)
     index: dict[str, int] = field(init=False, repr=False)
     # the candidate pool of the last `candidates_from_phi` call
     _phi_pool: _PhiPool | None = field(
@@ -361,12 +360,7 @@ def train_cbow(
 
     if encoded:
         _train(encoded, w_in, w_out, noise_cdf, config, rng)
-    return EmbeddingModel(
-        vocab=vocab,
-        input_vectors=w_in,
-        output_vectors=w_out,
-        frequencies={t: int(freqs[t]) for t in vocab},
-    )
+    return EmbeddingModel(vocab=vocab, input_vectors=w_in, output_vectors=w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +702,7 @@ def _read_rows(path, lines, label, keys=None, sized=True) -> np.ndarray:
 
 
 def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
-    """Load a saved embedding (input vectors only; frequencies not stored).
+    """Load a saved embedding (input vectors only).
 
     A repeated token or a nan or infinite value is a `FormatError`: the
     rows of a model map one-to-one to tokens, and distances must compare.

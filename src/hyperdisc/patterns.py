@@ -26,10 +26,10 @@ trigger word (``such``, ``including``, ``especially``, ``or``, ``and``,
 A corpus pass that writes no normalized corpus (``extract-hearst``,
 ``extract-isa``) parses only the lines that may hold a trigger word of the
 grammars it runs; the gate is built from the grammar tables, so a new
-grammar's trigger is gated in with it. A line the gate rejects is not
-parsed, only its tokens are counted, by the rule the parser applies, so the
-pass writes the same bytes and returns the same counts as parsing every
-line.
+grammar's trigger is gated in with it. A line the gate rejects cannot hold
+a match, so the pass writes the same bytes and counts the same matches as
+parsing every line; its ``paragraphs_in`` and ``bad_tokens`` count only the
+lines it parses.
 """
 
 from __future__ import annotations
@@ -355,7 +355,8 @@ def extract_corpus(
     grammars of the requested outputs run, and an omitted output's match
     count stays 0. ``normalized_out`` adds the normalized corpus to the pass.
     Without it, only lines that may hold a trigger word of those grammars
-    are parsed (`_trigger_gate`); the others are only counted.
+    are parsed (`_trigger_gate`), and only those count in ``paragraphs_in``
+    and ``bad_tokens``.
     """
     outputs = (normalized_out, hearst_out, isa_out)
     normalized, hearst, isa = (path is not None for path in outputs)

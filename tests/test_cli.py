@@ -142,7 +142,9 @@ def test_train_embedding_requires_seed(tmp_path, dataset, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_stage_by_stage_equals_pipeline(tmp_path, dataset):
+def test_stage_by_stage_equals_pipeline(tmp_path, dataset, capsys):
+    """The stage commands write the artifacts and print the summary lines
+    that `pipeline` does."""
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
@@ -156,10 +158,13 @@ def test_stage_by_stage_equals_pipeline(tmp_path, dataset):
         "predict",
         "evaluate",
     )
+    capsys.readouterr()
     for stage in stages:
         assert run(cfg_path, stage) == 0, stage
+    staged_out = capsys.readouterr().out
     staged = {key: open(getattr(cfg, key), "rb").read() for key in ARTIFACT_KEYS}
     assert run(cfg_path, "pipeline") == 0
+    assert capsys.readouterr().out == staged_out
     for key in ARTIFACT_KEYS:
         assert open(getattr(cfg, key), "rb").read() == staged[key], key
 
@@ -335,13 +340,14 @@ def test_cooc_snapshot_holds_what_predict_reads(tmp_path, dataset, capsys):
 
 @pytest.mark.parametrize("floor, code", [(6, 0), (7, 2)])
 def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, capsys, floor, code):
-    # an unstamped snapshot passes the stale check, so only its floor can
-    # tell that it lacks counts the threshold reads
+    # a snapshot stamped with the current config passes the stale check, so
+    # only its floor can tell that it lacks counts the threshold reads
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline") == 0
-    save_cooc_index(cfg.cooc_index, load_cooc_index(cfg.cooc_index), floor=floor)
+    save_cooc_index(cfg.cooc_index, load_cooc_index(cfg.cooc_index), header=cfg.header(),
+                    floor=floor)
     capsys.readouterr()
     assert run(cfg_path, "predict") == code
     if code:
@@ -358,15 +364,35 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
         ("--window", "0", "window must be at least 1, got 0"),
         ("--lr", "nan", "lr must be a finite number, got nan"),
         ("--ridge", "inf", "ridge must be a finite number, got inf"),
+        ("--lr", "0", "lr must be positive, got 0.0"),
+        ("--lr", "-0.5", "lr must be positive, got -0.5"),
+        ("--ridge", "-1", "ridge must be at least 0, got -1.0"),
     ],
 )
 def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag, value, problem):
-    cfg = make_config(dataset, tmp_path)
+    # matrix mode, so that `fit-phi` would read `ridge` too
+    cfg = make_config(dataset, tmp_path, phi_mode="matrix")
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline", flag, value) == 2
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not os.path.exists(cfg.normalized)
+
+
+def test_unstamped_artifact_rejected(tmp_path, dataset, capsys):
+    """A hand-written `phi.txt` without a stamp, and of the wrong width, is
+    named as the bad file with the stage that writes it."""
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    with open(cfg.phi, "w", encoding="utf-8") as fh:
+        fh.write("offset\n" + " ".join(["0.5"] * 5) + "\n")
+    capsys.readouterr()
+    assert run(cfg_path, "predict") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unstamped artifact {cfg.phi!r}")
+    assert "re-run the 'fit-phi' stage" in err
 
 
 def test_diverging_training_writes_no_embedding(tmp_path, dataset, capsys):

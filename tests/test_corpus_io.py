@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 from unittest import mock
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc import corpus_io
+from hyperdisc import corpus_io, patterns
 from hyperdisc.corpus_io import (
     FormatError,
     Query,
     QueryKind,
-    ReadStats,
     ScanStats,
     TaggedParagraph,
     iter_data_lines,
@@ -73,12 +73,12 @@ def test_underscore_in_surface():
 
 
 def test_bad_token_skipped_and_counted():
-    stats = ReadStats()
-    paragraph = parse_tagged_line("ok_NN broken also_bad_ _VB x", stats)
+    line = "ok_NN broken also_bad_ _VB x"
+    paragraph = parse_tagged_line(line)
     # "broken" has no underscore, "also_bad_" has an empty tag, "_VB" an
     # empty surface, "x" no underscore
     assert paragraph.surfaces == ("ok",)
-    assert stats.bad_tokens == 4
+    assert split_tokens(line)[2] == 4
 
 
 @given(st.lists(paragraphs, max_size=8))
@@ -107,10 +107,7 @@ def test_vocabulary_empty_file(tmp_path):
 def test_vocabulary_rejects_long_terms(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("one two three four\nok term\n")
-    stats = ReadStats()
-    vocab = load_vocabulary(path, stats)
-    assert vocab.terms == frozenset({"ok term"})
-    assert stats.rejected_terms == 1
+    assert load_vocabulary(path).terms == frozenset({"ok term"})
 
 
 def test_load_queries(tmp_path):
@@ -384,17 +381,16 @@ def write_scan_corpus(root, corpus):
     return src
 
 
-def per_line_reference(path, normalized=True, hearst=True, isa=True):
+def per_line_reference(path, normalized=True, hearst=True, isa=True, gate=None):
     """The scan of the requested outputs one data line at a time, every
-    line parsed: its counts and the text of each output."""
+    line that ``gate`` passes parsed: its counts and the text of each output."""
     stats = ScanStats()
     outs = ([], [], [])
     for line in iter_data_lines(path):
-        if not line.strip():
+        if not line.strip() or (gate is not None and not gate(line)):
             continue
-        read = ReadStats()
-        paragraph = parse_tagged_line(line, read)
-        stats.bad_tokens += read.bad_tokens
+        stats.bad_tokens += split_tokens(line)[2]
+        paragraph = parse_tagged_line(line)
         if paragraph is None:
             continue
         scan = scan_paragraph(paragraph, normalized=normalized, hearst=hearst, isa=isa)
@@ -432,12 +428,17 @@ def test_batched_scan_equals_per_line_reference(tmp_path_factory, workers, corpu
 @settings(max_examples=20, deadline=None)
 @given(corpus=scan_corpora)
 def test_gated_extract_equals_ungated_reference(tmp_path_factory, workers, hearst, isa, corpus):
-    """An extract-only pass parses only the lines its trigger gate passes and
-    counts the others; its bytes and every count (``bad_tokens`` and
-    ``paragraphs_in`` included) are those of parsing every line."""
+    """An extract-only pass parses only the lines its trigger gate passes.
+    Its bytes and its match counts are those of parsing every line; its
+    ``paragraphs_in`` and ``bad_tokens`` are those of the lines it parses."""
     root = tmp_path_factory.mktemp("gated")
     src = write_scan_corpus(root, corpus)
     expected_stats, expected = per_line_reference(src, normalized=False, hearst=hearst, isa=isa)
+    grammars = (patterns._HEARST_GRAMMARS if hearst else ()) + (
+        patterns._ISA_GRAMMARS if isa else ())
+    gated, _ = per_line_reference(src, False, hearst, isa, patterns._trigger_gate(grammars))
+    expected_stats = dataclasses.replace(
+        expected_stats, paragraphs_in=gated.paragraphs_in, bad_tokens=gated.bad_tokens)
     paths = (root / "hearst.tsv" if hearst else None, root / "isa.tsv" if isa else None)
     for batch in (1, 2, 3):
         with mock.patch.object(corpus_io, "BATCH_LINES", batch):

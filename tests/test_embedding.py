@@ -392,8 +392,8 @@ def test_min_count_filters_vocab(tmp_path):
     write_corpus(path, lines)
     config = EmbeddingConfig(dimension=4, window=2, min_count=5, epochs=1, seed=0)
     model = train_cbow(path, config)
-    assert "rare" not in model
-    assert "common" in model and model.frequencies["common"] == 9
+    # "common" occurs 9 times, "other" 5 and "rare" 4
+    assert model.vocab == ["common", "other"]
 
 
 def test_vector_dimension_matches_config(tmp_path):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import ReadStats, TaggedParagraph, parse_tagged_line
+from hyperdisc.corpus_io import TaggedParagraph, parse_tagged_line
 from hyperdisc.cooc import Source, build_pair_index
 from hyperdisc.normalize import columns
 from hyperdisc.patterns import (
@@ -161,10 +161,8 @@ def test_pattern_files_round_trip_through_pair_loader(tmp_path):
     hearst_out = tmp_path / "hearst.tsv"
     isa_out = tmp_path / "isa.tsv"
     extract_corpus(src, hearst_out, isa_out)
-    stats = ReadStats()
-    hearst_index = build_pair_index(hearst_out, Source.HEARST, stats)
-    isa_index = build_pair_index(isa_out, Source.ISA, stats)
-    assert stats.malformed_lines == 0
+    hearst_index = build_pair_index(hearst_out, Source.HEARST)
+    isa_index = build_pair_index(isa_out, Source.ISA)
     assert hearst_index.counts == {"lemongrass": {"herbs": 1}, "basil": {"herbs": 1}}
     assert isa_index.counts == {"fennel": {"plant": 1}, "lemongrass": {"herb": 1}}
 
