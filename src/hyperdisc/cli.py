@@ -75,6 +75,11 @@ from .patterns import extract_corpus
 from .rank import ModuleOrder, choose_order, merge, module_reports
 
 
+# the layout version of the artifacts, hashed into every stamp, so that a
+# file written in an older layout is refused as stale instead of misread
+ARTIFACT_FORMAT = 2
+
+
 class CliError(Exception):
     pass
 
@@ -131,6 +136,8 @@ class PipelineConfig:
                 raise CliError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.lr <= 0:
             raise CliError(f"lr must be positive, got {self.lr}")
+        if self.seed is not None and self.seed < 0:
+            raise CliError(f"seed must be at least 0, got {self.seed}")
 
     def serialize(self, skip: tuple[str, ...] = ()) -> str:
         parts = []
@@ -142,9 +149,9 @@ class PipelineConfig:
         return "\n".join(parts) + "\n"
 
     def hash(self) -> str:
-        """Stamp of the settings artifacts depend on: all but ``workers``, which
-        changes no output."""
-        text = self.serialize(skip=("workers",))
+        """Stamp of the artifact layout (`ARTIFACT_FORMAT`) and of the settings
+        artifacts depend on: all but ``workers``, which changes no output."""
+        text = f"artifact_format={ARTIFACT_FORMAT}\n" + self.serialize(skip=("workers",))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
     def header(self) -> dict[str, str]:

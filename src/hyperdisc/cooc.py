@@ -4,8 +4,8 @@ A paragraph (one normalized-corpus line) is the context window. For every
 registered query term appearing in a line, each other token instance in
 that line adds one co-occurrence; the query term's own multiplicity does
 not matter and self pairs are never counted (a term is not its own
-hypernym). Pattern corpora count (hyponym, hypernym) pairs, one per match
-line.
+hypernym). Pattern corpora count (hyponym, hypernym) pairs, one per
+hyponym of each match line.
 
 Candidate lists are ranked by count descending with lexicographic
 tie-breaking, vocabulary-filtered, and truncated to the top 15. The index
@@ -177,25 +177,21 @@ def head_word_heuristic(q: Query) -> ScoredCandidate | None:
 
 
 def build_pair_index(pattern_corpus_path: str | os.PathLike, kind: Source) -> PairIndex:
-    """Count pairs from a Hearst or IS-A corpus file.
+    """Count pairs from a Hearst or IS-A corpus file; ``kind`` labels the index.
 
-    Hearst lines (``hypernym<TAB>h1,h2,...``) add one count per listed
-    hyponym; IS-A lines (``hyponym<TAB>hypernym``) add one count. Malformed
-    lines are skipped; a cut-short last line is a FormatError.
+    Each line is one match, its hyponyms and then its hypernym,
+    tab-separated (`patterns.format_match_line`), and adds one count per
+    hyponym. A line with fewer than two fields or an empty field, and a
+    cut-short last line, is a `FormatError` naming the file and the line.
     """
     if kind not in (Source.HEARST, Source.ISA):
         raise ValueError(f"pair index kind must be Hearst or IsA, got {kind}")
     counts: dict[str, dict[str, int]] = {}
-    for line in read_artifact(pattern_corpus_path)[1]:
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            continue
-        if kind is Source.HEARST:
-            hyper, hypos = parts[0], [h for h in parts[1].split(",") if h]
-        else:
-            hyper, hypos = parts[1], [parts[0]]
+    for n, line in enumerate(read_artifact(pattern_corpus_path)[1], start=1):
+        *hypos, hyper = line.split("\t")
+        if not (hypos and all(hypos) and hyper):
+            raise FormatError(f"{pattern_corpus_path}: line {file_line(pattern_corpus_path, n)} "
+                              f"is not hyponym<TAB>...<TAB>hypernym: {line!r}")
         for hypo in hypos:
             row = counts.setdefault(hypo, {})
             row[hyper] = row.get(hyper, 0) + 1

@@ -649,23 +649,21 @@ def save_embedding(
             fh.write(token + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
 
 
-def _read_rows(path, lines, label, keys=None, sized=True) -> np.ndarray:
-    """The rest of ``lines`` as an array of finite numbers: the rows and
-    columns a leading ``rows width`` line says when ``sized``, else one row.
-    With ``keys``, each row starts with a token, appended to ``keys``. One
-    `np.loadtxt` call converts every row; it pulls one line at a time, so
-    the row it rejects is the last one pulled. Errors name rows by ``label``."""
-    n, width = 1, None
-    if sized:
-        line = next(lines, "")
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isascii() and p.isdigit() and int(p) > 0 for p in parts):
-            raise FormatError(f"{path}: the size line {line!r} is not two positive integers")
-        n, width = int(parts[0]), int(parts[1])
+def _read_rows(path, lines, label, keys=None) -> np.ndarray:
+    """The rest of ``lines`` as an array of finite numbers: a ``rows width``
+    size line, then that many rows of that many values. With ``keys``, each
+    row starts with a token, appended to ``keys``. One `np.loadtxt` call
+    converts every row; it pulls one line at a time, so the row it rejects
+    is the last one pulled. Errors name row i as ``<label> i of <rows>``."""
+    line = next(lines, "")
+    parts = line.split()
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() and int(p) > 0 for p in parts):
+        raise FormatError(f"{path}: the size line {line!r} is not two positive integers")
+    n, width = int(parts[0]), int(parts[1])
 
     def name(i: int) -> str:
         token = f" (token {keys[i]!r})" if keys is not None and i < len(keys) else ""
-        return (f"{label} {i + 1} of {n}" if sized else label) + token
+        return f"{label} {i + 1} of {n}{token}"
 
     last = [-1, ""]  # index and value text of the last row pulled
 
@@ -685,7 +683,6 @@ def _read_rows(path, lines, label, keys=None, sized=True) -> np.ndarray:
 
     pulled = rows()
     first = next(pulled)
-    width = width or len(first.split())
     try:
         if len(first.split()) != width:
             raise ValueError
@@ -721,31 +718,29 @@ def save_phi(
     phi: PhiTransform,
     header: dict[str, str] | None = None,
 ) -> None:
-    """Mode line, then the offset vector or a dimension header plus matrix
-    rows. A nan or infinite value is a `FormatError`, as `load_phi` makes it."""
-    if phi.mode is PhiMode.OFFSET:
-        _require_finite(path, phi.offset[None], lambda i: "the offset row")
-    else:
-        _require_finite(path, phi.matrix, lambda i: f"matrix row {i + 1} of {len(phi.matrix)}")
+    """Mode line (``offset``/``matrix``), then a ``rows width`` size line and
+    the rows: one for an offset, ``d`` for a matrix. A nan or infinite value
+    is a `FormatError`, as `load_phi` makes it."""
+    rows = phi.offset[None] if phi.mode is PhiMode.OFFSET else phi.matrix
+    _require_finite(path, rows, lambda i: f"{phi.mode.value} row {i + 1} of {len(rows)}")
     with write_artifact(path, header) as fh:
-        fh.write(phi.mode.value + "\n")
-        if phi.mode is PhiMode.OFFSET:
-            fh.write(" ".join(f"{v:.17g}" for v in phi.offset) + "\n")
-        else:
-            rows, cols = phi.matrix.shape
-            fh.write(f"{rows} {cols}\n")
-            for row in phi.matrix:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(f"{phi.mode.value}\n{len(rows)} {rows.shape[1]}\n")
+        for row in rows:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_phi(path: str | os.PathLike) -> PhiTransform:
+    """Read a `save_phi` file back. An unknown mode, an offset of other than
+    one row and every fault `_read_rows` finds is a `FormatError`."""
     _, lines = read_artifact(path)
     mode_line = next(lines, "")
     try:
         mode = PhiMode(mode_line.strip())
     except ValueError:
         raise FormatError(f"{path}: unknown projection mode {mode_line!r}") from None
-    if mode is PhiMode.OFFSET:
-        offset = _read_rows(path, lines, "the offset row", sized=False)
-        return PhiTransform(PhiMode.OFFSET, offset=offset[0])
-    return PhiTransform(PhiMode.MATRIX, matrix=_read_rows(path, lines, "matrix row"))
+    rows = _read_rows(path, lines, f"{mode.value} row")
+    if mode is PhiMode.MATRIX:
+        return PhiTransform(PhiMode.MATRIX, matrix=rows)
+    if len(rows) != 1:
+        raise FormatError(f"{path}: an offset is one row; the size line declares {len(rows)}")
+    return PhiTransform(PhiMode.OFFSET, offset=rows[0])

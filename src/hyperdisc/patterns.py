@@ -295,12 +295,10 @@ def extract_isa(paragraph: TaggedParagraph) -> list[PatternMatch]:
 # corpus-scale extraction
 
 
-def format_hearst_line(match: PatternMatch) -> str:
-    return f"{match.hypernym}\t{','.join(match.hyponyms)}"
-
-
-def format_isa_line(match: PatternMatch) -> str:
-    return f"{match.hyponyms[0]}\t{match.hypernym}"
+def format_match_line(match: PatternMatch) -> str:
+    """A pattern-corpus line: the match's hyponyms and then its hypernym,
+    tab-separated; a phrase holds no whitespace, so each field is a phrase."""
+    return "\t".join((*match.hyponyms, match.hypernym))
 
 
 def scan_paragraph(
@@ -312,9 +310,9 @@ def scan_paragraph(
     scan = normalize_columns(words, codes) if normalized else ParagraphScan()
     return ParagraphScan(
         normalized=scan.normalized,
-        hearst=tuple(map(format_hearst_line, _scan(words, codes, _HEARST_GRAMMARS)))
+        hearst=tuple(map(format_match_line, _scan(words, codes, _HEARST_GRAMMARS)))
         if hearst else (),
-        isa=tuple(map(format_isa_line, _scan(words, codes, _ISA_GRAMMARS))) if isa else (),
+        isa=tuple(map(format_match_line, _scan(words, codes, _ISA_GRAMMARS))) if isa else (),
         phrases=scan.phrases,
     )
 
@@ -350,7 +348,8 @@ def extract_corpus(
 ) -> ScanStats:
     """Scan a tagged corpus and write pattern-corpus files in corpus order.
 
-    Hearst lines are ``hypernym<TAB>hyponym1,hyponym2,...``; IS-A lines are
+    Both corpora hold one match per line, its hyponyms and then its
+    hypernym, tab-separated (`format_match_line`), so an IS-A line is
     ``hyponym<TAB>hypernym``. Either output may be omitted; only the
     grammars of the requested outputs run, and an omitted output's match
     count stays 0. ``normalized_out`` adds the normalized corpus to the pass.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hyperdisc
-from hyperdisc import corpus_io, synthetic
+from hyperdisc import cli, corpus_io, synthetic
 from hyperdisc.cli import CliError, PipelineConfig, load_config, main, module_lists, write_config
 from hyperdisc.cooc import (
     Source,
@@ -315,6 +315,19 @@ def test_stale_artifact_rejected(tmp_path, dataset, capsys):
     assert "stale artifact" in err and "re-run" in err
 
 
+def test_artifacts_of_an_older_format_are_stale(tmp_path, dataset, capsys, monkeypatch):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "ARTIFACT_FORMAT", cli.ARTIFACT_FORMAT + 1)
+    assert run(cfg_path, "predict") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stale artifact {cfg.cooc_index!r}")
+    assert "re-run the 'cooc-index' stage" in err
+
+
 def test_cooc_snapshot_holds_what_predict_reads(tmp_path, dataset, capsys):
     """`cooc-index` keeps the counts above threshold, counts them in its
     summary, and answers every query as the unpruned index does."""
@@ -367,6 +380,7 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
         ("--lr", "0", "lr must be positive, got 0.0"),
         ("--lr", "-0.5", "lr must be positive, got -0.5"),
         ("--ridge", "-1", "ridge must be at least 0, got -1.0"),
+        ("--seed", "-1", "seed must be at least 0, got -1"),
     ],
 )
 def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag, value, problem):

@@ -195,7 +195,7 @@ def test_ranked_list_properties(row, threshold):
 
 def test_pair_index_hearst_counts(tmp_path):
     path = tmp_path / "h.tsv"
-    path.write_text("fruit\tapple,pear\nfruit\tapple,pear\n")
+    path.write_text("apple\tpear\tfruit\napple\tpear\tfruit\n")
     index = build_pair_index(path, Source.HEARST)
     assert index.counts == {"apple": {"fruit": 2}, "pear": {"fruit": 2}}
 
@@ -214,11 +214,16 @@ def test_pair_index_isa(tmp_path):
     assert index.kind is Source.ISA
 
 
-def test_pair_index_skips_malformed_lines(tmp_path):
+def test_pair_index_rejects_malformed_lines(tmp_path):
     path = tmp_path / "h.tsv"
-    path.write_text("good\ta,b\nno-tab-line\n\ttrailing\nx\t\ny\t,\n")
-    index = build_pair_index(path, Source.HEARST)
-    assert index.counts == {"a": {"good": 1}, "b": {"good": 1}}
+    for bad in ["no-tab-line", "\ttrailing", "x\t", "a\t\tb", "a\tb\t", ""]:
+        path.write_text(f"#config-hash cafe\na\t1,2-b\tgood\n{bad}\n")
+        for kind in (Source.HEARST, Source.ISA):
+            with pytest.raises(FormatError) as info:
+                build_pair_index(path, kind)
+            assert str(info.value) == (
+                f"{path}: line 3 is not hyponym<TAB>...<TAB>hypernym: {bad!r}"
+            )
 
 
 def test_pair_index_rejects_other_kinds(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hyperdisc import embedding, synthetic
 from hyperdisc.cooc import ScoredCandidate, Source
@@ -1055,27 +1056,29 @@ def test_embedding_file_round_trip(tmp_path):
     assert first_data_line == "2 5"
 
 
-def test_phi_file_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    offset_phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 6))
-    path = tmp_path / "phi.txt"
-    save_phi(path, offset_phi)
+@given(st.sampled_from(PhiMode), st.integers(min_value=1, max_value=5), st.data())
+def test_phi_file_round_trip(tmp_path_factory, mode, dim, data):
+    """`load_phi` returns what `save_phi` wrote, bit for bit: signed zeros,
+    subnormals and the extremes of float64 included."""
+    shape = (1, dim) if mode is PhiMode.OFFSET else (dim, dim)
+    values = data.draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False,
+                                                                     allow_infinity=False)))
+    phi = (PhiTransform(mode, offset=values[0]) if mode is PhiMode.OFFSET
+           else PhiTransform(mode, matrix=values))
+    path = tmp_path_factory.mktemp("phi") / "phi.txt"
+    save_phi(path, phi, header={"config-hash": "f00d"})
     loaded = load_phi(path)
-    assert loaded.mode is PhiMode.OFFSET
-    assert np.array_equal(loaded.offset, offset_phi.offset)
-
-    matrix_phi = PhiTransform(PhiMode.MATRIX, matrix=rng.normal(0, 1, (4, 4)))
-    save_phi(path, matrix_phi)
-    loaded = load_phi(path)
-    assert loaded.mode is PhiMode.MATRIX
-    assert np.array_equal(loaded.matrix, matrix_phi.matrix)
+    assert loaded.mode is mode
+    got = loaded.offset if mode is PhiMode.OFFSET else loaded.matrix
+    want = values[0] if mode is PhiMode.OFFSET else values
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
     "kind, problem",
     [
         ("embedding", "row 2 of 3 (token 'b') has a non-finite value"),
-        ("offset_phi", "the offset row has a non-finite value"),
+        ("offset_phi", "offset row 1 of 1 has a non-finite value"),
         ("matrix_phi", "matrix row 2 of 3 has a non-finite value"),
     ],
 )
@@ -1129,7 +1132,7 @@ def save_for(kind, path):
     if kind == "offset_phi":
         save_phi(path, PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4)),
                  header={"config-hash": "f00d"})
-        return load_phi, 2           # stamp, mode line
+        return load_phi, 3           # stamp, mode line, size line
     save_phi(path, PhiTransform(PhiMode.MATRIX, matrix=rng.normal(0, 1, (3, 3))),
              header={"config-hash": "f00d"})
     return load_phi, 3               # stamp, mode line, size line
@@ -1153,21 +1156,24 @@ def test_truncated_file_is_format_error(tmp_path, kind, cut):
         ("embedding", "2 2\na 1 2\na nan 1\n", "row 2 of 2 (token 'a') has a non-finite value"),
         ("embedding", "2 2\na 1 2\na 3 1\n", "row 2 of 2 repeats token 'a'"),
         ("embedding", "3 1\na 1\nb -inf\nc 2\n", "row 2 of 3 (token 'b') has a non-finite value"),
-        ("phi", "offset\n0.5 nan\n", "the offset row has a non-finite value"),
+        ("phi", "offset\n1 2\n0.5 nan\n", "offset row 1 of 1 has a non-finite value"),
         ("phi", "matrix\n2 2\n1 0\ninf 1\n", "matrix row 2 of 2 has a non-finite value"),
         ("embedding", "2 3\na 1 2 3\nb 4 5 6\nc 7 8 9\n", "extra row after row 2 of 2 (token 'b')"),
-        ("phi", "offset\n1 2\n3 4\n", "extra row after the offset row"),
+        ("phi", "offset\n1 2\n1 2\n3 4\n", "extra row after offset row 1 of 1"),
+        ("phi", "offset\n2 2\n1 2\n3 4\n", "an offset is one row; the size line declares 2"),
+        ("phi", "offset\n0.5 1\n", "the size line '0.5 1' is not two positive integers"),
         ("phi", "matrix\n1 2\n1 2\n3 4\n", "extra row after matrix row 1 of 1"),
         ("embedding", "2 -3\na 1 2\n", "the size line '2 -3' is not two positive integers"),
         ("phi", "matrix\n-1 2\n1 2\n", "the size line '-1 2' is not two positive integers"),
         ("embedding", "2 2\na 1 2\nb x 1\n", "row 2 of 2 (token 'b') has a non-number"),
-        ("phi", "offset\n0.5 x\n", "the offset row has a non-number"),
+        ("phi", "offset\n1 2\n0.5 x\n", "offset row 1 of 1 has a non-number"),
         ("embedding", "2 2\na 1 2\nb 1 2 3\n", "row 2 of 2 (token 'b') has 3 values, expected 2"),
         ("embedding", "2 2\na 1 2 3\nb 1 2\n", "row 1 of 2 (token 'a') has 3 values, expected 2"),
         ("phi", "matrix\n2 2\n1 2\n\n", "matrix row 2 of 2 has no values"),
     ],
     ids=["nan-and-repeat", "repeated-token", "infinity", "nan-offset", "infinite-matrix",
-         "extra-row", "extra-offset-row", "extra-matrix-row", "negative-size",
+         "extra-row", "extra-offset-row", "two-row-offset", "unsized-offset",
+         "extra-matrix-row", "negative-size",
          "negative-matrix-size", "non-number", "non-number-offset", "wide-row",
          "wide-first-row", "blank-matrix-row"],
 )

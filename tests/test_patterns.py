@@ -14,8 +14,7 @@ from hyperdisc.patterns import (
     extract_corpus,
     extract_hearst,
     extract_isa,
-    format_hearst_line,
-    format_isa_line,
+    format_match_line,
     scan_paragraph,
 )
 
@@ -124,7 +123,7 @@ def test_extract_corpus_files(tmp_path):
     stats = extract_corpus(src, hearst_out, isa_out)
     assert stats.hearst_matches == 1
     assert stats.isa_matches == 1
-    assert hearst_out.read_text() == "loved-ones\tfamily,friends\n"
+    assert hearst_out.read_text() == "family\tfriends\tloved-ones\n"
     assert isa_out.read_text() == "fennel\tplant\n"
 
 
@@ -165,6 +164,50 @@ def test_pattern_files_round_trip_through_pair_loader(tmp_path):
     isa_index = build_pair_index(isa_out, Source.ISA)
     assert hearst_index.counts == {"lemongrass": {"herbs": 1}, "basil": {"herbs": 1}}
     assert isa_index.counts == {"fennel": {"plant": 1}, "lemongrass": {"herb": 1}}
+
+
+def test_hyponym_with_commas_reads_back_whole(tmp_path):
+    src = tmp_path / "c.txt"
+    src.write_text("solvents_NNS such_JJ as_IN 1,2-dichloroethane_NN and_CC benzene_NN\n")
+    extract_corpus(src, tmp_path / "hearst.tsv")
+    index = build_pair_index(tmp_path / "hearst.tsv", Source.HEARST)
+    assert index.counts == {"1,2-dichloroethane": {"solvents": 1}, "benzene": {"solvents": 1}}
+
+
+# one-word phrases with commas, digits, hyphens, `#` and non-ASCII letters;
+# none is a word the grammars read, so each drawn sentence is exactly one match
+GRAMMAR_WORDS = {",", "such", "as", "and", "or", "other", "including", "especially", "is",
+                 "a", "an", "the"}
+phrase_surfaces = st.text(
+    st.characters(categories=("L", "Nd"), include_characters=",-#"), min_size=1, max_size=6
+).filter(lambda surface: surface.lower() not in GRAMMAR_WORDS)
+drawn_matches = st.lists(
+    st.tuples(st.lists(phrase_surfaces, min_size=1, max_size=4), phrase_surfaces).filter(
+        lambda match: match[1].lower() not in {h.lower() for h in match[0]}
+    ),
+    max_size=6,
+)
+
+
+@given(drawn_matches)
+def test_pattern_corpora_round_trip_through_pair_loader(tmp_path_factory, matches):
+    """Whatever matches `extract_corpus` writes, `build_pair_index` returns."""
+    lines, hearst, isa = [], {}, {}
+    for hypos, hyper in matches:
+        nouns = [f"{h}_NN" for h in hypos]
+        listed = " ,_, ".join(nouns[:-1]) + " and_CC " + nouns[-1] if len(nouns) > 1 else nouns[0]
+        lines.append(f"{hyper}_NNS such_JJ as_IN {listed}")
+        lines.append(f"{hypos[0]}_NN is_VBZ a_DT {hyper}_NN")
+        for hypo in hypos:
+            row = hearst.setdefault(hypo.lower(), {})
+            row[hyper.lower()] = row.get(hyper.lower(), 0) + 1
+        row = isa.setdefault(hypos[0].lower(), {})
+        row[hyper.lower()] = row.get(hyper.lower(), 0) + 1
+    root = tmp_path_factory.mktemp("patterns")
+    (root / "c.txt").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    extract_corpus(root / "c.txt", root / "h.tsv", root / "i.tsv", header={"config-hash": "cafe"})
+    assert build_pair_index(root / "h.tsv", Source.HEARST).counts == hearst
+    assert build_pair_index(root / "i.tsv", Source.ISA).counts == isa
 
 
 def test_terms_are_short_and_lowercase():
@@ -217,8 +260,8 @@ def assert_dispatch_matches_reference(paragraph):
     assert extract_hearst(paragraph) == hearst
     assert extract_isa(paragraph) == isa
     scan = scan_paragraph(paragraph, normalized=False, hearst=True, isa=True)
-    assert scan.hearst == tuple(format_hearst_line(m) for m in hearst)
-    assert scan.isa == tuple(format_isa_line(m) for m in isa)
+    assert scan.hearst == tuple(format_match_line(m) for m in hearst)
+    assert scan.isa == tuple(format_match_line(m) for m in isa)
 
 
 grammar_words = ["herb", "Basil", "tree", "oak", "red", "such", "is"]
