@@ -18,7 +18,6 @@ from .cooc import (
     head_word_heuristic,
 )
 from .corpus_io import (
-    CandidateVocabulary,
     GoldSet,
     Query,
     QueryKind,

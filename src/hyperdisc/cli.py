@@ -33,6 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .cooc import (
+    DEFAULT_THRESHOLD,
     Source,
     build_cooc_index,
     build_pair_index,
@@ -44,6 +45,7 @@ from .cooc import (
 )
 from .corpus_io import (
     CONFIG_HASH_KEY,
+    MAX_PREDICTIONS,
     FormatError,
     GoldSet,
     Query,
@@ -86,6 +88,10 @@ class CliError(Exception):
 
 @dataclass
 class PipelineConfig:
+    """Every setting of the pipeline, one field per config key. The CBOW
+    settings take their defaults and checks from `EmbeddingConfig`
+    (`cbow`), so a bad setting fails here, before any stage runs."""
+
     # inputs
     corpus: str = ""
     vocab: str = ""
@@ -103,41 +109,41 @@ class PipelineConfig:
     predictions: str = "predictions.tsv"
     metrics: str = "metrics.tsv"
     # parameters
-    threshold: int = 5
-    k: int = 15
-    dim: int = 300
-    window: int = 10
-    min_count: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    lr: float = 0.025
-    seed: int | None = None
-    phi_mode: str = "offset"
+    threshold: int = DEFAULT_THRESHOLD
+    k: int = MAX_PREDICTIONS
+    dim: int = EmbeddingConfig.dim
+    window: int = EmbeddingConfig.window
+    min_count: int = EmbeddingConfig.min_count
+    negatives: int = EmbeddingConfig.negatives
+    epochs: int = EmbeddingConfig.epochs
+    lr: float = EmbeddingConfig.lr
+    seed: int | None = EmbeddingConfig.seed
+    phi_mode: str = PhiMode.OFFSET.value
     ridge: float = 1e-6
     order_mode: str = "fixed"
     p_at_normalized: bool = False
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= 15:
-            raise CliError(f"k must be between 1 and 15, got {self.k}")
-        if self.phi_mode not in ("offset", "matrix"):
-            raise CliError(f"phi_mode must be 'offset' or 'matrix', got {self.phi_mode!r}")
+        if not 1 <= self.k <= MAX_PREDICTIONS:
+            raise CliError(f"k must be between 1 and {MAX_PREDICTIONS}, got {self.k}")
+        if self.phi_mode not in {mode.value for mode in PhiMode}:
+            modes = " or ".join(repr(mode.value) for mode in PhiMode)
+            raise CliError(f"phi_mode must be {modes}, got {self.phi_mode!r}")
         if self.order_mode not in ("fixed", "trained"):
             raise CliError(f"order_mode must be 'fixed' or 'trained', got {self.order_mode!r}")
         if self.workers < 1:
             raise CliError("workers must be at least 1")
-        for name, least in (("threshold", 0), ("dim", 2), ("window", 1), ("min_count", 1),
-                            ("negatives", 1), ("epochs", 1), ("ridge", 0)):
+        for name, least in (("threshold", 0), ("ridge", 0)):
             if getattr(self, name) < least:
                 raise CliError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        for name in ("lr", "ridge"):
-            if not math.isfinite(getattr(self, name)):
-                raise CliError(f"{name} must be a finite number, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise CliError(f"lr must be positive, got {self.lr}")
-        if self.seed is not None and self.seed < 0:
-            raise CliError(f"seed must be at least 0, got {self.seed}")
+        if not math.isfinite(self.ridge):
+            raise CliError(f"ridge must be a finite number, got {self.ridge}")
+        self.cbow()  # raises ValueError on a bad CBOW setting
+
+    def cbow(self) -> EmbeddingConfig:
+        """The CBOW settings, checked by `EmbeddingConfig`."""
+        return EmbeddingConfig(**{f.name: getattr(self, f.name) for f in fields(EmbeddingConfig)})
 
     def serialize(self, skip: tuple[str, ...] = ()) -> str:
         parts = []
@@ -277,16 +283,7 @@ def cmd_train_embedding(cfg: PipelineConfig) -> None:
     if cfg.seed is None:
         raise CliError("train-embedding requires a seed (--seed or seed= in the config)")
     _require_artifact(cfg, cfg.normalized, "normalize")
-    config = EmbeddingConfig(
-        dimension=cfg.dim,
-        window=cfg.window,
-        min_count=cfg.min_count,
-        negatives=cfg.negatives,
-        epochs=cfg.epochs,
-        learning_rate=cfg.lr,
-        seed=cfg.seed,
-    )
-    model = train_cbow(cfg.normalized, config)
+    model = train_cbow(cfg.normalized, cfg.cbow())
     save_embedding(cfg.embedding, model, header=cfg.header())
     print(f"train-embedding: {len(model.vocab)} tokens, dimension {model.dimension}")
 
@@ -332,11 +329,7 @@ def cmd_fit_phi(cfg: PipelineConfig) -> None:
 def _source_lists(query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg):
     isa = candidates_from_pairs(isa_idx, query.term, vocab, cfg.k)
     head = head_word_heuristic(query)
-    if (
-        head is not None
-        and (vocab is None or head.term in vocab)
-        and head.term not in {c.term for c in isa}
-    ):
+    if head is not None and head.term in vocab and head.term not in {c.term for c in isa}:
         isa = (isa + [head])[: cfg.k]
     return {
         Source.ISA: isa,
@@ -363,13 +356,20 @@ def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
         raise CliError(f"{cfg.cooc_index}: the snapshot keeps only counts of at least "
                        f"{cooc_idx.floor}, too few for threshold {cfg.threshold}; "
                        "re-run the 'cooc-index' stage")
+    model, phi = load_embedding(cfg.embedding), load_phi(cfg.phi)
+    # a square matrix or one row: its last axis is the width phi applies to
+    width = (phi.offset if phi.mode is PhiMode.OFFSET else phi.matrix).shape[-1]
+    if phi.mode.value != cfg.phi_mode or width != model.dimension:
+        raise CliError(f"{cfg.phi}: the phi is {phi.mode.value} of width {width}, but phi_mode "
+                       f"is {cfg.phi_mode} and the embedding has dimension {model.dimension}; "
+                       "re-run the 'fit-phi' stage")
     sources = (
         load_vocabulary(cfg.vocab),
         cooc_idx,
         build_pair_index(cfg.hearst_corpus, Source.HEARST),
         build_pair_index(cfg.isa_corpus, Source.ISA),
-        load_embedding(cfg.embedding),
-        load_phi(cfg.phi),
+        model,
+        phi,
     )
     return lambda query: _source_lists(query, *sources, cfg)
 

@@ -23,7 +23,8 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus_io import (
-    CandidateVocabulary,
+    MAX_PREDICTIONS,
+    MAX_TERM_WORDS,
     FormatError,
     Query,
     QueryKind,
@@ -35,7 +36,6 @@ from .corpus_io import (
 )
 
 DEFAULT_THRESHOLD = 5
-TOP_K = 15
 
 COOC_INDEX_MAGIC = ("cooc-index", "v1")
 COOC_FLOOR_KEY = "cooc-floor"
@@ -114,7 +114,7 @@ def merge_cooc_indexes(parts: Sequence[CoocIndex]) -> CoocIndex:
 
 def _ranked(
     row: dict[str, int],
-    vocab: CandidateVocabulary | None,
+    vocab: frozenset[str],
     source: Source,
     min_count: int,
     k: int,
@@ -124,7 +124,7 @@ def _ranked(
         if count < min_count:
             continue
         term = token_to_term(token)
-        if vocab is not None and term not in vocab:
+        if term not in vocab:
             continue
         items.append((term, count))
     items.sort(key=lambda it: (-it[1], it[0]))
@@ -134,11 +134,12 @@ def _ranked(
 def candidates_from_cooc(
     index: CoocIndex,
     q: str,
-    vocab: CandidateVocabulary | None,
+    vocab: frozenset[str],
     threshold: int = DEFAULT_THRESHOLD,
-    k: int = TOP_K,
+    k: int = MAX_PREDICTIONS,
 ) -> list[ScoredCandidate]:
-    """Context tokens co-occurring strictly more than ``threshold`` times."""
+    """The ``k`` context tokens co-occurring most often, and strictly more
+    than ``threshold`` times, whose terms are in ``vocab``."""
     row = index.counts.get(term_to_token(q))
     if row is None:
         return []
@@ -148,10 +149,11 @@ def candidates_from_cooc(
 def candidates_from_pairs(
     index: PairIndex,
     q: str,
-    vocab: CandidateVocabulary | None,
-    k: int = TOP_K,
+    vocab: frozenset[str],
+    k: int = MAX_PREDICTIONS,
 ) -> list[ScoredCandidate]:
-    """Hypernyms paired at least once with ``q`` in the pattern corpus."""
+    """The ``k`` hypernyms paired most often with ``q`` in the pattern
+    corpus whose terms are in ``vocab``."""
     row = index.counts.get(term_to_token(q))
     if row is None:
         return []
@@ -167,7 +169,7 @@ def head_word_heuristic(q: Query) -> ScoredCandidate | None:
     if q.kind is not QueryKind.CONCEPT:
         return None
     words = q.term.split()
-    if len(words) < 2 or len(words) > 3:
+    if len(words) < 2 or len(words) > MAX_TERM_WORDS:
         return None
     return ScoredCandidate(words[-1], 0.5, Source.ISA)
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._parallel import map_lines
 
-MAX_PREDICTIONS = 15
+MAX_PREDICTIONS = 15  # hypernyms scored per query: the cap of every candidate list
 MAX_TERM_WORDS = 3
 CONFIG_HASH_KEY = "config-hash"
 HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key lowercase
@@ -72,19 +72,6 @@ class Query(NamedTuple):
 class GoldSet(NamedTuple):
     query: Query
     hypernyms: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CandidateVocabulary:
-    """The fixed set of terms a candidate hypernym may come from."""
-
-    terms: frozenset[str]
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 class FormatError(ValueError):
@@ -331,17 +318,18 @@ def scan_tagged_corpus(
 # vocabulary / queries / gold
 
 
-def load_vocabulary(path: str | os.PathLike) -> CandidateVocabulary:
-    """Load the candidate-hypernym vocabulary, lowercased and deduplicated.
+def load_vocabulary(path: str | os.PathLike) -> frozenset[str]:
+    """Load the candidate-hypernym vocabulary, lowercased and deduplicated:
+    the terms every module filters its candidates by.
 
-    Lines with more than three words are skipped.
+    Lines with more than `MAX_TERM_WORDS` words are skipped.
     """
     terms = set()
     for line in iter_data_lines(path):
         term = normalize_term(line)
         if term and term.count(" ") < MAX_TERM_WORDS:
             terms.add(term)
-    return CandidateVocabulary(frozenset(terms))
+    return frozenset(terms)
 
 
 def load_queries(path: str | os.PathLike) -> list[Query]:

@@ -62,14 +62,14 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus_io import (
-    CandidateVocabulary,
+    MAX_PREDICTIONS,
     FormatError,
     read_artifact,
     term_to_token,
     token_to_term,
     write_artifact,
 )
-from .cooc import ScoredCandidate, Source, TOP_K
+from .cooc import ScoredCandidate, Source
 
 
 class _NumpyOnFirstUse:
@@ -103,28 +103,35 @@ GROUPS = 256
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    dimension: int = 300
+    """The CBOW settings, named as their config keys, with their defaults and
+    range checks: `cli.PipelineConfig` takes both from here. ``seed=None``
+    means not given yet; `train_cbow` needs one."""
+
+    dim: int = 300
     window: int = 10
     min_count: int = 5
     negatives: int = 5
     epochs: int = 5
-    learning_rate: float = 0.025
-    seed: int = 1
+    lr: float = 0.025
+    seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError("dimension must be at least 2")
-        for name in ("window", "min_count", "negatives", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        for name, least in (("dim", 2), ("window", 1), ("min_count", 1), ("negatives", 1),
+                            ("epochs", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be a finite number, got {self.lr}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 class _PhiPool(NamedTuple):
     """The candidates of one vocabulary in one model's embedding."""
 
-    vocab: CandidateVocabulary | None
+    vocab: frozenset[str]
     source: np.ndarray   # the ``input_vectors`` array the vectors were copied from
     rows: np.ndarray     # the candidates' embedding rows, each at most once
     terms: list[str]     # the term of each row's token, in the order of ``rows``
@@ -295,7 +302,7 @@ def _train(
     n_neg = config.negatives
     # fewer centers than vocabulary tokens, so every group has a valid negative
     group = min(GROUP, block, noise_cdf.size - 1)
-    lr0 = config.learning_rate
+    lr0 = config.lr
     lr_floor = LR_FLOOR_FRACTION * lr0
     with np.errstate(over="ignore"):
         for epoch in range(config.epochs):
@@ -332,9 +339,11 @@ def train_cbow(
 
     The vocabulary is every token with frequency >= ``min_count``, ordered
     by descending frequency then token. Raises if nothing survives the
-    frequency filter, and raises `FormatError` if the corpus's last line is
-    cut short.
+    frequency filter or ``config.seed`` is None, and raises `FormatError`
+    if the corpus's last line is cut short.
     """
+    if config.seed is None:
+        raise ValueError("train_cbow needs a seed, so that its weights are reproducible")
     lines = [line.split() for line in read_artifact(normalized_corpus_path)[1]]
     freqs = Counter(itertools.chain.from_iterable(lines))
     vocab = sorted(
@@ -351,7 +360,7 @@ def train_cbow(
     encoded = _encode_corpus(lines, index)
 
     rng = np.random.default_rng(config.seed)
-    dim = config.dimension
+    dim = config.dim
     w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
     w_out = np.zeros((len(vocab), dim))
     counts = np.array([freqs[t] for t in vocab], dtype=np.float64)
@@ -430,16 +439,15 @@ def fit_phi(
     return PhiTransform(PhiMode.MATRIX, matrix=matrix_t.T, skipped_pairs=skipped)
 
 
-def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) -> _PhiPool:
-    """The pool of the embedding rows whose token's term is in the
-    vocabulary (every row when ``vocab`` is None), in row order: the rule
-    the count modules apply to their tokens, so a row enters once, and a
-    vocabulary term spelled with ``_`` names no candidate. Built on the
-    first call and reused while calls pass an equal vocabulary and
-    ``model.input_vectors`` is the array it was built from. Assigning a new
-    array is seen. Editing it in place is not supported: the pool's copy
-    would not see the edit, while a screened pool reads its survivors'
-    float64 vectors from the array."""
+def _candidate_pool(model: EmbeddingModel, vocab: frozenset[str]) -> _PhiPool:
+    """The pool of the embedding rows whose token's term is in ``vocab``,
+    in row order: the rule the count modules apply to their tokens, so a
+    row enters once, and a vocabulary term spelled with ``_`` names no
+    candidate. Built on the first call and reused while calls pass an
+    equal vocabulary and ``model.input_vectors`` is the array it was built
+    from. Assigning a new array is seen. Editing it in place is not
+    supported: the pool's copy would not see the edit, while a screened
+    pool reads its survivors' float64 vectors from the array."""
     pool = model._phi_pool
     if (
         pool is not None
@@ -448,11 +456,9 @@ def _candidate_pool(model: EmbeddingModel, vocab: CandidateVocabulary | None) ->
     ):
         return pool
     terms = list(map(token_to_term, model.index))
-    rows = np.fromiter(model.index.values(), dtype=np.intp, count=len(terms))
-    if vocab is not None:
-        inside = np.fromiter(map(vocab.terms.__contains__, terms), dtype=bool, count=len(terms))
-        terms = list(itertools.compress(terms, inside))
-        rows = rows[inside]
+    inside = np.fromiter(map(vocab.__contains__, terms), dtype=bool, count=len(terms))
+    terms = list(itertools.compress(terms, inside))
+    rows = np.fromiter(model.index.values(), dtype=np.intp, count=inside.size)[inside]
     source = model.input_vectors
     dim = source.shape[1]
     vectors = v32 = sq = None
@@ -481,10 +487,10 @@ def candidates_from_phi(
     phi: PhiTransform,
     model: EmbeddingModel,
     q: str,
-    vocab: CandidateVocabulary | None,
-    k: int = TOP_K,
+    vocab: frozenset[str],
+    k: int = MAX_PREDICTIONS,
 ) -> list[ScoredCandidate]:
-    """The ``k`` vocabulary terms nearest to the projected query vector.
+    """The ``k`` terms of ``vocab`` nearest to the projected query vector.
 
     Euclidean distance to vec(q) + offset (or matrix @ vec(q)), the query
     itself excluded, ties lexicographic, scores 1/(1 + distance). A query
@@ -731,7 +737,8 @@ def save_phi(
 
 def load_phi(path: str | os.PathLike) -> PhiTransform:
     """Read a `save_phi` file back. An unknown mode, an offset of other than
-    one row and every fault `_read_rows` finds is a `FormatError`."""
+    one row, a matrix that is not square and every fault `_read_rows` finds
+    is a `FormatError`."""
     _, lines = read_artifact(path)
     mode_line = next(lines, "")
     try:
@@ -740,6 +747,9 @@ def load_phi(path: str | os.PathLike) -> PhiTransform:
         raise FormatError(f"{path}: unknown projection mode {mode_line!r}") from None
     rows = _read_rows(path, lines, f"{mode.value} row")
     if mode is PhiMode.MATRIX:
+        if rows.shape[0] != rows.shape[1]:
+            raise FormatError(f"{path}: a matrix is square; the size line declares "
+                              f"{rows.shape[0]} {rows.shape[1]}")
         return PhiTransform(PhiMode.MATRIX, matrix=rows)
     if len(rows) != 1:
         raise FormatError(f"{path}: an offset is one row; the size line declares {len(rows)}")

@@ -14,9 +14,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus_io import GoldSet, QueryKind, normalize_term, write_artifact
+from .corpus_io import MAX_PREDICTIONS, GoldSet, QueryKind, normalize_term, write_artifact
 
-CUTOFF = 15
 P_AT_KS = (1, 3, 5, 15)
 METRIC_ROWS = ("MRR", "MAP", "P@1", "P@3", "P@5", "P@15")
 
@@ -34,7 +33,7 @@ def reciprocal_rank(predicted: Sequence[str], gold: Iterable[str]) -> float:
     gold_set = set(_normalize(gold))
     if not gold_set:
         raise ValueError("empty gold set")
-    for rank, term in enumerate(_normalize(predicted[:CUTOFF]), start=1):
+    for rank, term in enumerate(_normalize(predicted[:MAX_PREDICTIONS]), start=1):
         if term in gold_set:
             return 1.0 / rank
     return 0.0
@@ -51,11 +50,11 @@ def average_precision(predicted: Sequence[str], gold: Iterable[str]) -> float:
         raise ValueError("empty gold set")
     hits = 0
     total = 0.0
-    for rank, term in enumerate(_normalize(predicted[:CUTOFF]), start=1):
+    for rank, term in enumerate(_normalize(predicted[:MAX_PREDICTIONS]), start=1):
         if term in gold_set:
             hits += 1
             total += hits / rank
-    return total / min(len(gold_set), CUTOFF)
+    return total / min(len(gold_set), MAX_PREDICTIONS)
 
 
 def precision_at_k(

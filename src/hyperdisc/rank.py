@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .cooc import ScoredCandidate, Source, TOP_K
-from .corpus_io import GoldSet, Query, normalize_term
+from .cooc import ScoredCandidate, Source
+from .corpus_io import MAX_PREDICTIONS, GoldSet, Query, normalize_term
 from .metrics import MetricsReport, evaluate
 
 DEFAULT_ORDER = (Source.ISA, Source.COOC, Source.HEARST, Source.PHI)
@@ -45,7 +45,7 @@ def merge(
     query: Query,
     per_source: Mapping[Source, Sequence[ScoredCandidate]],
     order: ModuleOrder | None = None,
-    k: int = TOP_K,
+    k: int = MAX_PREDICTIONS,
 ) -> RankedPrediction:
     """Concatenate source lists in order; first occurrence of a term wins."""
     order = order or ModuleOrder()

@@ -1,7 +1,10 @@
+import itertools
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from hyperdisc.corpus_io import (
     read_predictions,
     term_to_token,
 )
+from hyperdisc.embedding import PhiMode, PhiTransform, save_phi
 
 ARTIFACT_KEYS = (
     "normalized",
@@ -118,7 +122,7 @@ def test_module_lists_name_each_vocabulary_term_once(tmp_path, dataset):
         for source, cands in lists_for(query).items():
             names = [c.term for c in cands]
             assert len(names) == len(set(names)), (query.term, source)
-            assert set(names) <= vocab.terms - set(spelled), (query.term, source)
+            assert set(names) <= vocab - set(spelled), (query.term, source)
             named.update(names)
     assert any(" " in t for t in named)  # a term with both spellings is named
 
@@ -381,6 +385,11 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
         ("--lr", "-0.5", "lr must be positive, got -0.5"),
         ("--ridge", "-1", "ridge must be at least 0, got -1.0"),
         ("--seed", "-1", "seed must be at least 0, got -1"),
+        ("--min-count", "0", "min_count must be at least 1, got 0"),
+        ("--negatives", "0", "negatives must be at least 1, got 0"),
+        ("--epochs", "0", "epochs must be at least 1, got 0"),
+        ("--lr", "inf", "lr must be a finite number, got inf"),
+        ("--k", "16", "k must be between 1 and 15, got 16"),
     ],
 )
 def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag, value, problem):
@@ -390,7 +399,7 @@ def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag,
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline", flag, value) == 2
     assert capsys.readouterr().err == f"error: {problem}\n"
-    assert not os.path.exists(cfg.normalized)
+    assert not any(os.path.exists(getattr(cfg, key)) for key in ARTIFACT_KEYS)
 
 
 def test_unstamped_artifact_rejected(tmp_path, dataset, capsys):
@@ -407,6 +416,33 @@ def test_unstamped_artifact_rejected(tmp_path, dataset, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: unstamped artifact {cfg.phi!r}")
     assert "re-run the 'fit-phi' stage" in err
+
+
+@pytest.mark.parametrize(
+    "phi, problem",
+    [
+        (PhiTransform(PhiMode.OFFSET, offset=np.full(5, 0.5)),
+         "the phi is offset of width 5, but phi_mode is offset and the embedding has dimension 8; "
+         "re-run the 'fit-phi' stage"),
+        (PhiTransform(PhiMode.MATRIX, matrix=np.eye(7, 8)),
+         "a matrix is square; the size line declares 7 8"),
+        (PhiTransform(PhiMode.MATRIX, matrix=np.eye(8)),
+         "the phi is matrix of width 8, but phi_mode is offset and the embedding has dimension 8; "
+         "re-run the 'fit-phi' stage"),
+    ],
+    ids=["offset-of-width-5", "matrix-7-by-8", "matrix-for-offset"],
+)
+def test_stamped_phi_that_does_not_fit_is_rejected(tmp_path, dataset, capsys, phi, problem):
+    """A `phi.txt` under the current stamp, but of the wrong width, shape or
+    mode, is named as the bad file instead of reaching numpy."""
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    save_phi(cfg.phi, phi, header=cfg.header())
+    capsys.readouterr()
+    assert run(cfg_path, "predict") == 2
+    assert capsys.readouterr().err == f"error: {cfg.phi}: {problem}\n"
 
 
 def test_diverging_training_writes_no_embedding(tmp_path, dataset, capsys):
@@ -463,6 +499,31 @@ def test_config_error_lines_count_comments(tmp_path):
     assert str(info.value) == f"{cfg_path}: line 4: unknown config key 'no_such_key'"
 
 
+def test_readme_configuration_table_matches_config():
+    """The README's "Configuration keys" table names every `PipelineConfig`
+    field once, and a row that gives one default per key gives the defaults
+    of `PipelineConfig()` (— for None or empty)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## Configuration keys\n", 1)[1].lstrip("\n").splitlines()
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))[2:]
+    defaults = PipelineConfig()
+    named = []
+    for row in rows:
+        keys_cell, default_cell = row.strip("|").split("|")[:2]
+        keys = [key.strip() for key in keys_cell.strip().strip("`").split(",")]
+        named += keys
+        values = [value.strip().strip("`") for value in default_cell.split(",")]
+        if len(values) != len(keys):
+            continue
+        for key, value in zip(keys, values):
+            want = getattr(defaults, key)
+            if value == "—":
+                assert want in (None, ""), key
+            else:
+                assert cli._coerce(key, value) == want, key
+    assert sorted(named) == sorted(f.name for f in fields(PipelineConfig))
+
+
 def test_invalid_parameter_values():
     with pytest.raises(Exception):
         PipelineConfig(k=20)
@@ -516,7 +577,8 @@ import numpy
 assert embedding.np is numpy
 cfg = cli.load_config(sys.argv[1])
 model = embedding.load_embedding(cfg.embedding)
-found = embedding.candidates_from_phi(embedding.load_phi(cfg.phi), model, model.vocab[0], None, 3)
+vocab = frozenset(map(embedding.token_to_term, model.vocab))
+found = embedding.candidates_from_phi(embedding.load_phi(cfg.phi), model, model.vocab[0], vocab, 3)
 assert [c.term for c in found] and all(c.term != model.vocab[0] for c in found)
 """
 

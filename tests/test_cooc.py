@@ -19,13 +19,13 @@ from hyperdisc.cooc import (
 )
 from hyperdisc import synthetic
 from hyperdisc.corpus_io import (
-    CandidateVocabulary,
     FormatError,
     Query,
     QueryKind,
     load_queries,
     read_artifact,
     term_to_token,
+    token_to_term,
 )
 from hyperdisc.normalize import normalize_corpus
 from hyperdisc.patterns import extract_corpus
@@ -135,27 +135,35 @@ def test_parallel_build_equals_serial(tmp_path):
     assert indexes[0].counts == indexes[1].counts
 
 
+def every_term(row):
+    """The vocabulary that admits every candidate of ``row``."""
+    return frozenset(map(token_to_term, row))
+
+
 class TestCandidatesFromCooc:
     def index(self, row):
         return CoocIndex({"q": row})
 
     def test_strictly_above_threshold(self):
-        got = candidates_from_cooc(self.index({"a": 6, "b": 5, "c": 7}), "q", None)
+        row = {"a": 6, "b": 5, "c": 7}
+        got = candidates_from_cooc(self.index(row), "q", every_term(row))
         assert [(c.term, c.score) for c in got] == [("c", 7.0), ("a", 6.0)]
         assert all(c.source is Source.COOC for c in got)
 
     def test_all_at_or_below_threshold(self):
-        assert candidates_from_cooc(self.index({"a": 5, "b": 1}), "q", None) == []
+        row = {"a": 5, "b": 1}
+        assert candidates_from_cooc(self.index(row), "q", every_term(row)) == []
 
     def test_lexicographic_tie_break(self):
-        got = candidates_from_cooc(self.index({"y": 6, "x": 6}), "q", None)
+        row = {"y": 6, "x": 6}
+        got = candidates_from_cooc(self.index(row), "q", every_term(row))
         assert [c.term for c in got] == ["x", "y"]
 
     def test_unknown_query(self):
-        assert candidates_from_cooc(self.index({}), "missing", None) == []
+        assert candidates_from_cooc(self.index({"a": 9}), "missing", frozenset({"a"})) == []
 
     def test_vocab_filter_uses_external_form(self):
-        vocab = CandidateVocabulary(frozenset({"oil plant"}))
+        vocab = frozenset({"oil plant"})
         got = candidates_from_cooc(
             self.index({"oil_plant": 9, "weed": 8}), "q", vocab
         )
@@ -163,7 +171,7 @@ class TestCandidatesFromCooc:
 
     def test_truncates_to_k(self):
         row = {f"t{i:02d}": 10 + i for i in range(30)}
-        got = candidates_from_cooc(self.index(row), "q", None)
+        got = candidates_from_cooc(self.index(row), "q", every_term(row))
         assert len(got) == 15
         scores = [c.score for c in got]
         assert scores == sorted(scores, reverse=True)
@@ -179,7 +187,7 @@ counts_rows = st.dictionaries(
 
 @given(counts_rows, st.integers(min_value=0, max_value=8))
 def test_ranked_list_properties(row, threshold):
-    vocab = CandidateVocabulary(frozenset(f"c{i}" for i in range(0, 40, 2)))
+    vocab = frozenset(f"c{i}" for i in range(0, 40, 2))
     got = candidates_from_cooc(CoocIndex({"q": row}), "q", vocab, threshold)
     assert len(got) <= 15
     scores = [c.score for c in got]
@@ -236,16 +244,17 @@ def test_pair_index_rejects_other_kinds(tmp_path):
 class TestCandidatesFromPairs:
     def test_tie_and_truncate(self):
         index = PairIndex({"q": {"plant": 3, "herb": 3, "weed": 1}}, Source.ISA)
-        got = candidates_from_pairs(index, "q", None, k=2)
+        got = candidates_from_pairs(index, "q", every_term(index.counts["q"]), k=2)
         assert [c.term for c in got] == ["herb", "plant"]
         assert all(c.source is Source.ISA for c in got)
 
     def test_unknown_query(self):
-        assert candidates_from_pairs(PairIndex({}, Source.ISA), "q", None) == []
+        index = PairIndex({"p": {"plant": 1}}, Source.ISA)
+        assert candidates_from_pairs(index, "q", frozenset({"plant"})) == []
 
     def test_single_pair_listed(self):
         index = PairIndex({"q": {"plant": 1}}, Source.ISA)
-        got = candidates_from_pairs(index, "q", None)
+        got = candidates_from_pairs(index, "q", frozenset({"plant"}))
         assert [(c.term, c.score) for c in got] == [("plant", 1.0)]
 
 
@@ -349,8 +358,8 @@ def test_snapshot_answers_every_threshold_from_its_floor(tmp_path_factory, row, 
     full = CoocIndex({"q": row})
     save_cooc_index(path, full, floor=floor)
     pruned = load_cooc_index(path)
-    vocab = CandidateVocabulary(frozenset(f"c{i}" for i in range(0, 40, 2)))
-    for v in (None, vocab):
+    vocab = frozenset(f"c{i}" for i in range(0, 40, 2))
+    for v in (frozenset(f"c{i}" for i in range(40)), vocab):
         for k in (1, 15):
             assert candidates_from_cooc(pruned, "q", v, threshold, k) == candidates_from_cooc(
                 full, "q", v, threshold, k

@@ -94,7 +94,7 @@ def test_vocabulary_case_folds_and_dedups(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("Herb\noil  plant\nherb\n")
     vocab = load_vocabulary(path)
-    assert vocab.terms == frozenset({"herb", "oil plant"})
+    assert vocab == frozenset({"herb", "oil plant"})
     assert "herb" in vocab and "grass" not in vocab
 
 
@@ -107,7 +107,7 @@ def test_vocabulary_empty_file(tmp_path):
 def test_vocabulary_rejects_long_terms(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("one two three four\nok term\n")
-    assert load_vocabulary(path).terms == frozenset({"ok term"})
+    assert load_vocabulary(path) == frozenset({"ok term"})
 
 
 def test_load_queries(tmp_path):

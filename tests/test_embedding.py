@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from hyperdisc import embedding, synthetic
 from hyperdisc.cooc import ScoredCandidate, Source
-from hyperdisc.corpus_io import CandidateVocabulary, FormatError, term_to_token, token_to_term
+from hyperdisc.corpus_io import FormatError, term_to_token, token_to_term
 from hyperdisc.embedding import (
     EmbeddingConfig,
     EmbeddingModel,
@@ -219,7 +219,7 @@ def per_position_reference(lines, w_in, w_out, noise_cdf, config, rng, total):
     block size 1."""
     window = config.window
     n_neg = config.negatives
-    lr0 = config.learning_rate
+    lr0 = config.lr
     lr_floor = embedding.LR_FLOOR_FRACTION * lr0
     done = 0
     with np.errstate(over="ignore"):
@@ -262,9 +262,9 @@ def training_cases(draw):
         min_size=1, max_size=6,
     ))
     config = EmbeddingConfig(
-        dimension=draw(st.integers(2, 8)), window=draw(st.integers(1, 4)),
+        dim=draw(st.integers(2, 8)), window=draw(st.integers(1, 4)),
         negatives=draw(st.integers(1, 4)), epochs=draw(st.integers(1, 2)),
-        learning_rate=draw(st.floats(0.01, 0.5)), seed=draw(st.integers(0, 2**32 - 1)),
+        lr=draw(st.floats(0.01, 0.5)), seed=draw(st.integers(0, 2**32 - 1)),
     )
     counts = np.array(draw(st.lists(
         st.integers(1, 50), min_size=vocab_size, max_size=vocab_size)), dtype=float)
@@ -278,7 +278,7 @@ def test_block_size_one_reproduces_per_position_trainer(case):
     noise_cdf = np.cumsum(counts**embedding.NOISE_POWER)
     noise_cdf /= noise_cdf[-1]
     init = np.random.default_rng(config.seed)
-    shape = (len(counts), config.dimension)
+    shape = (len(counts), config.dim)
     w_in, w_out = init.normal(0, 0.5, shape), init.normal(0, 0.5, shape)
     total = config.epochs * sum(len(ids) for ids in lines)
     runs = []
@@ -325,7 +325,7 @@ def test_block_context_stays_in_its_paragraph(monkeypatch):
     lines = [rng.integers(0, 5, embedding.BLOCK - 40), rng.integers(5, 10, embedding.BLOCK)]
     dim = 4
     w_in, w_out = rng.normal(0, 0.5, (10, dim)), rng.normal(0, 0.5, (10, dim))
-    config = EmbeddingConfig(dimension=dim, window=4, negatives=2, epochs=1, seed=1)
+    config = EmbeddingConfig(dim=dim, window=4, negatives=2, epochs=1, seed=1)
     mixed = 0
     for w_in, w_out, context, centers, negatives, lr in record_blocks(
         monkeypatch, lines, w_in, w_out, config, rng
@@ -348,8 +348,7 @@ def test_block_context_stays_in_its_paragraph(monkeypatch):
 def test_block_learning_rate_is_per_position(monkeypatch):
     rng = np.random.default_rng(37)
     lines = [rng.integers(0, 8, int(n)) for n in rng.integers(2, 40, 60)]
-    config = EmbeddingConfig(dimension=3, window=2, negatives=1, epochs=2,
-                             learning_rate=0.05, seed=2)
+    config = EmbeddingConfig(dim=3, window=2, negatives=1, epochs=2, lr=0.05, seed=2)
     w_in, w_out = rng.normal(0, 0.5, (8, 3)), np.zeros((8, 3))
     blocks = record_blocks(monkeypatch, lines, w_in, w_out, config, rng)
     assert len(blocks) > 2
@@ -366,7 +365,7 @@ def test_groups_covering_the_vocabulary_still_train(monkeypatch, vocab_size):
     lines = [np.arange(embedding.BLOCK + 7) % vocab_size] * 3
     rng = np.random.default_rng(41)
     w_in, w_out = rng.normal(0, 0.5, (vocab_size, 3)), np.zeros((vocab_size, 3))
-    config = EmbeddingConfig(dimension=3, window=2, negatives=3, epochs=1, seed=3)
+    config = EmbeddingConfig(dim=3, window=2, negatives=3, epochs=1, seed=3)
     previous = signal.signal(signal.SIGALRM, _took_too_long)
     signal.alarm(15)
     try:
@@ -391,7 +390,7 @@ def test_min_count_filters_vocab(tmp_path):
     path = tmp_path / "c.txt"
     lines = [["common", "other"]] * 5 + [["rare", "common"]] * 4
     write_corpus(path, lines)
-    config = EmbeddingConfig(dimension=4, window=2, min_count=5, epochs=1, seed=0)
+    config = EmbeddingConfig(dim=4, window=2, min_count=5, epochs=1, seed=0)
     model = train_cbow(path, config)
     # "common" occurs 9 times, "other" 5 and "rare" 4
     assert model.vocab == ["common", "other"]
@@ -400,7 +399,7 @@ def test_min_count_filters_vocab(tmp_path):
 def test_vector_dimension_matches_config(tmp_path):
     path = tmp_path / "c.txt"
     write_corpus(path, [["a", "b"]] * 6)
-    config = EmbeddingConfig(dimension=7, window=2, min_count=5, epochs=1, seed=0)
+    config = EmbeddingConfig(dim=7, window=2, min_count=5, epochs=1, seed=0)
     model = train_cbow(path, config)
     assert model.input_vectors.shape == (2, 7)
     assert np.isfinite(model.input_vectors).all()
@@ -409,7 +408,7 @@ def test_vector_dimension_matches_config(tmp_path):
 def test_empty_vocabulary_is_error(tmp_path):
     path = tmp_path / "c.txt"
     write_corpus(path, [["a", "b"], ["c", "d"]])
-    config = EmbeddingConfig(dimension=4, window=2, min_count=5, epochs=1, seed=0)
+    config = EmbeddingConfig(dim=4, window=2, min_count=5, epochs=1, seed=0)
     with pytest.raises(ValueError, match="min_count"):
         train_cbow(path, config)
 
@@ -441,8 +440,7 @@ def test_correlated_tokens_end_up_similar(tmp_path):
     path = tmp_path / "c.txt"
     noise_words = correlated_pair_corpus(path, np.random.default_rng(5))
     config = EmbeddingConfig(
-        dimension=16, window=5, min_count=5, negatives=5, epochs=3,
-        learning_rate=0.025, seed=3,
+        dim=16, window=5, min_count=5, negatives=5, epochs=3, lr=0.025, seed=3,
     )
     model = train_cbow(path, config)
     pair_cos = cosine(model, "a", "b")
@@ -457,7 +455,7 @@ def test_multi_worker_training_produces_valid_model(tmp_path):
     data = synthetic.generate(
         tmp_path, n_hypernyms=3, n_hyponyms=4, seed=12, noise_lines=600
     )
-    config = EmbeddingConfig(dimension=8, window=3, min_count=2, epochs=2, seed=1)
+    config = EmbeddingConfig(dim=8, window=3, min_count=2, epochs=2, seed=1)
     models = []
     for workers in (1, 3):
         normalized = tmp_path / f"normalized_{workers}.txt"
@@ -479,7 +477,7 @@ def test_training_is_deterministic_for_fixed_seed(tmp_path):
     write_corpus(
         path, [list(rng.choice(words, size=6)) for _ in range(200)]
     )
-    config = EmbeddingConfig(dimension=8, window=3, min_count=2, epochs=2, seed=42)
+    config = EmbeddingConfig(dim=8, window=3, min_count=2, epochs=2, seed=42)
     model_a = train_cbow(path, config)
     model_b = train_cbow(path, config)
     assert model_a.vocab == model_b.vocab
@@ -575,10 +573,15 @@ def test_fit_phi_no_usable_pairs_is_error():
         fit_phi([("ghost", "spirit")], model, PhiMode.OFFSET)
 
 
+def every_term(model):
+    """The vocabulary that admits every row of ``model``."""
+    return frozenset(map(token_to_term, model.vocab))
+
+
 def test_phi_candidates_self_excluded():
     model = EmbeddingModel(vocab=["q"], input_vectors=np.zeros((1, 4)))
     phi = PhiTransform(PhiMode.OFFSET, offset=np.zeros(4))
-    assert candidates_from_phi(phi, model, "q", None) == []
+    assert candidates_from_phi(phi, model, "q", every_term(model)) == []
 
 
 def test_phi_candidates_planted_cluster():
@@ -594,7 +597,7 @@ def test_phi_candidates_planted_cluster():
         vocab=list(vectors), input_vectors=np.array(list(vectors.values()))
     )
     phi = PhiTransform(PhiMode.OFFSET, offset=shift)
-    got = candidates_from_phi(phi, model, "lemongrass", None, k=2)
+    got = candidates_from_phi(phi, model, "lemongrass", every_term(model), k=2)
     assert [c.term for c in got] == ["herb", "plant"]
     assert got[0].score == pytest.approx(1.0)
     assert got[0].score > got[1].score
@@ -603,7 +606,7 @@ def test_phi_candidates_planted_cluster():
 def test_phi_candidates_query_out_of_vocab():
     model = EmbeddingModel(vocab=["a"], input_vectors=np.zeros((1, 3)))
     phi = PhiTransform(PhiMode.OFFSET, offset=np.zeros(3))
-    assert candidates_from_phi(phi, model, "missing", None) == []
+    assert candidates_from_phi(phi, model, "missing", every_term(model)) == []
 
 
 def test_phi_candidates_match_brute_force_scan():
@@ -612,7 +615,7 @@ def test_phi_candidates_match_brute_force_scan():
     vocab = [f"w{i:03d}" for i in range(n)]
     model = EmbeddingModel(vocab=vocab, input_vectors=rng.normal(0, 1, (n, dim)))
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, dim))
-    candidate_vocab = CandidateVocabulary(frozenset(vocab[: n // 2]))
+    candidate_vocab = frozenset(vocab[: n // 2])
     got = candidates_from_phi(phi, model, "w005", candidate_vocab, k=15)
     target = model.vector("w005") + phi.offset
     scan = sorted(
@@ -636,15 +639,12 @@ def full_sort_reference(phi, model, q, vocab, k):
     if q_row is None:
         return []
     target = phi.apply(model.input_vectors[q_row])
-    if vocab is None:
-        pool = [(token, row) for token, row in model.index.items() if token != q_token]
-    else:
-        pool = []
-        for term in vocab.terms:
-            token = term_to_token(term)
-            row = model.index.get(token)
-            if row is not None and token != q_token and token_to_term(token) == term:
-                pool.append((token, row))
+    pool = []
+    for term in vocab:
+        token = term_to_token(term)
+        row = model.index.get(token)
+        if row is not None and token != q_token and token_to_term(token) == term:
+            pool.append((token, row))
     if not pool:
         return []
     rows = np.fromiter((row for _, row in pool), dtype=np.intp, count=len(pool))
@@ -679,9 +679,7 @@ def phi_cases(draw):
         matrix = np.array(draw(st.lists(rows, min_size=dim, max_size=dim)), dtype=float)
         phi = PhiTransform(PhiMode.MATRIX, matrix=matrix)
     terms = [token_to_term(t) for t in PHI_TOKENS] + PHI_EXTRA_TERMS
-    vocab_sets = st.one_of(
-        st.none(), st.sets(st.sampled_from(terms)).map(lambda t: CandidateVocabulary(frozenset(t)))
-    )
+    vocab_sets = st.one_of(st.just(every_term(model)), st.frozensets(st.sampled_from(terms)))
     vocabs = draw(st.lists(vocab_sets, min_size=1, max_size=3))
     queries = draw(st.lists(st.sampled_from(terms + tokens), min_size=1, max_size=3))
     # most k below the pool size (at most len(tokens)), so a screened pool prunes
@@ -698,8 +696,7 @@ def test_phi_candidates_equal_full_sort_reference(case):
     model, phi, vocabs, queries, ks = case
     # several calls on one model: the cached rows must follow each vocabulary,
     # including an equal copy of one already seen
-    if vocabs[0] is not None:
-        vocabs.append(CandidateVocabulary(frozenset(vocabs[0].terms)))
+    vocabs.append(frozenset(list(vocabs[0])))
     for vocab in vocabs:
         for q in queries:
             for k in ks:
@@ -718,13 +715,13 @@ def test_phi_candidate_rows_resolved_once():
     tokens = [f"w{i}" for i in range(50)]
     model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (50, 4)))
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4))
-    vocab = CandidateVocabulary(frozenset(tokens[:30]))
+    vocab = frozenset(tokens[:30])
     candidates_from_phi(phi, model, "w1", vocab)
     pool = model._phi_pool
     candidates_from_phi(phi, model, "w2", vocab)
-    candidates_from_phi(phi, model, "w3", CandidateVocabulary(frozenset(tokens[:30])))
+    candidates_from_phi(phi, model, "w3", frozenset(tokens[:30]))
     assert model._phi_pool is pool  # the same and an equal vocabulary reuse the rows
-    other = CandidateVocabulary(frozenset(tokens[20:]))
+    other = frozenset(tokens[20:])
     for q in ("w1", "w25"):
         got = candidates_from_phi(phi, model, q, other)
         assert got == full_sort_reference(phi, model, q, other, 15)
@@ -742,7 +739,7 @@ def test_phi_names_each_vocabulary_term_once(monkeypatch, cells):
     model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (len(tokens), 4)))
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4))
     terms = {token_to_term(t) for t in tokens if t != "t5_x"} | set(phrases)
-    vocab = CandidateVocabulary(frozenset(terms))
+    vocab = frozenset(terms)
     pool_size = 25  # t0_x to t4_x and the twenty words, t5_x not among them
     for q in ("w0", "t0 x", "t0_x", "t5 x"):
         others = pool_size if q == "t5 x" else pool_size - 1
@@ -750,7 +747,7 @@ def test_phi_names_each_vocabulary_term_once(monkeypatch, cells):
             got = candidates_from_phi(phi, model, q, vocab, k)
             names = [c.term for c in got]
             assert len(names) == len(set(names)) == min(k, others)
-            assert set(names) <= vocab.terms and "t5 x" not in names
+            assert set(names) <= vocab and "t5 x" not in names
             assert got == full_sort_reference(phi, model, q, vocab, k)
 
 
@@ -762,7 +759,8 @@ def test_screen_cutoff_rounds_to_nearest_float32():
     sq = np.array([0.25, 0.5, *steps], dtype=np.float32)
     norm = math.sqrt(1.75 / 9)  # at dim 1, 2E is 1.75 float32 steps of 1.0
     pool = embedding._PhiPool(
-        vocab=None, source=None, rows=np.arange(sq.size), terms=list("abcdef"), vectors=None,
+        vocab=frozenset("abcdef"), source=None, rows=np.arange(sq.size), terms=list("abcdef"),
+        vectors=None,
         v32=np.zeros((1, sq.size), np.float32), sq=sq, norm=norm,
     )
     cut = 2  # the (cut + 1)-th smallest score is 1.0
@@ -807,7 +805,7 @@ def test_grouped_screen_keeps_full_partition_survivors(monkeypatch, n, layout, k
         vectors[1:] = rng.normal(0, 1, (3, dim))[rng.integers(0, 3, n - 1)]
     tokens = [f"w{i:05d}" for i in range(n)]
     model = EmbeddingModel(vocab=tokens, input_vectors=vectors)
-    got = candidates_from_phi(phi, model, "w00000", None, k)
+    got = candidates_from_phi(phi, model, "w00000", every_term(model), k)
     pool = model._phi_pool
     assert pool.v32 is not None and pool.rows.size == n
     keep = embedding._screen(pool, target, k + 1)
@@ -821,7 +819,7 @@ def test_grouped_screen_keeps_full_partition_survivors(monkeypatch, n, layout, k
         assert np.array_equal(keep, every)
     monkeypatch.setattr(embedding, "SCREEN_CELLS", math.inf)
     model._phi_pool = None
-    assert got == candidates_from_phi(phi, model, "w00000", None, k)
+    assert got == candidates_from_phi(phi, model, "w00000", every_term(model), k)
     assert len(got) == k
 
 
@@ -845,7 +843,7 @@ def test_phi_pool_follows_input_vectors_and_vocabulary():
     tokens = [f"w{i}" for i in range(40)]
     model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (40, 5)))
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 5))
-    vocab = CandidateVocabulary(frozenset(tokens[:25]))
+    vocab = frozenset(tokens[:25])
     assert candidates_from_phi(phi, model, "w3", vocab) == full_sort_reference(
         phi, model, "w3", vocab, 15
     )
@@ -859,7 +857,7 @@ def test_phi_pool_follows_input_vectors_and_vocabulary():
     assert model._phi_pool is not pool
     rebuilt = model._phi_pool
     assert_screen_copy(rebuilt, False)
-    other = CandidateVocabulary(frozenset(tokens[10:]))
+    other = frozenset(tokens[10:])
     got = candidates_from_phi(phi, model, "w12", other)
     assert got == full_sort_reference(phi, model, "w12", other, 15)
     assert model._phi_pool is not rebuilt
@@ -872,7 +870,7 @@ def test_phi_pool_above_screen_threshold_follows_input_vectors():
     tokens = [f"w{i}" for i in range(n)]
     model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (n, dim)))
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, dim))
-    vocab = CandidateVocabulary(frozenset(tokens[:3000]))
+    vocab = frozenset(tokens[:3000])
     assert 3000 * dim >= embedding.SCREEN_CELLS
 
     def check(q):
@@ -908,7 +906,7 @@ def test_phi_candidates_float_vectors_match_full_sort(dim, mode):
     else:
         phi = PhiTransform(mode, matrix=rng.normal(0, 1 / np.sqrt(dim), (dim, dim)))
     # part of the embedding, every query among it, and a term it lacks
-    vocab = CandidateVocabulary(frozenset(tokens[::3]) | {"missing"})
+    vocab = frozenset(tokens[::3]) | {"missing"}
     pool_size = len(tokens[::3])
     for q in ("w000", "w150", "w399"):
         for k in (1, 15, pool_size - 1, pool_size, pool_size + 5):
@@ -961,7 +959,7 @@ def screen_model(dim, mode, scale, outlier):
     # candidate; and a vocabulary without the query
     spelled = terms | {"w_000", f"w_{n_random + 9}"}
     vocabs = [spelled, terms - {"w 000"}]
-    return model, phi, [CandidateVocabulary(frozenset(v)) for v in vocabs]
+    return model, phi, [frozenset(v) for v in vocabs]
 
 
 @pytest.mark.parametrize("dim", [16, 300])
@@ -1012,7 +1010,8 @@ def test_phi_screen_falls_back_on_large_norms(monkeypatch):
     vectors = rng.normal(0, 1, (100, 16))
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 16))
     model = EmbeddingModel(vocab=tokens, input_vectors=vectors)
-    candidates_from_phi(phi, model, "w0", None)
+    vocab = every_term(model)
+    candidates_from_phi(phi, model, "w0", vocab)
     pool = model._phi_pool
     assert pool.v32 is not None
     for far in (2.0**60, math.inf, math.nan):
@@ -1020,16 +1019,16 @@ def test_phi_screen_falls_back_on_large_norms(monkeypatch):
     assert embedding._screen(pool, np.full(16, 2.0**55), 15) is not None
     # a target that far is ranked from all the pool's columns, exactly
     far = PhiTransform(PhiMode.OFFSET, offset=np.full(16, 2.0**61))
-    got = candidates_from_phi(far, model, "w0", None)
+    got = candidates_from_phi(far, model, "w0", vocab)
     with monkeypatch.context() as exact:
         exact.setattr(embedding, "SCREEN_CELLS", math.inf)
         model._phi_pool = None
-        assert got == candidates_from_phi(far, model, "w0", None)
+        assert got == candidates_from_phi(far, model, "w0", vocab)
     vectors[7] *= 2.0**60  # one row whose norm float32 squares could not hold
     model.input_vectors = vectors.copy()
-    got = candidates_from_phi(phi, model, "w0", None)
+    got = candidates_from_phi(phi, model, "w0", vocab)
     assert model._phi_pool.v32 is None
-    want = full_sort_reference(phi, model, "w0", None, 15)
+    want = full_sort_reference(phi, model, "w0", vocab, 15)
     assert [c.term for c in got] == [c.term for c in want]
 
 
@@ -1101,13 +1100,25 @@ def test_writers_refuse_non_finite_values(tmp_path, kind, problem):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EmbeddingConfig(dimension=1)
-    with pytest.raises(ValueError):
-        EmbeddingConfig(epochs=0)
-    for lr in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            EmbeddingConfig(learning_rate=lr)
+    # each message names the config key, as `PipelineConfig` reports it
+    for setting, problem in [
+        (dict(dim=1), "dim must be at least 2, got 1"),
+        (dict(epochs=0), "epochs must be at least 1, got 0"),
+        (dict(lr=0.0), "lr must be positive, got 0.0"),
+        (dict(lr=math.nan), "lr must be a finite number, got nan"),
+        (dict(lr=math.inf), "lr must be a finite number, got inf"),
+        (dict(seed=-1), "seed must be at least 0, got -1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            EmbeddingConfig(**setting)
+        assert str(info.value) == problem
+
+
+def test_training_needs_a_seed(tmp_path):
+    path = tmp_path / "normalized.txt"
+    path.write_text("herb basil mint\n" * 5)
+    with pytest.raises(ValueError, match="seed"):
+        train_cbow(path, EmbeddingConfig(dim=2, min_count=1))
 
 
 def truncations(text, header_lines):
