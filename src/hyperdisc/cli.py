@@ -1,17 +1,8 @@
 """Subcommand front-end for the hypernym-discovery pipeline.
 
 Stages persist their artifacts as files so late stages can be re-run
-without re-scanning the corpus:
-
-    normalize        tagged corpus -> normalized corpus
-    extract-hearst   tagged corpus -> Hearst pattern corpus
-    extract-isa      tagged corpus -> IS-A pattern corpus
-    train-embedding  normalized corpus -> embedding file (requires a seed)
-    cooc-index       normalized corpus + queries -> co-occurrence snapshot
-    fit-phi          embedding + training queries/gold -> projection file
-    predict          all four evidence sources -> merged predictions
-    evaluate         predictions + gold -> metric table and report file
-    pipeline         all of the above, in order, reading the corpus once
+without re-scanning the corpus. `STAGES` says what each stage reads and
+writes; ``pipeline`` runs them all in order, reading the corpus once.
 
 Configuration is a flat ``key=value`` file; every key can be overridden
 with a ``--key value`` flag. Each artifact is stamped with a hash of the
@@ -47,7 +38,6 @@ from .corpus_io import (
     CONFIG_HASH_KEY,
     MAX_PREDICTIONS,
     FormatError,
-    GoldSet,
     Query,
     QueryKind,
     decode_error,
@@ -228,29 +218,36 @@ def write_config(path: str | os.PathLike, cfg: PipelineConfig) -> None:
 # stage plumbing
 
 
-def _require_input(path: str, key: str) -> None:
-    if not path:
-        raise CliError(f"config key '{key}' is required for this stage")
-    if not os.path.exists(path):
-        raise CliError(f"input file for '{key}' not found: {path}")
-
-
-def _require_artifact(cfg: PipelineConfig, path: str, stage: str) -> None:
+def _require_file(cfg: PipelineConfig, key: str) -> None:
+    """Check the file under config key `key`: an input must be set and exist;
+    an artifact must exist and carry the current stamp, or its writer is named."""
+    path, writer = getattr(cfg, key), WRITERS.get(key)
+    if writer is None:
+        if not path:
+            raise CliError(f"config key '{key}' is required for this stage")
+        if not os.path.exists(path):
+            raise CliError(f"input file for '{key}' not found: {path}")
+        return
     if not path or not os.path.exists(path):
-        raise CliError(
-            f"missing artifact {path!r}: run the '{stage}' stage first"
-        )
+        raise CliError(f"missing artifact {path!r}: run the '{writer}' stage first")
     stamped = read_artifact(path)[0].get(CONFIG_HASH_KEY)
     if stamped is None:
-        raise CliError(
-            f"unstamped artifact {path!r}: it has no #{CONFIG_HASH_KEY} line; "
-            f"re-run the '{stage}' stage"
-        )
+        raise CliError(f"unstamped artifact {path!r}: it has no #{CONFIG_HASH_KEY} line; "
+                       f"re-run the '{writer}' stage")
     if stamped != cfg.hash():
-        raise CliError(
-            f"stale artifact {path!r}: built with config-hash {stamped}, current "
-            f"config is {cfg.hash()}; re-run the '{stage}' stage"
-        )
+        raise CliError(f"stale artifact {path!r}: built with config-hash {stamped}, current "
+                       f"config is {cfg.hash()}; re-run the '{writer}' stage")
+
+
+def _require(cfg: PipelineConfig, stage: str) -> None:
+    """Check every file `stage` reads, in the order of its `STAGES` row."""
+    for key in STAGES[stage].reads:
+        _require_file(cfg, key)
+
+
+def _require_seed(cfg: PipelineConfig) -> None:
+    if cfg.seed is None:
+        raise CliError("train-embedding requires a seed (--seed or seed= in the config)")
 
 
 SCAN_SUMMARIES = {  # corpus stage -> one-line summary of its ScanStats
@@ -262,59 +259,45 @@ SCAN_SUMMARIES = {  # corpus stage -> one-line summary of its ScanStats
 
 
 def cmd_normalize(cfg: PipelineConfig) -> None:
-    _require_input(cfg.corpus, "corpus")
+    _require(cfg, "normalize")
     stats = normalize_corpus(cfg.corpus, cfg.normalized, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["normalize"].format(stats))
 
 
 def cmd_extract_hearst(cfg: PipelineConfig) -> None:
-    _require_input(cfg.corpus, "corpus")
+    _require(cfg, "extract-hearst")
     stats = extract_corpus(cfg.corpus, cfg.hearst_corpus, None, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["extract-hearst"].format(stats))
 
 
 def cmd_extract_isa(cfg: PipelineConfig) -> None:
-    _require_input(cfg.corpus, "corpus")
+    _require(cfg, "extract-isa")
     stats = extract_corpus(cfg.corpus, None, cfg.isa_corpus, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["extract-isa"].format(stats))
 
 
 def cmd_train_embedding(cfg: PipelineConfig) -> None:
-    if cfg.seed is None:
-        raise CliError("train-embedding requires a seed (--seed or seed= in the config)")
-    _require_artifact(cfg, cfg.normalized, "normalize")
+    _require_seed(cfg)
+    _require(cfg, "train-embedding")
     model = train_cbow(cfg.normalized, cfg.cbow())
     save_embedding(cfg.embedding, model, header=cfg.header())
     print(f"train-embedding: {len(model.vocab)} tokens, dimension {model.dimension}")
 
 
-def _query_tokens(cfg: PipelineConfig) -> set[str]:
-    tokens = {term_to_token(q.term) for q in load_queries(cfg.queries)}
-    if cfg.train_queries and os.path.exists(cfg.train_queries):
-        tokens |= {term_to_token(q.term) for q in load_queries(cfg.train_queries)}
-    return tokens
-
-
 def cmd_cooc_index(cfg: PipelineConfig) -> None:
-    _require_artifact(cfg, cfg.normalized, "normalize")
-    _require_input(cfg.queries, "queries")
-    index = build_cooc_index(cfg.normalized, _query_tokens(cfg))
+    _require(cfg, "cooc-index")
+    queries = load_queries(cfg.queries) + load_queries(cfg.train_queries)
+    index = build_cooc_index(cfg.normalized, {term_to_token(q.term) for q in queries})
     # `predict` reads only the counts above threshold
     n_rows = save_cooc_index(cfg.cooc_index, index, header=cfg.header(), floor=cfg.threshold + 1)
     print(f"cooc-index: {len(index.counts)} query terms, {n_rows} candidate counts")
 
 
-def _train_gold(cfg: PipelineConfig) -> list[GoldSet]:
-    _require_input(cfg.train_queries, "train_queries")
-    _require_input(cfg.train_gold, "train_gold")
-    return load_gold(cfg.train_gold, load_queries(cfg.train_queries))
-
-
 def cmd_fit_phi(cfg: PipelineConfig) -> None:
-    _require_artifact(cfg, cfg.embedding, "train-embedding")
+    _require(cfg, "fit-phi")
     pairs = [
         (gold_set.query.term, hypernym)
-        for gold_set in _train_gold(cfg)
+        for gold_set in load_gold(cfg.train_gold, load_queries(cfg.train_queries))
         for hypernym in gold_set.hypernyms
     ]
     model = load_embedding(cfg.embedding)
@@ -342,15 +325,10 @@ def _source_lists(query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg):
 
 
 def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
-    """Check the vocabulary and the five artifacts `predict` reads, load
-    each once, and return the function from a query to its four module
+    """Check every file `predict` reads, load the vocabulary and the five
+    artifacts once, and return the function from a query to its four module
     lists."""
-    _require_input(cfg.vocab, "vocab")
-    _require_artifact(cfg, cfg.cooc_index, "cooc-index")
-    _require_artifact(cfg, cfg.hearst_corpus, "extract-hearst")
-    _require_artifact(cfg, cfg.isa_corpus, "extract-isa")
-    _require_artifact(cfg, cfg.embedding, "train-embedding")
-    _require_artifact(cfg, cfg.phi, "fit-phi")
+    _require(cfg, "predict")
     cooc_idx = load_cooc_index(cfg.cooc_index)
     if cooc_idx.floor > cfg.threshold + 1:
         raise CliError(f"{cfg.cooc_index}: the snapshot keeps only counts of at least "
@@ -375,10 +353,11 @@ def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
 
 
 def cmd_predict(cfg: PipelineConfig) -> None:
-    _require_input(cfg.queries, "queries")
     lists_for = module_lists(cfg)
-    if cfg.order_mode == "trained":
-        train_gold = _train_gold(cfg)
+    if cfg.order_mode == "trained":  # the one read no `STAGES` row lists
+        _require_file(cfg, "train_queries")
+        _require_file(cfg, "train_gold")
+        train_gold = load_gold(cfg.train_gold, load_queries(cfg.train_queries))
         order = choose_order(module_reports([lists_for(g.query) for g in train_gold], train_gold))
     else:
         order = ModuleOrder()
@@ -391,9 +370,7 @@ def cmd_predict(cfg: PipelineConfig) -> None:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    _require_input(cfg.queries, "queries")
-    _require_input(cfg.gold, "gold")
-    _require_artifact(cfg, cfg.predictions, "predict")
+    _require(cfg, "evaluate")
     queries = load_queries(cfg.queries)
     gold_sets = load_gold(cfg.gold, queries)
     rows = read_predictions(cfg.predictions)
@@ -411,21 +388,37 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
         write_report(cfg.metrics, reports, header=cfg.header())
 
 
-PIPELINE_STAGES = [
-    ("normalize", cmd_normalize),
-    ("extract-hearst", cmd_extract_hearst),
-    ("extract-isa", cmd_extract_isa),
-    ("train-embedding", cmd_train_embedding),
-    ("cooc-index", cmd_cooc_index),
-    ("fit-phi", cmd_fit_phi),
-    ("predict", cmd_predict),
-    ("evaluate", cmd_evaluate),
-]
+@dataclass(frozen=True)
+class Stage:
+    handler: Callable[[PipelineConfig], None]
+    reads: tuple[str, ...]  # config keys of the files it always reads, in check order
+    writes: str  # config key of the artifact it writes
+
+
+# the stage graph, in pipeline order
+STAGES = {
+    "normalize": Stage(cmd_normalize, ("corpus",), "normalized"),
+    "extract-hearst": Stage(cmd_extract_hearst, ("corpus",), "hearst_corpus"),
+    "extract-isa": Stage(cmd_extract_isa, ("corpus",), "isa_corpus"),
+    "train-embedding": Stage(cmd_train_embedding, ("normalized",), "embedding"),
+    "cooc-index": Stage(cmd_cooc_index, ("normalized", "queries", "train_queries"), "cooc_index"),
+    "fit-phi": Stage(cmd_fit_phi, ("embedding", "train_queries", "train_gold"), "phi"),
+    "predict": Stage(cmd_predict, ("queries", "vocab", "cooc_index", "hearst_corpus",
+                                   "isa_corpus", "embedding", "phi"), "predictions"),
+    "evaluate": Stage(cmd_evaluate, ("queries", "gold", "predictions"), "metrics"),
+}
+WRITERS = {row.writes: stage for stage, row in STAGES.items()}  # artifact key -> stage
+# what runs a stage, with `COMMANDS`: a handler rebound in either is the one called
+PIPELINE_STAGES = [(stage, row.handler) for stage, row in STAGES.items()]
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
-    """Every stage in order; the corpus stages share one pass over the corpus."""
-    _require_input(cfg.corpus, "corpus")
+    """Every stage in order; the corpus stages share one pass over the corpus.
+    Every input file and the seed are checked first, so that a bad one stops
+    the run before it writes anything."""
+    for key in dict.fromkeys(k for row in STAGES.values() for k in row.reads if k not in WRITERS):
+        _require_file(cfg, key)
+    _require_seed(cfg)
     stats = extract_corpus(cfg.corpus, cfg.hearst_corpus, cfg.isa_corpus, cfg.workers,
                            cfg.header(), normalized_out=cfg.normalized)
     for stage, handler in PIPELINE_STAGES:
@@ -445,7 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub = subparsers.add_parser(name, help=f"run the {name} stage")
+        row = STAGES.get(name)
+        text = f"reads {', '.join(row.reads)}; writes {row.writes}" if row else "run every stage"
+        sub = subparsers.add_parser(name, help=text, description=text)
         sub.add_argument("--config", help="key=value configuration file")
         for f in fields(PipelineConfig):
             flag = "--" + f.name.replace("_", "-")

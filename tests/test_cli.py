@@ -40,6 +40,16 @@ ARTIFACT_KEYS = (
     "predictions",
     "metrics",
 )
+STAGE_ORDER = (
+    "normalize",
+    "extract-hearst",
+    "extract-isa",
+    "train-embedding",
+    "cooc-index",
+    "fit-phi",
+    "predict",
+    "evaluate",
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +147,95 @@ def test_stage_chain_requires_upstream(tmp_path, dataset, capsys):
     assert "train-embedding" in capsys.readouterr().err
 
 
+def test_cooc_index_requires_train_queries(tmp_path, dataset, capsys):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "normalize", "--train-queries", "") == 0
+    capsys.readouterr()
+    assert run(cfg_path, "cooc-index", "--train-queries", "") == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'train_queries' is required for this stage\n"
+    )
+
+
+# every artifact a stage reads, with the stage that writes it
+READ_EDGES = [
+    ("train-embedding", "normalized", "normalize"),
+    ("cooc-index", "normalized", "normalize"),
+    ("fit-phi", "embedding", "train-embedding"),
+    ("predict", "cooc_index", "cooc-index"),
+    ("predict", "hearst_corpus", "extract-hearst"),
+    ("predict", "isa_corpus", "extract-isa"),
+    ("predict", "embedding", "train-embedding"),
+    ("predict", "phi", "fit-phi"),
+    ("evaluate", "predictions", "predict"),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, key, writer", READ_EDGES, ids=[f"{stage}-reads-{key}" for stage, key, _ in READ_EDGES]
+)
+def test_stale_or_missing_artifact_names_its_writer(tmp_path, dataset, capsys, stage, key, writer):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    path = getattr(cfg, key)
+    text = Path(path).read_text(encoding="utf-8")
+    stamp = f"#config-hash {cfg.hash()}\n"
+    assert text.count(stamp) == 1
+    Path(path).write_text(text.replace(stamp, "#config-hash 000000000000\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(cfg_path, stage) == 2
+    assert capsys.readouterr().err == (
+        f"error: stale artifact {path!r}: built with config-hash 000000000000, current config "
+        f"is {cfg.hash()}; re-run the '{writer}' stage\n"
+    )
+    os.remove(path)
+    assert run(cfg_path, stage) == 2
+    assert capsys.readouterr().err == (
+        f"error: missing artifact {path!r}: run the '{writer}' stage first\n"
+    )
+
+
+def test_stage_table_is_a_graph_in_pipeline_order():
+    writes = [row.writes for row in cli.STAGES.values()]
+    assert len(writes) == len(set(writes))  # one writer per artifact
+    written = set()
+    for stage, _ in cli.PIPELINE_STAGES:
+        row = cli.STAGES[stage]
+        assert {key for key in row.reads if key in writes} <= written, stage
+        written.add(row.writes)
+    named = {key for row in cli.STAGES.values() for key in (*row.reads, row.writes)}
+    settings = {"phi_mode", "order_mode"}
+    assert named == {f.name for f in fields(PipelineConfig) if f.type == "str"} - settings
+    assert [stage for stage, _ in cli.PIPELINE_STAGES] == list(STAGE_ORDER)
+    assert list(cli.COMMANDS) == [*STAGE_ORDER, "pipeline"]
+
+
+def test_stage_help_names_what_it_reads_and_writes(capsys):
+    help_lines = {
+        "normalize": "reads corpus; writes normalized",
+        "extract-hearst": "reads corpus; writes hearst_corpus",
+        "extract-isa": "reads corpus; writes isa_corpus",
+        "train-embedding": "reads normalized; writes embedding",
+        "cooc-index": "reads normalized, queries, train_queries; writes cooc_index",
+        "fit-phi": "reads embedding, train_queries, train_gold; writes phi",
+        "predict": "reads queries, vocab, cooc_index, hearst_corpus, isa_corpus, embedding, "
+        "phi; writes predictions",
+        "evaluate": "reads queries, gold, predictions; writes metrics",
+    }
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    overview = " ".join(capsys.readouterr().out.split())
+    for stage, line in help_lines.items():
+        assert f"{stage} {line}" in overview, stage
+        with pytest.raises(SystemExit):
+            main([stage, "--help"])
+        assert line in " ".join(capsys.readouterr().out.split()), stage
+
+
 def test_train_embedding_requires_seed(tmp_path, dataset, capsys):
     cfg = make_config(dataset, tmp_path, seed=None)
     cfg_path = tmp_path / "config.txt"
@@ -152,18 +251,8 @@ def test_stage_by_stage_equals_pipeline(tmp_path, dataset, capsys):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
-    stages = (
-        "normalize",
-        "extract-hearst",
-        "extract-isa",
-        "train-embedding",
-        "cooc-index",
-        "fit-phi",
-        "predict",
-        "evaluate",
-    )
     capsys.readouterr()
-    for stage in stages:
+    for stage in STAGE_ORDER:
         assert run(cfg_path, stage) == 0, stage
     staged_out = capsys.readouterr().out
     staged = {key: open(getattr(cfg, key), "rb").read() for key in ARTIFACT_KEYS}
@@ -390,6 +479,14 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
         ("--epochs", "0", "epochs must be at least 1, got 0"),
         ("--lr", "inf", "lr must be a finite number, got inf"),
         ("--k", "16", "k must be between 1 and 15, got 16"),
+        # input files and the seed: `pipeline` checks every stage's before it writes
+        ("--gold", "/no-such-dir/gold.tsv",
+         "input file for 'gold' not found: /no-such-dir/gold.tsv"),
+        ("--vocab", "/no-such-dir/vocab.txt",
+         "input file for 'vocab' not found: /no-such-dir/vocab.txt"),
+        ("--train-gold", "/no-such-dir/train_gold.tsv",
+         "input file for 'train_gold' not found: /no-such-dir/train_gold.tsv"),
+        ("--seed", "", "train-embedding requires a seed (--seed or seed= in the config)"),
     ],
 )
 def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag, value, problem):
