@@ -44,7 +44,7 @@ from .corpus_io import (
     load_gold,
     load_queries,
     load_vocabulary,
-    read_artifact,
+    read_header,
     read_predictions,
     term_to_token,
     write_artifact,
@@ -69,7 +69,7 @@ from .rank import ModuleOrder, choose_order, merge, module_reports
 
 # the layout version of the artifacts, hashed into every stamp, so that a
 # file written in an older layout is refused as stale instead of misread
-ARTIFACT_FORMAT = 2
+ARTIFACT_FORMAT = 3
 
 
 class CliError(Exception):
@@ -230,7 +230,8 @@ def _require_file(cfg: PipelineConfig, key: str) -> None:
         return
     if not path or not os.path.exists(path):
         raise CliError(f"missing artifact {path!r}: run the '{writer}' stage first")
-    stamped = read_artifact(path)[0].get(CONFIG_HASH_KEY)
+    with open(path, "rb") as fh:
+        stamped = read_header(fh, path).get(CONFIG_HASH_KEY)
     if stamped is None:
         raise CliError(f"unstamped artifact {path!r}: it has no #{CONFIG_HASH_KEY} line; "
                        f"re-run the '{writer}' stage")

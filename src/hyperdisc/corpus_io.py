@@ -1,6 +1,7 @@
 """Readers and writers for every file format in the pipeline.
 
-Formats (all UTF-8, ``\\n`` line endings):
+Formats (all UTF-8, ``\\n`` line endings, but for the vector block of the
+embedding and phi files):
 
 * tagged corpus: one paragraph per line, space-separated ``surface_POS``
   tokens; the split is on the LAST underscore, so surfaces may contain
@@ -20,7 +21,8 @@ that starts with ``#`` (a ``#_#`` token, a ``#tag`` query), and the
 
 Artifacts are written whole or not at all by `write_artifact`, and read by
 `read_artifact`, which rejects a last row cut short by truncation. Every
-reader takes its lines from `iter_data_lines`.
+text reader takes its lines from `iter_data_lines`. The vector files' reader
+(`embedding`) and every stamp check take the header from `read_header`.
 
 Multiword terms are written with single spaces externally and joined with
 underscores internally so that phrase tokens stay atomic in indexes and
@@ -36,7 +38,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._parallel import map_lines
 
@@ -139,6 +141,27 @@ def _read_header(fh: TextIO, meta: dict[str, str]) -> tuple[str, int]:
         meta[m[1]] = m[2]  # the stamp ends the header
         line, count = fh.readline(), count + 1
     return line, count
+
+
+def read_header(fh: BinaryIO, path: str | os.PathLike) -> dict[str, str]:
+    """The header block of ``fh``, a file open in binary at its start, by the
+    rule of `iter_data_lines`, decoding one line at a time and nothing past
+    the block: ``fh`` is left at the first data line. A line that is not
+    UTF-8 is a `FormatError` naming the file and the line."""
+    meta: dict[str, str] = {}
+    n = 0
+    while CONFIG_HASH_KEY not in meta:  # the stamp ends the header
+        start, raw = fh.tell(), fh.readline()
+        n += 1
+        try:
+            m = HEADER_LINE.fullmatch(raw.decode("utf-8").rstrip("\r\n"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text at line {n} ({exc.reason})") from None
+        if not m:
+            fh.seek(start)
+            break
+        meta[m[1]] = m[2]
+    return meta
 
 
 def file_line(path: str | os.PathLike, n: int) -> int:

@@ -47,8 +47,11 @@ BLAS call), pick the nearest ``k`` other terms with a partition and sort
 only the entries at or below the cutoff. The screen never changes the
 result: `candidates_from_phi` derives the bound and shows why. So only
 the screen calls BLAS; training and the exact steps do not.
-Embedding and projection files share one parser, which converts all rows
-in one `np.loadtxt` call and examines a row only when the call rejects it.
+Embedding and projection files share one layout and one reader: text up
+to the size line (and an embedding's tokens, one per line), then the values
+as one little-endian float64 block of exactly rows x dim x 8 bytes, which
+`np.fromfile` reads in one call, with no parsing: word2vec's binary layout
+(Mikolov et al., arXiv:1301.3781) with float64 values, bit-exact.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus_io import (
     MAX_PREDICTIONS,
     FormatError,
     read_artifact,
+    read_header,
     term_to_token,
     token_to_term,
     write_artifact,
@@ -644,74 +648,91 @@ def save_embedding(
     model: EmbeddingModel,
     header: dict[str, str] | None = None,
 ) -> None:
-    """Text format: ``|vocab| dimension`` line, then ``token v1 ... vd`` rows.
-    A nan or infinite value is a `FormatError`, as `load_embedding` makes it."""
-    vocab = model.vocab
-    _require_finite(path, model.input_vectors,
-                    lambda i: f"row {i + 1} of {len(vocab)} (token {vocab[i]!r})")
+    """A ``rows dim`` size line and one token per line, as text, then the
+    vectors as one block (`_write_vectors`), each value rounded as
+    ``float(f"{v:.6f}")``: the values the earlier text layout held, so Phi's
+    scores do not move. A nan or infinite value is a `FormatError`, as
+    `load_embedding` makes it."""
+    vocab, vectors = model.vocab, model.input_vectors
+    _require_finite(path, vectors, lambda i: f"row {i + 1} of {len(vocab)} (token {vocab[i]!r})")
+    rounded = np.fromiter(map(float, map("{:.6f}".format, vectors.ravel().tolist())),
+                          dtype=np.float64, count=vectors.size)
+    text = f"{len(vocab)} {model.dimension}\n" + "".join(token + "\n" for token in vocab)
+    _write_vectors(path, header, text, rounded)
+
+
+def _write_vectors(path, header, text: str, values: np.ndarray) -> None:
+    """Write ``text``, then ``values`` as one little-endian float64 block,
+    row by row, with nothing after it."""
     with write_artifact(path, header) as fh:
-        fh.write(f"{len(model.vocab)} {model.dimension}\n")
-        for token, row in zip(model.vocab, model.input_vectors):
-            fh.write(token + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
+        fh.write(text)
+        fh.flush()  # the text goes out before the block
+        fh.buffer.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
-def _read_rows(path, lines, label, keys=None) -> np.ndarray:
-    """The rest of ``lines`` as an array of finite numbers: a ``rows width``
-    size line, then that many rows of that many values. With ``keys``, each
-    row starts with a token, appended to ``keys``. One `np.loadtxt` call
-    converts every row; it pulls one line at a time, so the row it rejects
-    is the last one pulled. Errors name row i as ``<label> i of <rows>``."""
-    line = next(lines, "")
-    parts = line.split()
-    if len(parts) != 2 or not all(p.isascii() and p.isdigit() and int(p) > 0 for p in parts):
-        raise FormatError(f"{path}: the size line {line!r} is not two positive integers")
-    n, width = int(parts[0]), int(parts[1])
+def _read_vectors(path, phi: bool) -> tuple[PhiMode | None, list[str], np.ndarray]:
+    """A vector file, from one open in binary: the header (`read_header`),
+    a phi's mode line, a ``rows width`` size line, an embedding's token
+    lines, one per row, then exactly rows x width little-endian float64
+    values. The phi mode, the tokens and the (rows, width) array. Each fault
+    is a `FormatError` naming the file, and row i as ``<label> i of <rows>``
+    (with its token): a size line that is not two positive integers, a
+    missing token line, a token that is not UTF-8, a block of another
+    length (checked against the file size before it is read) and a nan or
+    infinite value."""
+    keys: list[str] = []
+    with open(path, "rb") as fh:
+        read_header(fh, path)
+        mode = None
+        if phi:
+            line = fh.readline().decode("utf-8", "replace").rstrip("\n")
+            try:
+                mode = PhiMode(line.strip())
+            except ValueError:
+                raise FormatError(f"{path}: unknown projection mode {line!r}") from None
+        label = "row" if mode is None else f"{mode.value} row"
+        line = fh.readline().decode("utf-8", "replace").rstrip("\n")
+        parts = line.split()
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() and int(p) > 0 for p in parts):
+            raise FormatError(f"{path}: the size line {line!r} is not two positive integers")
+        n, width = int(parts[0]), int(parts[1])
 
-    def name(i: int) -> str:
-        token = f" (token {keys[i]!r})" if keys is not None and i < len(keys) else ""
-        return f"{label} {i + 1} of {n}{token}"
+        def name(i: int) -> str:
+            token = f" (token {keys[i]!r})" if i < len(keys) else ""
+            return f"{label} {i + 1} of {n}{token}"
 
-    last = [-1, ""]  # index and value text of the last row pulled
-
-    def rows() -> Iterator[str]:
-        for i, line in enumerate(lines):
-            if i == n:
-                raise FormatError(f"{path}: extra row after {name(n - 1)}")
-            if keys is not None:
-                key, _, line = line.partition(" ")
-                keys.append(key)
-            if not line or line.isspace():  # np.loadtxt would skip it
-                raise FormatError(f"{path}: {name(i)} has no values")
-            last[:] = i, line
-            yield line
-        if last[0] < n - 1:
-            raise FormatError(f"{path}: {name(last[0] + 1)} is missing; the file is truncated")
-
-    pulled = rows()
-    first = next(pulled)
-    try:
-        if len(first.split()) != width:
-            raise ValueError
-        values = np.loadtxt(itertools.chain((first,), pulled), comments=None, ndmin=2)
-    except FormatError:
-        raise
-    except ValueError:
-        i, line = last
-        k = len(line.split())
-        fault = f"has {k} values, expected {width}" if k != width else "has a non-number"
-        raise FormatError(f"{path}: {name(i)} {fault}") from None
+        if not phi:
+            raw = list(itertools.islice(fh, n))
+            # only the last line read can lack its newline, at the end of the file
+            whole = len(raw) - (bool(raw) and not raw[-1].endswith(b"\n"))
+            if whole < n:
+                raise FormatError(f"{path}: {name(whole)} is missing; the file is truncated")
+            joined = b"".join(raw)
+            try:
+                keys += joined.decode("utf-8").split("\n")[:-1]
+            except UnicodeDecodeError as exc:
+                row = name(joined.count(b"\n", 0, exc.start))
+                raise FormatError(f"{path}: {row} has a token that is not UTF-8 ({exc.reason})") from None
+        size, row_bytes = os.fstat(fh.fileno()).st_size - fh.tell(), width * 8
+        if size < n * row_bytes:
+            fault = "is cut short" if size % row_bytes else "is missing"
+            raise FormatError(f"{path}: {name(size // row_bytes)} {fault}; the file is truncated")
+        if size > n * row_bytes:
+            raise FormatError(f"{path}: {size - n * row_bytes} bytes after {name(n - 1)}")
+        values = np.fromfile(fh, "<f8", count=n * width).reshape(n, width)
     _require_finite(path, values, name)
-    return values
+    return mode, keys, values
 
 
 def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
-    """Load a saved embedding (input vectors only).
+    """Load a `save_embedding` file (input vectors only).
 
     A repeated token or a nan or infinite value is a `FormatError`: the
     rows of a model map one-to-one to tokens, and distances must compare.
+    So is every fault `_read_vectors` finds.
     """
-    vocab: list[str] = []
-    model = EmbeddingModel(vocab, _read_rows(path, read_artifact(path)[1], "row", vocab))
+    _, vocab, vectors = _read_vectors(path, phi=False)
+    model = EmbeddingModel(vocab, vectors)
     if len(model.index) != len(vocab):
         first: dict[str, int] = {}
         i = next(i for i, token in enumerate(vocab) if first.setdefault(token, i) != i)
@@ -724,28 +745,20 @@ def save_phi(
     phi: PhiTransform,
     header: dict[str, str] | None = None,
 ) -> None:
-    """Mode line (``offset``/``matrix``), then a ``rows width`` size line and
-    the rows: one for an offset, ``d`` for a matrix. A nan or infinite value
-    is a `FormatError`, as `load_phi` makes it."""
+    """Mode line (``offset``/``matrix``) and a ``rows width`` size line, as
+    text, then the rows as one block (`_write_vectors`), exact: one row for
+    an offset, ``d`` for a matrix. A nan or infinite value is a
+    `FormatError`, as `load_phi` makes it."""
     rows = phi.offset[None] if phi.mode is PhiMode.OFFSET else phi.matrix
     _require_finite(path, rows, lambda i: f"{phi.mode.value} row {i + 1} of {len(rows)}")
-    with write_artifact(path, header) as fh:
-        fh.write(f"{phi.mode.value}\n{len(rows)} {rows.shape[1]}\n")
-        for row in rows:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    _write_vectors(path, header, f"{phi.mode.value}\n{len(rows)} {rows.shape[1]}\n", rows)
 
 
 def load_phi(path: str | os.PathLike) -> PhiTransform:
     """Read a `save_phi` file back. An unknown mode, an offset of other than
-    one row, a matrix that is not square and every fault `_read_rows` finds
-    is a `FormatError`."""
-    _, lines = read_artifact(path)
-    mode_line = next(lines, "")
-    try:
-        mode = PhiMode(mode_line.strip())
-    except ValueError:
-        raise FormatError(f"{path}: unknown projection mode {mode_line!r}") from None
-    rows = _read_rows(path, lines, f"{mode.value} row")
+    one row, a matrix that is not square and every fault `_read_vectors`
+    finds is a `FormatError`."""
+    mode, _, rows = _read_vectors(path, phi=True)
     if mode is PhiMode.MATRIX:
         if rows.shape[0] != rows.shape[1]:
             raise FormatError(f"{path}: a matrix is square; the size line declares "

@@ -25,6 +25,7 @@ from hyperdisc.corpus_io import (
     load_queries,
     load_vocabulary,
     read_artifact,
+    read_header,
     read_predictions,
     term_to_token,
 )
@@ -100,7 +101,8 @@ def test_pipeline_produces_predictions_and_metrics(tmp_path, dataset, capsys):
     assert all(len(row) <= 15 for row in rows)
     # artifacts carry the config hash
     for key in ARTIFACT_KEYS:
-        assert read_artifact(getattr(cfg, key))[0].get("config-hash") == cfg.hash(), key
+        with open(getattr(cfg, key), "rb") as fh:  # the vector files hold a binary block
+            assert read_header(fh, fh.name).get("config-hash") == cfg.hash(), key
 
 
 def test_predict_without_cooc_index_names_stage(tmp_path, dataset, capsys):
@@ -182,10 +184,10 @@ def test_stale_or_missing_artifact_names_its_writer(tmp_path, dataset, capsys, s
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline") == 0
     path = getattr(cfg, key)
-    text = Path(path).read_text(encoding="utf-8")
-    stamp = f"#config-hash {cfg.hash()}\n"
-    assert text.count(stamp) == 1
-    Path(path).write_text(text.replace(stamp, "#config-hash 000000000000\n"), encoding="utf-8")
+    data = Path(path).read_bytes()  # the vector files hold a binary block
+    stamp = f"#config-hash {cfg.hash()}\n".encode()
+    assert data.count(stamp) == 1
+    Path(path).write_bytes(data.replace(stamp, b"#config-hash 000000000000\n"))
     capsys.readouterr()
     assert run(cfg_path, stage) == 2
     assert capsys.readouterr().err == (
@@ -300,9 +302,8 @@ def test_truncated_embedding_is_clean_error(tmp_path, dataset, capsys):
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline") == 0
-    lines = open(cfg.embedding, encoding="utf-8").readlines()
-    with open(cfg.embedding, "w", encoding="utf-8") as fh:
-        fh.writelines(lines[:-1])
+    data = Path(cfg.embedding).read_bytes()
+    Path(cfg.embedding).write_bytes(data[: -8 * cfg.dim])  # the last row of the block
     capsys.readouterr()
     assert run(cfg_path, "fit-phi") == 2
     err = capsys.readouterr().err
@@ -644,7 +645,7 @@ def test_matrix_phi_mode_runs(tmp_path, dataset):
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline") == 0
-    assert "matrix" in open(cfg.phi).read().splitlines()[1]
+    assert b"matrix" in Path(cfg.phi).read_bytes().split(b"\n")[1]
 
 
 def test_evaluate_rejects_row_mismatch(tmp_path, dataset, capsys):

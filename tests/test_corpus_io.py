@@ -20,6 +20,7 @@ from hyperdisc.corpus_io import (
     load_vocabulary,
     parse_tagged_line,
     read_artifact,
+    read_header,
     read_predictions,
     split_tokens,
     term_to_token,
@@ -221,6 +222,35 @@ def test_unstamped_file_skips_leading_comments(tmp_path):
     path.write_text("#note a\n#more b\ndata\n#later\n")
     assert read_artifact(path)[0] == {"note": "a", "more": "b"}
     assert list(iter_data_lines(path)) == ["data", "#later"]
+
+
+@given(st.lists(st.sampled_from(["#note a", "#more b", "#config-hash cafe", "#Note a", "#x",
+                                 "#_# 1_CD herb_NN", "data", "#note a\r"]), max_size=5))
+def test_binary_header_reader_equals_text_reader(tmp_path_factory, lines):
+    """`read_header` finds the header `read_artifact` finds, a CRLF line end
+    read as a newline, and leaves the file at the first data line."""
+    path = tmp_path_factory.mktemp("header") / "f.txt"
+    path.write_bytes("".join(line + "\n" for line in lines + ["end"]).encode())
+    with open(path, "rb") as fh:
+        header = read_header(fh, path)
+        rest = fh.read().decode("utf-8")
+    assert header == read_artifact(path)[0]
+    assert rest.replace("\r\n", "\n").split("\n")[:-1] == list(iter_data_lines(path))
+
+
+def test_binary_header_reader_decodes_nothing_past_the_stamp(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"#note a\n#config-hash cafe\n\xff\xfe\x00")
+    with open(path, "rb") as fh:
+        assert read_header(fh, path) == {"note": "a", "config-hash": "cafe"}
+        assert fh.read() == b"\xff\xfe\x00"
+    path.write_bytes(b"#note a\n#config-hash \xff\n")
+    with open(path, "rb") as fh, pytest.raises(FormatError) as info:
+        read_header(fh, path)
+    assert str(info.value) == f"{path}: not UTF-8 text at line 2 (invalid start byte)"
+    with pytest.raises(FormatError) as text_info:
+        read_artifact(path)
+    assert str(text_info.value) == str(info.value)
 
 
 @pytest.mark.parametrize("first", ["#_# 1_CD herb_NN", "#Note a", "#note\ta", "#", "#1st x"])

@@ -1050,9 +1050,31 @@ def test_embedding_file_round_trip(tmp_path):
     assert loaded.vocab == model.vocab
     assert np.abs(loaded.input_vectors - model.input_vectors).max() < 1e-6
     first_data_line = [
-        line for line in path.read_text().splitlines() if not line.startswith("#")
+        line for line in path.read_bytes().split(b"\n") if not line.startswith(b"#")
     ][0]
-    assert first_data_line == "2 5"
+    assert first_data_line == b"2 5"
+
+
+@given(
+    st.lists(st.text(st.characters(exclude_categories=("Cs", "Z", "Cc")) | st.just("_"),
+                     min_size=1, max_size=6), min_size=1, max_size=5, unique=True),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_embedding_file_round_trip_any_token_and_value(tmp_path_factory, vocab, dim, data):
+    """`load_embedding` returns the tokens `save_embedding` wrote, non-ASCII
+    and underscores included, and each value as ``float(f"{v:.6f}")``, bit
+    for bit: the values the text layout held."""
+    values = data.draw(arrays(np.float64, (len(vocab), dim),
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    save_embedding(path, EmbeddingModel(vocab=vocab, input_vectors=values),
+                   header={"config-hash": "f00d"})
+    loaded = load_embedding(path)
+    want = np.array([[float(f"{v:.6f}") for v in row] for row in values.tolist()])
+    assert loaded.vocab == vocab
+    assert loaded.input_vectors.shape == want.shape
+    assert loaded.input_vectors.tobytes() == want.tobytes()
 
 
 @given(st.sampled_from(PhiMode), st.integers(min_value=1, max_value=5), st.data())
@@ -1121,76 +1143,103 @@ def test_training_needs_a_seed(tmp_path):
         train_cbow(path, EmbeddingConfig(dim=2, min_count=1))
 
 
-def truncations(text, header_lines):
-    """The saved ``text`` cut at the start of its last line, in the middle of
-    that line, and just after its ``header_lines`` leading lines."""
-    lines = text.splitlines(keepends=True)
-    last = len(text) - len(lines[-1])
+def truncations(data, header_lines, row_bytes):
+    """The saved ``data`` cut at the start of its last row of ``row_bytes``
+    bytes, in the middle of that row, and just after its ``header_lines``
+    leading lines."""
+    last = len(data) - row_bytes
     return {
-        "row_boundary": text[:last],
-        "mid_row": text[: last + len(lines[-1]) // 2],
-        "header_only": "".join(lines[:header_lines]),
+        "row_boundary": data[:last],
+        "mid_row": data[: last + row_bytes // 2],
+        "header_only": b"".join(data.splitlines(keepends=True)[:header_lines]),
     }
 
 
 def save_for(kind, path):
+    """Save a small file of ``kind``: its loader, its number of text lines
+    before the tokens or the block, and the bytes of one row of its block."""
     rng = np.random.default_rng(12)
     if kind == "embedding":
         vectors = rng.normal(0, 1, (3, 4))
         model = EmbeddingModel(vocab=["a", "b", "c"], input_vectors=vectors)
         save_embedding(path, model, header={"config-hash": "f00d"})
-        return load_embedding, 2     # stamp, size line
+        return load_embedding, 2, 32     # stamp, size line
     if kind == "offset_phi":
         save_phi(path, PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, 4)),
                  header={"config-hash": "f00d"})
-        return load_phi, 3           # stamp, mode line, size line
+        return load_phi, 3, 32           # stamp, mode line, size line
     save_phi(path, PhiTransform(PhiMode.MATRIX, matrix=rng.normal(0, 1, (3, 3))),
              header={"config-hash": "f00d"})
-    return load_phi, 3               # stamp, mode line, size line
+    return load_phi, 3, 24               # stamp, mode line, size line
 
 
 @pytest.mark.parametrize("cut", ["row_boundary", "mid_row", "header_only"])
 @pytest.mark.parametrize("kind", ["embedding", "offset_phi", "matrix_phi"])
 def test_truncated_file_is_format_error(tmp_path, kind, cut):
     path = tmp_path / f"{kind}.txt"
-    load, header_lines = save_for(kind, path)
-    path.write_text(truncations(path.read_text(), header_lines)[cut])
+    load, header_lines, row_bytes = save_for(kind, path)
+    path.write_bytes(truncations(path.read_bytes(), header_lines, row_bytes)[cut])
     with pytest.raises(FormatError, match="truncated") as info:
         load(path)
     assert str(path) in str(info.value)
     assert "row" in str(info.value)
 
 
+@pytest.mark.parametrize("kind", ["embedding", "offset_phi", "matrix_phi"])
+def test_vector_file_cut_at_any_byte_or_lengthened_is_format_error(tmp_path, kind):
+    """A cut at every byte, in the header, the text lines or the block, and
+    one byte appended, are each a `FormatError` naming the file."""
+    path = tmp_path / f"{kind}.txt"
+    load = save_for(kind, path)[0]
+    data = path.read_bytes()
+    for changed in [data[:cut] for cut in range(len(data))] + [data + b"\0"]:
+        path.write_bytes(changed)
+        with pytest.raises(FormatError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+NAN, INF = math.nan, math.inf
+
+
 @pytest.mark.parametrize(
-    "kind, text, problem",
+    "kind, text, values, problem",
     [
-        ("embedding", "2 2\na 1 2\na nan 1\n", "row 2 of 2 (token 'a') has a non-finite value"),
-        ("embedding", "2 2\na 1 2\na 3 1\n", "row 2 of 2 repeats token 'a'"),
-        ("embedding", "3 1\na 1\nb -inf\nc 2\n", "row 2 of 3 (token 'b') has a non-finite value"),
-        ("phi", "offset\n1 2\n0.5 nan\n", "offset row 1 of 1 has a non-finite value"),
-        ("phi", "matrix\n2 2\n1 0\ninf 1\n", "matrix row 2 of 2 has a non-finite value"),
-        ("embedding", "2 3\na 1 2 3\nb 4 5 6\nc 7 8 9\n", "extra row after row 2 of 2 (token 'b')"),
-        ("phi", "offset\n1 2\n1 2\n3 4\n", "extra row after offset row 1 of 1"),
-        ("phi", "offset\n2 2\n1 2\n3 4\n", "an offset is one row; the size line declares 2"),
-        ("phi", "offset\n0.5 1\n", "the size line '0.5 1' is not two positive integers"),
-        ("phi", "matrix\n1 2\n1 2\n3 4\n", "extra row after matrix row 1 of 1"),
-        ("embedding", "2 -3\na 1 2\n", "the size line '2 -3' is not two positive integers"),
-        ("phi", "matrix\n-1 2\n1 2\n", "the size line '-1 2' is not two positive integers"),
-        ("embedding", "2 2\na 1 2\nb x 1\n", "row 2 of 2 (token 'b') has a non-number"),
-        ("phi", "offset\n1 2\n0.5 x\n", "offset row 1 of 1 has a non-number"),
-        ("embedding", "2 2\na 1 2\nb 1 2 3\n", "row 2 of 2 (token 'b') has 3 values, expected 2"),
-        ("embedding", "2 2\na 1 2 3\nb 1 2\n", "row 1 of 2 (token 'a') has 3 values, expected 2"),
-        ("phi", "matrix\n2 2\n1 2\n\n", "matrix row 2 of 2 has no values"),
+        ("embedding", b"2 2\na\na\n", [1, 2, NAN, 1],
+         "row 2 of 2 (token 'a') has a non-finite value"),
+        ("embedding", b"2 2\na\na\n", [1, 2, 3, 1], "row 2 of 2 repeats token 'a'"),
+        ("embedding", b"3 1\na\nb\nc\n", [1, -INF, 2],
+         "row 2 of 3 (token 'b') has a non-finite value"),
+        ("phi", b"offset\n1 2\n", [0.5, NAN], "offset row 1 of 1 has a non-finite value"),
+        ("phi", b"matrix\n2 2\n", [1, 0, INF, 1], "matrix row 2 of 2 has a non-finite value"),
+        ("embedding", b"2 3\na\nb\n", range(1, 10), "24 bytes after row 2 of 2 (token 'b')"),
+        ("phi", b"offset\n1 2\n", [1, 2, 3, 4], "16 bytes after offset row 1 of 1"),
+        ("phi", b"offset\n2 2\n", [1, 2, 3, 4], "an offset is one row; the size line declares 2"),
+        ("phi", b"offset\n0.5 1\n", [1], "the size line '0.5 1' is not two positive integers"),
+        ("phi", b"matrix\n1 2\n", [1, 2, 3, 4], "16 bytes after matrix row 1 of 1"),
+        ("embedding", b"2 -3\na\n", [1, 2], "the size line '2 -3' is not two positive integers"),
+        ("phi", b"matrix\n-1 2\n", [1, 2], "the size line '-1 2' is not two positive integers"),
+        ("embedding", b"2 2\na\nb\n", [1, 2, 1],
+         "row 2 of 2 (token 'b') is cut short; the file is truncated"),
+        ("phi", b"offset\n1 2\n", [0.5], "offset row 1 of 1 is cut short; the file is truncated"),
+        ("embedding", b"2 2\na\nb\n", [1, 2, 1, 2, 3], "8 bytes after row 2 of 2 (token 'b')"),
+        # the third token line runs into the block, which holds no newline byte
+        ("embedding", b"3 2\na\nb\n", [1, 2, 3, 4, 5, 6],
+         "row 3 of 3 is missing; the file is truncated"),
+        ("phi", b"matrix\n2 2\n", [1, 2], "matrix row 2 of 2 is missing; the file is truncated"),
+        ("embedding", b"2 1\na\n\xff\n", [1, 2],
+         "row 2 of 2 has a token that is not UTF-8 (invalid start byte)"),
+        ("phi", b"shift\n1 2\n", [1, 2], "unknown projection mode 'shift'"),
     ],
     ids=["nan-and-repeat", "repeated-token", "infinity", "nan-offset", "infinite-matrix",
          "extra-row", "extra-offset-row", "two-row-offset", "unsized-offset",
-         "extra-matrix-row", "negative-size",
-         "negative-matrix-size", "non-number", "non-number-offset", "wide-row",
-         "wide-first-row", "blank-matrix-row"],
+         "extra-matrix-row", "negative-size", "negative-matrix-size", "short-block",
+         "short-offset-block", "wide-row", "few-token-lines", "blank-matrix-row",
+         "undecodable-token", "unknown-mode"],
 )
-def test_malformed_vectors_are_format_error(tmp_path, kind, text, problem):
+def test_malformed_vectors_are_format_error(tmp_path, kind, text, values, problem):
     path = tmp_path / f"{kind}.txt"
-    path.write_text("#config-hash f00d\n" + text)
+    path.write_bytes(b"#config-hash f00d\n" + text + np.array(values, "<f8").tobytes())
     load = load_embedding if kind == "embedding" else load_phi
     with pytest.raises(FormatError) as info:
         load(path)
