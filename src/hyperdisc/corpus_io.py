@@ -21,8 +21,9 @@ that starts with ``#`` (a ``#_#`` token, a ``#tag`` query), and the
 
 Artifacts are written whole or not at all by `write_artifact`, and read by
 `read_artifact`, which rejects a last row cut short by truncation. Every
-text reader takes its lines from `iter_data_lines`. The vector files' reader
-(`embedding`) and every stamp check take the header from `read_header`.
+text reader takes its lines from `iter_data_lines`. `read_header` is the one
+header rule: `iter_data_lines`, the vector files' reader (`embedding`) and
+every stamp check take the header from it.
 
 Multiword terms are written with single spaces externally and joined with
 underscores internally so that phrase tokens stay atomic in indexes and
@@ -107,17 +108,17 @@ def iter_data_lines(
     path: str | os.PathLike, _header: dict[str, str] | None = None
 ) -> Iterator[str]:
     """Yield lines with the trailing newline stripped, skipping the header
-    comment block; lines are read `READ_CHUNK` characters at a time. Bytes
-    that are not UTF-8 are a `FormatError` naming the file and the line
+    comment block (`read_header`); lines are read `READ_CHUNK` characters at
+    a time, and a line may end in ``\\n``, ``\\r\\n`` or ``\\r``. Bytes that are
+    not UTF-8 are a `FormatError` naming the file and the line
     (`decode_error`). `read_artifact` passes ``_header``, which receives the
     header and makes a last row cut short (no newline) a `FormatError`."""
     meta = {} if _header is None else _header
     try:
         with open(path, encoding="utf-8") as fh:
-            first, _ = _read_header(fh, meta)
-            chunks = iter(partial(fh.readlines, READ_CHUNK), [])
+            meta.update(read_header(fh.buffer, path))  # before the text layer reads
             n = 0  # data lines read so far
-            for chunk in itertools.chain([[first]] if first else (), chunks):
+            for chunk in iter(partial(fh.readlines, READ_CHUNK), []):
                 n += len(chunk)
                 if chunk[-1].endswith("\n"):
                     yield from [line[:-1] for line in chunk]
@@ -133,30 +134,20 @@ def iter_data_lines(
         raise decode_error(path, exc) from None
 
 
-def _read_header(fh: TextIO, meta: dict[str, str]) -> tuple[str, int]:
-    """Read the header block of an open file into ``meta``: the line after
-    it (empty at the end of the file) and the number of header lines."""
-    line, count = fh.readline(), 0
-    while CONFIG_HASH_KEY not in meta and (m := HEADER_LINE.fullmatch(line.rstrip("\n"))):
-        meta[m[1]] = m[2]  # the stamp ends the header
-        line, count = fh.readline(), count + 1
-    return line, count
-
-
 def read_header(fh: BinaryIO, path: str | os.PathLike) -> dict[str, str]:
-    """The header block of ``fh``, a file open in binary at its start, by the
-    rule of `iter_data_lines`, decoding one line at a time and nothing past
-    the block: ``fh`` is left at the first data line. A line that is not
-    UTF-8 is a `FormatError` naming the file and the line."""
+    """The header block of ``fh``, a file open in binary at its start: the
+    leading ``#key value`` lines (`HEADER_LINE`) up to and including the
+    ``#config-hash`` stamp. A line ends at ``\\n``, and the ``\\r``s just
+    before it are dropped. Lines are decoded one at a time and nothing past
+    the block is: ``fh`` is left at the first data line. A line that is not
+    UTF-8 is a `FormatError` (`decode_error`)."""
     meta: dict[str, str] = {}
-    n = 0
     while CONFIG_HASH_KEY not in meta:  # the stamp ends the header
         start, raw = fh.tell(), fh.readline()
-        n += 1
         try:
             m = HEADER_LINE.fullmatch(raw.decode("utf-8").rstrip("\r\n"))
         except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text at line {n} ({exc.reason})") from None
+            raise decode_error(path, exc) from None
         if not m:
             fh.seek(start)
             break
@@ -167,8 +158,11 @@ def read_header(fh: BinaryIO, path: str | os.PathLike) -> dict[str, str]:
 def file_line(path: str | os.PathLike, n: int) -> int:
     """The number, counted over every line of the file, of data line ``n``
     (from 1) of ``path``: ``n`` plus its header lines. For error messages."""
-    with open(path, encoding="utf-8") as fh:
-        return n + _read_header(fh, {})[1]
+    with open(path, "rb") as fh:
+        read_header(fh, path)
+        end = fh.tell()
+        fh.seek(0)
+        return n + fh.read(end).count(b"\n")
 
 
 def decode_error(path: str | os.PathLike, exc: UnicodeDecodeError) -> FormatError:

@@ -328,7 +328,8 @@ def _standalone_mrr(cfg, source):
 
 def test_end_to_end_planted_taxonomy(planted_run):
     dataset, cfg, _, elapsed = planted_run
-    n_paragraphs = sum(1 for _ in open(dataset.corpus, encoding="utf-8"))
+    with open(dataset.corpus, encoding="utf-8") as fh:
+        n_paragraphs = sum(1 for _ in fh)
     assert n_paragraphs >= 5000
     assert len(dataset.taxonomy.hypernyms) == 10
     assert all(len(m) == 50 for m in dataset.taxonomy.members.values())

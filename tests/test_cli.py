@@ -257,11 +257,11 @@ def test_stage_by_stage_equals_pipeline(tmp_path, dataset, capsys):
     for stage in STAGE_ORDER:
         assert run(cfg_path, stage) == 0, stage
     staged_out = capsys.readouterr().out
-    staged = {key: open(getattr(cfg, key), "rb").read() for key in ARTIFACT_KEYS}
+    staged = {key: Path(getattr(cfg, key)).read_bytes() for key in ARTIFACT_KEYS}
     assert run(cfg_path, "pipeline") == 0
     assert capsys.readouterr().out == staged_out
     for key in ARTIFACT_KEYS:
-        assert open(getattr(cfg, key), "rb").read() == staged[key], key
+        assert Path(getattr(cfg, key)).read_bytes() == staged[key], key
 
 
 def test_pipeline_is_deterministic(tmp_path, dataset):
@@ -270,12 +270,12 @@ def test_pipeline_is_deterministic(tmp_path, dataset):
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline") == 0
     first = {
-        key: open(getattr(cfg, key), "rb").read()
+        key: Path(getattr(cfg, key)).read_bytes()
         for key in ("predictions", "metrics")
     }
     assert run(cfg_path, "pipeline") == 0
     for key, body in first.items():
-        assert open(getattr(cfg, key), "rb").read() == body, key
+        assert Path(getattr(cfg, key)).read_bytes() == body, key
 
 
 def test_pipeline_bytes_do_not_depend_on_workers(tmp_path, dataset):
@@ -283,10 +283,10 @@ def test_pipeline_bytes_do_not_depend_on_workers(tmp_path, dataset):
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     assert run(cfg_path, "pipeline") == 0
-    serial = {key: open(getattr(cfg, key), "rb").read() for key in ARTIFACT_KEYS}
+    serial = {key: Path(getattr(cfg, key)).read_bytes() for key in ARTIFACT_KEYS}
     assert run(cfg_path, "pipeline", "--workers", "2") == 0
     for key in ARTIFACT_KEYS:
-        assert open(getattr(cfg, key), "rb").read() == serial[key], key
+        assert Path(getattr(cfg, key)).read_bytes() == serial[key], key
 
 
 def test_workers_change_leaves_artifacts_current(tmp_path, dataset):
@@ -498,6 +498,49 @@ def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag,
     assert run(cfg_path, "pipeline", flag, value) == 2
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not any(os.path.exists(getattr(cfg, key)) for key in ARTIFACT_KEYS)
+
+
+def test_header_line_holding_a_lone_cr_is_read_by_one_rule(tmp_path, dataset, capsys):
+    """The stamp check and the loader read one header: a `#note` line that
+    holds a lone CR, before the stamp, leaves the artifact current and its
+    rows as they were."""
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    clean = Path(cfg.predictions).read_bytes()
+    hearst = Path(cfg.hearst_corpus)
+    hearst.write_bytes(b"#note a\rb\n" + hearst.read_bytes())
+    os.remove(cfg.predictions)
+    assert run(cfg_path, "predict") == 0, capsys.readouterr().err
+    assert Path(cfg.predictions).read_bytes() == clean
+
+
+def after_header(path):
+    with open(path, "rb") as fh:
+        read_header(fh, path)
+        return fh.read()
+
+
+def test_crlf_inputs_give_the_lf_run(tmp_path, dataset, capsys):
+    """Inputs whose lines end in CRLF give every artifact, after its stamp,
+    and every summary line of the run on the LF inputs."""
+    inputs = {}
+    for key in ("corpus", "vocab", "queries", "gold", "train_queries", "train_gold"):
+        path = Path(getattr(dataset, key))
+        inputs[key] = str(tmp_path / path.name)
+        Path(inputs[key]).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    runs = []
+    for name, overrides in (("lf", {}), ("crlf", inputs)):
+        (tmp_path / name).mkdir()
+        cfg = make_config(dataset, tmp_path / name, **overrides)
+        write_config(tmp_path / name / "config.txt", cfg)
+        capsys.readouterr()
+        assert run(tmp_path / name / "config.txt", "pipeline") == 0, name
+        out = capsys.readouterr().out
+        runs.append((out, {key: after_header(getattr(cfg, key)) for key in ARTIFACT_KEYS}))
+    assert b"\r\n" in Path(inputs["corpus"]).read_bytes()
+    assert runs[0] == runs[1]
 
 
 def test_unstamped_artifact_rejected(tmp_path, dataset, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import os
 from unittest import mock
 
@@ -225,17 +224,27 @@ def test_unstamped_file_skips_leading_comments(tmp_path):
 
 
 @given(st.lists(st.sampled_from(["#note a", "#more b", "#config-hash cafe", "#Note a", "#x",
-                                 "#_# 1_CD herb_NN", "data", "#note a\r"]), max_size=5))
+                                 "#_# 1_CD herb_NN", "data", "#note a\r", "#note a\rb"]),
+                max_size=5))
 def test_binary_header_reader_equals_text_reader(tmp_path_factory, lines):
     """`read_header` finds the header `read_artifact` finds, a CRLF line end
-    read as a newline, and leaves the file at the first data line."""
+    read as a newline and a lone CR kept in its line, and leaves the file at
+    the first data line, from which the data lines end at any newline."""
     path = tmp_path_factory.mktemp("header") / "f.txt"
     path.write_bytes("".join(line + "\n" for line in lines + ["end"]).encode())
     with open(path, "rb") as fh:
         header = read_header(fh, path)
         rest = fh.read().decode("utf-8")
     assert header == read_artifact(path)[0]
-    assert rest.replace("\r\n", "\n").split("\n")[:-1] == list(iter_data_lines(path))
+    data = rest.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:-1]
+    assert data == list(iter_data_lines(path))
+
+
+def test_lone_cr_stays_inside_a_header_line(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"#note a\rb\n#config-hash x\ndata\n")
+    header, lines = read_artifact(path)
+    assert (header, list(lines)) == ({"note": "a\rb", "config-hash": "x"}, ["data"])
 
 
 def test_binary_header_reader_decodes_nothing_past_the_stamp(tmp_path):
@@ -297,8 +306,8 @@ def unchunked_reference(path, artifact):
     lines = []
     try:
         with open(path, encoding="utf-8") as fh:
-            line, _ = corpus_io._read_header(fh, {})
-            for n, line in enumerate(itertools.chain((line,) if line else (), fh), 1):
+            read_header(fh.buffer, path)
+            for n, line in enumerate(fh, 1):
                 if artifact and not line.endswith("\n"):
                     raise FormatError(
                         f"{path}: last row cut short at data line {n}; the file is truncated"
