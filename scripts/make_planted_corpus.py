@@ -31,7 +31,8 @@ def main() -> None:
         noise_lines=args.noise_lines,
         distractor_vocab=args.distractor_vocab,
     )
-    n_lines = sum(1 for _ in open(dataset.corpus, encoding="utf-8"))
+    with open(dataset.corpus, "rb") as fh:
+        n_lines = sum(1 for _ in fh)
     print(f"corpus:        {dataset.corpus} ({n_lines} paragraphs)")
     print(f"vocabulary:    {dataset.vocab}")
     print(f"train queries: {dataset.train_queries} ({len(dataset.train_pairs)})")

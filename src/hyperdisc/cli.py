@@ -40,7 +40,8 @@ from .corpus_io import (
     FormatError,
     Query,
     QueryKind,
-    decode_error,
+    file_line,
+    iter_data_lines,
     load_gold,
     load_queries,
     load_vocabulary,
@@ -188,22 +189,18 @@ def load_config(
     if path:
         if not os.path.exists(path):
             raise CliError(f"config file not found: {path}")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, sep, raw = line.partition("=")
-                    key = key.strip()
-                    if not sep or key not in _FIELD_TYPES:
-                        raise CliError(f"{path}: line {lineno}: unknown config key {key!r}")
-                    try:
-                        values[key] = _coerce(key, raw)
-                    except ValueError as exc:
-                        raise CliError(f"{path}: line {lineno}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise CliError(str(decode_error(path, exc))) from None
+        for n, line in enumerate(iter_data_lines(path), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            key = key.strip()
+            if not sep or key not in _FIELD_TYPES:
+                raise CliError(f"{path}: line {file_line(path, n)}: unknown config key {key!r}")
+            try:
+                values[key] = _coerce(key, raw)
+            except ValueError as exc:
+                raise CliError(f"{path}: line {file_line(path, n)}: {exc}") from None
     if overrides:
         values.update(overrides)
     return PipelineConfig(**values)

@@ -1,7 +1,8 @@
 """Readers and writers for every file format in the pipeline.
 
-Formats (all UTF-8, ``\\n`` line endings, but for the vector block of the
-embedding and phi files):
+Formats (all UTF-8 lines, but for the vector block of the embedding and phi
+files; a line ends at ``\\n``, and the ``\\r``s just before it are dropped, so
+CRLF files read as LF ones and a lone ``\\r`` stays inside its line):
 
 * tagged corpus: one paragraph per line, space-separated ``surface_POS``
   tokens; the split is on the LAST underscore, so surfaces may contain
@@ -21,9 +22,10 @@ that starts with ``#`` (a ``#_#`` token, a ``#tag`` query), and the
 
 Artifacts are written whole or not at all by `write_artifact`, and read by
 `read_artifact`, which rejects a last row cut short by truncation. Every
-text reader takes its lines from `iter_data_lines`. `read_header` is the one
-header rule: `iter_data_lines`, the vector files' reader (`embedding`) and
-every stamp check take the header from it.
+text reader, the config's included, takes its lines from `iter_data_lines`,
+which reads in binary. `read_header` is the one header rule:
+`iter_data_lines`, the vector files' reader (`embedding`) and every stamp
+check take the header from it.
 
 Multiword terms are written with single spaces externally and joined with
 underscores internally so that phrase tokens stay atomic in indexes and
@@ -47,7 +49,7 @@ MAX_PREDICTIONS = 15  # hypernyms scored per query: the cap of every candidate l
 MAX_TERM_WORDS = 3
 CONFIG_HASH_KEY = "config-hash"
 HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key lowercase
-READ_CHUNK = 1 << 13  # characters of whole lines per read of `iter_data_lines`
+READ_CHUNK = 1 << 13  # bytes per read of `iter_data_lines`, made up to whole lines
 
 
 @dataclass(frozen=True)
@@ -107,47 +109,53 @@ def format_header(meta: dict[str, str]) -> str:
 def iter_data_lines(
     path: str | os.PathLike, _header: dict[str, str] | None = None
 ) -> Iterator[str]:
-    """Yield lines with the trailing newline stripped, skipping the header
-    comment block (`read_header`); lines are read `READ_CHUNK` characters at
-    a time, and a line may end in ``\\n``, ``\\r\\n`` or ``\\r``. Bytes that are
-    not UTF-8 are a `FormatError` naming the file and the line
-    (`decode_error`). `read_artifact` passes ``_header``, which receives the
-    header and makes a last row cut short (no newline) a `FormatError`."""
+    """Yield the data lines of ``path``, read in binary after its header
+    (`read_header`): a line ends at ``\\n``, and the ``\\r``s just before it
+    are dropped, so a lone ``\\r`` stays inside its line. Whole lines are read
+    about `READ_CHUNK` bytes at a time and each chunk is decoded once; bytes
+    that are not UTF-8 are a `FormatError` naming the file and the line.
+    `read_artifact` passes ``_header``, which receives the header and makes a
+    last row cut short (no ``\\n``) a `FormatError`."""
     meta = {} if _header is None else _header
-    try:
-        with open(path, encoding="utf-8") as fh:
-            meta.update(read_header(fh.buffer, path))  # before the text layer reads
-            n = 0  # data lines read so far
-            for chunk in iter(partial(fh.readlines, READ_CHUNK), []):
-                n += len(chunk)
-                if chunk[-1].endswith("\n"):
-                    yield from [line[:-1] for line in chunk]
-                    continue
-                # only the last line of a file can lack its newline
-                yield from [line[:-1] for line in chunk[:-1]]
+    with open(path, "rb") as fh:
+        meta.update(read_header(fh, path))
+        n = 0  # data lines read so far
+        for chunk in iter(partial(fh.read, READ_CHUNK), b""):
+            if not chunk.endswith(b"\n"):
+                chunk += fh.readline()  # to the end of its line
+            try:
+                lines = chunk.decode("utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                bad = file_line(path, n + chunk.count(b"\n", 0, exc.start) + 1)
+                raise FormatError(f"{path}: not UTF-8 text at line {bad} ({exc.reason})") from None
+            if b"\r" in chunk:
+                lines = [line.rstrip("\r") for line in lines]
+            last = lines.pop()  # "" after a final newline
+            n += len(lines)
+            yield from lines
+            if not chunk.endswith(b"\n"):  # only the last line of a file lacks its newline
                 if _header is not None:
-                    raise FormatError(
-                        f"{path}: last row cut short at data line {n}; the file is truncated"
-                    )
-                yield chunk[-1]
-    except UnicodeDecodeError as exc:
-        raise decode_error(path, exc) from None
+                    raise FormatError(f"{path}: last row cut short at line "
+                                      f"{file_line(path, n + 1)}; the file is truncated")
+                yield last
 
 
 def read_header(fh: BinaryIO, path: str | os.PathLike) -> dict[str, str]:
     """The header block of ``fh``, a file open in binary at its start: the
     leading ``#key value`` lines (`HEADER_LINE`) up to and including the
-    ``#config-hash`` stamp. A line ends at ``\\n``, and the ``\\r``s just
-    before it are dropped. Lines are decoded one at a time and nothing past
+    ``#config-hash`` stamp, each ending as a data line ends
+    (`iter_data_lines`). Lines are decoded one at a time and nothing past
     the block is: ``fh`` is left at the first data line. A line that is not
-    UTF-8 is a `FormatError` (`decode_error`)."""
+    UTF-8 is a `FormatError` naming the file and the line."""
     meta: dict[str, str] = {}
+    n = 0  # lines read so far
     while CONFIG_HASH_KEY not in meta:  # the stamp ends the header
         start, raw = fh.tell(), fh.readline()
+        n += 1
         try:
             m = HEADER_LINE.fullmatch(raw.decode("utf-8").rstrip("\r\n"))
         except UnicodeDecodeError as exc:
-            raise decode_error(path, exc) from None
+            raise FormatError(f"{path}: not UTF-8 text at line {n} ({exc.reason})") from None
         if not m:
             fh.seek(start)
             break
@@ -165,25 +173,10 @@ def file_line(path: str | os.PathLike, n: int) -> int:
         return n + fh.read(end).count(b"\n")
 
 
-def decode_error(path: str | os.PathLike, exc: UnicodeDecodeError) -> FormatError:
-    """The `FormatError` for a file that failed to decode as UTF-8, naming
-    the first line (counted from 1 over every line of the file) that holds a
-    bad byte. A text read decodes in chunks, so the file is read again in
-    binary and decoded line by line; a newline byte never occurs inside a
-    UTF-8 sequence, so the lines fail where the whole file did."""
-    with open(path, "rb") as fh:
-        for n, raw in enumerate(fh, 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as line_exc:
-                return FormatError(f"{path}: not UTF-8 text at line {n} ({line_exc.reason})")
-    return FormatError(f"{path}: not UTF-8 text ({exc.reason})")
-
-
 def read_artifact(path: str | os.PathLike) -> tuple[dict[str, str], Iterator[str]]:
     """The header and the data lines of an artifact, from one open of the
     file. Iterating the lines raises `FormatError` at a last row cut short
-    by truncation, naming the file and the data line."""
+    by truncation, naming the file and the line."""
     header: dict[str, str] = {}
     lines = iter_data_lines(path, header)
     first = next(lines, None)  # opens the file and reads the header
@@ -369,8 +362,9 @@ def load_queries(path: str | os.PathLike) -> list[Query]:
 
 
 def load_gold(path: str | os.PathLike, queries: Sequence[Query]) -> list[GoldSet]:
-    """Load gold hypernym lists aligned 1:1 with ``queries``."""
-    lines = [line for line in iter_data_lines(path)]
+    """Load gold hypernym lists aligned 1:1 with ``queries``. A line with no
+    hypernym is a `FormatError` naming the file and the line."""
+    lines = list(iter_data_lines(path))
     # trailing blank lines are tolerated, interior ones are data
     while lines and not lines[-1].strip():
         lines.pop()
@@ -379,10 +373,13 @@ def load_gold(path: str | os.PathLike, queries: Sequence[Query]) -> list[GoldSet
             f"{path}: {len(lines)} gold lines for {len(queries)} queries"
         )
     gold_sets = []
-    for query, line in zip(queries, lines):
+    for n, (query, line) in enumerate(zip(queries, lines), start=1):
         hypernyms = tuple(
             normalize_term(part) for part in line.split("\t") if part.strip()
         )
+        if not hypernyms:
+            raise FormatError(f"{path}: line {file_line(path, n)}: "
+                              f"no gold hypernym for query {query.term!r}")
         gold_sets.append(GoldSet(query, hypernyms))
     return gold_sets
 

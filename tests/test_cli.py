@@ -358,7 +358,7 @@ def test_normalized_corpus_cut_short_is_clean_error(tmp_path, dataset, capsys, s
     capsys.readouterr()
     assert run(cfg_path, stage) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg.normalized}: last row cut short at data line 2")
+    assert err.startswith(f"error: {cfg.normalized}: last row cut short at line 3")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -395,6 +395,24 @@ def test_pipeline_reads_tagged_corpus_once(tmp_path, dataset, monkeypatch):
             monkeypatch.setattr(module, "iter_data_lines", counted)
     assert run(cfg_path, "pipeline") == 0
     assert reads.count(os.path.abspath(cfg.corpus)) == 1
+
+
+def test_gold_line_without_hypernym_names_file_and_line(tmp_path, dataset, capsys):
+    """`fit-phi` rejects a training gold line with no hypernym before it
+    writes the projection, naming the file, the line and the query."""
+    train_gold = tmp_path / "train_gold.tsv"
+    lines = Path(dataset.train_gold).read_text(encoding="utf-8").split("\n")
+    lines[1] = ""
+    train_gold.write_text("\n".join(lines), encoding="utf-8")
+    cfg = make_config(dataset, tmp_path, train_gold=str(train_gold))
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    term = load_queries(cfg.train_queries)[1].term
+    assert run(cfg_path, "pipeline") == 2
+    assert capsys.readouterr().err == (
+        f"error: {train_gold}: line 2: no gold hypernym for query {term!r}\n"
+    )
+    assert not os.path.exists(cfg.phi)
 
 
 def test_stale_artifact_rejected(tmp_path, dataset, capsys):

@@ -234,6 +234,16 @@ def test_pair_index_rejects_malformed_lines(tmp_path):
             )
 
 
+def test_pair_index_error_names_the_line_by_the_one_rule(tmp_path):
+    """A lone CR stays inside its line, so the bad row is named at the line
+    it is on, counted at LF."""
+    path = tmp_path / "h.tsv"
+    path.write_bytes(b"#config-hash x\na\tb\rc\td\ncd\n")
+    with pytest.raises(FormatError) as info:
+        build_pair_index(path, Source.HEARST)
+    assert str(info.value) == f"{path}: line 3 is not hyponym<TAB>...<TAB>hypernym: 'cd'"
+
+
 def test_pair_index_rejects_other_kinds(tmp_path):
     path = tmp_path / "h.tsv"
     path.write_text("")
@@ -294,8 +304,8 @@ def test_load_rejects_wrong_magic(tmp_path):
 @pytest.mark.parametrize(
     "row, problem",
     [
-        ("a\tb\t1", "last row cut short at data line 2; the file is truncated"),
-        ("a\tb\t", "last row cut short at data line 2; the file is truncated"),
+        ("a\tb\t1", "last row cut short at line 4; the file is truncated"),
+        ("a\tb\t", "last row cut short at line 4; the file is truncated"),
         ("a\tb\n", "line 4 is not term<TAB>candidate<TAB>count"),
         ("a\tb\t1\t2\n", "line 4 is not term<TAB>candidate<TAB>count"),
         ("a\tb\tmany\n", "line 4 is not term<TAB>candidate<TAB>count"),

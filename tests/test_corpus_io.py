@@ -13,6 +13,7 @@ from hyperdisc.corpus_io import (
     QueryKind,
     ScanStats,
     TaggedParagraph,
+    file_line,
     iter_data_lines,
     load_gold,
     load_queries,
@@ -152,6 +153,18 @@ def test_load_gold(tmp_path):
     assert gold[0].query.term == "lemongrass"
 
 
+def test_load_gold_rejects_a_line_without_hypernym(tmp_path):
+    qpath = tmp_path / "q.tsv"
+    qpath.write_text("a\tConcept\nb\tConcept\nc\tEntity\n")
+    gpath = tmp_path / "g.tsv"
+    gpath.write_text("#config-hash cafe\nx\n \t\nz\n\n\n")
+    with pytest.raises(FormatError) as info:
+        load_gold(gpath, load_queries(qpath))
+    assert str(info.value) == f"{gpath}: line 3: no gold hypernym for query 'b'"
+    gpath.write_text("#config-hash cafe\nx\ny\nz\n\n\n")  # trailing blank lines
+    assert [g.hypernyms for g in load_gold(gpath, load_queries(qpath))] == [("x",), ("y",), ("z",)]
+
+
 def test_load_gold_count_mismatch(tmp_path):
     qpath = tmp_path / "q.tsv"
     qpath.write_text("a\tConcept\nb\tConcept\nc\tConcept\n")
@@ -229,14 +242,14 @@ def test_unstamped_file_skips_leading_comments(tmp_path):
 def test_binary_header_reader_equals_text_reader(tmp_path_factory, lines):
     """`read_header` finds the header `read_artifact` finds, a CRLF line end
     read as a newline and a lone CR kept in its line, and leaves the file at
-    the first data line, from which the data lines end at any newline."""
+    the first data line, from which the data lines end by the same rule."""
     path = tmp_path_factory.mktemp("header") / "f.txt"
     path.write_bytes("".join(line + "\n" for line in lines + ["end"]).encode())
     with open(path, "rb") as fh:
         header = read_header(fh, path)
         rest = fh.read().decode("utf-8")
     assert header == read_artifact(path)[0]
-    data = rest.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:-1]
+    data = [line.rstrip("\r") for line in rest.split("\n")[:-1]]
     assert data == list(iter_data_lines(path))
 
 
@@ -245,6 +258,24 @@ def test_lone_cr_stays_inside_a_header_line(tmp_path):
     path.write_bytes(b"#note a\rb\n#config-hash x\ndata\n")
     header, lines = read_artifact(path)
     assert (header, list(lines)) == ({"note": "a\rb", "config-hash": "x"}, ["data"])
+
+
+def test_data_lines_end_at_newline_alone(tmp_path):
+    """A data line ends at LF, the CRs just before it dropped, as a header
+    line does: a lone CR stays inside its line."""
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\rb\nc\r\nd\r\r\ne")
+    assert list(iter_data_lines(path)) == ["a\rb", "c", "d", "e"]
+
+
+def test_query_error_names_the_line_by_the_one_rule(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_bytes(b"x\ry\tConcept\nz\tBogus\n")
+    with pytest.raises(FormatError) as info:
+        load_queries(path)
+    assert str(info.value) == (
+        f"{path}: line 2: unknown query kind 'Bogus' (expected Concept or Entity)"
+    )
 
 
 def test_binary_header_reader_decodes_nothing_past_the_stamp(tmp_path):
@@ -302,19 +333,23 @@ def test_bad_byte_is_located_by_line(tmp_path, header):
 
 def unchunked_reference(path, artifact):
     """The per-line reader that `iter_data_lines` reads in chunks: the lines
-    it yields, and the text of the `FormatError` it stops at (None if none)."""
+    it yields, and the text of the `FormatError` it stops at (None if none).
+    Each line is read in binary up to its ``\\n``, decoded, and stripped of
+    the ``\\r``s before it."""
     lines = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            read_header(fh.buffer, path)
-            for n, line in enumerate(fh, 1):
-                if artifact and not line.endswith("\n"):
-                    raise FormatError(
-                        f"{path}: last row cut short at data line {n}; the file is truncated"
-                    )
-                lines.append(line.rstrip("\n"))
-    except UnicodeDecodeError as exc:
-        return lines, str(corpus_io.decode_error(path, exc))
+        with open(path, "rb") as fh:
+            read_header(fh, path)
+            for n, raw in enumerate(fh, 1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}: not UTF-8 text at line {file_line(path, n)} "
+                                      f"({exc.reason})") from None
+                if artifact and not raw.endswith(b"\n"):
+                    raise FormatError(f"{path}: last row cut short at line {file_line(path, n)}; "
+                                      f"the file is truncated")
+                lines.append(line.rstrip("\r\n"))
     except FormatError as exc:
         return lines, str(exc)
     return lines, None
