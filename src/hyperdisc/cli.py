@@ -351,14 +351,14 @@ def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
 
 
 def cmd_predict(cfg: PipelineConfig) -> None:
-    lists_for = module_lists(cfg)
-    if cfg.order_mode == "trained":  # the one read no `STAGES` row lists
+    train_gold = None
+    if cfg.order_mode == "trained":  # the one read no `STAGES` row lists, before the loads
         _require_file(cfg, "train_queries")
         _require_file(cfg, "train_gold")
         train_gold = load_gold(cfg.train_gold, load_queries(cfg.train_queries))
-        order = choose_order(module_reports([lists_for(g.query) for g in train_gold], train_gold))
-    else:
-        order = ModuleOrder()
+    lists_for = module_lists(cfg)
+    order = ModuleOrder() if train_gold is None else choose_order(
+        module_reports([lists_for(g.query) for g in train_gold], train_gold))
     predictions = [merge(q, lists_for(q), order, cfg.k) for q in load_queries(cfg.queries)]
     write_predictions(
         cfg.predictions, (p.terms() for p in predictions), header=cfg.header()
@@ -412,11 +412,13 @@ PIPELINE_STAGES = [(stage, row.handler) for stage, row in STAGES.items()]
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
     """Every stage in order; the corpus stages share one pass over the corpus.
-    Every input file and the seed are checked first, so that a bad one stops
-    the run before it writes anything."""
+    Every input file, the seed and both gold files' lines are checked first,
+    so that a bad one stops the run before it writes anything."""
     for key in dict.fromkeys(k for row in STAGES.values() for k in row.reads if k not in WRITERS):
         _require_file(cfg, key)
     _require_seed(cfg)
+    load_gold(cfg.gold, load_queries(cfg.queries))
+    load_gold(cfg.train_gold, load_queries(cfg.train_queries))
     stats = extract_corpus(cfg.corpus, cfg.hearst_corpus, cfg.isa_corpus, cfg.workers,
                            cfg.header(), normalized_out=cfg.normalized)
     for stage, handler in PIPELINE_STAGES:

@@ -10,17 +10,18 @@ with h the context mean, u the output vectors, and negatives drawn from
 the unigram^(3/4) distribution. The learning rate decays linearly to 10%
 of its initial value over all positions of all epochs.
 
-Training is block-batched: the lines are concatenated, and each block of
-``BLOCK`` consecutive positions is one weight update, ``apply_step``, the
-only one. A block takes every gradient at its start weights, masks each
-context window at its line's ends and keeps each position's own learning
-rate. After Ji et al. (arXiv:1604.04661), each group of ``GROUP``
-consecutive positions shares one row of negatives, all drawn in one RNG
-call; a negative equal to any center of its group is redrawn, and a group
-holds fewer positions than the vocabulary has tokens, so that a valid
-negative exists. With blocks of one position it is the plain per-position
-SGD. Training stays single-process and uses no BLAS call, so the weights
-are byte-reproducible for a fixed seed, whatever the CPU count.
+Training is block-batched: the corpus is one id array with its line
+bounds, and each block of ``BLOCK`` consecutive positions is one weight
+update, ``apply_step``, the only one. A block takes every gradient at its
+start weights, masks each context window at its line's bounds and keeps
+each position's own learning rate. After Ji et al. (arXiv:1604.04661),
+each group of ``GROUP`` consecutive positions shares one row of
+negatives, all drawn in one RNG call; a negative equal to any center of
+its group is redrawn, and a group holds fewer positions than the
+vocabulary has tokens, so that a valid negative exists. With blocks of
+one position it is the plain per-position SGD. Training stays
+single-process and uses no BLAS call, so the weights are
+byte-reproducible for a fixed seed, whatever the CPU count.
 ``cbow_step_loss`` is the independent oracle for the same loss and
 gradients.
 
@@ -275,17 +276,9 @@ def _scatter_add(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     w[distinct] += sums.reshape(-1, dim)
 
 
-def _encode_corpus(lines: Iterable[list[str]], index: dict[str, int]) -> list[np.ndarray]:
-    encoded = []
-    for tokens in lines:
-        ids = [index[t] for t in tokens if t in index]
-        if len(ids) >= 2:
-            encoded.append(np.asarray(ids, dtype=np.intp))
-    return encoded
-
-
 def _train(
-    lines: Sequence[np.ndarray],
+    ids: np.ndarray,
+    bounds: np.ndarray,
     w_in: np.ndarray,
     w_out: np.ndarray,
     noise_cdf: np.ndarray,
@@ -293,14 +286,11 @@ def _train(
     rng: np.random.Generator,
     block: int = BLOCK,
 ) -> None:
-    """Train over ``lines`` (at least one, each of at least two ids, so that
+    """Train over the lines ``ids[bounds[k]:bounds[k + 1]]`` (``bounds``
+    rises from 0 to ``ids.size``; each line has at least two ids, so that
     every position has a context) in blocks of ``block`` consecutive
-    positions of the concatenated lines, one `apply_step` per block."""
-    flat = np.concatenate(lines)
-    total = config.epochs * flat.size
-    sizes = np.fromiter((len(ids) for ids in lines), dtype=np.intp, count=len(lines))
-    line_end = np.repeat(np.cumsum(sizes), sizes)
-    line_start = line_end - np.repeat(sizes, sizes)
+    positions, one `apply_step` per block."""
+    total = config.epochs * ids.size
     window = config.window
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     n_neg = config.negatives
@@ -310,12 +300,13 @@ def _train(
     lr_floor = LR_FLOOR_FRACTION * lr0
     with np.errstate(over="ignore"):
         for epoch in range(config.epochs):
-            for first in range(0, flat.size, block):
-                pos = np.arange(first, min(first + block, flat.size))
+            for first in range(0, ids.size, block):
+                pos = np.arange(first, min(first + block, ids.size))
+                line = np.searchsorted(bounds, pos, side="right")
                 at = pos[:, None] + offsets
-                inside = (at >= line_start[pos, None]) & (at < line_end[pos, None])
-                context = np.where(inside, flat[np.where(inside, at, 0)], -1)
-                centers = flat[pos]
+                inside = (at >= bounds[line - 1, None]) & (at < bounds[line, None])
+                context = np.where(inside, ids[np.where(inside, at, 0)], -1)
+                centers = ids[pos]
                 groups = -(-pos.size // group)
                 width = -(-pos.size // groups)  # as `apply_step` reads it, <= group
                 negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg))
@@ -326,13 +317,9 @@ def _train(
                     clash = np.logical_or.reduceat(hits, np.arange(0, pos.size, width))
                     if not clash.any():
                         break
-                    negs[clash] = np.searchsorted(
-                        noise_cdf, rng.random(int(clash.sum()))
-                    )
-                lr = lr0 * (1.0 - 0.9 * (epoch * flat.size + pos) / total)
-                apply_step(
-                    w_in, w_out, context, centers, negs, np.maximum(lr, lr_floor)
-                )
+                    negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
+                lr = lr0 * (1.0 - 0.9 * (epoch * ids.size + pos) / total)
+                apply_step(w_in, w_out, context, centers, negs, np.maximum(lr, lr_floor))
 
 
 def train_cbow(
@@ -342,37 +329,48 @@ def train_cbow(
     """Train CBOW vectors over a normalized corpus file.
 
     The vocabulary is every token with frequency >= ``min_count``, ordered
-    by descending frequency then token. Raises if nothing survives the
-    frequency filter or ``config.seed`` is None, and raises `FormatError`
-    if the corpus's last line is cut short.
+    by descending frequency then token. The file is read twice. The first
+    pass counts every distinct token, `normalize`'s noun phrases included,
+    so its `Counter` grows with the corpus; it is dropped once the
+    vocabulary's counts are taken. The second encodes each line of at least
+    two vocabulary tokens into one id array and its end into the line
+    bounds; only those two arrays are kept. Raises if nothing survives the
+    frequency filter or ``config.seed`` is None, and `FormatError` if the
+    corpus's last line is cut short.
     """
     if config.seed is None:
         raise ValueError("train_cbow needs a seed, so that its weights are reproducible")
-    lines = [line.split() for line in read_artifact(normalized_corpus_path)[1]]
-    freqs = Counter(itertools.chain.from_iterable(lines))
+    freqs = Counter(itertools.chain.from_iterable(
+        map(str.split, read_artifact(normalized_corpus_path)[1])))
     vocab = sorted(
         (t for t, c in freqs.items() if c >= config.min_count),
         key=lambda t: (-freqs[t], t),
     )
     if not vocab:
-        raise ValueError(
-            f"no token reaches min_count={config.min_count}; cannot train"
-        )
+        raise ValueError(f"no token reaches min_count={config.min_count}; cannot train")
     if len(vocab) < 2:
         raise ValueError("need at least two vocabulary tokens for negative sampling")
+    counts = np.array([freqs[t] for t in vocab], dtype=np.float64)
+    del freqs
     index = {t: i for i, t in enumerate(vocab)}
-    encoded = _encode_corpus(lines, index)
+    from array import array  # here, as numpy is, so that only training imports it
+    ids, bounds = array("q"), array("q", [0])
+    for line in read_artifact(normalized_corpus_path)[1]:
+        row = [index[t] for t in line.split() if t in index]
+        if len(row) >= 2:
+            ids.extend(row)
+            bounds.append(len(ids))
 
     rng = np.random.default_rng(config.seed)
     dim = config.dim
     w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
     w_out = np.zeros((len(vocab), dim))
-    counts = np.array([freqs[t] for t in vocab], dtype=np.float64)
     noise_cdf = np.cumsum(counts**NOISE_POWER)
     noise_cdf /= noise_cdf[-1]
 
-    if encoded:
-        _train(encoded, w_in, w_out, noise_cdf, config, rng)
+    if ids:
+        _train(np.frombuffer(ids, np.int64), np.frombuffer(bounds, np.int64),
+               w_in, w_out, noise_cdf, config, rng)
     return EmbeddingModel(vocab=vocab, input_vectors=w_in, output_vectors=w_out)
 
 

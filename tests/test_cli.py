@@ -397,22 +397,42 @@ def test_pipeline_reads_tagged_corpus_once(tmp_path, dataset, monkeypatch):
     assert reads.count(os.path.abspath(cfg.corpus)) == 1
 
 
-def test_gold_line_without_hypernym_names_file_and_line(tmp_path, dataset, capsys):
-    """`fit-phi` rejects a training gold line with no hypernym before it
-    writes the projection, naming the file, the line and the query."""
-    train_gold = tmp_path / "train_gold.tsv"
-    lines = Path(dataset.train_gold).read_text(encoding="utf-8").split("\n")
+def gold_without_line_2(dataset, tmp_path, gold_key):
+    """A copy of the dataset's ``gold_key`` file with its second line emptied."""
+    gold = tmp_path / f"{gold_key}.tsv"
+    lines = Path(getattr(dataset, gold_key)).read_text(encoding="utf-8").split("\n")
     lines[1] = ""
-    train_gold.write_text("\n".join(lines), encoding="utf-8")
-    cfg = make_config(dataset, tmp_path, train_gold=str(train_gold))
+    gold.write_text("\n".join(lines), encoding="utf-8")
+    return gold
+
+
+def test_gold_line_without_hypernym_names_file_and_line(tmp_path, dataset, capsys):
+    """A gold line with no hypernym, in either gold file, stops `pipeline`
+    before it writes anything, naming the file, the line and the query."""
+    for gold_key, queries_key in (("gold", "queries"), ("train_gold", "train_queries")):
+        (tmp_path / gold_key).mkdir()
+        gold = gold_without_line_2(dataset, tmp_path / gold_key, gold_key)
+        cfg = make_config(dataset, tmp_path / gold_key, **{gold_key: str(gold)})
+        cfg_path = tmp_path / gold_key / "config.txt"
+        write_config(cfg_path, cfg)
+        term = load_queries(getattr(cfg, queries_key))[1].term
+        assert run(cfg_path, "pipeline") == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {gold}: line 2: no gold hypernym for query {term!r}\n")
+        assert not any(os.path.exists(getattr(cfg, key)) for key in ARTIFACT_KEYS)
+
+
+def test_trained_predict_reads_training_gold_before_the_artifacts(tmp_path, dataset, capsys):
+    # no artifact exists, so a check or a load of one would fail first
+    gold = gold_without_line_2(dataset, tmp_path, "train_gold")
+    cfg = make_config(dataset, tmp_path, order_mode="trained", train_gold=str(gold))
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     term = load_queries(cfg.train_queries)[1].term
-    assert run(cfg_path, "pipeline") == 2
+    assert run(cfg_path, "predict") == 2
     assert capsys.readouterr().err == (
-        f"error: {train_gold}: line 2: no gold hypernym for query {term!r}\n"
+        f"error: {gold}: line 2: no gold hypernym for query {term!r}\n"
     )
-    assert not os.path.exists(cfg.phi)
 
 
 def test_stale_artifact_rejected(tmp_path, dataset, capsys):

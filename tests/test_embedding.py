@@ -1,6 +1,7 @@
 import functools
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,13 @@ def per_position_reference(lines, w_in, w_out, noise_cdf, config, rng, total):
                     np.add.at(w_in, ctx, (-lr / ctx.size) * grad_h)
 
 
+def ids_and_bounds(lines):
+    """The trainer's corpus shape of ``lines``: their ids in one array, and
+    the bounds of each line in it, from 0."""
+    ends = np.cumsum([len(ids) for ids in lines])
+    return np.concatenate(lines), np.concatenate(([0], ends))
+
+
 @st.composite
 def training_cases(draw):
     vocab_size = draw(st.integers(2, 6))
@@ -284,7 +292,7 @@ def test_block_size_one_reproduces_per_position_trainer(case):
     runs = []
     for train in (
         functools.partial(per_position_reference, total=total),
-        functools.partial(embedding._train, block=1),
+        lambda lines, *args: embedding._train(*ids_and_bounds(lines), *args, block=1),
     ):
         rng = np.random.default_rng(config.seed)
         weights = w_in.copy(), w_out.copy()
@@ -314,7 +322,7 @@ def record_blocks(monkeypatch, lines, w_in, w_out, config, rng):
         real_step(w_in, w_out, context, centers, negatives, lr)
 
     monkeypatch.setattr(embedding, "apply_step", recording_step)
-    embedding._train(lines, w_in, w_out, noise_cdf, config, rng)
+    embedding._train(*ids_and_bounds(lines), w_in, w_out, noise_cdf, config, rng)
     return blocks
 
 
@@ -411,6 +419,71 @@ def test_empty_vocabulary_is_error(tmp_path):
     config = EmbeddingConfig(dim=4, window=2, min_count=5, epochs=1, seed=0)
     with pytest.raises(ValueError, match="min_count"):
         train_cbow(path, config)
+
+
+def trained_corpus(monkeypatch, path, config):
+    """`train_cbow`'s model, and the ids and bounds of each `_train` call."""
+    calls = []
+    real_train = embedding._train
+
+    def recording_train(ids, bounds, *args):
+        calls.append((ids.tolist(), bounds.tolist()))
+        real_train(ids, bounds, *args)
+
+    monkeypatch.setattr(embedding, "_train", recording_train)
+    return train_cbow(path, config), calls
+
+
+def test_blank_line_is_dropped(monkeypatch, tmp_path):
+    path = tmp_path / "c.txt"
+    write_corpus(path, [["a", "b"], [], ["b", "a", "c"]])
+    config = EmbeddingConfig(dim=4, window=2, min_count=1, epochs=1, seed=0)
+    model, calls = trained_corpus(monkeypatch, path, config)
+    assert model.vocab == ["a", "b", "c"]
+    assert calls == [([0, 1, 1, 0, 2], [0, 2, 5])]
+
+
+def test_lines_of_fewer_than_two_vocabulary_tokens_are_dropped(monkeypatch, tmp_path):
+    path = tmp_path / "c.txt"
+    lines = [["a", "b"], ["c"], ["rare", "a"], ["b", "x"], ["a", "b", "a"], ["c", "y"]]
+    write_corpus(path, lines)
+    config = EmbeddingConfig(dim=4, window=2, min_count=2, epochs=1, seed=0)
+    model, calls = trained_corpus(monkeypatch, path, config)
+    # a occurs 4 times, b 3 and c 2; the kept lines are the first and the fifth
+    assert model.vocab == ["a", "b", "c"]
+    assert calls == [([0, 1, 0, 1, 0], [0, 2, 5])]
+
+
+def test_corpus_with_no_trainable_line_returns_untrained_weights(monkeypatch, tmp_path):
+    path = tmp_path / "c.txt"
+    write_corpus(path, [["a", "x1"], ["b", "x2"], ["a", "x3"], ["b"]])
+    config = EmbeddingConfig(dim=4, window=2, min_count=2, epochs=1, seed=5)
+    model, calls = trained_corpus(monkeypatch, path, config)
+    assert model.vocab == ["a", "b"] and calls == []
+    initial = (np.random.default_rng(5).random((2, 4)) - 0.5) / 4
+    assert np.array_equal(model.input_vectors, initial)
+    assert np.array_equal(model.output_vectors, np.zeros((2, 4)))
+
+
+def test_training_memory_does_not_grow_with_the_corpus(tmp_path):
+    # the corpus is held as one id array and its line bounds, about 8 B a
+    # token; holding its token strings or one array per line costs over 100
+    rng = np.random.default_rng(43)
+    words = [f"tok{i}" for i in range(300)]
+    lengths = rng.integers(2, 40, 9500)
+    path = tmp_path / "c.txt"
+    path.write_text("".join(" ".join(words[i] for i in rng.integers(0, 300, n)) + "\n"
+                            for n in lengths))
+    tokens = int(lengths.sum())
+    assert 190_000 < tokens < 210_000
+    config = EmbeddingConfig(dim=8, window=5, min_count=1, epochs=1, seed=1)
+    tracemalloc.start()
+    try:
+        train_cbow(path, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / tokens <= 40
 
 
 def correlated_pair_corpus(path, rng):
