@@ -412,10 +412,18 @@ PIPELINE_STAGES = [(stage, row.handler) for stage, row in STAGES.items()]
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
     """Every stage in order; the corpus stages share one pass over the corpus.
-    Every input file, the seed and both gold files' lines are checked first,
-    so that a bad one stops the run before it writes anything."""
+    Every input file, the directory of every artifact, the seed and both
+    gold files' lines are checked first, so that a bad one stops the run
+    before it writes anything."""
     for key in dict.fromkeys(k for row in STAGES.values() for k in row.reads if k not in WRITERS):
         _require_file(cfg, key)
+    for key in WRITERS:
+        path = getattr(cfg, key)
+        directory = os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            raise CliError(f"directory of artifact '{key}' not found: {directory}")
+        if os.path.isdir(path):
+            raise CliError(f"artifact '{key}' is a directory: {path}")
     _require_seed(cfg)
     load_gold(cfg.gold, load_queries(cfg.queries))
     load_gold(cfg.train_gold, load_queries(cfg.train_queries))

@@ -17,7 +17,6 @@ at or above its floor, the smallest count a candidate list can use.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -88,15 +87,13 @@ def build_cooc_index(
     counts: dict[str, dict[str, int]] = {q: {} for q in sorted(query_tokens)}
     for line in read_artifact(normalized_corpus_path)[1]:
         tokens = line.split()
-        present = query_tokens.intersection(tokens)
-        if not present:
+        if query_tokens.isdisjoint(tokens):
             continue
-        token_counts = Counter(tokens)
-        for q in present:
+        for q in query_tokens.intersection(tokens):
             row = counts[q]
-            for token, n in token_counts.items():
-                if token != q:
-                    row[token] = row.get(token, 0) + n
+            for token in tokens:
+                row[token] = row.get(token, 0) + 1
+            del row[q]  # its own instances: a term is not its own hypernym
     return CoocIndex(counts)
 
 

@@ -6,7 +6,9 @@ CRLF files read as LF ones and a lone ``\\r`` stays inside its line):
 
 * tagged corpus: one paragraph per line, space-separated ``surface_POS``
   tokens; the split is on the LAST underscore, so surfaces may contain
-  underscores or hyphens.
+  underscores or hyphens. A corpus pass reads a line as two columns, its
+  lowercased surfaces and one code per tag (`TAG_CODES`), which one loop
+  (`_scan_batch`) builds for every pass.
 * vocabulary: one candidate hypernym term per line (1-3 words).
 * queries: ``term<TAB>kind`` per line, kind is ``Concept`` or ``Entity``.
 * gold: line i holds the tab-separated gold hypernyms for query i.
@@ -187,16 +189,19 @@ def read_artifact(path: str | os.PathLike) -> tuple[dict[str, str], Iterator[str
 def write_artifact(path: str | os.PathLike, header: dict[str, str] | None) -> Iterator[TextIO]:
     """Write an artifact whole or not at all: the header and what the block
     writes go to a temporary file beside ``path`` that replaces it on a clean
-    exit. On an exception the temporary file is deleted; ``path`` is kept."""
+    exit. On an exception the temporary file is deleted; ``path`` is kept.
+    An `OSError` on the temporary file is raised naming ``path``."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(format_header(header or {}))
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -204,33 +209,54 @@ def write_artifact(path: str | os.PathLike, header: dict[str, str] | None) -> It
 # tagged corpus
 
 
-# a line of ``word_TAG`` tokens with one underscore each, single-spaced: every
-# token valid by the `split_tokens` rule, one more than there are spaces
-_PLAIN_LINE = re.compile(r"[^\s_]+_[^\s_]+(?: [^\s_]+_[^\s_]+)*")
+# Penn Treebank tag classes, by prefix: the four classes `normalize` keeps,
+# and the two that noun phrases are made of
+KEEP_PREFIXES = ("NN", "VB", "JJ", "RB")
+CHUNK_PREFIXES = ("NN", "JJ")
 
 
-def split_tokens(line: str) -> tuple[tuple[str, ...], tuple[str, ...], int]:
-    """The surfaces and the tags of the valid tokens of a tagged line, in
-    order, and the number of bad tokens. A token splits on its last
-    underscore and is valid when both the surface and the tag are non-empty,
-    so a token without an underscore is bad. A plain line is split in one
-    pass, with the same result."""
-    if _PLAIN_LINE.fullmatch(line):
-        parts = line.replace("_", " ").split(" ")
-        return tuple(parts[0::2]), tuple(parts[1::2]), 0
-    raws = line.split()
-    pairs = [(surface, pos) for surface, _, pos in [raw.rpartition("_") for raw in raws]
-             if surface and pos]
-    surfaces, tags = tuple(zip(*pairs)) or ((), ())
-    return surfaces, tags, len(raws) - len(pairs)
+class _TagCodes(dict):
+    """One code per tag, worked out the first time the tag is seen: ``D``
+    the determiner tag ``DT`` (exactly; not ``PDT``, ``WDT`` or ``dt``),
+    ``N`` noun, ``J`` other chunk tag, ``K`` other kept tag, ``-`` dropped
+    (every chunk tag is a kept tag, and ``D`` is neither). This is the one
+    place tags are classified: the chunker and the grammars read codes. A
+    code depends on the tag alone, so one table serves every caller; it
+    keeps at most 4096 tags, against junk tags."""
+
+    def __missing__(self, pos: str) -> str:
+        code = (
+            "D" if pos == "DT" else "N" if pos.startswith("NN")
+            else "J" if pos.startswith(CHUNK_PREFIXES)
+            else "K" if pos.startswith(KEEP_PREFIXES) else "-"
+        )
+        if len(self) < 4096:
+            self[pos] = code
+        return code
+
+
+TAG_CODES = _TagCodes()
 
 
 def parse_tagged_line(line: str) -> TaggedParagraph | None:
     """Parse one ``surface_POS ...`` line; None for lines with no valid token.
+    A token splits on its last underscore and is valid when both the surface
+    and the tag are non-empty; bad tokens are skipped. The reference for the
+    split of a corpus pass (`_scan_batch`)."""
+    pairs = [(surface, pos) for surface, _, pos in (raw.rpartition("_") for raw in line.split())
+             if surface and pos]
+    return TaggedParagraph(*map(tuple, zip(*pairs))) if pairs else None
 
-    Bad tokens (`split_tokens`) are skipped."""
-    surfaces, tags, _ = split_tokens(line)
-    return TaggedParagraph(surfaces, tags) if surfaces else None
+
+def columns(paragraph: TaggedParagraph) -> tuple[tuple[str, ...], str]:
+    """Every surface lowercased, each on its own, as `str.lower` lowercases
+    a final sigma by context, and the `TAG_CODES` code of every tag: what
+    the normalizer, the chunker and the grammar scanners read. The reference
+    for the columns of a corpus pass (`_scan_batch`)."""
+    return (
+        tuple(map(str.lower, paragraph.surfaces)),
+        "".join(map(TAG_CODES.__getitem__, paragraph.tags)),
+    )
 
 
 @dataclass
@@ -248,7 +274,8 @@ class ScanStats:
 
 
 class ParagraphScan(NamedTuple):
-    """One paragraph's lines per output of a scan, and its appended phrases."""
+    """One paragraph's lines per output of a scan, and its appended phrases:
+    what the per-paragraph references return."""
 
     normalized: tuple[str, ...] = ()
     hearst: tuple[str, ...] = ()
@@ -258,44 +285,63 @@ class ParagraphScan(NamedTuple):
 
 BATCH_LINES = 2048  # corpus lines per unit of work handed to `map_lines`
 
+# a line of ``word_TAG`` tokens with one underscore each, single-spaced: every
+# token valid by the `parse_tagged_line` rule, one more than there are spaces
+_PLAIN_LINE = re.compile(r"[^\s_]+_[^\s_]+(?: [^\s_]+_[^\s_]+)*")
+
+# a pass's output lists: normalized, Hearst and IS-A lines
+Outputs = tuple[list[str], list[str], list[str]]
+
 
 def _scan_batch(
-    text: str, work: Callable[[TaggedParagraph], ParagraphScan],
+    text: str, work: Callable[[tuple[str, ...], str, Outputs], int],
     gate: Callable[[str], bool] | None,
 ) -> tuple[ScanStats, list[str]]:
-    """Parse and ``work`` each line of ``text`` (lines joined by ``\\n``)
-    that ``gate`` passes, and skip the others; the batch's counts and, per
-    output, the text of its lines."""
-    stats = ScanStats()
-    outs: tuple[list[str], ...] = ([], [], [])
+    """Split each line of ``text`` (lines joined by ``\\n``) that ``gate``
+    passes into its columns (`columns` of `parse_tagged_line`) and hand
+    them to ``work``, skip the others; the batch's counts and, per output,
+    the text of its lines. A plain line (`_PLAIN_LINE`) is split in one
+    pass, with the same result as the token rule."""
+    paragraphs = phrases = bad = 0
+    outs: Outputs = ([], [], [])
+    plain, lower, code = _PLAIN_LINE.fullmatch, str.lower, TAG_CODES.__getitem__
     for line in text.split("\n"):
         if gate is not None and not gate(line):
             continue
-        surfaces, tags, bad = split_tokens(line)
-        stats.bad_tokens += bad
-        if not surfaces:
-            continue
-        scan = work(TaggedParagraph(surfaces, tags))
-        stats.paragraphs_in += 1
-        stats.phrases_appended += scan.phrases
-        for out, lines in zip(outs, (scan.normalized, scan.hearst, scan.isa)):
-            out.extend(lines)
-    stats.paragraphs_out, stats.hearst_matches, stats.isa_matches = map(len, outs)
+        if plain(line):
+            parts = line.replace("_", " ").split(" ")
+            surfaces, tags = parts[0::2], parts[1::2]
+        else:
+            raws = line.split()
+            pairs = [(surface, pos) for surface, _, pos in (raw.rpartition("_") for raw in raws)
+                     if surface and pos]
+            bad += len(raws) - len(pairs)
+            if not pairs:
+                continue
+            surfaces, tags = zip(*pairs)
+        paragraphs += 1
+        phrases += work(tuple(map(lower, surfaces)), "".join(map(code, tags)), outs)
+    normalized, hearst, isa = outs
+    stats = ScanStats(paragraphs_in=paragraphs, paragraphs_out=len(normalized),
+                      phrases_appended=phrases, hearst_matches=len(hearst),
+                      isa_matches=len(isa), bad_tokens=bad)
     return stats, ["".join(f"{line}\n" for line in out) for out in outs]
 
 
 def scan_tagged_corpus(
-    in_path: str | os.PathLike, work: Callable[[TaggedParagraph], ParagraphScan],
+    in_path: str | os.PathLike, work: Callable[[tuple[str, ...], str, Outputs], int],
     outputs: Sequence[str | os.PathLike | None], workers: int = 1,
     header: dict[str, str] | None = None, gate: Callable[[str], bool] | None = None,
 ) -> ScanStats:
-    """Parse each non-blank data line of a tagged corpus once, apply the
-    picklable ``work`` and write the normalized, Hearst and IS-A lines it
-    returns to ``outputs`` (a path or None each), after ``header``, in corpus
-    order.
+    """Split each data line of a tagged corpus with a valid token into its
+    columns once, and write the normalized, Hearst and IS-A lines that the
+    picklable ``work`` appends to its three output lists to ``outputs`` (a
+    path or None each), after ``header``, in corpus order. ``work`` gets a
+    line's lowercased surfaces, its tag codes and the lists, and returns the
+    number of noun phrases it appended.
 
     ``gate``, when given, is a picklable test on the raw line that passes
-    every line ``work`` could return a line for. A line it rejects is not
+    every line ``work`` could append a line for. A line it rejects is not
     parsed: the outputs and their counts are those of the ungated scan, and
     ``paragraphs_in`` and ``bad_tokens`` count only the lines it passes. A
     pass that writes the normalized corpus takes no gate: nearly every line

@@ -1,11 +1,11 @@
 """Produce the normalized corpus: lowercase, POS-filter, append noun phrases.
 
-Tag classes are mapped by Penn Treebank prefix: noun ``NN*``, verb ``VB*``,
-adjective ``JJ*``, adverb ``RB*``. Only those four classes survive the
-filter, which also drops punctuation, prepositions and conjunctions. Every
-contiguous 2- or 3-token window of adjectives/nouns ending in a noun is a
-noun phrase; all overlapping windows are kept and appended to the filtered
-line as underscore-joined tokens.
+Tag classes are mapped by Penn Treebank prefix (`corpus_io.TAG_CODES`): noun
+``NN*``, verb ``VB*``, adjective ``JJ*``, adverb ``RB*``. Only those four
+classes survive the filter, which also drops punctuation, prepositions and
+conjunctions. Every contiguous 2- or 3-token window of adjectives/nouns
+ending in a noun is a noun phrase; all overlapping windows are kept and
+appended to the filtered line as underscore-joined tokens.
 """
 
 from __future__ import annotations
@@ -14,55 +14,32 @@ import os
 import re
 from itertools import compress
 
-from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_corpus
+from .corpus_io import (
+    Outputs,
+    ParagraphScan,
+    ScanStats,
+    TaggedParagraph,
+    columns,
+    scan_tagged_corpus,
+)
 
-KEEP_PREFIXES = ("NN", "VB", "JJ", "RB")
-CHUNK_PREFIXES = ("NN", "JJ")
 PHRASE_LENGTHS = (2, 3)
-_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `_TagCodes` codes
+_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `corpus_io.TAG_CODES` codes
+_KEPT_CODES = frozenset("NJK")  # the codes of the `corpus_io.KEEP_PREFIXES` tags
 
 
-class _TagCodes(dict):
-    """One code per tag, worked out the first time the tag is seen: ``D``
-    the determiner tag ``DT`` (exactly; not ``PDT``, ``WDT`` or ``dt``),
-    ``N`` noun, ``J`` other chunk tag, ``K`` other kept tag, ``-`` dropped
-    (every chunk tag is a kept tag, and ``D`` is neither). This is the one
-    place tags are classified: the chunker and the grammars read codes. A
-    code depends on the tag alone, so one table serves every caller; it
-    keeps at most 4096 tags, against junk tags."""
-
-    def __missing__(self, pos: str) -> str:
-        code = (
-            "D" if pos == "DT" else "N" if pos.startswith("NN")
-            else "J" if pos.startswith(CHUNK_PREFIXES)
-            else "K" if pos.startswith(KEEP_PREFIXES) else "-"
-        )
-        if len(self) < 4096:
-            self[pos] = code
-        return code
-
-
-_TAG_CODES = _TagCodes()
-_KEPT_CODES = frozenset("NJK")
-
-
-def columns(paragraph: TaggedParagraph) -> tuple[tuple[str, ...], str]:
-    """Every surface lowercased, each on its own, as `str.lower` lowercases
-    a final sigma by context, and the `_TagCodes` code of every tag; one
-    pass serves the normalizer, the chunker and the grammar scanners alike."""
-    return (
-        tuple(map(str.lower, paragraph.surfaces)),
-        "".join(map(_TAG_CODES.__getitem__, paragraph.tags)),
-    )
-
-
-def noun_phrases(words: tuple[str, ...], codes: str) -> list[str]:
-    """Every 2- and 3-token window of chunk codes that ends in a noun,
-    underscore-joined. Windows may overlap; enumeration is position-major
-    (both windows starting at token i come before any window starting at
-    i+1), shorter first. A window that runs past its run of chunk codes
-    ends the windows of its start; one that ends on a non-noun is skipped."""
-    phrases = []
+def normalize_columns(words: tuple[str, ...], codes: str, outs: Outputs) -> int:
+    """Append a paragraph's normalized line to ``outs[0]``, none when nothing
+    is kept: its lowercased kept-class ``words`` in order, then its noun
+    phrases; return the number of phrases. A noun phrase is a 2- or 3-token
+    window of chunk ``codes`` that ends in a noun, underscore-joined. Windows
+    may overlap; enumeration is position-major (both windows starting at
+    token i come before any window starting at i+1), shorter first. A window
+    that runs past its run of chunk codes ends the windows of its start; one
+    that ends on a non-noun is skipped. The `scan_tagged_corpus` work of a
+    normalize pass."""
+    kept = list(compress(words, map(_KEPT_CODES.__contains__, codes)))
+    n_kept = len(kept)
     for run in _CHUNK_RUN.finditer(codes):
         run_start, run_end = run.span()
         for start in range(run_start, run_end - 1):
@@ -71,24 +48,18 @@ def noun_phrases(words: tuple[str, ...], codes: str) -> list[str]:
                 if end > run_end:
                     break
                 if codes[end - 1] == "N":
-                    phrases.append("_".join(words[start:end]))
-    return phrases
+                    kept.append("_".join(words[start:end]))
+    if kept:
+        outs[0].append(" ".join(kept))
+    return len(kept) - n_kept
 
 
 def normalize_paragraph(paragraph: TaggedParagraph) -> ParagraphScan:
-    """The normalized line, none when nothing is kept: lowercased kept-class
-    surfaces in order, then the chunked phrases."""
-    return normalize_columns(*columns(paragraph))
-
-
-def normalize_columns(words: tuple[str, ...], codes: str) -> ParagraphScan:
-    """`normalize_paragraph`, given the `columns` of the paragraph."""
-    kept = list(compress(words, map(_KEPT_CODES.__contains__, codes)))
-    phrases = noun_phrases(words, codes)
-    kept.extend(phrases)
-    if not kept:
-        return ParagraphScan()
-    return ParagraphScan(normalized=(" ".join(kept),), phrases=len(phrases))
+    """The normalized line of one paragraph, none when nothing is kept, and
+    its phrase count; the per-paragraph reference for `normalize_columns`."""
+    outs: Outputs = ([], [], [])
+    phrases = normalize_columns(*columns(paragraph), outs)
+    return ParagraphScan(normalized=tuple(outs[0]), phrases=phrases)
 
 
 def normalize_corpus(
@@ -100,4 +71,4 @@ def normalize_corpus(
     """Normalize a tagged corpus file line by line, preserving input order
     at any ``workers``; paragraphs that filter to zero tokens are skipped."""
     outputs = (out_path, None, None)
-    return scan_tagged_corpus(in_path, normalize_paragraph, outputs, workers, header)
+    return scan_tagged_corpus(in_path, normalize_columns, outputs, workers, header)

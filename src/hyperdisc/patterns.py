@@ -4,7 +4,7 @@ The six Hearst grammars and the IS-A grammar, with NP = optional determiner
 (the tag ``DT``) followed by adjectives/nouns ending in a noun head (1-3
 content words, determiner stripped from the emitted phrase). The grammars
 read a paragraph as its lowercased surfaces and one tag code per token
-(`normalize.columns`); a phrase is its words joined by underscores:
+(`corpus_io.columns`); a phrase is its words joined by underscores:
 
 1. NP ``such as`` NP-list
 2. ``such`` NP ``as`` NP-list
@@ -41,8 +41,15 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .corpus_io import ParagraphScan, ScanStats, TaggedParagraph, scan_tagged_corpus
-from .normalize import columns, normalize_columns
+from .corpus_io import (
+    Outputs,
+    ParagraphScan,
+    ScanStats,
+    TaggedParagraph,
+    columns,
+    scan_tagged_corpus,
+)
+from .normalize import normalize_columns
 
 MAX_NP_WORDS = 3
 
@@ -72,7 +79,7 @@ def _word(words: tuple[str, ...], i: int) -> str | None:
     return None
 
 
-# over `normalize._TagCodes` codes: an optional determiner, then up to three
+# over `corpus_io.TAG_CODES` codes: an optional determiner, then up to three
 # adjective/noun codes, backtracked from the right to end in a noun
 _NP = re.compile(r"D?([NJ]{0,%d}N)" % (MAX_NP_WORDS - 1))
 
@@ -168,7 +175,7 @@ def _emit(pattern_id: PatternId, hypernym: str, hyponyms: list[str]) -> PatternM
 
 
 # one scanner per grammar, called with the lowercased surfaces, the tag codes
-# (`normalize.columns`) and a position; each returns (match, span_start,
+# (`corpus_io.columns`) and a position; each returns (match, span_start,
 # span_end) or None
 
 
@@ -301,20 +308,28 @@ def format_match_line(match: PatternMatch) -> str:
     return "\t".join((*match.hyponyms, match.hypernym))
 
 
+def _scan_columns(
+    normalized: bool, hearst: bool, isa: bool,
+    words: tuple[str, ...], codes: str, outs: Outputs,
+) -> int:
+    """The `scan_tagged_corpus` work of an extract pass: append a paragraph's
+    normalized line and pattern-corpus lines to ``outs``, each only when
+    asked for; return the number of noun phrases appended."""
+    if hearst:
+        outs[1].extend(map(format_match_line, _scan(words, codes, _HEARST_GRAMMARS)))
+    if isa:
+        outs[2].extend(map(format_match_line, _scan(words, codes, _ISA_GRAMMARS)))
+    return normalize_columns(words, codes, outs) if normalized else 0
+
+
 def scan_paragraph(
     paragraph: TaggedParagraph, normalized: bool, hearst: bool, isa: bool
 ) -> ParagraphScan:
     """One paragraph's normalized line and pattern-corpus lines, each only
-    when asked for; the columns are built once for all three."""
-    words, codes = columns(paragraph)
-    scan = normalize_columns(words, codes) if normalized else ParagraphScan()
-    return ParagraphScan(
-        normalized=scan.normalized,
-        hearst=tuple(map(format_match_line, _scan(words, codes, _HEARST_GRAMMARS)))
-        if hearst else (),
-        isa=tuple(map(format_match_line, _scan(words, codes, _ISA_GRAMMARS))) if isa else (),
-        phrases=scan.phrases,
-    )
+    when asked for; the per-paragraph reference for a corpus pass."""
+    outs: Outputs = ([], [], [])
+    phrases = _scan_columns(normalized, hearst, isa, *columns(paragraph), outs)
+    return ParagraphScan(*map(tuple, outs), phrases=phrases)
 
 
 def _may_hold_trigger(needles: tuple[str, ...], pattern: re.Pattern, line: str) -> bool:
@@ -359,7 +374,7 @@ def extract_corpus(
     """
     outputs = (normalized_out, hearst_out, isa_out)
     normalized, hearst, isa = (path is not None for path in outputs)
-    work = partial(scan_paragraph, normalized=normalized, hearst=hearst, isa=isa)
+    work = partial(_scan_columns, normalized, hearst, isa)
     grammars = (_HEARST_GRAMMARS if hearst else ()) + (_ISA_GRAMMARS if isa else ())
     gate = None if normalized else _trigger_gate(grammars)
     return scan_tagged_corpus(in_path, work, outputs, workers, header, gate)

@@ -526,6 +526,10 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
         ("--train-gold", "/no-such-dir/train_gold.tsv",
          "input file for 'train_gold' not found: /no-such-dir/train_gold.tsv"),
         ("--seed", "", "train-embedding requires a seed (--seed or seed= in the config)"),
+        # and the directory of every artifact it writes, the last one too
+        ("--predictions", "/no-such-dir/predictions.tsv",
+         "directory of artifact 'predictions' not found: /no-such-dir"),
+        ("--predictions", ".", "artifact 'predictions' is a directory: ."),
     ],
 )
 def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag, value, problem):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperdisc import corpus_io, patterns
 from hyperdisc.corpus_io import (
+    TAG_CODES,
     FormatError,
     Query,
     QueryKind,
@@ -22,12 +23,12 @@ from hyperdisc.corpus_io import (
     read_artifact,
     read_header,
     read_predictions,
-    split_tokens,
     term_to_token,
     token_to_term,
     write_artifact,
     write_predictions,
 )
+from hyperdisc.normalize import normalize_corpus
 from hyperdisc.patterns import extract_corpus, scan_paragraph
 
 # `#` included, so a paragraph, the first one too, may open with it
@@ -44,6 +45,18 @@ def read_paragraphs(path):
     """A tagged corpus's paragraphs as the scan reads them: each data line
     through `parse_tagged_line`, lines without a valid token dropped."""
     return [p for line in iter_data_lines(path) if (p := parse_tagged_line(line)) is not None]
+
+
+def scan_columns(line):
+    """The columns `_scan_batch` hands its work for each line of ``line``,
+    and its count of bad tokens."""
+    seen = []
+
+    def work(words, codes, outs):
+        seen.append((words, codes))
+        return 0
+
+    return seen, corpus_io._scan_batch(line, work, None)[0].bad_tokens
 
 
 def test_parse_simple_line():
@@ -79,7 +92,7 @@ def test_bad_token_skipped_and_counted():
     # "broken" has no underscore, "also_bad_" has an empty tag, "_VB" an
     # empty surface, "x" no underscore
     assert paragraph.surfaces == ("ok",)
-    assert split_tokens(line)[2] == 4
+    assert scan_columns(line) == ([(("ok",), "N")], 4)
 
 
 @given(st.lists(paragraphs, max_size=8))
@@ -213,6 +226,23 @@ def test_write_artifact_is_all_or_nothing(tmp_path, existing):
         fh.write("row\n")
     assert path.read_text() == "#config-hash abc\nrow\n"
     assert os.listdir(tmp_path) == ["artifact.txt"]
+
+
+@pytest.mark.parametrize("name, error", [
+    ("no-such-dir/artifact.txt", FileNotFoundError),  # the temporary file is not made
+    ("a-directory", IsADirectoryError),  # it cannot replace the path
+])
+def test_write_artifact_error_names_the_artifact(tmp_path, name, error):
+    """An error on the temporary file is reported with the artifact's path,
+    and the temporary file is gone."""
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(error) as info:
+        with write_artifact(path, None):
+            pass
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert str(info.value).endswith(f": '{path}'")
+    assert sorted(os.listdir(tmp_path)) == ["a-directory"]
 
 
 def test_header_round_trip(tmp_path):
@@ -415,7 +445,7 @@ SCAN_TOKENS = [
     "including_VBG", "especially_RB", "is_VBZ", "a_DT", "the_DT", "and_CC", "or_CC",
     "other_JJ", ",_,", "._.", "#x_NN", "nounderscore", "_NN", "tag_",
     "Such_JJ", "IS_VBZ", "Or_CC", "this_DT", "island_NN", "for_IN", "is__X", "is_",
-    "xis_VBZ", "İs_VBZ",
+    "xis_VBZ", "İs_VBZ", "ΟΔΟΣ_NN", "Σ_NNS",
 ]
 scan_tokens = st.lists(st.sampled_from(SCAN_TOKENS), max_size=10)
 scan_lines = scan_tokens.map(" ".join) | scan_tokens.map("\t".join) | st.sampled_from([
@@ -435,16 +465,16 @@ scan_corpora = st.tuples(
 
 @settings(max_examples=300)
 @given(scan_lines)
-def test_split_tokens_equals_last_underscore_rule(line):
-    """`split_tokens` splits a plain line in one pass; its columns and its
-    bad-token count are those of splitting each token on its last
-    underscore, on plain lines and all others alike."""
+def test_scan_columns_equal_last_underscore_rule(line):
+    """`_scan_batch` splits a plain line in one pass; the columns it hands
+    its work and its bad-token count are those of splitting each token on
+    its last underscore, then lowercasing each surface on its own, on plain
+    lines and all others alike."""
     pairs = [raw.rpartition("_") for raw in line.split()]
     valid = [(surface, tag) for surface, _, tag in pairs if surface and tag]
-    surfaces, tags, bad = split_tokens(line)
-    assert surfaces == tuple(surface for surface, _ in valid)
-    assert tags == tuple(tag for _, tag in valid)
-    assert bad == len(pairs) - len(valid)
+    words = tuple(surface.lower() for surface, _ in valid)
+    codes = "".join(TAG_CODES[tag] for _, tag in valid)
+    assert scan_columns(line) == ([(words, codes)] if valid else [], len(pairs) - len(valid))
 
 
 def write_scan_corpus(root, corpus):
@@ -463,8 +493,8 @@ def per_line_reference(path, normalized=True, hearst=True, isa=True, gate=None):
     for line in iter_data_lines(path):
         if not line.strip() or (gate is not None and not gate(line)):
             continue
-        stats.bad_tokens += split_tokens(line)[2]
         paragraph = parse_tagged_line(line)
+        stats.bad_tokens += len(line.split()) - (0 if paragraph is None else len(paragraph))
         if paragraph is None:
             continue
         scan = scan_paragraph(paragraph, normalized=normalized, hearst=hearst, isa=isa)
@@ -494,6 +524,21 @@ def test_batched_scan_equals_per_line_reference(tmp_path_factory, workers, corpu
         assert stats == expected_stats, batch
         written = [p.read_text(encoding="utf-8") for p in (normalized, hearst, isa)]
         assert written == ["#config-hash s\n" + text for text in expected], batch
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(corpus=scan_corpora)
+def test_normalize_pass_equals_per_line_reference(tmp_path_factory, workers, corpus):
+    root = tmp_path_factory.mktemp("norm")
+    src = write_scan_corpus(root, corpus)
+    expected_stats, expected = per_line_reference(src, True, False, False)
+    out = root / "norm.txt"
+    for batch in (1, 2, 3):
+        with mock.patch.object(corpus_io, "BATCH_LINES", batch):
+            stats = normalize_corpus(src, out, workers, {"config-hash": "s"})
+        assert stats == expected_stats, batch
+        assert out.read_text(encoding="utf-8") == "#config-hash s\n" + expected[0], batch
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -3,15 +3,8 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import TaggedParagraph, parse_tagged_line
-from hyperdisc.normalize import (
-    _TAG_CODES,
-    KEEP_PREFIXES,
-    columns,
-    normalize_corpus,
-    normalize_paragraph,
-    noun_phrases,
-)
+from hyperdisc.corpus_io import KEEP_PREFIXES, TAG_CODES, TaggedParagraph, parse_tagged_line
+from hyperdisc.normalize import normalize_corpus, normalize_paragraph
 
 
 def paragraph_of(line):
@@ -19,7 +12,10 @@ def paragraph_of(line):
 
 
 def phrases_of(line):
-    return noun_phrases(*columns(paragraph_of(line)))
+    """The noun phrases appended to the normalized line of ``line``."""
+    scan = normalize_paragraph(paragraph_of(line))
+    tokens = " ".join(scan.normalized).split()
+    return tokens[len(tokens) - scan.phrases:]
 
 
 def normalized_tokens(paragraph):
@@ -170,4 +166,4 @@ def test_tag_classes():
     # the determiner code is the exact tag `DT`; the grammars strip only it
     codes = {"DT": "D", "NNS": "N", "JJR": "J", "RB": "K", "RBR": "K", "VB": "K",
              "IN": "-", "PDT": "-", "WDT": "-", "dt": "-"}
-    assert {tag: _TAG_CODES[tag] for tag in codes} == codes
+    assert {tag: TAG_CODES[tag] for tag in codes} == codes

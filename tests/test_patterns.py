@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import TaggedParagraph, parse_tagged_line
+from hyperdisc.corpus_io import TaggedParagraph, columns, parse_tagged_line
 from hyperdisc.cooc import Source, build_pair_index
-from hyperdisc.normalize import columns
 from hyperdisc.patterns import (
     _HEARST_GRAMMARS,
     _ISA_GRAMMARS,
