@@ -45,7 +45,7 @@ def planted_config(
 def standalone_reports(cfg: PipelineConfig):
     gold_sets = load_gold(cfg.gold, load_queries(cfg.queries))
     lists_for = module_lists(cfg)
-    return module_reports([lists_for(g.query) for g in gold_sets], gold_sets)
+    return module_reports(lists_for([g.query for g in gold_sets]), gold_sets)
 
 
 def main() -> None:

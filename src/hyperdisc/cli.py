@@ -20,7 +20,7 @@ import hashlib
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 
 from .cooc import (
@@ -54,10 +54,10 @@ from .corpus_io import (
 from .embedding import (
     EmbeddingConfig,
     PhiMode,
-    candidates_from_phi,
     fit_phi,
     load_embedding,
     load_phi,
+    nearest_terms,
     save_embedding,
     save_phi,
     train_cbow,
@@ -243,6 +243,17 @@ def _require(cfg: PipelineConfig, stage: str) -> None:
         _require_file(cfg, key)
 
 
+def _require_writable(cfg: PipelineConfig, key: str) -> None:
+    """Check the artifact under config key `key` can be written: its
+    directory exists, and the path is not a directory."""
+    path = getattr(cfg, key)
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise CliError(f"directory of artifact '{key}' not found: {directory}")
+    if os.path.isdir(path):
+        raise CliError(f"artifact '{key}' is a directory: {path}")
+
+
 def _require_seed(cfg: PipelineConfig) -> None:
     if cfg.seed is None:
         raise CliError("train-embedding requires a seed (--seed or seed= in the config)")
@@ -257,24 +268,28 @@ SCAN_SUMMARIES = {  # corpus stage -> one-line summary of its ScanStats
 
 
 def cmd_normalize(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "normalized")
     _require(cfg, "normalize")
     stats = normalize_corpus(cfg.corpus, cfg.normalized, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["normalize"].format(stats))
 
 
 def cmd_extract_hearst(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "hearst_corpus")
     _require(cfg, "extract-hearst")
     stats = extract_corpus(cfg.corpus, cfg.hearst_corpus, None, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["extract-hearst"].format(stats))
 
 
 def cmd_extract_isa(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "isa_corpus")
     _require(cfg, "extract-isa")
     stats = extract_corpus(cfg.corpus, None, cfg.isa_corpus, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["extract-isa"].format(stats))
 
 
 def cmd_train_embedding(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "embedding")
     _require_seed(cfg)
     _require(cfg, "train-embedding")
     model = train_cbow(cfg.normalized, cfg.cbow())
@@ -283,6 +298,7 @@ def cmd_train_embedding(cfg: PipelineConfig) -> None:
 
 
 def cmd_cooc_index(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "cooc_index")
     _require(cfg, "cooc-index")
     queries = load_queries(cfg.queries) + load_queries(cfg.train_queries)
     index = build_cooc_index(cfg.normalized, {term_to_token(q.term) for q in queries})
@@ -292,6 +308,7 @@ def cmd_cooc_index(cfg: PipelineConfig) -> None:
 
 
 def cmd_fit_phi(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "phi")
     _require(cfg, "fit-phi")
     pairs = [
         (gold_set.query.term, hypernym)
@@ -307,7 +324,7 @@ def cmd_fit_phi(cfg: PipelineConfig) -> None:
     )
 
 
-def _source_lists(query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg):
+def _source_lists(query, phi_list, vocab, cooc_idx, hearst_idx, isa_idx, cfg):
     isa = candidates_from_pairs(isa_idx, query.term, vocab, cfg.k)
     head = head_word_heuristic(query)
     if head is not None and head.term in vocab and head.term not in {c.term for c in isa}:
@@ -318,14 +335,15 @@ def _source_lists(query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg):
             cooc_idx, query.term, vocab, cfg.threshold, cfg.k
         ),
         Source.HEARST: candidates_from_pairs(hearst_idx, query.term, vocab, cfg.k),
-        Source.PHI: candidates_from_phi(phi, model, query.term, vocab, cfg.k),
+        Source.PHI: phi_list,
     }
 
 
-def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
+def module_lists(cfg: PipelineConfig) -> Callable[[Sequence[Query]], list[dict]]:
     """Check every file `predict` reads, load the vocabulary and the five
-    artifacts once, and return the function from a query to its four module
-    lists."""
+    artifacts once, and return the function from a list of queries to
+    their four module lists each, the projection's from one
+    `nearest_terms` call."""
     _require(cfg, "predict")
     cooc_idx = load_cooc_index(cfg.cooc_index)
     if cooc_idx.floor > cfg.threshold + 1:
@@ -339,18 +357,23 @@ def module_lists(cfg: PipelineConfig) -> Callable[[Query], dict]:
         raise CliError(f"{cfg.phi}: the phi is {phi.mode.value} of width {width}, but phi_mode "
                        f"is {cfg.phi_mode} and the embedding has dimension {model.dimension}; "
                        "re-run the 'fit-phi' stage")
+    vocab = load_vocabulary(cfg.vocab)
     sources = (
-        load_vocabulary(cfg.vocab),
+        vocab,
         cooc_idx,
         build_pair_index(cfg.hearst_corpus, Source.HEARST),
         build_pair_index(cfg.isa_corpus, Source.ISA),
-        model,
-        phi,
     )
-    return lambda query: _source_lists(query, *sources, cfg)
+
+    def lists_for(queries: Sequence[Query]) -> list[dict]:
+        phi_lists = nearest_terms(phi, model, [q.term for q in queries], vocab, cfg.k)
+        return [_source_lists(q, found, *sources, cfg) for q, found in zip(queries, phi_lists)]
+
+    return lists_for
 
 
 def cmd_predict(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "predictions")
     train_gold = None
     if cfg.order_mode == "trained":  # the one read no `STAGES` row lists, before the loads
         _require_file(cfg, "train_queries")
@@ -358,8 +381,9 @@ def cmd_predict(cfg: PipelineConfig) -> None:
         train_gold = load_gold(cfg.train_gold, load_queries(cfg.train_queries))
     lists_for = module_lists(cfg)
     order = ModuleOrder() if train_gold is None else choose_order(
-        module_reports([lists_for(g.query) for g in train_gold], train_gold))
-    predictions = [merge(q, lists_for(q), order, cfg.k) for q in load_queries(cfg.queries)]
+        module_reports(lists_for([g.query for g in train_gold]), train_gold))
+    queries = load_queries(cfg.queries)
+    predictions = [merge(q, lists, order, cfg.k) for q, lists in zip(queries, lists_for(queries))]
     write_predictions(
         cfg.predictions, (p.terms() for p in predictions), header=cfg.header()
     )
@@ -368,6 +392,7 @@ def cmd_predict(cfg: PipelineConfig) -> None:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
+    _require_writable(cfg, "metrics")
     _require(cfg, "evaluate")
     queries = load_queries(cfg.queries)
     gold_sets = load_gold(cfg.gold, queries)
@@ -418,12 +443,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     for key in dict.fromkeys(k for row in STAGES.values() for k in row.reads if k not in WRITERS):
         _require_file(cfg, key)
     for key in WRITERS:
-        path = getattr(cfg, key)
-        directory = os.path.dirname(path)
-        if directory and not os.path.isdir(directory):
-            raise CliError(f"directory of artifact '{key}' not found: {directory}")
-        if os.path.isdir(path):
-            raise CliError(f"artifact '{key}' is a directory: {path}")
+        _require_writable(cfg, key)
     _require_seed(cfg)
     load_gold(cfg.gold, load_queries(cfg.queries))
     load_gold(cfg.train_gold, load_queries(cfg.train_queries))

@@ -29,25 +29,31 @@ The projection maps a hyponym vector toward its hypernym region: either a
 single offset vector (the closed-form mean of y - x over training pairs)
 or a ridge-regularized linear map fit by least squares. Candidates are the
 vocabulary terms nearest to the projected query point in Euclidean
-distance. The candidate pool of a vocabulary, its embedding rows and one
-contiguous dimension-major copy of their vectors, is built once per
-(model, vocabulary, ``input_vectors`` array) and kept on the model, with
-the term of each row. A pool of at least ``SCREEN_CELLS`` cells (terms x
-dim) holds that copy in float32, with its squared norms, and a query first
-screens every column by ||v||^2 - 2<t, v> in float32, from one BLAS
-matrix-vector product, keeping each column within twice a proven error
-bound of a cutoff; on a smaller pool the screen costs more than it saves,
-and the copy is in float64. The bound holds for any order of summation,
-so the BLAS build and its thread count may change which columns survive,
-never the result. On a large pool the cutoff comes from a partition of
-the minima of ``GROUPS`` groups of columns alone, which can only keep
-more columns than a partition of every score. The exact steps then take
-the distances of the survivors (gathered from ``input_vectors``), or of
-every column of a small pool, in one fused float64 pass (an einsum, no
-BLAS call), pick the nearest ``k`` other terms with a partition and sort
-only the entries at or below the cutoff. The screen never changes the
-result: `candidates_from_phi` derives the bound and shows why. So only
-the screen calls BLAS; training and the exact steps do not.
+distance: `candidates_from_phi` answers one query, `nearest_terms` a list
+of them, the same lists bit for bit. The candidate pool of a vocabulary,
+its embedding rows and one contiguous dimension-major copy of their
+vectors, is built on the first query, once per (model, vocabulary,
+``input_vectors`` array), and kept on the model, with the term of each
+row. It is built in bulk: the terms and the membership mask in one pass
+each over the tokens, the copy from row-major chunks of the pool's rows.
+A pool of at least ``SCREEN_CELLS`` cells (terms x dim) holds that copy
+in float32, with its squared norms, and a block of targets first screens
+every column by ||v||^2 - 2<t, v> in float32, from one BLAS product (a
+matrix-vector product for a single query, a matrix-matrix product for a
+block of up to ``SCREEN_BLOCK_CELLS`` scores), keeping each column within
+twice a proven error bound of its target's cutoff; on a smaller pool the
+screen costs more than it saves, and the copy is in float64. The bound
+holds for any order of summation, so the BLAS build, its thread count and
+the block may change which columns survive, never the result. On a large
+pool the cutoff comes from a partition of the minima of ``GROUPS`` groups
+of columns alone, which can only keep more columns than a partition of
+every score. The exact steps then take the distances of each target's
+survivors (gathered from ``input_vectors``), or of every column of a
+small pool, in one fused float64 pass (an einsum, no BLAS call), and sort
+them by (distance, term), with a partition first only where the columns
+far outnumber ``k``. The screen never changes the result:
+`candidates_from_phi` derives the bound and shows why. So only the
+screen calls BLAS; training and the exact steps do not.
 Embedding and projection files share one layout and one reader: text up
 to the size line (and an embedding's tokens, one per line), then the values
 as one little-endian float64 block of exactly rows x dim x 8 bytes, which
@@ -104,6 +110,13 @@ SCREEN_MAX_NORM = 2.0**60  # larger norms could overflow float32 squares
 # the screen's cutoff partitions the minima of this many groups of columns,
 # on a pool of at least two columns a group and a cut below the group count
 GROUPS = 256
+# float32 scores of one block of targets screened together (64 MB): 76
+# targets on a pool of the paper's 218k terms at dim 300, where one sgemm
+# ran at 86 GFLOP/s on one Xeon core against 7 for one sgemv a target
+SCREEN_BLOCK_CELLS = 2**24
+CHUNK_CELLS = 2**16  # float64 cells of a chunk of rows a pool's copy is filled from
+# the exact steps partition the distances of more than this many times k + 1 columns
+PARTITION_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -449,7 +462,12 @@ def _candidate_pool(model: EmbeddingModel, vocab: frozenset[str]) -> _PhiPool:
     equal vocabulary and ``model.input_vectors`` is the array it was built
     from. Assigning a new array is seen. Editing it in place is not
     supported: the pool's copy would not see the edit, while a screened
-    pool reads its survivors' float64 vectors from the array."""
+    pool reads its survivors' float64 vectors from the array.
+
+    The build is in bulk: one pass maps the tokens to their terms and one
+    tests each term's membership; the mask gives the rows (a model's tokens
+    are distinct, so its rows are ``0..n-1``); and the copy and the norms
+    come from row-major chunks of the pool's rows alone (`_columns`)."""
     pool = model._phi_pool
     if (
         pool is not None
@@ -457,32 +475,46 @@ def _candidate_pool(model: EmbeddingModel, vocab: frozenset[str]) -> _PhiPool:
         and (pool.vocab is vocab or pool.vocab == vocab)
     ):
         return pool
-    terms = list(map(token_to_term, model.index))
-    inside = np.fromiter(map(vocab.__contains__, terms), dtype=bool, count=len(terms))
+    # token_to_term of every token: a token without ``_`` is its own term,
+    # the same object, whose hash the model's index has already taken
+    terms = [token.replace("_", " ") for token in model.vocab]
+    inside = list(map(vocab.__contains__, terms))
     terms = list(itertools.compress(terms, inside))
-    rows = np.fromiter(model.index.values(), dtype=np.intp, count=inside.size)[inside]
+    rows = np.frombuffer(bytes(inside), dtype=bool).nonzero()[0]
     source = model.input_vectors
     dim = source.shape[1]
     vectors = v32 = sq = None
     norm = math.inf
     if 0 < rows.size * dim >= SCREEN_CELLS and dim <= SCREEN_MAX_DIM:
-        norm = math.sqrt(np.einsum("ij,ij->i", source, source)[rows].max())
-        if norm < SCREEN_MAX_NORM:  # false for inf and nan too
-            v32 = _columns(source, rows, np.float32)
+        v32, norm = _columns(source, rows, np.float32, SCREEN_MAX_NORM)
+        if v32 is not None:
             sq = np.einsum("ij,ij->j", v32, v32)
     if v32 is None:
-        vectors = _columns(source, rows, source.dtype)
+        vectors, _ = _columns(source, rows, source.dtype)
     model._phi_pool = _PhiPool(vocab, source, rows, terms, vectors, v32, sq, norm)
     return model._phi_pool
 
 
-def _columns(source: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
-    """``source[rows].T`` as one contiguous array of ``dtype``, filled one
-    dimension at a time, so that no second full-size copy is made."""
+def _columns(
+    source: np.ndarray, rows: np.ndarray, dtype, limit: float | None = None
+) -> tuple[np.ndarray | None, float]:
+    """``source[rows].T`` as one contiguous array of ``dtype``, filled from
+    chunks of ``CHUNK_CELLS`` cells of whole rows, so that no second
+    full-size copy is made. With a ``limit``, also V, the largest norm of a
+    row, and no copy (None, and V inf) when V is not below it: the check
+    comes before a chunk is rounded, so that no float32 overflows."""
     columns = np.empty((source.shape[1], rows.size), dtype=dtype)
-    for line, values in zip(columns, source.T):
-        line[:] = values[rows]
-    return columns
+    norm = 0.0
+    step = max(1, CHUNK_CELLS // max(1, source.shape[1]))
+    for first in range(0, rows.size, step):
+        chunk = source[rows[first : first + step]]
+        if limit is not None:
+            top = math.sqrt(np.einsum("ij,ij->i", chunk, chunk).max())
+            if not top < limit:  # true for inf and nan too
+                return None, math.inf
+            norm = max(norm, top)
+        columns[:, first : first + step] = chunk.T
+    return columns, norm
 
 
 def candidates_from_phi(
@@ -492,17 +524,23 @@ def candidates_from_phi(
     vocab: frozenset[str],
     k: int = MAX_PREDICTIONS,
 ) -> list[ScoredCandidate]:
-    """The ``k`` terms of ``vocab`` nearest to the projected query vector.
+    """The ``k`` terms of ``vocab`` nearest to the projected query vector:
+    `nearest_terms` for a block of one query.
 
     Euclidean distance to vec(q) + offset (or matrix @ vec(q)), the query
     itself excluded, ties lexicographic, scores 1/(1 + distance). A query
-    missing from the embedding, or ``k <= 0``, yields an empty list. One
-    einsum over the dimension-major vectors of `_candidate_pool` gives every
-    distance, a contiguous pass per dimension (a row-major layout would
-    broadcast the target once per row). A partition finds the (k + 1)-th
-    smallest, as the query's own row is at most one column of the pool;
-    only the entries at or below it are sorted, the query's row left out,
-    so ties at the cutoff still go by term, as in a full sort.
+    missing from the embedding, or ``k <= 0``, yields an empty list. The
+    pool (`_candidate_pool`) is built on the first call. One einsum over
+    dimension-major vectors gives every distance the exact steps take, a
+    contiguous pass per dimension (a row-major layout would broadcast the
+    target once per row). The ``k`` nearest are among the columns at or
+    below the (k + 1)-th smallest distance, as the query's own row is at
+    most one column of the pool. Only where the columns far outnumber k
+    does a partition find that distance and keep only those columns. One
+    sort of (distance, term), the query's row left out, then orders them,
+    so ties at the cutoff still go by term, as in a full sort. So the exact
+    steps do Python work in proportion to the columns they are given, and
+    none over the whole pool.
 
     On a large pool those exact steps see only the columns that survive a
     float32 screen (`_screen`), gathered from ``model.input_vectors``, the
@@ -510,9 +548,9 @@ def candidates_from_phi(
     nearest-neighbour search (Johnson et al., arXiv:1702.08734). With t the
     target, v_j the pool's columns and t32, v32_j their float32 copies, the
     screen scores s_j = sq_j - 2<t32, v32_j> in float32, sq_j = ||v32_j||^2
-    cached with the pool, the dot products all from one BLAS matrix-vector
-    product. s_j is ||v_j - t||^2 - ||t32||^2 (the same shift for every
-    column) to within
+    cached with the pool, the dot products of a block of targets all from
+    one BLAS product (a matrix-vector product for a block of one). s_j is
+    ||v_j - t||^2 - ||t32||^2 (the same shift for every column) to within
 
         E = (dim + 8) u (V + T)^2 + (dim + 2) 2^-148,    u = 2^-24,
 
@@ -530,9 +568,11 @@ def candidates_from_phi(
       product that underflows (an addition that underflows is exact); the
       subtraction adds u |sq_j - 2<t32, v32_j>|. The bound holds for every
       order of summation, so for whatever blocking, SIMD lanes or threads a
-      BLAS build uses, and for fused multiply-adds, which round once where
-      it counts two roundings. So the BLAS build and its thread count may
-      change which columns survive, but no score errs by more than E.
+      BLAS build uses, for a matrix-vector or a matrix-matrix product, and
+      for fused multiply-adds, which round once where it counts two
+      roundings. So the BLAS build, its thread count and the block a
+      target is screened in may change which columns survive, but no score
+      errs by more than E.
       With ||v32_j|| + ||t32|| <= (1 + u)(V + T) + 2 sqrt(dim) eta that is
       gamma_(dim+3) (V + T)^2 + 3 dim eta + cross terms.
     * The exact steps' own float64 rounding, (dim + 2) 2^-53 (V + T)^2 on a
@@ -548,19 +588,20 @@ def candidates_from_phi(
     below the exact cutoff scores at most D + E: it survives. On a pool of
     at least 2 ``GROUPS`` columns, with cut < ``GROUPS``, c is the
     (cut + 1)-th smallest of the minima of ``GROUPS`` groups of columns
-    (column j in group j mod ``GROUPS``), from a partition of those minima
-    alone. It is at least the (cut + 1)-th smallest score: the groups are
-    disjoint, so the cut + 1 smallest minima are the scores of cut + 1
-    distinct columns, all at or below c. On any other pool c is the
+    (column j in group j mod ``GROUPS``, but for the first columns, short
+    of a whole row of groups, which are in none), from a partition of those
+    minima alone. It is at least the (cut + 1)-th smallest score: the
+    groups are disjoint, so the cut + 1 smallest minima are the scores of
+    cut + 1 distinct columns, all at or below c. On any other pool c is the
     (cut + 1)-th smallest score, from a partition of them all. The
-    survivors' cut-th smallest distance is
-    then the global one, and the exact steps pick the same columns, ties
-    at the cutoff still by term. The survivors are gathered into a
-    C-contiguous array, so einsum adds each column's terms in the same
-    order as over a whole pool, and the list is the same bit for bit as
-    without the screen. A cutoff at or above the (cut + 1)-th score keeps
-    at least two columns: einsum would sum a lone (dim, 1) column in
-    another order.
+    survivors' cut-th smallest distance is then the global one, and the
+    exact steps pick the same columns, ties at the cutoff still by term.
+    A target's survivors are gathered into a C-contiguous array, so einsum
+    adds each column's terms in the same order as over a whole pool, and
+    the list is the same bit for bit as without the screen, and whatever
+    block the target was screened in. A cutoff at or above the (cut + 1)-th
+    score keeps at least two columns: einsum would sum a lone (dim, 1)
+    column in another order.
 
     The screen runs only on a pool of at least ``SCREEN_CELLS`` cells
     (terms x dim), where it was measured to pay for its fixed costs, with
@@ -573,60 +614,114 @@ def candidates_from_phi(
     if q_row is None or k <= 0:
         return []
     pool = _candidate_pool(model, vocab)
-    target = phi.apply(model.input_vectors[q_row])
-    vectors, rows = pool.vectors, pool.rows
-    at = None  # the pool indices of ``rows``, when not the whole pool
-    cut = k + 1
-    if vectors is None:  # a screened pool: its float64 columns come from source
-        at = _screen(pool, target, cut) if cut < rows.size else None
-        if at is not None:
-            rows = rows[at]
-        vectors = np.ascontiguousarray(pool.source[rows].T)
-    diff = vectors - target[:, None]
+    target = phi.apply(pool.source[q_row])
+    at = _screen(pool, target, k + 1) if _screened(pool, k) else None
+    return _exact(pool, target, at, q_row, k)
+
+
+def nearest_terms(
+    phi: PhiTransform,
+    model: EmbeddingModel,
+    terms: Sequence[str],
+    vocab: frozenset[str],
+    k: int = MAX_PREDICTIONS,
+) -> list[list[ScoredCandidate]]:
+    """`candidates_from_phi` of each of ``terms``, one list per term, the
+    same bit for bit. The queries in the embedding go in blocks of as many
+    as ``SCREEN_BLOCK_CELLS`` float32 scores hold (at least one), each
+    block screened by one BLAS matrix product."""
+    q_rows = [model.row(term) for term in terms]
+    lists: list[list[ScoredCandidate]] = [[] for _ in terms]
+    asked = [i for i, row in enumerate(q_rows) if row is not None] if k > 0 else []
+    if not asked:
+        return lists
+    pool = _candidate_pool(model, vocab)
+    step = max(1, SCREEN_BLOCK_CELLS // max(1, pool.rows.size))
+    for first in range(0, len(asked), step):
+        block = asked[first : first + step]
+        targets = np.array([phi.apply(pool.source[q_rows[i]]) for i in block])
+        kept = _screen(pool, targets, k + 1) if _screened(pool, k) else [None] * len(block)
+        for i, target, at in zip(block, targets, kept):
+            lists[i] = _exact(pool, target, at, q_rows[i], k)
+    return lists
+
+
+def _screened(pool: _PhiPool, k: int) -> bool:
+    """Whether the pool is screened for the ``k`` nearest: it holds a
+    float32 copy and more than k + 1 columns."""
+    return pool.v32 is not None and k + 1 < pool.rows.size
+
+
+def _exact(
+    pool: _PhiPool, target: np.ndarray, at: np.ndarray | None, q_row: int, k: int
+) -> list[ScoredCandidate]:
+    """The exact steps: the ``k`` nearest columns of the pool to ``target``
+    among the columns ``at`` (every column for None), the query's row
+    ``q_row`` left out, by (distance, term). See `candidates_from_phi`."""
+    if at is None:
+        rows, at = pool.rows, np.arange(pool.rows.size)
+        vectors = pool.vectors if pool.vectors is not None else pool.source[rows].T
+        diff = np.ascontiguousarray(vectors) - target[:, None]
+    else:
+        rows = pool.rows[at]
+        diff = pool.source.take(rows, axis=0)
+        diff -= target
+        diff = np.ascontiguousarray(diff.T)
     dists = np.sqrt(np.einsum("ij,ij->j", diff, diff))
-    if cut < rows.size:
-        keep = np.flatnonzero(dists <= np.partition(dists, cut - 1)[cut - 1])
-        dists, rows = dists[keep], rows[keep]
-        at = keep if at is None else at[keep]
-    terms = pool.terms
-    ranked = sorted(
-        (dist, terms[i])
-        for dist, i, row in zip(
-            dists.tolist(), range(rows.size) if at is None else at.tolist(), rows.tolist()
-        )
-        if row != q_row
-    )
-    return [
-        ScoredCandidate(term, 1.0 / (1.0 + dist), Source.PHI)
-        for dist, term in ranked[:k]
-    ]
+    if dists.size > PARTITION_FACTOR * (k + 1):
+        keep = (dists <= np.partition(dists, k)[k]).nonzero()[0]
+        dists, at, rows = dists[keep], at[keep], rows[keep]
+    dists, at, rows = dists.tolist(), at.tolist(), rows.tolist()
+    if q_row in rows:
+        own = rows.index(q_row)
+        del dists[own], at[own]
+    ranked = sorted(zip(dists, map(pool.terms.__getitem__, at)))[:k]
+    # tuple.__new__ of the fields in order is what ScoredCandidate(...) runs,
+    # less a Python-level call per candidate
+    new, from_phi = tuple.__new__, Source.PHI
+    return [new(ScoredCandidate, (term, 1.0 / (1.0 + dist), from_phi)) for dist, term in ranked]
 
 
-def _screen(pool: _PhiPool, target: np.ndarray, cut: int) -> np.ndarray | None:
+def _screen(pool: _PhiPool, targets: np.ndarray, cut: int):
     """The indices of the columns of a screened pool that may be among the
-    ``cut`` nearest to ``target``, ascending, or None when the target's
-    norm is too large to screen; ``cut`` < the pool size. See
+    ``cut`` nearest to a target, ascending, or None when the target's norm
+    is too large to screen; ``cut`` < the pool size. ``targets`` is one
+    target (dim,), answered with one entry from one BLAS sgemv, or a block
+    (n, dim), answered with a list of n entries from one BLAS sgemm. See
     `candidates_from_phi`."""
-    t_norm = math.sqrt(np.einsum("i,i->", target, target))
-    if not t_norm < SCREEN_MAX_NORM:  # true for inf and nan too
-        return None
-    dim = target.size
-    bound = (dim + 8) * 2.0**-24 * (pool.norm + t_norm) ** 2 + (dim + 2) * 2.0**-148
-    # scaling t32 by -2 is exact, so this is sq - 2<t32, v32>, one BLAS sgemv
-    score = (target.astype(np.float32) * -2) @ pool.v32
+    # scaling t32 by -2 is exact, so the products give sq - 2<t32, v32>
+    if targets.ndim == 1:
+        t_norm = math.sqrt(targets.dot(targets))
+        if not t_norm < SCREEN_MAX_NORM:  # true for inf and nan too
+            return None
+        return _survivors(pool, (targets.astype(np.float32) * -2) @ pool.v32, t_norm, cut)
+    t_norms = np.sqrt(np.einsum("ij,ij->i", targets, targets)).tolist()
+    fit = [i for i, t_norm in enumerate(t_norms) if t_norm < SCREEN_MAX_NORM]
+    t32 = targets[fit].astype(np.float32) * -2
+    kept = [None] * len(targets)
+    for i, score in zip(fit, t32 @ pool.v32 if len(fit) != 1 else [t32[0] @ pool.v32]):
+        kept[i] = _survivors(pool, score, t_norms[i], cut)
+    return kept
+
+
+def _survivors(pool: _PhiPool, score: np.ndarray, t_norm: float, cut: int) -> np.ndarray:
+    """The columns whose score, ``score`` plus the squared norms, is within
+    twice the error bound of the cutoff, for a target of norm ``t_norm``;
+    ``score`` is overwritten. See `candidates_from_phi`."""
     score += pool.sq
-    lows = score
     if score.size >= 2 * GROUPS and cut < GROUPS:
-        # the minimum of each group, column j in group j mod GROUPS: the
-        # columns past the last whole row of groups join the first groups
-        whole = score.size - score.size % GROUPS
-        lows = score[:whole].reshape(-1, GROUPS).min(axis=0)
-        first = lows[: score.size - whole]
-        np.minimum(first, score[whole:], out=first)
-    cutoff = float(np.partition(lows, cut)[cut]) + 2 * bound
+        # the minimum of each group, column j in group j mod GROUPS, but for
+        # the first columns, short of a whole row of groups, in none
+        lows = score[score.size % GROUPS :].reshape(-1, GROUPS).min(axis=0)
+    else:
+        lows = score.copy()
+    lows.partition(cut)
+    dim = pool.v32.shape[0]
+    bound = (dim + 8) * 2.0**-24 * (pool.norm + t_norm) ** 2 + (dim + 2) * 2.0**-148
+    cutoff = float(lows[cut]) + 2 * bound
     # rounding to the nearest float32 is monotone, so a float32 score at or
     # below the cutoff is at or below its rounding too: no column is lost
-    return np.flatnonzero(score <= np.float32(cutoff))
+    return (score <= np.float32(cutoff)).nonzero()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,34 @@ P_AT_KS = (1, 3, 5, 15)
 METRIC_ROWS = ("MRR", "MAP", "P@1", "P@3", "P@5", "P@15")
 
 
-def _normalize(terms: Iterable[str]) -> list[str]:
-    return [normalize_term(t) for t in terms]
+def _hits(
+    predicted: Sequence[str], gold: Iterable[str], depth: int = MAX_PREDICTIONS
+) -> tuple[list[bool], int]:
+    """Whether each of the first ``depth`` predictions is gold, and the
+    number of distinct gold terms, each term normalized once."""
+    gold_set = set(map(normalize_term, gold))
+    return [normalize_term(t) in gold_set for t in predicted[:depth]], len(gold_set)
+
+
+def _reciprocal_rank(hits: list[bool]) -> float:
+    return 1.0 / (hits.index(True) + 1) if True in hits else 0.0
+
+
+def _average_precision(hits: list[bool], n_gold: int) -> float:
+    found = 0
+    total = 0.0
+    for rank, hit in enumerate(hits, start=1):
+        if hit:
+            found += 1
+            total += found / rank
+    return total / min(n_gold, MAX_PREDICTIONS)
+
+
+def _precision(hits: list[bool], k: int, n_gold: int, normalized: bool) -> float:
+    denom = min(k, n_gold) if normalized else k
+    if denom == 0:
+        raise ValueError("empty gold set")
+    return sum(hits[:k]) / denom
 
 
 def reciprocal_rank(predicted: Sequence[str], gold: Iterable[str]) -> float:
@@ -30,13 +56,10 @@ def reciprocal_rank(predicted: Sequence[str], gold: Iterable[str]) -> float:
     >>> reciprocal_rank(["a", "b", "c"], {"b"})
     0.5
     """
-    gold_set = set(_normalize(gold))
-    if not gold_set:
+    hits, n_gold = _hits(predicted, gold)
+    if not n_gold:
         raise ValueError("empty gold set")
-    for rank, term in enumerate(_normalize(predicted[:MAX_PREDICTIONS]), start=1):
-        if term in gold_set:
-            return 1.0 / rank
-    return 0.0
+    return _reciprocal_rank(hits)
 
 
 def average_precision(predicted: Sequence[str], gold: Iterable[str]) -> float:
@@ -45,16 +68,10 @@ def average_precision(predicted: Sequence[str], gold: Iterable[str]) -> float:
     >>> round(average_precision(["x", "a", "y"], {"x", "y"}), 4)
     0.8333
     """
-    gold_set = set(_normalize(gold))
-    if not gold_set:
+    hits, n_gold = _hits(predicted, gold)
+    if not n_gold:
         raise ValueError("empty gold set")
-    hits = 0
-    total = 0.0
-    for rank, term in enumerate(_normalize(predicted[:MAX_PREDICTIONS]), start=1):
-        if term in gold_set:
-            hits += 1
-            total += hits / rank
-    return total / min(len(gold_set), MAX_PREDICTIONS)
+    return _average_precision(hits, n_gold)
 
 
 def precision_at_k(
@@ -67,12 +84,8 @@ def precision_at_k(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    gold_set = set(_normalize(gold))
-    hits = sum(1 for term in _normalize(predicted[:k]) if term in gold_set)
-    denom = min(k, len(gold_set)) if normalized else k
-    if denom == 0:
-        raise ValueError("empty gold set")
-    return hits / denom
+    hits, n_gold = _hits(predicted, gold, k)
+    return _precision(hits, k, n_gold, normalized)
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,9 @@ def evaluate(
     """Unweighted per-query means over the queries passing the kind filter.
 
     ``predictions[i]`` is scored against ``gold_sets[i]``; a length mismatch
-    is a hard error, as is an empty gold list for a scored query.
+    is a hard error, as is an empty gold list for a scored query. Each
+    query's gold terms and top 15 predictions are normalized once, and
+    every metric is taken from those.
     """
     if len(predictions) != len(gold_sets):
         raise ValueError(
@@ -116,12 +131,13 @@ def evaluate(
         if kind_filter is not None and gold_set.query.kind is not kind_filter:
             continue
         n += 1
-        rr_total += reciprocal_rank(predicted, gold_set.hypernyms)
-        ap_total += average_precision(predicted, gold_set.hypernyms)
+        hits, n_gold = _hits(predicted, gold_set.hypernyms)
+        if not n_gold:
+            raise ValueError("empty gold set")
+        rr_total += _reciprocal_rank(hits)
+        ap_total += _average_precision(hits, n_gold)
         for k in P_AT_KS:
-            p_totals[k] += precision_at_k(
-                predicted, gold_set.hypernyms, k, normalized=normalized_p
-            )
+            p_totals[k] += _precision(hits, k, n_gold, normalized_p)
     if n == 0:
         return MetricsReport(0.0, 0.0, {k: 0.0 for k in P_AT_KS}, 0, kind_filter)
     return MetricsReport(

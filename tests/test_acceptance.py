@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from hyperdisc import synthetic
-from hyperdisc.cli import PipelineConfig, _source_lists, main, write_config
+from hyperdisc.cli import PipelineConfig, main, module_lists, write_config
 from hyperdisc.cooc import (
     Source,
     build_cooc_index,
-    build_pair_index,
-    load_cooc_index,
     merge_cooc_indexes,
 )
 from hyperdisc.corpus_io import (
@@ -25,7 +23,6 @@ from hyperdisc.corpus_io import (
     QueryKind,
     load_gold,
     load_queries,
-    load_vocabulary,
     parse_tagged_line,
     read_predictions,
 )
@@ -34,8 +31,6 @@ from hyperdisc.embedding import (
     PhiMode,
     cbow_step_loss,
     fit_phi,
-    load_embedding,
-    load_phi,
 )
 from hyperdisc.metrics import (
     P_AT_KS,
@@ -306,20 +301,11 @@ def planted_run(tmp_path_factory):
 
 
 def _standalone_mrr(cfg, source):
-    vocab = load_vocabulary(cfg.vocab)
     queries = load_queries(cfg.queries)
     gold_sets = load_gold(cfg.gold, queries)
-    cooc_idx = load_cooc_index(cfg.cooc_index)
-    hearst_idx = build_pair_index(cfg.hearst_corpus, Source.HEARST)
-    isa_idx = build_pair_index(cfg.isa_corpus, Source.ISA)
-    model = load_embedding(cfg.embedding)
-    phi = load_phi(cfg.phi)
     rr_total = 0.0
     p1_total = 0.0
-    for query, gold_set in zip(queries, gold_sets):
-        lists = _source_lists(
-            query, vocab, cooc_idx, hearst_idx, isa_idx, model, phi, cfg
-        )
+    for gold_set, lists in zip(gold_sets, module_lists(cfg)(queries)):
         terms = [c.term for c in lists[source]]
         rr_total += reciprocal_rank(terms, gold_set.hypernyms)
         p1_total += precision_at_k(terms, gold_set.hypernyms, 1)

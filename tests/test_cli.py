@@ -130,8 +130,8 @@ def test_module_lists_name_each_vocabulary_term_once(tmp_path, dataset):
     vocab = load_vocabulary(vocab_path)
     lists_for = module_lists(cfg)
     named = set()
-    for query in queries:
-        for source, cands in lists_for(query).items():
+    for query, lists in zip(queries, lists_for(queries)):
+        for source, cands in lists.items():
             names = [c.term for c in cands]
             assert len(names) == len(set(names)), (query.term, source)
             assert set(names) <= vocab - set(spelled), (query.term, source)
@@ -540,6 +540,24 @@ def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag,
     assert run(cfg_path, "pipeline", flag, value) == 2
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not any(os.path.exists(getattr(cfg, key)) for key in ARTIFACT_KEYS)
+
+
+@pytest.mark.parametrize("stage", list(cli.STAGES))
+def test_stage_checks_its_artifact_directory_first(tmp_path, monkeypatch, capsys, stage):
+    # every file it would read is missing and there is no seed: the directory
+    # check is the first error, so the stage has read and trained nothing
+    key = cli.STAGES[stage].writes
+    missing = tmp_path / "missing"
+    cfg = PipelineConfig(**{f.name: str(tmp_path / f"absent-{f.name}") for f in fields(PipelineConfig)
+                            if f.type == "str" and f.name not in ("phi_mode", "order_mode")})
+    setattr(cfg, key, str(missing / "artifact"))
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    for name in ("train_cbow", "normalize_corpus", "extract_corpus", "load_queries",
+                 "load_embedding", "read_predictions"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("read or trained"))
+    assert run(cfg_path, stage) == 2
+    assert capsys.readouterr().err == f"error: directory of artifact '{key}' not found: {missing}\n"
 
 
 def test_header_line_holding_a_lone_cr_is_read_by_one_rule(tmp_path, dataset, capsys):

@@ -1105,6 +1105,134 @@ def test_phi_screen_falls_back_on_large_norms(monkeypatch):
     assert [c.term for c in got] == [c.term for c in want]
 
 
+def per_token_pool(model, vocab):
+    """The pool's rows and terms by the per-token rule: each token of the
+    model's index, in row order, whose term is in the vocabulary."""
+    pairs = [(row, token_to_term(token)) for token, row in model.index.items()
+             if token_to_term(token) in vocab]
+    return [row for row, _ in pairs], [term for _, term in pairs]
+
+
+@pytest.mark.parametrize("cells", [math.inf, 0], ids=["exact", "screened"])
+def test_bulk_pool_equals_per_token_rule(monkeypatch, cells):
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", cells)
+    monkeypatch.setattr(embedding, "CHUNK_CELLS", 3 * 4)  # three rows a chunk, the last short
+    tokens = ["a_b_c", "__x", "x__", "café_au_lait", "naïve", "Ünï_côdé", "oil_plant", "oil",
+              "plant", "a", "b_c", "ж_б", "tree"]
+    rng = np.random.default_rng(15)
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (len(tokens), 4)))
+    terms = {token_to_term(t) for t in tokens}
+    vocabs = [
+        terms,
+        # both spellings of a phrase, and phrases only as their tokens
+        {"oil plant", "oil_plant", "a_b_c", "café au lait", "Ünï côdé", "  x", "tree", "ж б"},
+        {"missing", "plant"},
+        set(),
+    ]
+    for vocab in map(frozenset, vocabs):
+        model._phi_pool = None
+        pool = embedding._candidate_pool(model, vocab)
+        rows, names = per_token_pool(model, vocab)
+        assert pool.rows.tolist() == rows and pool.terms == names
+        assert pool.rows.dtype == np.intp
+        assert_screen_copy(pool, cells == 0 and bool(rows))
+
+
+def test_bulk_pool_leaves_a_large_norm_unrounded(monkeypatch):
+    # the norm past SCREEN_MAX_NORM sits in the last chunk, after two are copied
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", 0)
+    monkeypatch.setattr(embedding, "CHUNK_CELLS", 2 * 4)
+    rng = np.random.default_rng(16)
+    vectors = rng.normal(0, 1, (6, 4))
+    vectors[5] *= 2.0**130
+    model = EmbeddingModel(vocab=[f"w{i}" for i in range(6)], input_vectors=vectors)
+    with np.errstate(over="raise"):
+        pool = embedding._candidate_pool(model, every_term(model))
+    assert_screen_copy(pool, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi_cases(), st.integers(1, 4))
+def test_nearest_terms_equal_full_sort_reference(case, block):
+    model, phi, vocabs, queries, ks = case
+    queries = queries + queries[:1] + ["zz"]  # a repeat and a term outside the embedding
+    for cells in (math.inf, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "SCREEN_CELLS", cells)
+            # blocks of a few queries: a pool holds at most seven terms
+            patch.setattr(embedding, "SCREEN_BLOCK_CELLS", 7 * block)
+            for vocab in vocabs:
+                model._phi_pool = None
+                for k in ks:
+                    got = embedding.nearest_terms(phi, model, queries, vocab, k)
+                    assert got == [full_sort_reference(phi, model, q, vocab, max(k, 0))
+                                   for q in queries]
+                    assert got == [candidates_from_phi(phi, model, q, vocab, k) for q in queries]
+
+
+@pytest.mark.parametrize("dim", [16, 300])
+@pytest.mark.parametrize("mode", list(PhiMode))
+def test_nearest_terms_equal_candidates_from_phi(monkeypatch, dim, mode):
+    rng = np.random.default_rng(dim + 1)
+    n = 600
+    tokens = [f"w{i:03d}" for i in range(n)]
+    vectors = rng.normal(0, 1, (n, dim))
+    vectors[-1] *= 2.0**62  # a query too far to screen: not in the vocabulary
+    # duplicates: ties at the cutoff, among them the query's own vector
+    vectors[10:14] = vectors[9]
+    model = EmbeddingModel(vocab=tokens, input_vectors=vectors)
+    if mode is PhiMode.OFFSET:
+        phi = PhiTransform(mode, offset=rng.normal(0, 0.1, dim))
+    else:
+        phi = PhiTransform(mode, matrix=np.eye(dim) + rng.normal(0, 0.01, (dim, dim)))
+    vocab = frozenset(tokens[:-1:2]) | {"missing"}
+    pool_size = len(tokens[:-1:2])
+    queries = ["w009", "w000", "missing", "w599", "w010", "w001", "w300", "w 009", "w011"]
+    for k in (1, 3, 15, pool_size - 1, pool_size, pool_size + 5):
+        want = [candidates_from_phi(phi, model, q, vocab, k) for q in queries]
+        for cells in (math.inf, 0):
+            monkeypatch.setattr(embedding, "SCREEN_CELLS", cells)
+            for block_cells in (2**22, 2 * pool_size):  # one block, and blocks of two
+                monkeypatch.setattr(embedding, "SCREEN_BLOCK_CELLS", block_cells)
+                model._phi_pool = None
+                assert embedding.nearest_terms(phi, model, queries, vocab, k) == want
+        for q, found in zip(queries, want):
+            ref = full_sort_reference(phi, model, q, vocab, k)
+            assert [c.term for c in found] == [c.term for c in ref]
+            assert [c.score for c in found] == [pytest.approx(c.score, rel=1e-12) for c in ref]
+
+
+def test_nearest_terms_screens_each_block_once(monkeypatch):
+    # ten queries in blocks of three: one screen product a block, the last
+    # block short; the query's own row survives its screen and is left out
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", 0)
+    rng = np.random.default_rng(17)
+    n = 700
+    tokens = [f"w{i:03d}" for i in range(n)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (n, 8)))
+    phi = PhiTransform(PhiMode.OFFSET, offset=np.zeros(8))  # each target is its query
+    vocab = every_term(model)
+    monkeypatch.setattr(embedding, "SCREEN_BLOCK_CELLS", 3 * n)
+    blocks = []
+
+    def spy(pool, targets, cut):
+        kept = screen(pool, targets, cut)
+        blocks.append((targets.shape, kept))
+        return kept
+
+    screen = embedding._screen
+    monkeypatch.setattr(embedding, "_screen", spy)
+    queries = [f"w{i:03d}" for i in range(0, 500, 50)]
+    got = embedding.nearest_terms(phi, model, queries, vocab, 15)
+    assert [shape for shape, _ in blocks] == [(3, 8)] * 3 + [(1, 8)]
+    survivors = [at for _, kept in blocks for at in kept]
+    assert all(model.row(q) in at for q, at in zip(queries, survivors))
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", math.inf)
+    model._phi_pool = None
+    assert got == [candidates_from_phi(phi, model, q, vocab, 15) for q in queries]
+    assert all(q not in [c.term for c in found] for q, found in zip(queries, got))
+
+
 def test_matrix_phi_applies_matrix():
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
     phi = PhiTransform(PhiMode.MATRIX, matrix=matrix)

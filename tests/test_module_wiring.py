@@ -45,9 +45,9 @@ def test_emptying_any_module_lowers_merged_mrr(tmp_path):
     cfg = run_trained(tmp_path)
     lists_for = module_lists(cfg)
     train = load_gold(cfg.train_gold, load_queries(cfg.train_queries))
-    order = choose_order(module_reports([lists_for(g.query) for g in train], train))
+    order = choose_order(module_reports(lists_for([g.query for g in train]), train))
     test = load_gold(cfg.gold, load_queries(cfg.queries))
-    lists = [lists_for(g.query) for g in test]
+    lists = lists_for([g.query for g in test])
 
     def merged(without=None):
         return [
