@@ -30,7 +30,6 @@ from .corpus_io import (
     file_line,
     read_artifact,
     term_to_token,
-    token_to_term,
     write_artifact,
 )
 
@@ -116,16 +115,14 @@ def _ranked(
     min_count: int,
     k: int,
 ) -> list[ScoredCandidate]:
-    items = []
-    for token, count in row.items():
-        if count < min_count:
-            continue
-        term = token_to_term(token)
-        if term not in vocab:
-            continue
-        items.append((term, count))
-    items.sort(key=lambda it: (-it[1], it[0]))
-    return [ScoredCandidate(term, float(count), source) for term, count in items[:k]]
+    # (-count, term) sorts by count descending, then by term; a token's term
+    # is token_to_term(token), inlined
+    ranked = sorted([
+        (-count, term) for token, count in row.items()
+        if count >= min_count and (term := token.replace("_", " ")) in vocab
+    ])
+    new = tuple.__new__  # what ScoredCandidate(...) runs, less a Python-level call
+    return [new(ScoredCandidate, (term, float(-neg), source)) for neg, term in ranked[:k]]
 
 
 def candidates_from_cooc(
@@ -168,7 +165,7 @@ def head_word_heuristic(q: Query) -> ScoredCandidate | None:
     words = q.term.split()
     if len(words) < 2 or len(words) > MAX_TERM_WORDS:
         return None
-    return ScoredCandidate(words[-1], 0.5, Source.ISA)
+    return tuple.__new__(ScoredCandidate, (words[-1], 0.5, Source.ISA))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Merge per-module candidate lists into the final top-15 per query.
 
 Lists are concatenated in module order (block concatenation, no score
-fusion), deduplicated first-occurrence-wins, the query term itself is
-dropped, and the result is truncated to k. The default order puts IS-A
+fusion), deduplicated first-occurrence-wins by term as given (the modules
+name vocabulary terms, in normal form), the query term itself is dropped,
+and the result is truncated to k. The default order puts IS-A
 evidence first and embedding-projection evidence last. The trained order
 instead scores each module alone on training data with `module_reports`
 (one `metrics.evaluate` report per module) and `choose_order` sorts the
@@ -47,15 +48,29 @@ def merge(
     order: ModuleOrder | None = None,
     k: int = MAX_PREDICTIONS,
 ) -> RankedPrediction:
-    """Concatenate source lists in order; first occurrence of a term wins."""
+    """Concatenate source lists in order; first occurrence of a term wins,
+    and the query term (`normalize_term` of it) is dropped.
+
+    Candidate terms must be in normal form, as the terms of every module
+    are: each admits only terms of the vocabulary, which `load_vocabulary`
+    normalizes. They are compared as given, so ``Plant`` and ``plant``
+    would be two terms.
+
+    >>> from hyperdisc.corpus_io import QueryKind
+    >>> q = Query("lemongrass", QueryKind.CONCEPT)
+    >>> merge(q, {Source.ISA: [ScoredCandidate("herb", 2.0, Source.ISA)],
+    ...           Source.COOC: [ScoredCandidate("lemongrass", 9.0, Source.COOC),
+    ...                         ScoredCandidate("herb", 7.0, Source.COOC),
+    ...                         ScoredCandidate("plant", 5.0, Source.COOC)]}).terms()
+    ['herb', 'plant']
+    """
     order = order or ModuleOrder()
-    query_term = normalize_term(query.term)
-    seen: set[str] = set()
+    seen = {normalize_term(query.term)}
     out: list[ScoredCandidate] = []
     for source in order.order:
         for candidate in per_source.get(source, ()):
-            term = normalize_term(candidate.term)
-            if term == query_term or term in seen:
+            term = candidate.term
+            if term in seen:
                 continue
             seen.add(term)
             out.append(candidate)

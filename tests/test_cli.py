@@ -24,6 +24,7 @@ from hyperdisc.corpus_io import (
     FormatError,
     load_queries,
     load_vocabulary,
+    normalize_term,
     read_artifact,
     read_header,
     read_predictions,
@@ -137,6 +138,35 @@ def test_module_lists_name_each_vocabulary_term_once(tmp_path, dataset):
             assert set(names) <= vocab - set(spelled), (query.term, source)
             named.update(names)
     assert any(" " in t for t in named)  # a term with both spellings is named
+
+
+def test_module_lists_name_terms_in_normal_form(tmp_path, dataset):
+    # `rank.merge` compares candidate terms as given, so every module names
+    # its terms in normal form, here from a vocabulary and queries spelled
+    # in capitals with runs of blanks
+    def respell(text):
+        return text.upper().replace(" ", "  ")
+
+    terms = dataset.vocab.read_text(encoding="utf-8").splitlines()
+    vocab_path = tmp_path / "vocab.txt"
+    vocab_path.write_text("".join(f" {respell(t)}\t\n" for t in terms), encoding="utf-8")
+    queries_path = tmp_path / "queries.tsv"
+    queries_path.write_text("".join(
+        f"{respell(q.term)} \t{q.kind.value}\n" for q in load_queries(dataset.queries)
+    ), encoding="utf-8")
+    cfg = make_config(dataset, tmp_path, vocab=str(vocab_path), queries=str(queries_path))
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    queries = load_queries(queries_path)
+    assert any(" " in q.term for q in queries)
+    named = set()
+    for lists in module_lists(cfg)(queries):
+        for source, cands in lists.items():
+            assert [c.term for c in cands] == [normalize_term(c.term) for c in cands]
+            if cands:
+                named.add(source)
+    assert named == set(Source)
 
 
 def test_stage_chain_requires_upstream(tmp_path, dataset, capsys):

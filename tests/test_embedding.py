@@ -824,6 +824,25 @@ def test_phi_names_each_vocabulary_term_once(monkeypatch, cells):
             assert got == full_sort_reference(phi, model, q, vocab, k)
 
 
+@pytest.mark.parametrize("cells", [math.inf, 0], ids=["exact", "screened"])
+@pytest.mark.parametrize("n, k", [(8, 3), (8, 15), (40, 5)], ids=["small", "all", "partitioned"])
+def test_phi_leaves_out_the_query_row_anywhere_in_the_pool(monkeypatch, cells, n, k):
+    # the query's own row first, in the middle and last among the pool's
+    # rows, or not in the pool at all; a zero offset puts it nearest; 40
+    # columns are above PARTITION_FACTOR * (k + 1), so a partition runs first
+    monkeypatch.setattr(embedding, "SCREEN_CELLS", cells)
+    assert (n > embedding.PARTITION_FACTOR * (k + 1)) == (n == 40)
+    rng = np.random.default_rng(n + k)
+    tokens = [f"w{i}" for i in range(n)]
+    model = EmbeddingModel(vocab=tokens, input_vectors=rng.normal(0, 1, (n, 4)))
+    phi = PhiTransform(PhiMode.OFFSET, offset=np.zeros(4))
+    for q in (tokens[0], tokens[n // 2], tokens[-1]):
+        for vocab in (every_term(model), every_term(model) - {q}):
+            got = candidates_from_phi(phi, model, q, vocab, k)
+            assert got == full_sort_reference(phi, model, q, vocab, k)
+            assert len(got) == min(k, n - 1)
+
+
 def test_screen_cutoff_rounds_to_nearest_float32():
     # a zero target scores each column by its cached squared norm alone, exactly
     steps = [np.float32(1)]
@@ -1254,6 +1273,31 @@ def test_embedding_file_round_trip(tmp_path):
         line for line in path.read_bytes().split(b"\n") if not line.startswith(b"#")
     ][0]
     assert first_data_line == b"2 5"
+
+
+def test_embedding_rounding_equals_string_rounding_bit_for_bit(monkeypatch):
+    """`save_embedding` rounds in bulk to ``float(f"{v:.6f}")``, bit for bit,
+    on the values where the float product v * 1e6 lands nearest a half: exact
+    halves and their neighbours, dyadic values, huge and tiny magnitudes and
+    both zeros; in several chunks."""
+    monkeypatch.setattr(embedding, "CHUNK_CELLS", 4096)
+    rng = np.random.default_rng(21)
+    n = np.concatenate([np.arange(-3000.0, 3000.0), rng.integers(-10**6, 10**6, 6000),
+                        [2.0**e + d for e in range(20, 53) for d in (-1, 0, 1)]])
+    halves = (n + 0.5) / 1e6
+    values = np.concatenate([
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        np.arange(-3000.0, 3000.0) / 2**27, rng.uniform(2.0**50, 2.0**54, 3000) / 1e6,
+        rng.standard_cauchy(6000), rng.standard_cauchy(3000) * 1e9, rng.normal(0, 1e-6, 3000),
+        [0.0, -0.0, 5e-324, -5e-324, 2.0**53 / 1e6, -(2.0**53) / 1e6,
+         np.nextafter(2.0**52 / 1e6, 0), np.nextafter(2.0**53 / 1e6, np.inf), 1e300, -1.7e308],
+    ])
+    values = np.resize(values, (values.size // 3 + 1, 3))  # rows of 3, cycling to fill
+    want = np.array([float(f"{v:.6f}") for v in values.ravel().tolist()]).reshape(values.shape)
+    got = embedding._round6(values)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    zeros = embedding._round6(np.array([[-0.0, -4e-7, 0.0]]))
+    assert np.signbit(zeros).tolist() == [[True, True, False]]
 
 
 @given(

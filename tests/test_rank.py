@@ -62,6 +62,20 @@ def test_merge_drops_query_term():
     assert merged.terms() == ["herb"]
 
 
+def test_merge_compares_candidate_terms_as_given():
+    # candidate terms are vocabulary terms, already in normal form: only the
+    # query term is normalized, and two spellings of a candidate are two terms
+    merged = merge(
+        Query(" LemonGrass ", QueryKind.CONCEPT),
+        {
+            Source.ISA: cands(Source.ISA, "lemongrass", "herb"),
+            Source.COOC: cands(Source.COOC, "herb", "Herb", "plant"),
+        },
+    )
+    assert merged.terms() == ["herb", "Herb", "plant"]
+    assert [c.source for c in merged.candidates] == [Source.ISA, Source.COOC, Source.COOC]
+
+
 def test_merge_respects_custom_order():
     order = ModuleOrder((Source.PHI, Source.ISA, Source.COOC, Source.HEARST))
     merged = merge(
