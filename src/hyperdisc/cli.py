@@ -13,15 +13,13 @@ composed by accident. Every stage is byte-for-byte reproducible at any
 is left out of the hash.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import math
 import os
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .cooc import (
     DEFAULT_THRESHOLD,
@@ -77,12 +75,11 @@ class CliError(Exception):
     pass
 
 
-@dataclass
-class PipelineConfig:
-    """Every setting of the pipeline, one field per config key. The CBOW
-    settings take their defaults and checks from `EmbeddingConfig`
-    (`cbow`), so a bad setting fails here, before any stage runs."""
+_CBOW = EmbeddingConfig._field_defaults
 
+
+# the fields; `PipelineConfig` adds the checks, as a NamedTuple's own body cannot define __new__
+class _PipelineFields(NamedTuple):
     # inputs
     corpus: str = ""
     vocab: str = ""
@@ -102,20 +99,30 @@ class PipelineConfig:
     # parameters
     threshold: int = DEFAULT_THRESHOLD
     k: int = MAX_PREDICTIONS
-    dim: int = EmbeddingConfig.dim
-    window: int = EmbeddingConfig.window
-    min_count: int = EmbeddingConfig.min_count
-    negatives: int = EmbeddingConfig.negatives
-    epochs: int = EmbeddingConfig.epochs
-    lr: float = EmbeddingConfig.lr
-    seed: int | None = EmbeddingConfig.seed
+    dim: int = _CBOW["dim"]
+    window: int = _CBOW["window"]
+    min_count: int = _CBOW["min_count"]
+    negatives: int = _CBOW["negatives"]
+    epochs: int = _CBOW["epochs"]
+    lr: float = _CBOW["lr"]
+    seed: int | None = _CBOW["seed"]
     phi_mode: str = PhiMode.OFFSET.value
     ridge: float = 1e-6
     order_mode: str = "fixed"
     p_at_normalized: bool = False
     workers: int = 1
 
-    def __post_init__(self) -> None:
+
+class PipelineConfig(_PipelineFields):
+    """Every setting of the pipeline, one field per config key, checked at
+    construction. The CBOW settings take their defaults and checks from
+    `EmbeddingConfig` (`cbow`), so a bad setting fails here, before any
+    stage runs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.k <= MAX_PREDICTIONS:
             raise CliError(f"k must be between 1 and {MAX_PREDICTIONS}, got {self.k}")
         if self.phi_mode not in {mode.value for mode in PhiMode}:
@@ -131,19 +138,16 @@ class PipelineConfig:
         if not math.isfinite(self.ridge):
             raise CliError(f"ridge must be a finite number, got {self.ridge}")
         self.cbow()  # raises ValueError on a bad CBOW setting
+        return self
 
     def cbow(self) -> EmbeddingConfig:
         """The CBOW settings, checked by `EmbeddingConfig`."""
-        return EmbeddingConfig(**{f.name: getattr(self, f.name) for f in fields(EmbeddingConfig)})
+        return EmbeddingConfig(**{name: getattr(self, name) for name in EmbeddingConfig._fields})
 
     def serialize(self, skip: tuple[str, ...] = ()) -> str:
-        parts = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name in skip:
-                continue
-            value = getattr(self, f.name)
-            parts.append(f"{f.name}={'' if value is None else value}")
-        return "\n".join(parts) + "\n"
+        """One ``key=value`` line per field, sorted by key; None is empty."""
+        return "".join(f"{name}={'' if value is None else value}\n"
+                       for name, value in sorted(zip(self._fields, self)) if name not in skip)
 
     def hash(self) -> str:
         """Stamp of the artifact layout (`ARTIFACT_FORMAT`) and of the settings
@@ -155,7 +159,8 @@ class PipelineConfig:
         return {CONFIG_HASH_KEY: self.hash()}
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# config key -> its type; this module's annotations are evaluated, not strings
+_FIELD_TYPES = _PipelineFields.__annotations__
 
 
 def _parse_bool(text: str) -> bool:
@@ -170,15 +175,11 @@ def _parse_bool(text: str) -> bool:
 def _coerce(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
+    if kind is bool:
         return _parse_bool(raw)
-    if kind == "int | None":
+    if kind == int | None:
         return int(raw) if raw else None
-    return raw
+    return kind(raw)  # str, int or float
 
 
 def load_config(
@@ -411,8 +412,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
         write_report(cfg.metrics, reports, header=cfg.header())
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     handler: Callable[[PipelineConfig], None]
     reads: tuple[str, ...]  # config keys of the files it always reads, in check order
     writes: str  # config key of the artifact it writes
@@ -470,9 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
         text = f"reads {', '.join(row.reads)}; writes {row.writes}" if row else "run every stage"
         sub = subparsers.add_parser(name, help=text, description=text)
         sub.add_argument("--config", help="key=value configuration file")
-        for f in fields(PipelineConfig):
-            flag = "--" + f.name.replace("_", "-")
-            sub.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, metavar="V")
+        for name in PipelineConfig._fields:
+            flag = "--" + name.replace("_", "-")
+            sub.add_argument(flag, dest=name, default=argparse.SUPPRESS, metavar="V")
     return parser
 
 

@@ -17,7 +17,6 @@ at or above its floor, the smallest count a candidate list can use.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -54,8 +53,7 @@ class ScoredCandidate(NamedTuple):
     source: Source
 
 
-@dataclass
-class CoocIndex:
+class CoocIndex(NamedTuple):
     """query token -> context token -> co-occurrence count. A snapshot keeps
     only the counts >= ``floor``, so it answers every ``threshold >= floor - 1``."""
 
@@ -63,8 +61,7 @@ class CoocIndex:
     floor: int = 1
 
 
-@dataclass
-class PairIndex:
+class PairIndex(NamedTuple):
     """hyponym token -> hypernym token -> pair count (all counts >= 1)."""
 
     counts: dict[str, dict[str, int]]
@@ -115,6 +112,8 @@ def _ranked(
     min_count: int,
     k: int,
 ) -> list[ScoredCandidate]:
+    if k <= 0:
+        return []
     # (-count, term) sorts by count descending, then by term; a token's term
     # is token_to_term(token), inlined
     ranked = sorted([

@@ -40,7 +40,6 @@ import itertools
 import os
 import re
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -54,16 +53,12 @@ HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key 
 READ_CHUNK = 1 << 13  # bytes per read of `iter_data_lines`, made up to whole lines
 
 
-@dataclass(frozen=True)
-class TaggedParagraph:
+class TaggedParagraph(NamedTuple):
     """One tagged line as two columns: the surface and the tag of each valid
     token, in order."""
 
     surfaces: tuple[str, ...]
     tags: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.surfaces)
 
 
 class QueryKind(Enum):
@@ -259,8 +254,7 @@ def columns(paragraph: TaggedParagraph) -> tuple[tuple[str, ...], str]:
     )
 
 
-@dataclass
-class ScanStats:
+class ScanStats(NamedTuple):
     """Counts from one pass over a tagged corpus (`scan_tagged_corpus`).
     ``paragraphs_in`` and ``bad_tokens`` count only the lines the pass
     parses: all of them unless it has a gate."""
@@ -362,8 +356,7 @@ def scan_tagged_corpus(
         ]
         scan = partial(_scan_batch, work=work, gate=gate)
         for part, texts in map_lines(scan, batches, workers):
-            for name, value in vars(part).items():
-                setattr(stats, name, getattr(stats, name) + value)
+            stats = ScanStats(*map(sum, zip(stats, part)))
             for fh, text in zip(files, texts):
                 if text:
                     fh.write(text)

@@ -67,7 +67,6 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -119,12 +118,8 @@ CHUNK_CELLS = 2**16  # float64 cells of a chunk of rows: a pool's copy, an embed
 PARTITION_FACTOR = 2
 
 
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    """The CBOW settings, named as their config keys, with their defaults and
-    range checks: `cli.PipelineConfig` takes both from here. ``seed=None``
-    means not given yet; `train_cbow` needs one."""
-
+# the fields; `EmbeddingConfig` adds the checks, as a NamedTuple's own body cannot define __new__
+class _CbowFields(NamedTuple):
     dim: int = 300
     window: int = 10
     min_count: int = 5
@@ -133,7 +128,16 @@ class EmbeddingConfig:
     lr: float = 0.025
     seed: int | None = None
 
-    def __post_init__(self) -> None:
+
+class EmbeddingConfig(_CbowFields):
+    """The CBOW settings, named as their config keys, with their defaults and
+    range checks, run at construction: `cli.PipelineConfig` takes both from
+    here. ``seed=None`` means not given yet; `train_cbow` needs one."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, least in (("dim", 2), ("window", 1), ("min_count", 1), ("negatives", 1),
                             ("epochs", 1)):
             if getattr(self, name) < least:
@@ -144,6 +148,7 @@ class EmbeddingConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
+        return self
 
 
 class _PhiPool(NamedTuple):
@@ -162,19 +167,17 @@ class _PhiPool(NamedTuple):
     norm: float            # V, the largest norm of a column, on a screened pool
 
 
-@dataclass
 class EmbeddingModel:
-    vocab: list[str]
-    input_vectors: np.ndarray
-    output_vectors: np.ndarray | None = None
-    index: dict[str, int] = field(init=False, repr=False)
-    # the candidate pool of the last `candidates_from_phi` call
-    _phi_pool: _PhiPool | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("vocab", "input_vectors", "output_vectors", "index", "_phi_pool")
 
-    def __post_init__(self) -> None:
-        self.index = {token: i for i, token in enumerate(self.vocab)}
+    def __init__(
+        self, vocab: list[str], input_vectors: np.ndarray, output_vectors: np.ndarray | None = None
+    ) -> None:
+        self.vocab = vocab
+        self.input_vectors = input_vectors
+        self.output_vectors = output_vectors
+        self.index = {token: i for i, token in enumerate(vocab)}
+        self._phi_pool: _PhiPool | None = None  # the pool of the last `candidates_from_phi` call
 
     @property
     def dimension(self) -> int:
@@ -396,18 +399,25 @@ class PhiMode(Enum):
     MATRIX = "matrix"
 
 
-@dataclass(frozen=True)
-class PhiTransform:
+class _PhiFields(NamedTuple):
     mode: PhiMode
     offset: np.ndarray | None = None
     matrix: np.ndarray | None = None
     skipped_pairs: int = 0
 
-    def __post_init__(self) -> None:
+
+class PhiTransform(_PhiFields):
+    """The fitted projection; its mode's array is checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode is PhiMode.OFFSET and self.offset is None:
             raise ValueError("offset mode needs an offset vector")
         if self.mode is PhiMode.MATRIX and self.matrix is None:
             raise ValueError("matrix mode needs a matrix")
+        return self
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         if self.mode is PhiMode.OFFSET:

@@ -11,8 +11,7 @@ instead. Average precision divides by min(|gold|, 15) so a perfect
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus_io import MAX_PREDICTIONS, GoldSet, QueryKind, normalize_term, write_artifact
 
@@ -88,8 +87,7 @@ def precision_at_k(
     return _precision(hits, k, n_gold, normalized)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     mrr: float
     map: float
     p_at: dict[int, float]

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .corpus_io import (
     Outputs,
@@ -66,8 +65,7 @@ class PatternId(Enum):
     IS_A = "IsA"
 
 
-@dataclass(frozen=True)
-class PatternMatch:
+class PatternMatch(NamedTuple):
     pattern_id: PatternId
     hypernym: str                # lowercase, underscore-joined if multiword
     hyponyms: tuple[str, ...]

@@ -12,8 +12,7 @@ modules by those reports' MRR; that order is applied to the test data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cooc import ScoredCandidate, Source
 from .corpus_io import MAX_PREDICTIONS, GoldSet, Query, normalize_term
@@ -22,19 +21,27 @@ from .metrics import MetricsReport, evaluate
 DEFAULT_ORDER = (Source.ISA, Source.COOC, Source.HEARST, Source.PHI)
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
+# the fields; `ModuleOrder` adds the checks, as a NamedTuple's own body cannot define __new__
+class _OrderFields(NamedTuple):
     order: tuple[Source, ...] = DEFAULT_ORDER
 
-    def __post_init__(self) -> None:
+
+class ModuleOrder(_OrderFields):
+    """The order of the module lists; each source exactly once, checked
+    at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sorted(self.order, key=lambda s: s.value) != sorted(
             Source, key=lambda s: s.value
         ):
             raise ValueError(f"order must list each source exactly once: {self.order}")
+        return self
 
 
-@dataclass(frozen=True)
-class RankedPrediction:
+class RankedPrediction(NamedTuple):
     query: Query
     candidates: tuple[ScoredCandidate, ...]
 
@@ -49,7 +56,8 @@ def merge(
     k: int = MAX_PREDICTIONS,
 ) -> RankedPrediction:
     """Concatenate source lists in order; first occurrence of a term wins,
-    and the query term (`normalize_term` of it) is dropped.
+    and the query term (`normalize_term` of it) is dropped. At most ``k``
+    candidates are kept, none for ``k <= 0``.
 
     Candidate terms must be in normal form, as the terms of every module
     are: each admits only terms of the vocabulary, which `load_vocabulary`
@@ -64,6 +72,8 @@ def merge(
     ...                         ScoredCandidate("plant", 5.0, Source.COOC)]}).terms()
     ['herb', 'plant']
     """
+    if k <= 0:
+        return RankedPrediction(query, ())
     order = order or ModuleOrder()
     seen = {normalize_term(query.term)}
     out: list[ScoredCandidate] = []

@@ -2,7 +2,6 @@ import itertools
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -241,7 +240,7 @@ def test_stage_table_is_a_graph_in_pipeline_order():
         written.add(row.writes)
     named = {key for row in cli.STAGES.values() for key in (*row.reads, row.writes)}
     settings = {"phi_mode", "order_mode"}
-    assert named == {f.name for f in fields(PipelineConfig) if f.type == "str"} - settings
+    assert named == {name for name, kind in cli._FIELD_TYPES.items() if kind is str} - settings
     assert [stage for stage, _ in cli.PIPELINE_STAGES] == list(STAGE_ORDER)
     assert list(cli.COMMANDS) == [*STAGE_ORDER, "pipeline"]
 
@@ -578,9 +577,10 @@ def test_stage_checks_its_artifact_directory_first(tmp_path, monkeypatch, capsys
     # check is the first error, so the stage has read and trained nothing
     key = cli.STAGES[stage].writes
     missing = tmp_path / "missing"
-    cfg = PipelineConfig(**{f.name: str(tmp_path / f"absent-{f.name}") for f in fields(PipelineConfig)
-                            if f.type == "str" and f.name not in ("phi_mode", "order_mode")})
-    setattr(cfg, key, str(missing / "artifact"))
+    cfg = PipelineConfig(**{name: str(tmp_path / f"absent-{name}")
+                            for name, kind in cli._FIELD_TYPES.items()
+                            if kind is str and name not in ("phi_mode", "order_mode")})
+    cfg = cfg._replace(**{key: str(missing / "artifact")})
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
     for name in ("train_cbow", "normalize_corpus", "extract_corpus", "load_queries",
@@ -752,7 +752,7 @@ def test_readme_configuration_table_matches_config():
                 assert want in (None, ""), key
             else:
                 assert cli._coerce(key, value) == want, key
-    assert sorted(named) == sorted(f.name for f in fields(PipelineConfig))
+    assert sorted(named) == sorted(PipelineConfig._fields)
 
 
 def test_invalid_parameter_values():
@@ -814,14 +814,39 @@ assert [c.term for c in found] and all(c.term != model.vocab[0] for c in found)
 """
 
 
+def run_fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(hyperdisc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_stages_that_train_nothing_never_import_numpy(tmp_path, dataset):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
-    src = os.path.dirname(os.path.dirname(hyperdisc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_ON_FIRST_USE, str(cfg_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_fresh_python(NUMPY_ON_FIRST_USE, cfg_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+# what every stage process pays for before it works: importing the CLI loads
+# every layer module (which `perfbench/trace.py` wraps after importing only
+# the CLI) and none of these modules
+CLI_IMPORT = """
+import sys
+import hyperdisc.cli
+loaded = [name for name in ("dataclasses", "inspect", "numpy", "multiprocessing")
+          if name in sys.modules]
+assert not loaded, f"imported by hyperdisc.cli: {loaded}"
+layers = ("cooc", "corpus_io", "embedding", "metrics", "normalize", "patterns", "rank", "_parallel")
+missing = [name for name in layers if f"hyperdisc.{name}" not in sys.modules]
+assert not missing, f"not imported by hyperdisc.cli: {missing}"
+"""
+
+
+def test_cli_import_loads_every_layer_and_no_heavy_module():
+    proc = run_fresh_python(CLI_IMPORT)
     assert proc.returncode == 0, proc.stderr

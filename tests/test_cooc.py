@@ -162,6 +162,11 @@ class TestCandidatesFromCooc:
     def test_unknown_query(self):
         assert candidates_from_cooc(self.index({"a": 9}), "missing", frozenset({"a"})) == []
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_candidate_for_k_below_one(self, k):
+        row = {"a": 9, "b": 8, "c": 7}
+        assert candidates_from_cooc(self.index(row), "q", every_term(row), k=k) == []
+
     def test_vocab_filter_uses_external_form(self):
         vocab = frozenset({"oil plant"})
         got = candidates_from_cooc(
@@ -261,6 +266,11 @@ class TestCandidatesFromPairs:
     def test_unknown_query(self):
         index = PairIndex({"p": {"plant": 1}}, Source.ISA)
         assert candidates_from_pairs(index, "q", frozenset({"plant"})) == []
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_candidate_for_k_below_one(self, k):
+        index = PairIndex({"q": {"plant": 3, "herb": 2, "weed": 1}}, Source.ISA)
+        assert candidates_from_pairs(index, "q", every_term(index.counts["q"]), k=k) == []
 
     def test_single_pair_listed(self):
         index = PairIndex({"q": {"plant": 1}}, Source.ISA)

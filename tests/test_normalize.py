@@ -54,7 +54,7 @@ def brute_force_windows(paragraph: TaggedParagraph) -> list[str]:
     """Independent window enumerator: every 2-3 window of chunk-class tags
     whose last tag is a noun, position-major then shorter-first."""
     out = []
-    for start in range(len(paragraph)):
+    for start in range(len(paragraph.surfaces)):
         for length in (2, 3):
             tags = paragraph.tags[start : start + length]
             if len(tags) != length:

@@ -54,6 +54,13 @@ def test_merge_truncates_before_later_sources():
     assert merged.terms() == sixteen[:15]
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_merge_keeps_no_candidate_for_k_below_one(k):
+    lists = {Source.ISA: cands(Source.ISA, "plant", "herb"),
+             Source.COOC: cands(Source.COOC, "weed")}
+    assert merge(QUERY, lists, k=k).terms() == []
+
+
 def test_merge_drops_query_term():
     merged = merge(
         QUERY,
