@@ -140,6 +140,10 @@ class PipelineConfig(_PipelineFields):
         self.cbow()  # raises ValueError on a bad CBOW setting
         return self
 
+    @classmethod
+    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
+        return cls(*iterable)
+
     def cbow(self) -> EmbeddingConfig:
         """The CBOW settings, checked by `EmbeddingConfig`."""
         return EmbeddingConfig(**{name: getattr(self, name) for name in EmbeddingConfig._fields})

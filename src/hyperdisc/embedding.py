@@ -13,15 +13,20 @@ of its initial value over all positions of all epochs.
 Training is block-batched: the corpus is one id array with its line
 bounds, and each block of ``BLOCK`` consecutive positions is one weight
 update, ``apply_step``, the only one. A block takes every gradient at its
-start weights, masks each context window at its line's bounds and keeps
-each position's own learning rate. After Ji et al. (arXiv:1604.04661),
+start weights, cuts each context window at its line's bounds and keeps
+each position's own learning rate. Its positions are consecutive, so it
+reads every context from one segment of the id array: the contexts'
+sums and the input rows' updates are differences of prefix sums over
+that segment. After Ji et al. (arXiv:1604.04661),
 each group of ``GROUP`` consecutive positions shares one row of
 negatives, all drawn in one RNG call; a negative equal to any center of
 its group is redrawn, and a group holds fewer positions than the
 vocabulary has tokens, so that a valid negative exists. With blocks of
 one position it is the plain per-position SGD. Training stays
-single-process and uses no BLAS call, so the weights are
-byte-reproducible for a fixed seed, whatever the CPU count.
+single-process, and its only BLAS calls are the small matrix products of
+each group's vectors with its negatives. So the weights are
+byte-reproducible for a fixed seed on one BLAS build; CI compares the
+embedding trained at one and at two BLAS threads, byte for byte.
 ``cbow_step_loss`` is the independent oracle for the same loss and
 gradients.
 
@@ -52,8 +57,8 @@ survivors (gathered from ``input_vectors``), or of every column of a
 small pool, in one fused float64 pass (an einsum, no BLAS call), and sort
 them by (distance, term), with a partition first only where the columns
 far outnumber ``k``. The screen never changes the result:
-`candidates_from_phi` derives the bound and shows why. So only the
-screen calls BLAS; training and the exact steps do not.
+`candidates_from_phi` derives the bound and shows why. So the screen is
+the only BLAS call of retrieval; the exact steps make none.
 Embedding and projection files share one layout and one reader: text up
 to the size line (and an embedding's tokens, one per line), then the values
 as one little-endian float64 block of exactly rows x dim x 8 bytes, which
@@ -100,6 +105,7 @@ NOISE_POWER = 0.75
 LR_FLOOR_FRACTION = 0.1
 BLOCK = 256  # training positions per weight update
 GROUP = 16  # consecutive positions of a block that share one row of negatives
+CHUNK = 16  # blocks whose windows and learning rates `_train` takes in one pass
 # projection retrieval screens a pool in float32 from this many cells (terms x
 # dim), past the measured break-even (16k cells at dim 16, 19k to 38k at dim
 # 300); on smaller pools the screen costs more than it saves
@@ -149,6 +155,10 @@ class EmbeddingConfig(_CbowFields):
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
+        return cls(*iterable)
 
 
 class _PhiPool(NamedTuple):
@@ -239,57 +249,111 @@ def cbow_step_loss(
 def apply_step(
     w_in: np.ndarray,
     w_out: np.ndarray,
-    context: np.ndarray,
-    centers: np.ndarray,
+    segment: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    start: int,
     negatives: np.ndarray,
     lr: np.ndarray,
+    work: dict | None = None,
 ) -> None:
     """One SGD update for a block of positions, on the weights in place.
 
-    Row ``b`` of ``context`` holds the input rows of position ``b``'s
-    context, padded with -1 (each row has at least one input row),
-    ``centers[b]`` its center and ``lr[b]`` its learning rate. Position
-    ``b`` takes row ``b // width`` of ``negatives``, with ``width =
-    ceil(len(centers) / len(negatives))``: groups of consecutive positions
-    share a row, the last group possibly shorter. Every gradient is taken
-    at the block-start weights and repeated rows accumulate, so the update
-    is the sum over the block of ``-lr[b]`` times the gradients
-    ``cbow_step_loss`` returns for position ``b`` with its group's
-    negatives, a negative equal to a center included. `_train` redraws
-    those, and caps the group size at the vocabulary size minus one so that
-    a valid negative always exists.
+    ``segment`` holds input rows, and position ``b`` of the block is its
+    row ``start + b``: the positions are consecutive. Position ``b``'s
+    window is ``segment[lo[b]:hi[b]]``, which holds the position itself;
+    its context is the rest of the window (at least one row), its center
+    ``segment[start + b]`` and ``lr[b]`` its learning rate. Neither ``lo``
+    nor ``hi`` decreases. Position ``b`` takes row ``b // width`` of
+    ``negatives``, with ``width = ceil(len(lo) / len(negatives))``: groups
+    of consecutive positions share a row, the last group possibly shorter.
+    Every gradient is taken at the block-start weights and repeated rows
+    accumulate, so the update is the sum over the block of ``-lr[b]``
+    times the gradients ``cbow_step_loss`` returns for position ``b`` with
+    its group's negatives, a negative equal to a center included. `_train`
+    redraws those, and caps the group size at the vocabulary size minus
+    one so that a valid negative always exists.
+
+    The input side reads the segment's rows once: each ``h`` is a
+    difference of their prefix sums, less the position's own row. The
+    positions whose window covers a segment row form one range, as the
+    windows never move back, so that row's update is a difference of
+    prefix sums of the positions' steps, less the step of the position it
+    is. The output side takes each group's products with its negatives as
+    matrix products. Every array of block x dim values is written into
+    ``work``'s arrays (`_rows`), which a caller passes again to the next
+    block, so that no block allocates them anew.
     """
-    inside = context >= 0
-    n_ctx = inside.sum(axis=1)
-    size, groups, dim = len(centers), len(negatives), w_in.shape[1]
+    work = {} if work is None else work
+    size, groups, dim = lo.size, len(negatives), w_in.shape[1]
     width = -(-size // groups)
+    own = slice(start, start + size)
+    n_ctx = (hi - lo - 1)[:, None]
+    x = np.take(w_in, segment, axis=0, out=_rows(work, "x", segment.size, dim), mode="clip")
+    sums = _rows(work, "sums", segment.size + 1, dim)
+    sums[0] = 0.0
+    np.cumsum(x, axis=0, out=sums[1:])
     # zero rows pad the last group, so a padding position adds nothing
-    h, step_h = np.zeros((2, groups * width, dim))
-    # padding gathers the last row and weighs it by zero
-    h[:size] = np.einsum("bk,bkd->bd", inside.astype(w_in.dtype), w_in[context]) / n_ctx[:, None]
-    step_h[:size] = (-lr)[:, None] * h[:size]
-    out_c, out_n = w_out[centers], w_out[negatives]
+    h, step_h = _rows(work, "h", groups * width, dim), _rows(work, "step_h", groups * width, dim)
+    h[size:] = step_h[size:] = 0.0
+    np.take(sums, hi, axis=0, out=h[:size], mode="clip")
+    h[:size] -= np.take(sums, lo, axis=0, out=_rows(work, "gather", size, dim), mode="clip")
+    h[:size] -= x[own]
+    h[:size] /= n_ctx
+    np.multiply(-lr[:, None], h[:size], out=step_h[:size])
+    centers = segment[own]
+    out_c = np.take(w_out, centers, axis=0, out=_rows(work, "out_c", size, dim), mode="clip")
+    out_n = np.take(w_out, negatives.ravel(), axis=0, mode="clip",
+                    out=_rows(work, "out_n", negatives.size, dim)).reshape(groups, -1, dim)
     g_c = 1.0 / (1.0 + np.exp(-np.einsum("bd,bd->b", h[:size], out_c))) - 1.0
-    u_n = np.einsum("kgd,knd->kgn", h.reshape(groups, width, dim), out_n)
-    g_n = 1.0 / (1.0 + np.exp(-u_n))
-    grad_h = g_c[:, None] * out_c
-    grad_h += np.einsum("kgn,knd->kgd", g_n, out_n).reshape(h.shape)[:size]
-    step_n = np.einsum("kgn,kgd->knd", g_n, step_h.reshape(groups, width, dim))
-    step_out = np.concatenate((g_c[:, None] * step_h[:size], step_n.reshape(-1, dim)))
-    _scatter_add(w_out, np.concatenate((centers, negatives.ravel())), step_out)
-    step_in = (-lr / n_ctx)[:, None] * grad_h
-    _scatter_add(w_in, context[inside], np.repeat(step_in, n_ctx, axis=0))
+    g_n = 1.0 / (1.0 + np.exp(-(h.reshape(groups, width, dim) @ out_n.transpose(0, 2, 1))))
+    # the output rows' steps: the centers', then the negatives'
+    step_out = _rows(work, "step_out", size + negatives.size, dim)
+    np.multiply(g_c[:, None], step_h[:size], out=step_out[:size])
+    np.matmul(g_n.transpose(0, 2, 1), step_h.reshape(groups, width, dim),
+              out=step_out[size:].reshape(out_n.shape))
+    grad_n = np.matmul(g_n, out_n, out=h.reshape(groups, width, dim)).reshape(h.shape)
+    grad_h = np.multiply(g_c[:, None], out_c, out=out_c)
+    grad_h += grad_n[:size]
+    _scatter_add(w_out, np.concatenate((centers, negatives.ravel())), step_out, work)
+    step_in = np.multiply(-lr[:, None] / n_ctx, grad_h, out=grad_h)
+    # row b + 1 holds the steps of positions 0..b
+    steps = _rows(work, "steps", size + 1, dim)
+    steps[0] = 0.0
+    np.cumsum(step_in, axis=0, out=steps[1:])
+    # segment row j is in the windows of positions searchsorted(hi, j) up to
+    # searchsorted(lo, j), both on the right
+    rows = np.arange(segment.size)
+    update = np.take(steps, np.searchsorted(lo, rows, side="right"), axis=0, mode="clip",
+                     out=_rows(work, "update", segment.size, dim))
+    update -= np.take(steps, np.searchsorted(hi, rows, side="right"), axis=0, mode="clip",
+                      out=_rows(work, "gather", segment.size, dim))
+    update[own] -= step_in
+    _scatter_add(w_in, segment, update, work)
 
 
-def _scatter_add(w: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+def _rows(work: dict, key: str, rows: int, dim: int, dtype: type = float) -> np.ndarray:
+    """The first ``rows`` rows of ``work[key]``, an array of ``dim``
+    columns that grows to the most rows asked for."""
+    array = work.get(key)
+    if array is None or len(array) < rows:
+        array = work[key] = np.empty((rows, dim), dtype)
+    return array[:rows]
+
+
+def _scatter_add(w: np.ndarray, rows: np.ndarray, values: np.ndarray, work: dict) -> None:
     """``w[rows] += values`` with repeated rows accumulating: one
     `np.bincount` sums the values of each distinct row, in the order given,
-    and each distinct row is then added to once."""
+    and each distinct row is then added to once. Its cell indices and its
+    gather of ``w`` are written into ``work``'s arrays (`_rows`)."""
     dim = w.shape[1]
     distinct, slot = np.unique(rows, return_inverse=True)
-    cells = (slot[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(cells, values.ravel(), minlength=distinct.size * dim)
-    w[distinct] += sums.reshape(-1, dim)
+    cells = np.add((slot * dim)[:, None], np.arange(dim),
+                   out=_rows(work, "cells", rows.size, dim, np.intp))
+    sums = np.bincount(cells.ravel(), values.ravel(), minlength=distinct.size * dim)
+    sums = sums.reshape(-1, dim)
+    sums += np.take(w, distinct, axis=0, out=_rows(work, "gather", distinct.size, dim), mode="clip")
+    w[distinct] = sums
 
 
 def _train(
@@ -305,37 +369,48 @@ def _train(
     """Train over the lines ``ids[bounds[k]:bounds[k + 1]]`` (``bounds``
     rises from 0 to ``ids.size``; each line has at least two ids, so that
     every position has a context) in blocks of ``block`` consecutive
-    positions, one `apply_step` per block."""
+    positions, one `apply_step` per block, on the block's segment of
+    ``ids``: from its first position's window to its last one's. The
+    windows, cut at their line's bounds, and the learning rates are taken
+    for ``CHUNK`` blocks at a time, so their memory does not grow with the
+    corpus."""
     total = config.epochs * ids.size
     window = config.window
-    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     n_neg = config.negatives
     # fewer centers than vocabulary tokens, so every group has a valid negative
     group = min(GROUP, block, noise_cdf.size - 1)
     lr0 = config.lr
     lr_floor = LR_FLOOR_FRACTION * lr0
+    work: dict = {}  # `apply_step`'s arrays, reused block after block
     with np.errstate(over="ignore"):
         for epoch in range(config.epochs):
-            for first in range(0, ids.size, block):
-                pos = np.arange(first, min(first + block, ids.size))
+            for chunk in range(0, ids.size, CHUNK * block):
+                pos = np.arange(chunk, min(chunk + CHUNK * block, ids.size))
                 line = np.searchsorted(bounds, pos, side="right")
-                at = pos[:, None] + offsets
-                inside = (at >= bounds[line - 1, None]) & (at < bounds[line, None])
-                context = np.where(inside, ids[np.where(inside, at, 0)], -1)
-                centers = ids[pos]
-                groups = -(-pos.size // group)
-                width = -(-pos.size // groups)  # as `apply_step` reads it, <= group
-                negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg))
-                negs = negs.reshape(groups, n_neg)
-                while True:
-                    # a negative clashes with any center of its group
-                    hits = np.repeat(negs, width, axis=0)[: pos.size] == centers[:, None]
-                    clash = np.logical_or.reduceat(hits, np.arange(0, pos.size, width))
-                    if not clash.any():
-                        break
-                    negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
+                # each position's window [lo, hi), itself included
+                lo = np.maximum(pos - window, bounds[line - 1])
+                hi = np.minimum(pos + window + 1, bounds[line])
                 lr = lr0 * (1.0 - 0.9 * (epoch * ids.size + pos) / total)
-                apply_step(w_in, w_out, context, centers, negs, np.maximum(lr, lr_floor))
+                lr = np.maximum(lr, lr_floor)
+                for first in range(0, pos.size, block):
+                    last = min(first + block, pos.size)
+                    size = last - first
+                    centers = ids[chunk + first : chunk + last]
+                    groups = -(-size // group)
+                    width = -(-size // groups)  # as `apply_step` reads it, <= group
+                    negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg))
+                    negs = negs.reshape(groups, n_neg)
+                    while True:
+                        # a negative clashes with any center of its group
+                        hits = np.repeat(negs, width, axis=0)[:size] == centers[:, None]
+                        clash = np.logical_or.reduceat(hits, np.arange(0, size, width))
+                        if not clash.any():
+                            break
+                        negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
+                    seg = int(lo[first])
+                    apply_step(w_in, w_out, ids[seg : hi[last - 1]], lo[first:last] - seg,
+                               hi[first:last] - seg, chunk + first - seg, negs, lr[first:last],
+                               work)
 
 
 def train_cbow(
@@ -418,6 +493,10 @@ class PhiTransform(_PhiFields):
         if self.mode is PhiMode.MATRIX and self.matrix is None:
             raise ValueError("matrix mode needs a matrix")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
+        return cls(*iterable)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         if self.mode is PhiMode.OFFSET:

@@ -40,6 +40,10 @@ class ModuleOrder(_OrderFields):
             raise ValueError(f"order must list each source exactly once: {self.order}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
+        return cls(*iterable)
+
 
 class RankedPrediction(NamedTuple):
     query: Query

@@ -764,6 +764,18 @@ def test_invalid_parameter_values():
         PipelineConfig(order_mode="magic")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PipelineConfig()._replace(k=99, workers=0),
+    lambda: PipelineConfig._make((PipelineConfig()._asdict() | dict(k=99, workers=0)).values()),
+], ids=["replace", "make"])
+def test_config_replace_and_make_run_the_checks(build):
+    with pytest.raises(CliError) as info:
+        PipelineConfig(k=99, workers=0)
+    with pytest.raises(CliError) as made:
+        build()
+    assert str(made.value) == str(info.value)
+
+
 def test_trained_order_mode_runs(tmp_path, dataset, capsys):
     cfg = make_config(dataset, tmp_path, order_mode="trained")
     cfg_path = tmp_path / "config.txt"

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -134,14 +134,12 @@ def test_negative_equal_to_center_lower_bound():
         assert step.loss >= 2 * math.log(2) - 1e-12
 
 
-def step_rows(center, context, negatives):
-    """A block of one position, a group of its own: its context row, its
-    center and its row of negatives."""
-    return (
-        np.asarray([context], dtype=np.intp),
-        np.asarray([center], dtype=np.intp),
-        np.asarray([negatives], dtype=np.intp),
-    )
+def step_args(center, context, negatives):
+    """A block of one position, a group of its own: its window as the
+    segment, the context and then the center, and its row of negatives."""
+    segment = np.asarray([*context, center], dtype=np.intp)
+    return (segment, np.array([0]), np.array([segment.size]), len(context),
+            np.asarray([negatives], dtype=np.intp))
 
 
 def test_sgd_step_decreases_loss():
@@ -152,7 +150,7 @@ def test_sgd_step_decreases_loss():
         before = cbow_step_loss(model, center, context, negatives).loss
         apply_step(
             model.input_vectors, model.output_vectors,
-            *step_rows(center, context, negatives), lr=np.array([1e-3]),
+            *step_args(center, context, negatives), lr=np.array([1e-3]),
         )
         after = cbow_step_loss(model, center, context, negatives).loss
         assert after < before
@@ -169,9 +167,22 @@ def test_apply_step_is_minus_lr_times_oracle_gradients():
         negatives = [*negatives, negatives[0], center]
         grad_in, grad_out = analytic_gradients(model, center, context, negatives)
         w_in, w_out = model.input_vectors.copy(), model.output_vectors.copy()
-        apply_step(w_in, w_out, *step_rows(center, context, negatives), np.array([lr]))
+        apply_step(w_in, w_out, *step_args(center, context, negatives), np.array([lr]))
         assert relative_error(w_in - model.input_vectors, -lr * grad_in) < 1e-12
         assert relative_error(w_out - model.output_vectors, -lr * grad_out) < 1e-12
+
+
+def random_windows(rng, start, size, rows):
+    """Windows ``[lo, hi)`` for the positions ``start..start + size - 1`` of
+    a segment of ``rows`` rows: each holds its position and one more row at
+    least, and neither end moves back from one position to the next."""
+    while True:
+        at = np.arange(start, start + size)
+        lo = np.maximum(np.maximum.accumulate(at - rng.integers(0, 4, size)), 0)
+        reach = at + 1 + rng.integers(0, 4, size)
+        hi = np.minimum(np.minimum.accumulate(reach[::-1])[::-1], rows)
+        if (hi - lo >= 2).all():
+            return lo, hi
 
 
 def test_block_update_is_sum_of_oracle_steps():
@@ -185,8 +196,12 @@ def test_block_update_is_sum_of_oracle_steps():
         size = groups * width - (trial % 2) * int(rng.integers(0, min(groups, width)))
         assert -(-size // groups) == width
         short += size < groups * width
-        context = np.full((size, 6), -1, dtype=np.intp)
-        centers = rng.integers(0, 20, size)
+        # rows before and after the positions, so that windows reach past them
+        start, after = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        segment = rng.integers(0, 20, start + size + after)
+        segment[start + size // 2] = segment[start]   # a repeated row, in context and as center
+        lo, hi = random_windows(rng, start, size, segment.size)
+        centers = segment[start : start + size]
         negatives = rng.integers(0, 20, (groups, n_neg))
         negatives[:, 1] = negatives[:, 0]            # a repeated negative row
         negatives[0, 2] = centers[0]                 # a clash left in
@@ -196,10 +211,8 @@ def test_block_update_is_sum_of_oracle_steps():
         grad_in = np.zeros_like(model.input_vectors)
         grad_out = np.zeros_like(model.output_vectors)
         for b in range(size):
-            _, ctx, _ = random_example(rng)
-            ctx = [*ctx, ctx[0]]                     # a repeated context row
-            slots = np.sort(rng.choice(6, size=len(ctx), replace=False))
-            context[b, slots] = ctx                  # padding scattered in between
+            at = start + b
+            ctx = [*segment[lo[b] : at], *segment[at + 1 : hi[b]]]
             # every position's gradient at the block-start weights, with the
             # negatives of its group
             step_in, step_out = analytic_gradients(
@@ -208,7 +221,7 @@ def test_block_update_is_sum_of_oracle_steps():
             grad_in += lr[b] * step_in
             grad_out += lr[b] * step_out
         w_in, w_out = model.input_vectors.copy(), model.output_vectors.copy()
-        apply_step(w_in, w_out, context, centers, negatives, lr)
+        apply_step(w_in, w_out, segment, lo, hi, start, negatives, lr)
         assert relative_error(w_in - model.input_vectors, -grad_in) < 1e-12
         assert relative_error(w_out - model.output_vectors, -grad_out) < 1e-12
     assert short > 5
@@ -314,12 +327,12 @@ def record_blocks(monkeypatch, lines, w_in, w_out, config, rng):
     blocks = []
     real_step = embedding.apply_step
 
-    def recording_step(w_in, w_out, context, centers, negatives, lr):
-        width = -(-len(centers) // len(negatives))
-        for b, center in enumerate(centers):
+    def recording_step(w_in, w_out, segment, lo, hi, start, negatives, lr, work):
+        width = -(-len(lo) // len(negatives))
+        for b, center in enumerate(segment[start : start + len(lo)]):
             assert center not in negatives[b // width]
-        blocks.append((w_in.copy(), w_out.copy(), context, centers, negatives, lr))
-        real_step(w_in, w_out, context, centers, negatives, lr)
+        blocks.append((w_in.copy(), w_out.copy(), segment, lo, hi, start, negatives, lr))
+        real_step(w_in, w_out, segment, lo, hi, start, negatives, lr, work)
 
     monkeypatch.setattr(embedding, "apply_step", recording_step)
     embedding._train(*ids_and_bounds(lines), w_in, w_out, noise_cdf, config, rng)
@@ -335,20 +348,22 @@ def test_block_context_stays_in_its_paragraph(monkeypatch):
     w_in, w_out = rng.normal(0, 0.5, (10, dim)), rng.normal(0, 0.5, (10, dim))
     config = EmbeddingConfig(dim=dim, window=4, negatives=2, epochs=1, seed=1)
     mixed = 0
-    for w_in, w_out, context, centers, negatives, lr in record_blocks(
+    for w_in, w_out, segment, lo, hi, start, negatives, lr in record_blocks(
         monkeypatch, lines, w_in, w_out, config, rng
     ):
-        in_first = centers < 5
+        in_first = segment[start : start + len(lo)] < 5
         mixed += in_first.any() and not in_first.all()
         # each position's row of negatives, so that a position is a group of one
-        width = -(-len(centers) // len(negatives))
-        rows = np.repeat(negatives, width, axis=0)[: len(centers)]
+        width = -(-len(lo) // len(negatives))
+        rows = np.repeat(negatives, width, axis=0)[: len(lo)]
         for own, other in ((in_first, np.arange(5, 10)), (~in_first, np.arange(5))):
             if not own.any():
                 continue
-            # the block's update from one paragraph's positions alone
+            # the block's update from one paragraph's positions alone, which
+            # are consecutive
             keep_in, keep_out = w_in.copy(), w_out.copy()
-            apply_step(keep_in, keep_out, context[own], centers[own], rows[own], lr[own])
+            apply_step(keep_in, keep_out, segment, lo[own], hi[own], start + int(np.argmax(own)),
+                       rows[own], lr[own])
             assert np.array_equal(keep_in[other], w_in[other])
     assert mixed == 1
 
@@ -381,9 +396,157 @@ def test_groups_covering_the_vocabulary_still_train(monkeypatch, vocab_size):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    width = -(-len(blocks[0][3]) // len(blocks[0][4]))
+    width = -(-len(blocks[0][3]) // len(blocks[0][6]))
     assert width == min(embedding.GROUP, vocab_size - 1)
     assert np.isfinite(w_in).all() and np.isfinite(w_out).all()
+
+
+def padded_step(w_in, w_out, context, centers, negatives, lr):
+    """The block update as it was written before the windowed one: row ``b``
+    of ``context`` holds position ``b``'s context rows, padded with -1, and
+    every context row is gathered and scattered on its own. A reference
+    for `apply_step`, with the same grouping of negatives."""
+    inside = context >= 0
+    n_ctx = inside.sum(axis=1)
+    size, groups, dim = len(centers), len(negatives), w_in.shape[1]
+    width = -(-size // groups)
+    h, step_h = np.zeros((2, groups * width, dim))
+    h[:size] = np.einsum("bk,bkd->bd", inside.astype(w_in.dtype), w_in[context]) / n_ctx[:, None]
+    step_h[:size] = (-lr)[:, None] * h[:size]
+    out_c, out_n = w_out[centers], w_out[negatives]
+    g_c = 1.0 / (1.0 + np.exp(-np.einsum("bd,bd->b", h[:size], out_c))) - 1.0
+    u_n = np.einsum("kgd,knd->kgn", h.reshape(groups, width, dim), out_n)
+    g_n = 1.0 / (1.0 + np.exp(-u_n))
+    grad_h = g_c[:, None] * out_c
+    grad_h += np.einsum("kgn,knd->kgd", g_n, out_n).reshape(h.shape)[:size]
+    step_n = np.einsum("kgn,kgd->knd", g_n, step_h.reshape(groups, width, dim))
+    step_out = np.concatenate((g_c[:, None] * step_h[:size], step_n.reshape(-1, dim)))
+    np.add.at(w_out, np.concatenate((centers, negatives.ravel())), step_out)
+    step_in = (-lr / n_ctx)[:, None] * grad_h
+    np.add.at(w_in, context[inside], np.repeat(step_in, n_ctx, axis=0))
+
+
+def padded_reference(ids, bounds, w_in, w_out, noise_cdf, config, rng, block=embedding.BLOCK):
+    """The block trainer with `padded_step`: each block's contexts as a
+    padded (block, 2 window) array, its negatives drawn as `_train` draws
+    them."""
+    total = config.epochs * ids.size
+    window = config.window
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    n_neg = config.negatives
+    group = min(embedding.GROUP, block, noise_cdf.size - 1)
+    with np.errstate(over="ignore"):
+        for epoch in range(config.epochs):
+            for first in range(0, ids.size, block):
+                pos = np.arange(first, min(first + block, ids.size))
+                line = np.searchsorted(bounds, pos, side="right")
+                at = pos[:, None] + offsets
+                inside = (at >= bounds[line - 1, None]) & (at < bounds[line, None])
+                context = np.where(inside, ids[np.where(inside, at, 0)], -1)
+                centers = ids[pos]
+                groups = -(-pos.size // group)
+                width = -(-pos.size // groups)
+                negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg)).reshape(groups, n_neg)
+                while True:
+                    hits = np.repeat(negs, width, axis=0)[: pos.size] == centers[:, None]
+                    clash = np.logical_or.reduceat(hits, np.arange(0, pos.size, width))
+                    if not clash.any():
+                        break
+                    negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
+                lr = config.lr * (1.0 - 0.9 * (epoch * ids.size + pos) / total)
+                lr = np.maximum(lr, embedding.LR_FLOOR_FRACTION * config.lr)
+                padded_step(w_in, w_out, context, centers, negs, lr)
+
+
+def windowed_case(seed, vocab_size, window, lengths, dim=4, negatives=3, epochs=1):
+    """A corpus of lines of ``lengths`` random ids, with its noise and settings."""
+    rng = np.random.default_rng(seed)
+    lines = [rng.integers(0, vocab_size, n) for n in lengths]
+    counts = rng.integers(1, 50, vocab_size).astype(float)
+    config = EmbeddingConfig(dim=dim, window=window, negatives=negatives, epochs=epochs,
+                             lr=0.2, seed=seed)
+    return lines, config, counts
+
+
+@st.composite
+def windowed_cases(draw):
+    window = draw(st.integers(1, 8))
+    # short lines (two ids, or fewer than the window) among long ones that
+    # cross a block boundary, over at least two blocks
+    length = st.one_of(st.just(2), st.integers(2, max(2, window)), st.integers(2, 300))
+    lengths = [draw(length)]
+    while sum(lengths) <= embedding.BLOCK:
+        lengths.append(draw(length))
+    return windowed_case(
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 40)), window, lengths,
+        dim=draw(st.integers(2, 8)), negatives=draw(st.integers(1, 4)),
+        epochs=draw(st.integers(1, 2)),
+    )
+
+
+def train_both(lines, config, counts, trainers):
+    """Each trainer's RNG end state and weights, from the same start."""
+    noise_cdf = np.cumsum(counts**embedding.NOISE_POWER)
+    noise_cdf /= noise_cdf[-1]
+    init = np.random.default_rng(config.seed + 1)
+    shape = (len(counts), config.dim)
+    w_in, w_out = init.normal(0, 0.5, shape), init.normal(0, 0.5, shape)
+    runs = []
+    for train in trainers:
+        rng = np.random.default_rng(config.seed)
+        weights = w_in.copy(), w_out.copy()
+        train(*ids_and_bounds(lines), *weights, noise_cdf, config, rng)
+        runs.append((rng.bit_generator.state, *weights))
+    return runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(windowed_cases())
+# a line of two ids, lines shorter than the window, a vocabulary smaller
+# than GROUP, and a line across the first block boundary
+@example(windowed_case(3, 5, 6, [2, 4, 2, 300, 3, 2], negatives=2, epochs=2))
+@example(windowed_case(4, 2, 3, [2] * 200))
+def test_windowed_trainer_equals_padded_reference(case):
+    lines, config, counts = case
+    (state_a, in_a, out_a), (state_b, in_b, out_b) = train_both(
+        lines, config, counts, (padded_reference, embedding._train))
+    assert state_a == state_b
+    assert relative_error(in_b, in_a) < 1e-12
+    assert relative_error(out_b, out_a) < 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 10**6], ids=["one_block", "whole_corpus"])
+def test_chunk_size_changes_no_weight(monkeypatch, chunk):
+    # several chunks of the module size, and lines across their bounds
+    lines, config, counts = windowed_case(
+        9, 30, 5, np.random.default_rng(9).integers(2, 80, 400), epochs=2)
+    assert sum(map(len, lines)) > 2 * embedding.CHUNK * embedding.BLOCK
+    default = train_both(lines, config, counts, (embedding._train,))
+    monkeypatch.setattr(embedding, "CHUNK", chunk)
+    (state, w_in, w_out), = train_both(lines, config, counts, (embedding._train,))
+    assert state == default[0][0]
+    assert np.array_equal(w_in, default[0][1]) and np.array_equal(w_out, default[0][2])
+
+
+def test_trainer_memory_is_bounded_by_the_chunk():
+    # windows precomputed for the whole corpus would make the peak grow
+    # with it, 4x from the smaller corpus to the larger
+    peaks = []
+    for tokens in (50_000, 200_000):
+        rng = np.random.default_rng(47)
+        lengths = rng.integers(2, 40, tokens // 10)
+        lengths = lengths[: np.searchsorted(np.cumsum(lengths), tokens)]
+        lines, config, counts = windowed_case(47, 300, 5, lengths, dim=8)
+        ids, bounds = ids_and_bounds(lines)
+        noise_cdf = np.cumsum(counts) / counts.sum()
+        w_in, w_out = rng.normal(0, 0.1, (300, 8)), np.zeros((300, 8))
+        tracemalloc.start()
+        try:
+            embedding._train(ids, bounds, w_in, w_out, noise_cdf, config, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def _took_too_long(signum, frame):
@@ -1378,6 +1541,21 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError) as info:
             EmbeddingConfig(**setting)
+        assert str(info.value) == problem
+
+
+@pytest.mark.parametrize("record, fields, problem", [
+    (EmbeddingConfig(seed=1), dict(dim=1), "dim must be at least 2, got 1"),
+    (PhiTransform(PhiMode.OFFSET, offset=np.zeros(2)), dict(offset=None),
+     "offset mode needs an offset vector"),
+    (PhiTransform(PhiMode.MATRIX, matrix=np.eye(2)), dict(matrix=None), "matrix mode needs a matrix"),
+], ids=["embedding_config", "offset_phi", "matrix_phi"])
+def test_replace_and_make_run_the_checks(record, fields, problem):
+    changed = tuple(fields.get(name, value) for name, value in zip(record._fields, record))
+    for build in (lambda: type(record)(*changed), lambda: record._replace(**fields),
+                  lambda: type(record)._make(changed)):
+        with pytest.raises(ValueError) as info:
+            build()
         assert str(info.value) == problem
 
 

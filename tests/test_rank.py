@@ -103,6 +103,18 @@ def test_module_order_must_be_permutation():
         ModuleOrder((Source.ISA,))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ModuleOrder()._replace(order=()),
+    lambda: ModuleOrder._make([()]),
+], ids=["replace", "make"])
+def test_module_order_replace_and_make_run_the_checks(build):
+    with pytest.raises(ValueError) as info:
+        ModuleOrder(())
+    with pytest.raises(ValueError) as made:
+        build()
+    assert str(made.value) == str(info.value)
+
+
 source_lists = st.fixed_dictionaries(
     {
         src: st.lists(
