@@ -117,7 +117,8 @@ class PipelineConfig(_PipelineFields):
     """Every setting of the pipeline, one field per config key, checked at
     construction. The CBOW settings take their defaults and checks from
     `EmbeddingConfig` (`cbow`), so a bad setting fails here, before any
-    stage runs."""
+    stage runs; so does an artifact path that names the file of an input
+    or of another artifact."""
 
     __slots__ = ()
 
@@ -138,6 +139,12 @@ class PipelineConfig(_PipelineFields):
         if not math.isfinite(self.ridge):
             raise CliError(f"ridge must be a finite number, got {self.ridge}")
         self.cbow()  # raises ValueError on a bad CBOW setting
+        named = {}  # file -> the first key naming it; inputs may share a file, artifacts may not
+        for key in (*INPUTS, *WRITERS):
+            path = getattr(self, key)
+            first = named.setdefault(os.path.abspath(path), key) if path else key
+            if first != key and key in WRITERS:
+                raise CliError(f"config keys '{first}' and '{key}' name one file: {path}")
         return self
 
     @classmethod
@@ -435,6 +442,7 @@ STAGES = {
     "evaluate": Stage(cmd_evaluate, ("queries", "gold", "predictions"), "metrics"),
 }
 WRITERS = {row.writes: stage for stage, row in STAGES.items()}  # artifact key -> stage
+INPUTS = tuple(dict.fromkeys(k for row in STAGES.values() for k in row.reads if k not in WRITERS))
 # what runs a stage, with `COMMANDS`: a handler rebound in either is the one called
 PIPELINE_STAGES = [(stage, row.handler) for stage, row in STAGES.items()]
 
@@ -444,7 +452,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     Every input file, the directory of every artifact, the seed and both
     gold files' lines are checked first, so that a bad one stops the run
     before it writes anything."""
-    for key in dict.fromkeys(k for row in STAGES.values() for k in row.reads if k not in WRITERS):
+    for key in INPUTS:
         _require_file(cfg, key)
     for key in WRITERS:
         _require_writable(cfg, key)
@@ -486,7 +494,12 @@ def main(argv: list[str] | None = None) -> int:
     command = raw.pop("command")
     config_path = raw.pop("config", None)
     try:
-        overrides = {key: _coerce(key, str(value)) for key, value in raw.items()}
+        overrides = {}
+        for key, value in raw.items():
+            try:
+                overrides[key] = _coerce(key, str(value))
+            except ValueError as exc:
+                raise CliError(f"--{key.replace('_', '-')}: {exc}") from None
         cfg = load_config(config_path, overrides)
         COMMANDS[command](cfg)
     except (CliError, FormatError, ValueError, OSError) as exc:

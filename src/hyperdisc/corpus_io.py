@@ -8,7 +8,7 @@ CRLF files read as LF ones and a lone ``\\r`` stays inside its line):
   tokens; the split is on the LAST underscore, so surfaces may contain
   underscores or hyphens. A corpus pass reads a line as two columns, its
   lowercased surfaces and one code per tag (`TAG_CODES`), which one loop
-  (`_scan_batch`) builds for every pass.
+  (`_scan_batch`) builds for every pass and `parse_tagged_line` for one line.
 * vocabulary: one candidate hypernym term per line (1-3 words).
 * queries: ``term<TAB>kind`` per line, kind is ``Concept`` or ``Entity``.
 * gold: line i holds the tab-separated gold hypernyms for query i.
@@ -51,14 +51,6 @@ MAX_TERM_WORDS = 3
 CONFIG_HASH_KEY = "config-hash"
 HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key lowercase
 READ_CHUNK = 1 << 13  # bytes per read of `iter_data_lines`, made up to whole lines
-
-
-class TaggedParagraph(NamedTuple):
-    """One tagged line as two columns: the surface and the tag of each valid
-    token, in order."""
-
-    surfaces: tuple[str, ...]
-    tags: tuple[str, ...]
 
 
 class QueryKind(Enum):
@@ -233,25 +225,23 @@ class _TagCodes(dict):
 TAG_CODES = _TagCodes()
 
 
-def parse_tagged_line(line: str) -> TaggedParagraph | None:
-    """Parse one ``surface_POS ...`` line; None for lines with no valid token.
-    A token splits on its last underscore and is valid when both the surface
-    and the tag are non-empty; bad tokens are skipped. The reference for the
-    split of a corpus pass (`_scan_batch`)."""
+def parse_tagged_line(line: str) -> tuple[tuple[str, ...], str] | None:
+    """The columns of one ``surface_POS ...`` line, None when no token is
+    valid: every surface lowercased, each on its own, as `str.lower`
+    lowercases a final sigma by context, and the `TAG_CODES` code of every
+    tag. A token splits on its last underscore and is valid when both the
+    surface and the tag are non-empty; bad tokens are skipped. The reference
+    for the columns of a corpus pass (`_scan_batch`).
+
+    >>> parse_tagged_line("The_DT New_York_NNP bad_ CATS_NNS")
+    (('the', 'new_york', 'cats'), 'DNN')
+    """
     pairs = [(surface, pos) for surface, _, pos in (raw.rpartition("_") for raw in line.split())
              if surface and pos]
-    return TaggedParagraph(*map(tuple, zip(*pairs))) if pairs else None
-
-
-def columns(paragraph: TaggedParagraph) -> tuple[tuple[str, ...], str]:
-    """Every surface lowercased, each on its own, as `str.lower` lowercases
-    a final sigma by context, and the `TAG_CODES` code of every tag: what
-    the normalizer, the chunker and the grammar scanners read. The reference
-    for the columns of a corpus pass (`_scan_batch`)."""
-    return (
-        tuple(map(str.lower, paragraph.surfaces)),
-        "".join(map(TAG_CODES.__getitem__, paragraph.tags)),
-    )
+    if not pairs:
+        return None
+    surfaces, tags = zip(*pairs)
+    return tuple(map(str.lower, surfaces)), "".join(map(TAG_CODES.__getitem__, tags))
 
 
 class ScanStats(NamedTuple):
@@ -265,16 +255,6 @@ class ScanStats(NamedTuple):
     hearst_matches: int = 0
     isa_matches: int = 0
     bad_tokens: int = 0
-
-
-class ParagraphScan(NamedTuple):
-    """One paragraph's lines per output of a scan, and its appended phrases:
-    what the per-paragraph references return."""
-
-    normalized: tuple[str, ...] = ()
-    hearst: tuple[str, ...] = ()
-    isa: tuple[str, ...] = ()
-    phrases: int = 0
 
 
 BATCH_LINES = 2048  # corpus lines per unit of work handed to `map_lines`
@@ -292,8 +272,8 @@ def _scan_batch(
     gate: Callable[[str], bool] | None,
 ) -> tuple[ScanStats, list[str]]:
     """Split each line of ``text`` (lines joined by ``\\n``) that ``gate``
-    passes into its columns (`columns` of `parse_tagged_line`) and hand
-    them to ``work``, skip the others; the batch's counts and, per output,
+    passes into its columns (as `parse_tagged_line` does) and hand them
+    to ``work``, skip the others; the batch's counts and, per output,
     the text of its lines. A plain line (`_PLAIN_LINE`) is split in one
     pass, with the same result as the token rule."""
     paragraphs = phrases = bad = 0

@@ -170,7 +170,7 @@ class _PhiPool(NamedTuple):
     terms: list[str]     # the term of each row's token, in the order of ``rows``
     # ``source[rows].T``, one contiguous (dim, len(rows)) copy, in float64
     # on a pool too small to screen and in float32 on one screened by
-    # `candidates_from_phi`; the other one is None
+    # `candidates_from_phi` and `nearest_terms`; the other one is None
     vectors: np.ndarray | None
     v32: np.ndarray | None
     sq: np.ndarray | None  # the squared norms of ``v32``'s columns, in float32
@@ -187,7 +187,8 @@ class EmbeddingModel:
         self.input_vectors = input_vectors
         self.output_vectors = output_vectors
         self.index = {token: i for i, token in enumerate(vocab)}
-        self._phi_pool: _PhiPool | None = None  # the pool of the last `candidates_from_phi` call
+        # the pool `_candidate_pool` built last, for `candidates_from_phi` or `nearest_terms`
+        self._phi_pool: _PhiPool | None = None
 
     @property
     def dimension(self) -> int:

@@ -14,14 +14,7 @@ import os
 import re
 from itertools import compress
 
-from .corpus_io import (
-    Outputs,
-    ParagraphScan,
-    ScanStats,
-    TaggedParagraph,
-    columns,
-    scan_tagged_corpus,
-)
+from .corpus_io import Outputs, ScanStats, scan_tagged_corpus
 
 PHRASE_LENGTHS = (2, 3)
 _CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `corpus_io.TAG_CODES` codes
@@ -52,14 +45,6 @@ def normalize_columns(words: tuple[str, ...], codes: str, outs: Outputs) -> int:
     if kept:
         outs[0].append(" ".join(kept))
     return len(kept) - n_kept
-
-
-def normalize_paragraph(paragraph: TaggedParagraph) -> ParagraphScan:
-    """The normalized line of one paragraph, none when nothing is kept, and
-    its phrase count; the per-paragraph reference for `normalize_columns`."""
-    outs: Outputs = ([], [], [])
-    phrases = normalize_columns(*columns(paragraph), outs)
-    return ParagraphScan(normalized=tuple(outs[0]), phrases=phrases)
 
 
 def normalize_corpus(

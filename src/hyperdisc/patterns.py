@@ -4,7 +4,7 @@ The six Hearst grammars and the IS-A grammar, with NP = optional determiner
 (the tag ``DT``) followed by adjectives/nouns ending in a noun head (1-3
 content words, determiner stripped from the emitted phrase). The grammars
 read a paragraph as its lowercased surfaces and one tag code per token
-(`corpus_io.columns`); a phrase is its words joined by underscores:
+(`corpus_io.parse_tagged_line`); a phrase is its words joined by underscores:
 
 1. NP ``such as`` NP-list
 2. ``such`` NP ``as`` NP-list
@@ -40,14 +40,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .corpus_io import (
-    Outputs,
-    ParagraphScan,
-    ScanStats,
-    TaggedParagraph,
-    columns,
-    scan_tagged_corpus,
-)
+from .corpus_io import Outputs, ScanStats, scan_tagged_corpus
 from .normalize import normalize_columns
 
 MAX_NP_WORDS = 3
@@ -173,8 +166,8 @@ def _emit(pattern_id: PatternId, hypernym: str, hyponyms: list[str]) -> PatternM
 
 
 # one scanner per grammar, called with the lowercased surfaces, the tag codes
-# (`corpus_io.columns`) and a position; each returns (match, span_start,
-# span_end) or None
+# (`corpus_io.parse_tagged_line`) and a position; each returns (match,
+# span_start, span_end) or None
 
 
 def _scan_such_as(words, codes, i):
@@ -286,14 +279,16 @@ def _scan(words, codes, grammars) -> list[PatternMatch]:
     return matches
 
 
-def extract_hearst(paragraph: TaggedParagraph) -> list[PatternMatch]:
-    """All matches of the six Hearst grammars, grammar-major then left-to-right."""
-    return _scan(*columns(paragraph), _HEARST_GRAMMARS)
+def extract_hearst(paragraph: tuple[tuple[str, ...], str]) -> list[PatternMatch]:
+    """All matches of the six Hearst grammars in a paragraph's columns
+    (`corpus_io.parse_tagged_line`), grammar-major then left-to-right."""
+    return _scan(*paragraph, _HEARST_GRAMMARS)
 
 
-def extract_isa(paragraph: TaggedParagraph) -> list[PatternMatch]:
-    """All matches of NP ``is`` (``a``|``an``|``the``) NP, left-to-right."""
-    return _scan(*columns(paragraph), _ISA_GRAMMARS)
+def extract_isa(paragraph: tuple[tuple[str, ...], str]) -> list[PatternMatch]:
+    """All matches of NP ``is`` (``a``|``an``|``the``) NP in a paragraph's
+    columns (`corpus_io.parse_tagged_line`), left-to-right."""
+    return _scan(*paragraph, _ISA_GRAMMARS)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +313,6 @@ def _scan_columns(
     if isa:
         outs[2].extend(map(format_match_line, _scan(words, codes, _ISA_GRAMMARS)))
     return normalize_columns(words, codes, outs) if normalized else 0
-
-
-def scan_paragraph(
-    paragraph: TaggedParagraph, normalized: bool, hearst: bool, isa: bool
-) -> ParagraphScan:
-    """One paragraph's normalized line and pattern-corpus lines, each only
-    when asked for; the per-paragraph reference for a corpus pass."""
-    outs: Outputs = ([], [], [])
-    phrases = _scan_columns(normalized, hearst, isa, *columns(paragraph), outs)
-    return ParagraphScan(*map(tuple, outs), phrases=phrases)
 
 
 def _may_hold_trigger(needles: tuple[str, ...], pattern: re.Pattern, line: str) -> bool:

@@ -571,6 +571,50 @@ def test_bad_settings_rejected_before_any_stage(tmp_path, dataset, capsys, flag,
     assert not any(os.path.exists(getattr(cfg, key)) for key in ARTIFACT_KEYS)
 
 
+@pytest.mark.parametrize("command, flag, key, other", [
+    ("normalize", "--normalized", "normalized", "corpus"),
+    ("pipeline", "--isa-corpus", "isa_corpus", "hearst_corpus"),
+])
+def test_artifact_naming_another_keys_file_is_rejected(
+    tmp_path, dataset, capsys, command, flag, key, other
+):
+    """An artifact path that names the file of an input or of another
+    artifact is refused before any stage runs: the corpus keeps its bytes
+    and the artifact directory stays empty."""
+    corpus, work = tmp_path / "corpus.pos.txt", tmp_path / "work"
+    corpus.write_bytes(dataset.corpus.read_bytes())
+    work.mkdir()
+    cfg = make_config(dataset, work, corpus=str(corpus))
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    path = getattr(cfg, other)
+    assert run(cfg_path, command, flag, path) == 2
+    assert capsys.readouterr().err == (
+        f"error: config keys '{other}' and '{key}' name one file: {path}\n")
+    assert corpus.read_bytes() == dataset.corpus.read_bytes()
+    assert list(work.iterdir()) == []
+
+
+def test_paths_compare_as_absolute_paths(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(CliError, match="config keys 'corpus' and 'phi' name one file"):
+        PipelineConfig(corpus="c.txt", phi=str(tmp_path / "c.txt"))
+    with pytest.raises(CliError, match="config keys 'embedding' and 'metrics' name one file"):
+        PipelineConfig(metrics="./embedding.txt")
+    # inputs may share a file, and an empty path names none
+    PipelineConfig(queries="q.tsv", train_queries="q.tsv", metrics="", vocab="")
+
+
+@pytest.mark.parametrize("flag, value, problem", [
+    ("--k", "abc", "invalid literal for int() with base 10: 'abc'"),
+    ("--threshold", "1e3", "invalid literal for int() with base 10: '1e3'"),
+    ("--p-at-normalized", "maybe", "not a boolean: 'maybe'"),
+])
+def test_bad_flag_value_names_its_flag(capsys, flag, value, problem):
+    assert main(["predict", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {problem}\n"
+
+
 @pytest.mark.parametrize("stage", list(cli.STAGES))
 def test_stage_checks_its_artifact_directory_first(tmp_path, monkeypatch, capsys, stage):
     # every file it would read is missing and there is no seed: the directory

@@ -12,7 +12,6 @@ from hyperdisc.corpus_io import (
     Query,
     QueryKind,
     ScanStats,
-    TaggedParagraph,
     file_line,
     iter_data_lines,
     load_gold,
@@ -28,21 +27,20 @@ from hyperdisc.corpus_io import (
     write_predictions,
 )
 from hyperdisc.normalize import normalize_corpus
-from hyperdisc.patterns import extract_corpus, scan_paragraph
+from hyperdisc.patterns import extract_corpus
 
 # `#` included, so a paragraph, the first one too, may open with it
 surfaces = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz-_'#"), min_size=1, max_size=8
 )
 pos_tags = st.sampled_from(["NN", "NNS", "VB", "VBD", "JJ", "RB", "DT", "IN", ",", "."])
-paragraphs = st.lists(st.tuples(surfaces, pos_tags), min_size=1, max_size=12).map(
-    lambda pairs: TaggedParagraph(*map(tuple, zip(*pairs)))
-)
+paragraphs = st.lists(st.tuples(surfaces, pos_tags), min_size=1, max_size=12)
 
 
 def read_paragraphs(path):
-    """A tagged corpus's paragraphs as the scan reads them: each data line
-    through `parse_tagged_line`, lines without a valid token dropped."""
+    """A tagged corpus's paragraphs as the scan reads them, (words, codes)
+    each: each data line through `parse_tagged_line`, lines without a valid
+    token dropped."""
     return [p for line in iter_data_lines(path) if (p := parse_tagged_line(line)) is not None]
 
 
@@ -59,9 +57,7 @@ def scan_columns(line):
 
 
 def test_parse_simple_line():
-    paragraph = parse_tagged_line("The_DT cat_NN sat_VBD")
-    assert paragraph.surfaces == ("The", "cat", "sat")
-    assert paragraph.tags == ("DT", "NN", "VBD")
+    assert parse_tagged_line("The_DT cat_NN sat_VBD") == (("the", "cat", "sat"), "DNK")
 
 
 def test_empty_line_yields_nothing(tmp_path):
@@ -75,32 +71,28 @@ def test_surface_with_hyphen_splits_on_last_underscore(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("loved-ones_NNS such_JJ as_IN family_NN\n")
     (paragraph,) = read_paragraphs(path)
-    assert len(paragraph.surfaces) == 4
-    assert paragraph.surfaces[0] == "loved-ones"
-    assert paragraph.tags[0] == "NNS"
+    assert paragraph == (("loved-ones", "such", "as", "family"), "NJ-N")
 
 
 def test_underscore_in_surface():
-    paragraph = parse_tagged_line("a_b_NN")
-    assert paragraph == TaggedParagraph(("a_b",), ("NN",))
+    assert parse_tagged_line("a_b_NN") == (("a_b",), "N")
 
 
 def test_bad_token_skipped_and_counted():
     line = "ok_NN broken also_bad_ _VB x"
-    paragraph = parse_tagged_line(line)
     # "broken" has no underscore, "also_bad_" has an empty tag, "_VB" an
     # empty surface, "x" no underscore
-    assert paragraph.surfaces == ("ok",)
+    assert parse_tagged_line(line) == (("ok",), "N")
     assert scan_columns(line) == ([(("ok",), "N")], 4)
 
 
 @given(st.lists(paragraphs, max_size=8))
 def test_tagged_corpus_round_trip(tmp_path_factory, corpus):
     path = tmp_path_factory.mktemp("rt") / "c.txt"
-    path.write_text(
-        "".join(" ".join(map("{}_{}".format, p.surfaces, p.tags)) + "\n" for p in corpus)
-    )
-    assert read_paragraphs(path) == corpus
+    path.write_text("".join(" ".join(map("{}_{}".format, *zip(*p))) + "\n" for p in corpus))
+    # the surfaces are lowercase already, so the words are the surfaces
+    expected = [(tuple(s for s, _ in p), "".join(TAG_CODES[t] for _, t in p)) for p in corpus]
+    assert read_paragraphs(path) == expected
 
 
 def test_vocabulary_case_folds_and_dedups(tmp_path):
@@ -333,8 +325,8 @@ def test_leading_line_without_lowercase_key_is_data(tmp_path, first):
 def test_corpus_opening_with_hash_token_keeps_that_paragraph(tmp_path):
     path = tmp_path / "corpus.pos.txt"
     path.write_text("#_# 1_CD herb_NN basil_NN\nbasil_NN is_VBZ a_DT herb_NN\n")
-    first, _ = read_paragraphs(path)
-    assert (first.surfaces[:2], first.tags[:2]) == (("#", "1"), ("#", "CD"))
+    (words, codes), _ = read_paragraphs(path)
+    assert (words, codes) == (("#", "1", "herb", "basil"), "--NN")
     stats = extract_corpus(path, None, None, 1, None, normalized_out=tmp_path / "n.txt")
     assert stats.paragraphs_in == 2
 
@@ -493,13 +485,13 @@ def per_line_reference(path, normalized=True, hearst=True, isa=True, gate=None):
         if not line.strip() or (gate is not None and not gate(line)):
             continue
         paragraph = parse_tagged_line(line)
-        bad += len(line.split()) - (0 if paragraph is None else len(paragraph.surfaces))
+        bad += len(line.split()) - (0 if paragraph is None else len(paragraph[0]))
         if paragraph is None:
             continue
-        scan = scan_paragraph(paragraph, normalized=normalized, hearst=hearst, isa=isa)
+        local = ([], [], [])
+        phrases += patterns._scan_columns(normalized, hearst, isa, *paragraph, local)
         paragraphs += 1
-        phrases += scan.phrases
-        for out, lines in zip(outs, (scan.normalized, scan.hearst, scan.isa)):
+        for out, lines in zip(outs, local):
             out.extend(lines)
     stats = ScanStats(paragraphs_in=paragraphs, paragraphs_out=len(outs[0]),
                       phrases_appended=phrases, hearst_matches=len(outs[1]),

@@ -3,23 +3,27 @@ import re
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import KEEP_PREFIXES, TAG_CODES, TaggedParagraph, parse_tagged_line
-from hyperdisc.normalize import normalize_corpus, normalize_paragraph
+from hyperdisc.corpus_io import KEEP_PREFIXES, TAG_CODES, parse_tagged_line
+from hyperdisc.normalize import normalize_columns, normalize_corpus
 
 
-def paragraph_of(line):
-    return parse_tagged_line(line)
+def normalize_line(line):
+    """The normalized lines of ``line`` (one, or none when nothing is kept)
+    and its phrase count, from `normalize_columns` on its columns."""
+    outs = ([], [], [])
+    phrases = normalize_columns(*parse_tagged_line(line), outs)
+    return outs[0], phrases
 
 
 def phrases_of(line):
     """The noun phrases appended to the normalized line of ``line``."""
-    scan = normalize_paragraph(paragraph_of(line))
-    tokens = " ".join(scan.normalized).split()
-    return tokens[len(tokens) - scan.phrases:]
+    normalized, phrases = normalize_line(line)
+    tokens = " ".join(normalized).split()
+    return tokens[len(tokens) - phrases:]
 
 
-def normalized_tokens(paragraph):
-    return " ".join(normalize_paragraph(paragraph).normalized).split()
+def normalized_tokens(line):
+    return " ".join(normalize_line(line)[0]).split()
 
 
 def test_chunk_skips_determiner_windows():
@@ -37,31 +41,30 @@ def test_chunk_requires_noun_head():
 
 
 def test_normalize_filters_to_four_classes():
-    assert normalized_tokens(paragraph_of("The_DT cat_NN sat_VBD ._.")) == ["cat", "sat"]
+    assert normalized_tokens("The_DT cat_NN sat_VBD ._.") == ["cat", "sat"]
 
 
 def test_normalize_appends_phrases():
-    normalized = normalize_paragraph(paragraph_of("A_DT red_JJ car_NN"))
-    assert normalized.normalized == ("red car red_car",)
-    assert normalized.phrases == 1
+    assert normalize_line("A_DT red_JJ car_NN") == (["red car red_car"], 1)
 
 
 def test_normalize_punctuation_only():
-    assert normalize_paragraph(paragraph_of("!_. ;_:")).normalized == ()
+    assert normalize_line("!_. ;_:") == ([], 0)
 
 
-def brute_force_windows(paragraph: TaggedParagraph) -> list[str]:
-    """Independent window enumerator: every 2-3 window of chunk-class tags
-    whose last tag is a noun, position-major then shorter-first."""
+def brute_force_windows(pairs: list[tuple[str, str]]) -> list[str]:
+    """Independent window enumerator over the drawn (surface, tag) pairs:
+    every 2-3 window of chunk-class tags whose last tag is a noun,
+    position-major then shorter-first."""
     out = []
-    for start in range(len(paragraph.surfaces)):
+    for start in range(len(pairs)):
         for length in (2, 3):
-            tags = paragraph.tags[start : start + length]
-            if len(tags) != length:
+            window = pairs[start : start + length]
+            if len(window) != length:
                 continue
+            tags = [t for _, t in window]
             if all(t.startswith(("JJ", "NN")) for t in tags) and tags[-1].startswith("NN"):
-                surfaces = paragraph.surfaces[start : start + length]
-                out.append("_".join(s.lower() for s in surfaces))
+                out.append("_".join(s.lower() for s, _ in window))
     return out
 
 
@@ -73,29 +76,28 @@ words = st.text(alphabet=st.sampled_from(letters), min_size=1, max_size=6)
 cased_words = st.text(alphabet=st.sampled_from(letters + "ABXYZΣσςİı'"), min_size=1, max_size=6)
 
 
-def paragraphs_of(surfaces):
-    return st.lists(
-        st.tuples(surfaces, st.sampled_from(tag_pool)), min_size=1, max_size=20
-    ).map(lambda pairs: TaggedParagraph(*map(tuple, zip(*pairs))))
+def pairs_of(surfaces):
+    """Lists of (surface, tag) pairs; no surface or tag holds ``_`` or
+    whitespace, so each pair is one valid token of `line_of`."""
+    return st.lists(st.tuples(surfaces, st.sampled_from(tag_pool)), min_size=1, max_size=20)
 
 
-random_paragraphs = paragraphs_of(cased_words)
-ascii_paragraphs = paragraphs_of(words)
+def line_of(pairs):
+    return " ".join(f"{surface}_{tag}" for surface, tag in pairs)
 
 
-@given(random_paragraphs)
-def test_output_is_filtered_surfaces_then_chunks(paragraph):
-    pairs = zip(paragraph.surfaces, paragraph.tags)
+@given(pairs_of(cased_words))
+def test_output_is_filtered_surfaces_then_chunks(pairs):
     kept = [s.lower() for s, t in pairs if t.startswith(KEEP_PREFIXES)]
-    assert normalized_tokens(paragraph) == kept + brute_force_windows(paragraph)
+    assert normalized_tokens(line_of(pairs)) == kept + brute_force_windows(pairs)
 
 
-@given(ascii_paragraphs)
-def test_no_whitespace_and_charset(paragraph):
-    for line in normalize_paragraph(paragraph).normalized:
+@given(pairs_of(words))
+def test_no_whitespace_and_charset(pairs):
+    for line in normalize_line(line_of(pairs))[0]:
         assert re.fullmatch(r"[a-z0-9'_-]+( [a-z0-9'_-]+)*", line)
     # punctuation-class tokens never survive
-    assert not any(t in {",", "."} for t in normalized_tokens(paragraph))
+    assert not any(t in {",", "."} for t in normalized_tokens(line_of(pairs)))
 
 
 def test_normalize_corpus_fixture(tmp_path):

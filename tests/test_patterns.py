@@ -1,8 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc.corpus_io import TaggedParagraph, columns, parse_tagged_line
+from hyperdisc import corpus_io, patterns
+from hyperdisc.corpus_io import parse_tagged_line
 from hyperdisc.cooc import Source, build_pair_index
 from hyperdisc.patterns import (
     _HEARST_GRAMMARS,
@@ -14,14 +17,13 @@ from hyperdisc.patterns import (
     extract_hearst,
     extract_isa,
     format_match_line,
-    scan_paragraph,
 )
 
 from pattern_fixture import SENTENCES
 
 
 def match_np(line, start):
-    return _match_np(*columns(parse_tagged_line(line)), start)
+    return _match_np(*parse_tagged_line(line), start)
 
 
 class TestMatchNp:
@@ -139,6 +141,31 @@ def test_extract_corpus_runs_only_requested_grammars(tmp_path):
     assert (tmp_path / "i2.tsv").read_bytes() == both[1].read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["extract-hearst", "extract-isa", "pipeline"])
+def test_fixture_through_production_pass(tmp_path, command, workers):
+    """The fixture's sentences through `extract_corpus` as ``command`` runs
+    it: an extract stage gated, with its one output; ``pipeline`` ungated,
+    with all three. Each pattern file holds exactly the fixture's expected
+    matches as `format_match_line` lines."""
+    src = tmp_path / "c.txt"
+    src.write_text("".join(line + "\n" for line, _ in SENTENCES))
+    hearst, isa, normalized = {
+        "extract-hearst": (tmp_path / "h.tsv", None, None),
+        "extract-isa": (None, tmp_path / "i.tsv", None),
+        "pipeline": (tmp_path / "h.tsv", tmp_path / "i.tsv", tmp_path / "n.txt"),
+    }[command]
+    with mock.patch.object(corpus_io, "BATCH_LINES", 7):  # several batches for the workers
+        stats = extract_corpus(src, hearst, isa, workers, normalized_out=normalized)
+    # the gate leaves the lines without a trigger word unparsed
+    assert (stats.paragraphs_in == len(SENTENCES)) == (normalized is not None)
+    for path, is_isa in ((hearst, False), (isa, True)):
+        if path is not None:
+            expected = [format_match_line(PatternMatch(*match)) for _, matches in SENTENCES
+                        for match in matches if (match[0] is PatternId.IS_A) == is_isa]
+            assert sorted(path.read_text().splitlines()) == sorted(expected)
+
+
 def test_extract_corpus_empty(tmp_path):
     src = tmp_path / "c.txt"
     src.write_text("")
@@ -236,7 +263,7 @@ def test_workers_do_not_change_extraction(tmp_path):
 def all_positions_scan(paragraph, grammars):
     """Reference: every scanner tried at every token position, with the
     non-overlap rule of one grammar's left-to-right scan."""
-    words, codes = columns(paragraph)
+    words, codes = paragraph
     matches = []
     for _, scanner in grammars:
         floor = 0
@@ -258,9 +285,9 @@ def assert_dispatch_matches_reference(paragraph):
     isa = all_positions_scan(paragraph, _ISA_GRAMMARS)
     assert extract_hearst(paragraph) == hearst
     assert extract_isa(paragraph) == isa
-    scan = scan_paragraph(paragraph, normalized=False, hearst=True, isa=True)
-    assert scan.hearst == tuple(format_match_line(m) for m in hearst)
-    assert scan.isa == tuple(format_match_line(m) for m in isa)
+    outs = ([], [], [])
+    assert patterns._scan_columns(False, True, True, *paragraph, outs) == 0
+    assert outs == ([], *([format_match_line(m) for m in found] for found in (hearst, isa)))
 
 
 grammar_words = ["herb", "Basil", "tree", "oak", "red", "such", "is"]
@@ -286,15 +313,15 @@ grammar_pieces = st.one_of(
         lambda pair: [pair]
     ),
 )
-grammar_paragraphs = st.lists(grammar_pieces, min_size=1, max_size=12).map(
-    lambda pieces: TaggedParagraph(*map(tuple, zip(*(pair for piece in pieces for pair in piece))))
+grammar_lines = st.lists(grammar_pieces, min_size=1, max_size=12).map(
+    lambda pieces: " ".join(f"{surface}_{tag}" for piece in pieces for surface, tag in piece)
 )
 
 
 @settings(max_examples=400)
-@given(grammar_paragraphs)
-def test_trigger_dispatch_equals_all_positions_scan(paragraph):
-    assert_dispatch_matches_reference(paragraph)
+@given(grammar_lines)
+def test_trigger_dispatch_equals_all_positions_scan(line):
+    assert_dispatch_matches_reference(parse_tagged_line(line))
 
 
 def test_trigger_dispatch_on_fixture():
