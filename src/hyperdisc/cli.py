@@ -505,6 +505,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     return 0
 
 

@@ -362,13 +362,16 @@ def load_vocabulary(path: str | os.PathLike) -> frozenset[str]:
 
 
 def load_queries(path: str | os.PathLike) -> list[Query]:
-    """Load ``term<TAB>kind`` queries, preserving line order."""
+    """Load ``term<TAB>kind`` queries, preserving line order. A line whose
+    term is empty or all whitespace is a `FormatError` naming the line."""
     queries = []
     for n, line in enumerate(iter_data_lines(path), start=1):
         if not line.strip():
             continue
         term, _, kind_text = line.partition("\t")
-        kind_text = kind_text.strip()
+        term, kind_text = normalize_term(term), kind_text.strip()
+        if not term:
+            raise FormatError(f"{path}: line {file_line(path, n)}: empty query term")
         try:
             kind = QueryKind(kind_text)
         except ValueError:
@@ -376,7 +379,7 @@ def load_queries(path: str | os.PathLike) -> list[Query]:
                 f"{path}: line {file_line(path, n)}: unknown query kind {kind_text!r} "
                 f"(expected Concept or Entity)"
             ) from None
-        queries.append(Query(normalize_term(term), kind))
+        queries.append(Query(term, kind))
     return queries
 
 

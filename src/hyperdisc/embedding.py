@@ -119,7 +119,7 @@ GROUPS = 256
 # targets on a pool of the paper's 218k terms at dim 300, where one sgemm
 # ran at 86 GFLOP/s on one Xeon core against 7 for one sgemv a target
 SCREEN_BLOCK_CELLS = 2**24
-CHUNK_CELLS = 2**16  # float64 cells of a chunk of rows: a pool's copy, an embedding's rounding
+CHUNK_CELLS = 2**16  # float64 cells of a chunk of rows of a pool's copy
 # the exact steps partition the distances of more than this many times k + 1 columns
 PARTITION_FACTOR = 2
 
@@ -835,40 +835,13 @@ def save_embedding(
     header: dict[str, str] | None = None,
 ) -> None:
     """A ``rows dim`` size line and one token per line, as text, then the
-    vectors as one block (`_write_vectors`), each value rounded as
-    ``float(f"{v:.6f}")``, in bulk (`_round6`): the values the earlier text
-    layout held, so Phi's scores do not move. A nan or infinite value is a
+    vectors as one block (`_write_vectors`), exact: `load_embedding` returns
+    the trained model bit for bit. A nan or infinite value is a
     `FormatError`, as `load_embedding` makes it."""
     vocab, vectors = model.vocab, model.input_vectors
     _require_finite(path, vectors, lambda i: f"row {i + 1} of {len(vocab)} (token {vocab[i]!r})")
-    rounded = _round6(vectors)
     text = f"{len(vocab)} {model.dimension}\n" + "".join(token + "\n" for token in vocab)
-    _write_vectors(path, header, text, rounded)
-
-
-def _round6(values: np.ndarray) -> np.ndarray:
-    """Each of ``values`` as ``float(f"{v:.6f}")``, bit for bit, in float64
-    chunks of ``CHUNK_CELLS`` cells of whole rows.
-
-    That string rounds x = v * 10^6, exactly, to an integer n, ties to even,
-    and then parses as the double nearest n / 10^6. The float product
-    p = fl(x) is within spacing(|p|) of x, so round(p), ties to even too, is
-    n unless a half lies within spacing(|p|) of p; n / 1e6 is then the
-    nearest double, n being exact. The few values near a half take the
-    string, and so do all from |p| >= 2^52 on, where spacing(|p|) >= 1,
-    and an overflowed p, whose test is nan."""
-    out = np.empty(values.shape)
-    step = max(1, CHUNK_CELLS // max(1, values.shape[1]))
-    for first in range(0, values.shape[0], step):
-        chunk = np.asarray(values[first : first + step], dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf p, sent to the string
-            p = chunk * 1e6
-            n = np.round(p)
-            hard = ~(0.5 - np.abs(p - n) > np.spacing(np.abs(p)))
-        n /= 1e6
-        n[hard] = [float(f"{v:.6f}") for v in chunk[hard].tolist()]
-        out[first : first + step] = n
-    return out
+    _write_vectors(path, header, text, vectors)
 
 
 def _write_vectors(path, header, text: str, values: np.ndarray) -> None:

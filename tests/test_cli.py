@@ -21,6 +21,7 @@ from hyperdisc.cooc import (
 )
 from hyperdisc.corpus_io import (
     FormatError,
+    load_gold,
     load_queries,
     load_vocabulary,
     normalize_term,
@@ -29,7 +30,7 @@ from hyperdisc.corpus_io import (
     read_predictions,
     term_to_token,
 )
-from hyperdisc.embedding import PhiMode, PhiTransform, save_phi
+from hyperdisc.embedding import PhiMode, PhiTransform, fit_phi, load_phi, save_phi, train_cbow
 
 ARTIFACT_KEYS = (
     "normalized",
@@ -729,6 +730,58 @@ def test_diverging_training_writes_no_embedding(tmp_path, dataset, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg.embedding}: row ") and "has a non-finite value" in err
     assert not os.path.exists(cfg.embedding)
+
+
+@pytest.mark.parametrize("message, err", [
+    ("Unable to allocate 10.5 TiB", "error: out of memory: Unable to allocate 10.5 TiB\n"),
+    ("", "error: out of memory\n"),
+], ids=["message", "bare"])
+def test_out_of_memory_is_clean_error(tmp_path, dataset, capsys, monkeypatch, message, err):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "normalize") == 0
+    capsys.readouterr()
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*([message] if message else []))
+
+    monkeypatch.setattr(cli, "train_cbow", exhausted)
+    before = sorted(os.listdir(tmp_path))
+    assert run(cfg_path, "train-embedding") == 2
+    assert capsys.readouterr() == ("", err)
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not os.path.exists(cfg.embedding)
+
+
+def test_embedding_and_phi_hold_the_trained_weights_exactly(tmp_path, dataset):
+    """`fit-phi` and `predict` load the model `train-embedding` trained, bit
+    for bit: the embedding's block is the trained weights, and the offset
+    is `fit_phi` of the trained model."""
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    model = train_cbow(cfg.normalized, cfg.cbow())
+    block = model.input_vectors.astype("<f8").tobytes()
+    assert Path(cfg.embedding).read_bytes()[-len(block):] == block
+    pairs = [(g.query.term, h) for g in load_gold(cfg.train_gold, load_queries(cfg.train_queries))
+             for h in g.hypernyms]
+    want = fit_phi(pairs, model, PhiMode.OFFSET, ridge=cfg.ridge).offset
+    assert load_phi(cfg.phi).offset.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_empty_query_term_stops_pipeline_before_any_artifact(tmp_path, dataset, capsys):
+    lines = Path(dataset.queries).read_text(encoding="utf-8").split("\n")
+    lines[1] = "   \t" + lines[1].partition("\t")[2]
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("\n".join(lines), encoding="utf-8")
+    cfg = make_config(dataset, tmp_path, queries=str(queries))
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 2
+    assert capsys.readouterr() == ("", f"error: {queries}: line 2: empty query term\n")
+    assert not any(os.path.exists(getattr(cfg, key)) for key in ARTIFACT_KEYS)
 
 
 def test_flag_overrides_config(tmp_path, dataset):

@@ -145,6 +145,15 @@ def test_load_queries_unknown_kind_counts_header_lines(tmp_path, text, line):
     assert str(info.value).startswith(f"{path}: line {line}: unknown query kind 'Thing'")
 
 
+@pytest.mark.parametrize("term", ["", "   "], ids=["empty", "blank"])
+def test_load_queries_empty_term_names_line(tmp_path, term):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"#config-hash abc\nherb\tConcept\n{term}\tEntity\n")
+    with pytest.raises(FormatError) as info:
+        load_queries(path)
+    assert str(info.value) == f"{path}: line 3: empty query term"
+
+
 def test_load_gold(tmp_path):
     qpath = tmp_path / "q.tsv"
     qpath.write_text("lemongrass\tConcept\nliberalism\tConcept\n")
