@@ -117,8 +117,8 @@ class PipelineConfig(_PipelineFields):
     """Every setting of the pipeline, one field per config key, checked at
     construction. The CBOW settings take their defaults and checks from
     `EmbeddingConfig` (`cbow`), so a bad setting fails here, before any
-    stage runs; so does an artifact path that names the file of an input
-    or of another artifact."""
+    stage runs; so does an artifact path that is empty (but `metrics`) or
+    names the file of an input or of another artifact."""
 
     __slots__ = ()
 
@@ -142,6 +142,8 @@ class PipelineConfig(_PipelineFields):
         named = {}  # file -> the first key naming it; inputs may share a file, artifacts may not
         for key in (*INPUTS, *WRITERS):
             path = getattr(self, key)
+            if not path and key in WRITERS and key != "metrics":
+                raise CliError(f"config key '{key}' names no file; only 'metrics' may be empty")
             first = named.setdefault(os.path.abspath(path), key) if path else key
             if first != key and key in WRITERS:
                 raise CliError(f"config keys '{first}' and '{key}' name one file: {path}")

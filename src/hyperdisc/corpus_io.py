@@ -7,8 +7,8 @@ CRLF files read as LF ones and a lone ``\\r`` stays inside its line):
 * tagged corpus: one paragraph per line, space-separated ``surface_POS``
   tokens; the split is on the LAST underscore, so surfaces may contain
   underscores or hyphens. A corpus pass reads a line as two columns, its
-  lowercased surfaces and one code per tag (`TAG_CODES`), which one loop
-  (`_scan_batch`) builds for every pass and `parse_tagged_line` for one line.
+  lowercased surfaces and one code per tag (`TAG_CODES`), as
+  `parse_tagged_line` splits it (`_scan_batch` splits a plain line itself).
 * vocabulary: one candidate hypernym term per line (1-3 words).
 * queries: ``term<TAB>kind`` per line, kind is ``Concept`` or ``Entity``.
 * gold: line i holds the tab-separated gold hypernyms for query i.
@@ -230,8 +230,8 @@ def parse_tagged_line(line: str) -> tuple[tuple[str, ...], str] | None:
     valid: every surface lowercased, each on its own, as `str.lower`
     lowercases a final sigma by context, and the `TAG_CODES` code of every
     tag. A token splits on its last underscore and is valid when both the
-    surface and the tag are non-empty; bad tokens are skipped. The reference
-    for the columns of a corpus pass (`_scan_batch`).
+    surface and the tag are non-empty; bad tokens are skipped. A corpus
+    pass (`_scan_batch`) splits every line here but a plain one.
 
     >>> parse_tagged_line("The_DT New_York_NNP bad_ CATS_NNS")
     (('the', 'new_york', 'cats'), 'DNN')
@@ -272,10 +272,10 @@ def _scan_batch(
     gate: Callable[[str], bool] | None,
 ) -> tuple[ScanStats, list[str]]:
     """Split each line of ``text`` (lines joined by ``\\n``) that ``gate``
-    passes into its columns (as `parse_tagged_line` does) and hand them
-    to ``work``, skip the others; the batch's counts and, per output,
-    the text of its lines. A plain line (`_PLAIN_LINE`) is split in one
-    pass, with the same result as the token rule."""
+    passes into its columns and hand them to ``work``, skip the others; the
+    batch's counts and, per output, the text of its lines. A plain line
+    (`_PLAIN_LINE`) is split in one pass, with the result `parse_tagged_line`
+    gives it; any other line is split by `parse_tagged_line`."""
     paragraphs = phrases = bad = 0
     outs: Outputs = ([], [], [])
     plain, lower, code = _PLAIN_LINE.fullmatch, str.lower, TAG_CODES.__getitem__
@@ -284,17 +284,14 @@ def _scan_batch(
             continue
         if plain(line):
             parts = line.replace("_", " ").split(" ")
-            surfaces, tags = parts[0::2], parts[1::2]
+            columns = tuple(map(lower, parts[0::2])), "".join(map(code, parts[1::2]))
         else:
-            raws = line.split()
-            pairs = [(surface, pos) for surface, _, pos in (raw.rpartition("_") for raw in raws)
-                     if surface and pos]
-            bad += len(raws) - len(pairs)
-            if not pairs:
+            columns = parse_tagged_line(line)
+            bad += len(line.split()) - (len(columns[0]) if columns else 0)
+            if columns is None:
                 continue
-            surfaces, tags = zip(*pairs)
         paragraphs += 1
-        phrases += work(tuple(map(lower, surfaces)), "".join(map(code, tags)), outs)
+        phrases += work(*columns, outs)
     normalized, hearst, isa = outs
     stats = ScanStats(paragraphs_in=paragraphs, paragraphs_out=len(normalized),
                       phrases_appended=phrases, hearst_matches=len(hearst),

@@ -81,7 +81,6 @@ from .corpus_io import (
     read_artifact,
     read_header,
     term_to_token,
-    token_to_term,
     write_artifact,
 )
 from .cooc import ScoredCandidate, Source
@@ -376,7 +375,7 @@ def _train(
     for ``CHUNK`` blocks at a time, so their memory does not grow with the
     corpus."""
     total = config.epochs * ids.size
-    window = config.window
+    window = min(config.window, ids.size)  # a window is cut at its line's bounds anyway
     n_neg = config.negatives
     # fewer centers than vocabulary tokens, so every group has a valid negative
     group = min(GROUP, block, noise_cdf.size - 1)

@@ -14,14 +14,16 @@ read a paragraph as its lowercased surfaces and one tag code per token
 6. NP-list ``and other`` NP
 7. (IS-A) NP ``is`` (``a``|``an``|``the``) NP
 
-NP-list = NP (``,`` NP)* ((``,``)? (``and``|``or``) NP)?. In grammars 1-4 the
-standalone NP is the hypernym and the list holds hyponyms; in 5-6 the roles
-flip; IS-A reads left as hyponym, right as hypernym. Trigger words are
-matched on the lowercase surface regardless of POS tag, which tolerates
-tagger noise on words like "such". Matches of one grammar never overlap
-each other; different grammars scan independently, each only where its
-trigger word (``such``, ``including``, ``especially``, ``or``, ``and``,
-``is``) occurs.
+NP-list = NP (``,`` NP)* ((``,``)? (``and``|``or``) NP)?, read one step at a
+time: an optional comma, an optional conjunction, one NP; the NP after a
+conjunction ends the list. In grammars 1-4 the standalone NP is the hypernym
+and the list holds hyponyms; in 5-6 the roles flip; IS-A reads left as
+hyponym, right as hypernym. Grammars 1, 3 and 4 are one scanner over their
+trigger words (`_scan_trigger`). Trigger words are matched on the lowercase
+surface regardless of POS tag, which tolerates tagger noise on words like
+"such". Matches of one grammar never overlap each other; different grammars
+scan independently, each only where its trigger word (``such``,
+``including``, ``especially``, ``or``, ``and``, ``is``) occurs.
 
 A corpus pass that writes no normalized corpus (``extract-hearst``,
 ``extract-isa``) parses only the lines that may hold a trigger word of the
@@ -111,28 +113,15 @@ def _match_np_list(
         return None
     phrase, pos = first
     phrases = [phrase]
-    while True:
-        here = _word(words, pos)
-        if here == ",":
-            nxt = _word(words, pos + 1)
-            if nxt in ("and", "or"):
-                tail = _match_np(words, codes, pos + 2)
-                if tail is not None:
-                    phrases.append(tail[0])
-                    pos = tail[1]
-                break
-            more = _match_np(words, codes, pos + 1)
-            if more is None:
-                break
-            phrases.append(more[0])
-            pos = more[1]
-        elif here in ("and", "or"):
-            tail = _match_np(words, codes, pos + 1)
-            if tail is not None:
-                phrases.append(tail[0])
-                pos = tail[1]
+    while True:  # one step: an optional comma, an optional conjunction, one NP
+        i = pos + (_word(words, pos) == ",")
+        conj = _word(words, i) in ("and", "or")
+        more = _match_np(words, codes, i + conj) if i + conj > pos else None
+        if more is None:
             break
-        else:
+        phrase, pos = more
+        phrases.append(phrase)
+        if conj:
             break
     return phrases, pos
 
@@ -165,22 +154,9 @@ def _emit(pattern_id: PatternId, hypernym: str, hyponyms: list[str]) -> PatternM
     return PatternMatch(pattern_id, hypernym, hypos)
 
 
-# one scanner per grammar, called with the lowercased surfaces, the tag codes
+# the grammars' scanners, called with the lowercased surfaces, the tag codes
 # (`corpus_io.parse_tagged_line`) and a position; each returns (match,
 # span_start, span_end) or None
-
-
-def _scan_such_as(words, codes, i):
-    if _word(words, i) != "such" or _word(words, i + 1) != "as":
-        return None
-    left = _match_np_before(words, codes, i)
-    if left is None:
-        return None
-    rest = _match_np_list(words, codes, i + 2)
-    if rest is None:
-        return None
-    match = _emit(PatternId.SUCH_AS, left[0], rest[0])
-    return (match, left[1], rest[1]) if match else None
 
 
 def _scan_such_np_as(words, codes, i):
@@ -196,14 +172,17 @@ def _scan_such_np_as(words, codes, i):
     return (match, i, rest[1]) if match else None
 
 
-def _scan_trigger_word(word, pattern_id, words, codes, i):
-    if _word(words, i) != word:
+def _scan_trigger(trigger, pattern_id, words, codes, i):
+    """NP, then the words of ``trigger``, then an NP-list; only a one-word
+    trigger may have a comma before it."""
+    end = i + len(trigger)
+    if words[i:end] != trigger:
         return None
-    before = i - 1 if _word(words, i - 1) == "," else i
+    before = i - 1 if len(trigger) == 1 and _word(words, i - 1) == "," else i
     left = _match_np_before(words, codes, before)
     if left is None:
         return None
-    rest = _match_np_list(words, codes, i + 1)
+    rest = _match_np_list(words, codes, end)
     if rest is None:
         return None
     match = _emit(pattern_id, left[0], rest[0])
@@ -241,10 +220,10 @@ def _scan_isa(words, codes, i):
 # (trigger word, scanner) per grammar, in output order; a scanner checks its
 # trigger itself, so only trigger positions can match.
 _HEARST_GRAMMARS: tuple[tuple[str, Callable], ...] = (
-    ("such", _scan_such_as),
+    ("such", partial(_scan_trigger, ("such", "as"), PatternId.SUCH_AS)),
     ("such", _scan_such_np_as),
-    ("including", partial(_scan_trigger_word, "including", PatternId.INCLUDING)),
-    ("especially", partial(_scan_trigger_word, "especially", PatternId.ESPECIALLY)),
+    ("including", partial(_scan_trigger, ("including",), PatternId.INCLUDING)),
+    ("especially", partial(_scan_trigger, ("especially",), PatternId.ESPECIALLY)),
     ("or", partial(_scan_other, "or", PatternId.OR_OTHER)),
     ("and", partial(_scan_other, "and", PatternId.AND_OTHER)),
 )

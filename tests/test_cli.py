@@ -784,6 +784,43 @@ def test_empty_query_term_stops_pipeline_before_any_artifact(tmp_path, dataset, 
     assert not any(os.path.exists(getattr(cfg, key)) for key in ARTIFACT_KEYS)
 
 
+@pytest.mark.parametrize("command", ["pipeline", "stage"])
+@pytest.mark.parametrize("key", [key for key in ARTIFACT_KEYS if key != "metrics"])
+def test_empty_artifact_path_is_refused_before_any_file(
+    tmp_path, dataset, capsys, monkeypatch, key, command
+):
+    """An empty path for any artifact but `metrics` is refused when the
+    config is built, naming its key: neither `pipeline` nor the stage that
+    writes the artifact leaves an artifact or a temporary file."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # where a temporary file beside an empty path would go
+    cfg = make_config(dataset, work)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    stage = "pipeline" if command == "pipeline" else cli.WRITERS[key]
+    assert run(cfg_path, stage, f"--{key.replace('_', '-')}=") == 2
+    assert capsys.readouterr() == (
+        "", f"error: config key '{key}' names no file; only 'metrics' may be empty\n")
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("window", ["9223372036854775807", "99999999999999999999"])
+def test_window_beyond_int64_trains_as_a_window_longer_than_every_line(
+    tmp_path, dataset, window
+):
+    """A window is cut at its line's bounds, so one past the int64 range
+    trains the weights of a window as long as the longest line."""
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline", "--window", window) == 0
+    longest = max(len(line.split()) for line in corpus_io.iter_data_lines(cfg.normalized))
+    model = train_cbow(cfg.normalized, cfg._replace(window=longest).cbow())
+    block = model.input_vectors.astype("<f8").tobytes()
+    assert Path(cfg.embedding).read_bytes()[-len(block):] == block
+
+
 def test_flag_overrides_config(tmp_path, dataset):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"
@@ -912,12 +949,12 @@ for stage in ("normalize", "extract-hearst", "extract-isa", "cooc-index"):
     assert "numpy" not in sys.modules, stage
 for stage in ("train-embedding", "fit-phi"):  # train_cbow, load_embedding
     assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
-from hyperdisc import embedding
+from hyperdisc import corpus_io, embedding
 import numpy
 assert embedding.np is numpy
 cfg = cli.load_config(sys.argv[1])
 model = embedding.load_embedding(cfg.embedding)
-vocab = frozenset(map(embedding.token_to_term, model.vocab))
+vocab = frozenset(map(corpus_io.token_to_term, model.vocab))
 found = embedding.candidates_from_phi(embedding.load_phi(cfg.phi), model, model.vocab[0], vocab, 3)
 assert [c.term for c in found] and all(c.term != model.vocab[0] for c in found)
 """

@@ -11,6 +11,7 @@ from hyperdisc.patterns import (
     _HEARST_GRAMMARS,
     _ISA_GRAMMARS,
     _match_np,
+    _match_np_list,
     PatternId,
     PatternMatch,
     extract_corpus,
@@ -60,6 +61,38 @@ class TestMatchNp:
         assert match_np(f"all_{tag} storms_NNS", 0) is None
         assert match_np(f"all_{tag} storms_NNS", 1) == ("storms", 2)
         assert match_np(f"the_DT all_{tag} storms_NNS", 0) is None
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("cats_NNS ,_, dogs_NNS ,_, birds_NNS", (["cats", "dogs", "birds"], 5)),
+    ("cats_NNS ,_, and_CC dogs_NNS ,_, birds_NNS", (["cats", "dogs"], 4)),
+    ("cats_NNS and_CC dogs_NNS and_CC birds_NNS", (["cats", "dogs"], 3)),
+    ("cats_NNS ,_, or_CC run_VB", (["cats"], 1)),
+    ("cats_NNS ,_, dogs_NNS or_CC", (["cats", "dogs"], 3)),
+    ("cats_NNS ,_, run_VB", (["cats"], 1)),
+], ids=["comma", "comma-and", "and", "comma-or-no-np", "conjunction-at-end", "comma-no-np"])
+def test_np_list_steps(line, expected):
+    """One NP-list step: an optional comma, an optional conjunction, one NP;
+    the NP after a conjunction ends the list, and a step with no NP is not
+    taken."""
+    assert _match_np_list(*parse_tagged_line(line), 0) == expected
+
+
+@pytest.mark.parametrize("trigger, pattern_id", [
+    ("such_JJ as_IN", PatternId.SUCH_AS),
+    ("including_VBG", PatternId.INCLUDING),
+    ("especially_RB", PatternId.ESPECIALLY),
+])
+@pytest.mark.parametrize("comma", ["", ",_, "])
+def test_trigger_with_and_without_comma(trigger, pattern_id, comma):
+    """NP trigger NP-list, where only a one-word trigger may have a comma
+    before it."""
+    line = f"the_DT herbs_NNS {comma}{trigger} basil_NN ,_, and_CC mint_NN"
+    found = extract_hearst(parse_tagged_line(line))
+    if comma and pattern_id is PatternId.SUCH_AS:
+        assert found == []
+    else:
+        assert found == [PatternMatch(pattern_id, "herbs", ("basil", "mint"))]
 
 
 @pytest.mark.parametrize("line,expected", SENTENCES)
