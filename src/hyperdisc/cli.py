@@ -38,6 +38,7 @@ from .corpus_io import (
     FormatError,
     Query,
     QueryKind,
+    checked,
     file_line,
     iter_data_lines,
     load_gold,
@@ -78,8 +79,14 @@ class CliError(Exception):
 _CBOW = EmbeddingConfig._field_defaults
 
 
-# the fields; `PipelineConfig` adds the checks, as a NamedTuple's own body cannot define __new__
-class _PipelineFields(NamedTuple):
+@checked
+class PipelineConfig(NamedTuple):
+    """Every setting of the pipeline, one field per config key, checked at
+    construction. The CBOW settings take their defaults and checks from
+    `EmbeddingConfig` (`cbow`), so a bad setting fails here, before any
+    stage runs; so does an artifact path that is empty (but `metrics`) or
+    names the file of an input or of another artifact."""
+
     # inputs
     corpus: str = ""
     vocab: str = ""
@@ -112,18 +119,7 @@ class _PipelineFields(NamedTuple):
     p_at_normalized: bool = False
     workers: int = 1
 
-
-class PipelineConfig(_PipelineFields):
-    """Every setting of the pipeline, one field per config key, checked at
-    construction. The CBOW settings take their defaults and checks from
-    `EmbeddingConfig` (`cbow`), so a bad setting fails here, before any
-    stage runs; so does an artifact path that is empty (but `metrics`) or
-    names the file of an input or of another artifact."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not 1 <= self.k <= MAX_PREDICTIONS:
             raise CliError(f"k must be between 1 and {MAX_PREDICTIONS}, got {self.k}")
         if self.phi_mode not in {mode.value for mode in PhiMode}:
@@ -147,11 +143,6 @@ class PipelineConfig(_PipelineFields):
             first = named.setdefault(os.path.abspath(path), key) if path else key
             if first != key and key in WRITERS:
                 raise CliError(f"config keys '{first}' and '{key}' name one file: {path}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
-        return cls(*iterable)
 
     def cbow(self) -> EmbeddingConfig:
         """The CBOW settings, checked by `EmbeddingConfig`."""
@@ -173,7 +164,7 @@ class PipelineConfig(_PipelineFields):
 
 
 # config key -> its type; this module's annotations are evaluated, not strings
-_FIELD_TYPES = _PipelineFields.__annotations__
+_FIELD_TYPES = PipelineConfig.__annotations__
 
 
 def _parse_bool(text: str) -> bool:

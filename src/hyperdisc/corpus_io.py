@@ -53,6 +53,26 @@ HEADER_LINE = re.compile(r"#([a-z][a-z0-9-]*)(?: |$)(.*)")  # `#key value`, key 
 READ_CHUNK = 1 << 13  # bytes per read of `iter_data_lines`, made up to whole lines
 
 
+def checked(cls):
+    """Make the NamedTuple ``cls`` run its ``_check()`` on every new record.
+
+    A NamedTuple's body cannot define ``__new__`` or ``_make``, and the
+    ``_make`` it gets, which ``_replace`` calls, builds the tuple without
+    ``__new__``. So this wraps ``__new__`` to call ``_check`` and sends
+    ``_make`` through ``__new__``; copies and unpickled records go
+    through ``__new__`` too."""
+    new = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
 class QueryKind(Enum):
     CONCEPT = "Concept"
     ENTITY = "Entity"

@@ -78,6 +78,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .corpus_io import (
     MAX_PREDICTIONS,
     FormatError,
+    checked,
     read_artifact,
     read_header,
     term_to_token,
@@ -105,6 +106,9 @@ LR_FLOOR_FRACTION = 0.1
 BLOCK = 256  # training positions per weight update
 GROUP = 16  # consecutive positions of a block that share one row of negatives
 CHUNK = 16  # blocks whose windows and learning rates `_train` takes in one pass
+# the most `dim` and `negatives` may be: far past any array that fits in memory,
+# so that a larger value fails before any stage runs, not inside numpy
+MAX_SIDE = 2**32
 # projection retrieval screens a pool in float32 from this many cells (terms x
 # dim), past the measured break-even (16k cells at dim 16, 19k to 38k at dim
 # 300); on smaller pools the screen costs more than it saves
@@ -123,8 +127,12 @@ CHUNK_CELLS = 2**16  # float64 cells of a chunk of rows of a pool's copy
 PARTITION_FACTOR = 2
 
 
-# the fields; `EmbeddingConfig` adds the checks, as a NamedTuple's own body cannot define __new__
-class _CbowFields(NamedTuple):
+@checked
+class EmbeddingConfig(NamedTuple):
+    """The CBOW settings, named as their config keys, with their defaults and
+    range checks, run at construction: `cli.PipelineConfig` takes both from
+    here. ``seed=None`` means not given yet; `train_cbow` needs one."""
+
     dim: int = 300
     window: int = 10
     min_count: int = 5
@@ -133,31 +141,20 @@ class _CbowFields(NamedTuple):
     lr: float = 0.025
     seed: int | None = None
 
-
-class EmbeddingConfig(_CbowFields):
-    """The CBOW settings, named as their config keys, with their defaults and
-    range checks, run at construction: `cli.PipelineConfig` takes both from
-    here. ``seed=None`` means not given yet; `train_cbow` needs one."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name, least in (("dim", 2), ("window", 1), ("min_count", 1), ("negatives", 1),
                             ("epochs", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("dim", "negatives"):  # each sizes an array
+            if getattr(self, name) > MAX_SIDE:
+                raise ValueError(f"{name} must be at most {MAX_SIDE}, got {getattr(self, name)}")
         if not math.isfinite(self.lr):
             raise ValueError(f"lr must be a finite number, got {self.lr}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
-        return cls(*iterable)
 
 
 class _PhiPool(NamedTuple):
@@ -474,29 +471,20 @@ class PhiMode(Enum):
     MATRIX = "matrix"
 
 
-class _PhiFields(NamedTuple):
+@checked
+class PhiTransform(NamedTuple):
+    """The fitted projection; its mode's array is checked at construction."""
+
     mode: PhiMode
     offset: np.ndarray | None = None
     matrix: np.ndarray | None = None
     skipped_pairs: int = 0
 
-
-class PhiTransform(_PhiFields):
-    """The fitted projection; its mode's array is checked at construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.mode is PhiMode.OFFSET and self.offset is None:
             raise ValueError("offset mode needs an offset vector")
         if self.mode is PhiMode.MATRIX and self.matrix is None:
             raise ValueError("matrix mode needs a matrix")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
-        return cls(*iterable)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         if self.mode is PhiMode.OFFSET:

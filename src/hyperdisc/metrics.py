@@ -5,7 +5,7 @@ lowercasing and whitespace normalization; no lemmatization. Only the top
 15 predictions ever count. P@k divides by k (so sparse gold caps the
 attainable value); pass ``normalized=True`` to divide by min(k, |gold|)
 instead. Average precision divides by min(|gold|, 15) so a perfect
-15-slot prediction scores 1.0.
+15-slot prediction scores 1.0. Empty gold is an error for every metric.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ METRIC_ROWS = ("MRR", "MAP", "P@1", "P@3", "P@5", "P@15")
 def _hits(
     predicted: Sequence[str], gold: Iterable[str], depth: int = MAX_PREDICTIONS
 ) -> tuple[list[bool], int]:
-    """Whether each of the first ``depth`` predictions is gold, and the
-    number of distinct gold terms, each term normalized once."""
+    """Whether each of the first ``depth`` predictions is gold, and the number
+    of distinct gold terms, each normalized once; empty gold raises."""
     gold_set = set(map(normalize_term, gold))
+    if not gold_set:
+        raise ValueError("empty gold set")
     return [normalize_term(t) in gold_set for t in predicted[:depth]], len(gold_set)
 
 
@@ -43,10 +45,7 @@ def _average_precision(hits: list[bool], n_gold: int) -> float:
 
 
 def _precision(hits: list[bool], k: int, n_gold: int, normalized: bool) -> float:
-    denom = min(k, n_gold) if normalized else k
-    if denom == 0:
-        raise ValueError("empty gold set")
-    return sum(hits[:k]) / denom
+    return sum(hits[:k]) / (min(k, n_gold) if normalized else k)
 
 
 def reciprocal_rank(predicted: Sequence[str], gold: Iterable[str]) -> float:
@@ -55,10 +54,7 @@ def reciprocal_rank(predicted: Sequence[str], gold: Iterable[str]) -> float:
     >>> reciprocal_rank(["a", "b", "c"], {"b"})
     0.5
     """
-    hits, n_gold = _hits(predicted, gold)
-    if not n_gold:
-        raise ValueError("empty gold set")
-    return _reciprocal_rank(hits)
+    return _reciprocal_rank(_hits(predicted, gold)[0])
 
 
 def average_precision(predicted: Sequence[str], gold: Iterable[str]) -> float:
@@ -67,10 +63,7 @@ def average_precision(predicted: Sequence[str], gold: Iterable[str]) -> float:
     >>> round(average_precision(["x", "a", "y"], {"x", "y"}), 4)
     0.8333
     """
-    hits, n_gold = _hits(predicted, gold)
-    if not n_gold:
-        raise ValueError("empty gold set")
-    return _average_precision(hits, n_gold)
+    return _average_precision(*_hits(predicted, gold))
 
 
 def precision_at_k(
@@ -130,8 +123,6 @@ def evaluate(
             continue
         n += 1
         hits, n_gold = _hits(predicted, gold_set.hypernyms)
-        if not n_gold:
-            raise ValueError("empty gold set")
         rr_total += _reciprocal_rank(hits)
         ap_total += _average_precision(hits, n_gold)
         for k in P_AT_KS:

@@ -15,34 +15,24 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .cooc import ScoredCandidate, Source
-from .corpus_io import MAX_PREDICTIONS, GoldSet, Query, normalize_term
+from .corpus_io import MAX_PREDICTIONS, GoldSet, Query, checked, normalize_term
 from .metrics import MetricsReport, evaluate
 
 DEFAULT_ORDER = (Source.ISA, Source.COOC, Source.HEARST, Source.PHI)
 
 
-# the fields; `ModuleOrder` adds the checks, as a NamedTuple's own body cannot define __new__
-class _OrderFields(NamedTuple):
-    order: tuple[Source, ...] = DEFAULT_ORDER
-
-
-class ModuleOrder(_OrderFields):
+@checked
+class ModuleOrder(NamedTuple):
     """The order of the module lists; each source exactly once, checked
     at construction."""
 
-    __slots__ = ()
+    order: tuple[Source, ...] = DEFAULT_ORDER
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if sorted(self.order, key=lambda s: s.value) != sorted(
             Source, key=lambda s: s.value
         ):
             raise ValueError(f"order must list each source exactly once: {self.order}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # the base skips `__new__`, and `_replace` calls `_make`
-        return cls(*iterable)
 
 
 class RankedPrediction(NamedTuple):

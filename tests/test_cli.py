@@ -545,6 +545,11 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
         ("--seed", "-1", "seed must be at least 0, got -1"),
         ("--min-count", "0", "min_count must be at least 1, got 0"),
         ("--negatives", "0", "negatives must be at least 1, got 0"),
+        # past any array that fits in memory: refused before the corpus stages write
+        ("--dim", str(10**20), f"dim must be at most 4294967296, got {10**20}"),
+        ("--dim", str(2**63 - 1), f"dim must be at most 4294967296, got {2**63 - 1}"),
+        ("--negatives", str(10**20), f"negatives must be at most 4294967296, got {10**20}"),
+        ("--negatives", str(2**63 - 1), f"negatives must be at most 4294967296, got {2**63 - 1}"),
         ("--epochs", "0", "epochs must be at least 1, got 0"),
         ("--lr", "inf", "lr must be a finite number, got inf"),
         ("--k", "16", "k must be between 1 and 15, got 16"),

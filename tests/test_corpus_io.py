@@ -1,4 +1,7 @@
+import copy
 import os
+import pickle
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -12,6 +15,7 @@ from hyperdisc.corpus_io import (
     Query,
     QueryKind,
     ScanStats,
+    checked,
     file_line,
     iter_data_lines,
     load_gold,
@@ -54,6 +58,43 @@ def scan_columns(line):
         return 0
 
     return seen, corpus_io._scan_batch(line, work, None)[0].bad_tokens
+
+
+@checked
+class Interval(NamedTuple):
+    low: int = 0
+    high: int = 1
+
+    def _check(self) -> None:
+        if self.low > self.high:
+            raise ValueError(f"low {self.low} is above high {self.high}")
+
+
+def unchecked(*values):
+    """An `Interval` built past its checks, as only `tuple.__new__` can."""
+    return tuple.__new__(Interval, values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Interval(2, 1),
+    lambda: Interval(high=1, low=2),
+    lambda: Interval(0, 1)._replace(low=2),
+    lambda: Interval._make((2, 1)),
+    lambda: copy.copy(unchecked(2, 1)),
+    lambda: pickle.loads(pickle.dumps(unchecked(2, 1))),
+], ids=["construct", "keywords", "replace", "make", "copy", "pickle"])
+def test_checked_runs_the_checks_on_every_new_record(build):
+    with pytest.raises(ValueError, match="^low 2 is above high 1$"):
+        build()
+
+
+def test_checked_keeps_a_valid_record_a_namedtuple():
+    record = Interval(1, 2)
+    assert record == (1, 2) and type(record) is Interval
+    assert record._replace(high=3) == Interval._make((1, 3)) == Interval(1, 3)
+    assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
+    assert Interval() == (0, 1) and Interval._fields == ("low", "high")
+    assert Interval.__annotations__ == {"low": int, "high": int}
 
 
 def test_parse_simple_line():

@@ -1521,6 +1521,10 @@ def test_config_validation():
         (dict(lr=math.nan), "lr must be a finite number, got nan"),
         (dict(lr=math.inf), "lr must be a finite number, got inf"),
         (dict(seed=-1), "seed must be at least 0, got -1"),
+        (dict(dim=10**20), f"dim must be at most 4294967296, got {10**20}"),
+        (dict(dim=2**63 - 1), f"dim must be at most 4294967296, got {2**63 - 1}"),
+        (dict(negatives=10**20), f"negatives must be at most 4294967296, got {10**20}"),
+        (dict(negatives=2**63 - 1), f"negatives must be at most 4294967296, got {2**63 - 1}"),
     ]:
         with pytest.raises(ValueError) as info:
             EmbeddingConfig(**setting)

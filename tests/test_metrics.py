@@ -91,6 +91,18 @@ class TestPrecisionAtK:
         assert precision_at_k(["x", "a", "b"], {"x"}, 3, normalized=True) == 1.0
 
 
+# reciprocal_rank's case is TestReciprocalRank.test_empty_gold_is_error
+@pytest.mark.parametrize("metric", [
+    lambda gold: average_precision(["a"], gold),
+    lambda gold: precision_at_k(["a"], gold, 3),
+    lambda gold: precision_at_k(["a"], gold, 3, normalized=True),
+    lambda gold: evaluate([["a"]], [GoldSet(Query("q", QueryKind.CONCEPT), tuple(gold))]),
+], ids=["ap", "p_at_k", "normalized_p_at_k", "evaluate"])
+def test_every_metric_rejects_empty_gold(metric):
+    with pytest.raises(ValueError, match="empty gold set"):
+        metric(set())
+
+
 def test_comparison_is_case_and_space_insensitive():
     assert reciprocal_rank(["Oil  Plant"], {"oil plant"}) == 1.0
 
