@@ -35,7 +35,6 @@ from .cooc import (
 from .corpus_io import (
     CONFIG_HASH_KEY,
     MAX_PREDICTIONS,
-    FormatError,
     Query,
     QueryKind,
     checked,
@@ -72,7 +71,7 @@ from .rank import ModuleOrder, choose_order, merge, module_reports
 ARTIFACT_FORMAT = 3
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -273,28 +272,24 @@ SCAN_SUMMARIES = {  # corpus stage -> one-line summary of its ScanStats
 
 
 def cmd_normalize(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "normalized")
     _require(cfg, "normalize")
     stats = normalize_corpus(cfg.corpus, cfg.normalized, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["normalize"].format(stats))
 
 
 def cmd_extract_hearst(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "hearst_corpus")
     _require(cfg, "extract-hearst")
     stats = extract_corpus(cfg.corpus, cfg.hearst_corpus, None, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["extract-hearst"].format(stats))
 
 
 def cmd_extract_isa(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "isa_corpus")
     _require(cfg, "extract-isa")
     stats = extract_corpus(cfg.corpus, None, cfg.isa_corpus, cfg.workers, cfg.header())
     print(SCAN_SUMMARIES["extract-isa"].format(stats))
 
 
 def cmd_train_embedding(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "embedding")
     _require_seed(cfg)
     _require(cfg, "train-embedding")
     model = train_cbow(cfg.normalized, cfg.cbow())
@@ -303,7 +298,6 @@ def cmd_train_embedding(cfg: PipelineConfig) -> None:
 
 
 def cmd_cooc_index(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "cooc_index")
     _require(cfg, "cooc-index")
     queries = load_queries(cfg.queries) + load_queries(cfg.train_queries)
     index = build_cooc_index(cfg.normalized, {term_to_token(q.term) for q in queries})
@@ -313,7 +307,6 @@ def cmd_cooc_index(cfg: PipelineConfig) -> None:
 
 
 def cmd_fit_phi(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "phi")
     _require(cfg, "fit-phi")
     pairs = [
         (gold_set.query.term, hypernym)
@@ -378,7 +371,6 @@ def module_lists(cfg: PipelineConfig) -> Callable[[Sequence[Query]], list[dict]]
 
 
 def cmd_predict(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "predictions")
     train_gold = None
     if cfg.order_mode == "trained":  # the one read no `STAGES` row lists, before the loads
         _require_file(cfg, "train_queries")
@@ -397,7 +389,6 @@ def cmd_predict(cfg: PipelineConfig) -> None:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    _require_writable(cfg, "metrics")
     _require(cfg, "evaluate")
     queries = load_queries(cfg.queries)
     gold_sets = load_gold(cfg.gold, queries)
@@ -419,7 +410,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 class Stage(NamedTuple):
     handler: Callable[[PipelineConfig], None]
     reads: tuple[str, ...]  # config keys of the files it always reads, in check order
-    writes: str  # config key of the artifact it writes
+    writes: str  # config key of the artifact it writes, whose directory `main` checks first
 
 
 # the stage graph, in pipeline order
@@ -465,6 +456,11 @@ COMMANDS = dict(PIPELINE_STAGES) | {"pipeline": cmd_pipeline}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)  # every command's flags
+    flags.add_argument("--config", help="key=value configuration file")
+    for name in PipelineConfig._fields:
+        flags.add_argument("--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS,
+                           metavar="V")
     parser = argparse.ArgumentParser(
         prog="hyperdisc",
         description="Hypernym discovery over a POS-tagged corpus.",
@@ -473,11 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         row = STAGES.get(name)
         text = f"reads {', '.join(row.reads)}; writes {row.writes}" if row else "run every stage"
-        sub = subparsers.add_parser(name, help=text, description=text)
-        sub.add_argument("--config", help="key=value configuration file")
-        for name in PipelineConfig._fields:
-            flag = "--" + name.replace("_", "-")
-            sub.add_argument(flag, dest=name, default=argparse.SUPPRESS, metavar="V")
+        subparsers.add_parser(name, help=text, description=text, parents=[flags])
     return parser
 
 
@@ -494,8 +486,10 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise CliError(f"--{key.replace('_', '-')}: {exc}") from None
         cfg = load_config(config_path, overrides)
+        if command in STAGES:  # `pipeline` checks the directory of every artifact itself
+            _require_writable(cfg, STAGES[command].writes)
         COMMANDS[command](cfg)
-    except (CliError, FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # `CliError` and `FormatError` among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -26,7 +26,7 @@ one position it is the plain per-position SGD. Training stays
 single-process, and its only BLAS calls are the small matrix products of
 each group's vectors with its negatives. So the weights are
 byte-reproducible for a fixed seed on one BLAS build; CI compares the
-embedding trained at one and at two BLAS threads, byte for byte.
+embedding trained at one, two and four BLAS threads, byte for byte.
 ``cbow_step_loss`` is the independent oracle for the same loss and
 gradients.
 
@@ -370,7 +370,8 @@ def _train(
     ``ids``: from its first position's window to its last one's. The
     windows, cut at their line's bounds, and the learning rates are taken
     for ``CHUNK`` blocks at a time, so their memory does not grow with the
-    corpus."""
+    corpus. Raises `ValueError` naming ``lr`` when an epoch leaves a
+    non-finite weight."""
     total = config.epochs * ids.size
     window = min(config.window, ids.size)  # a window is cut at its line's bounds anyway
     n_neg = config.negatives
@@ -379,7 +380,7 @@ def _train(
     lr0 = config.lr
     lr_floor = LR_FLOOR_FRACTION * lr0
     work: dict = {}  # `apply_step`'s arrays, reused block after block
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged epoch raises below
         for epoch in range(config.epochs):
             for chunk in range(0, ids.size, CHUNK * block):
                 pos = np.arange(chunk, min(chunk + CHUNK * block, ids.size))
@@ -408,6 +409,9 @@ def _train(
                     apply_step(w_in, w_out, ids[seg : hi[last - 1]], lo[first:last] - seg,
                                hi[first:last] - seg, chunk + first - seg, negs, lr[first:last],
                                work)
+            if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+                raise ValueError(f"training diverged in epoch {epoch + 1} of {config.epochs}; "
+                                 f"lower lr (now {lr0})")
 
 
 def train_cbow(
@@ -423,8 +427,9 @@ def train_cbow(
     vocabulary's counts are taken. The second encodes each line of at least
     two vocabulary tokens into one id array and its end into the line
     bounds; only those two arrays are kept. Raises if nothing survives the
-    frequency filter or ``config.seed`` is None, and `FormatError` if the
-    corpus's last line is cut short.
+    frequency filter, ``config.seed`` is None or an epoch leaves a weight
+    that is not finite, and `FormatError` if the corpus's last line is cut
+    short.
     """
     if config.seed is None:
         raise ValueError("train_cbow needs a seed, so that its weights are reproducible")
@@ -626,7 +631,7 @@ def candidates_from_phi(
     target, v_j the pool's columns and t32, v32_j their float32 copies, the
     screen scores s_j = sq_j - 2<t32, v32_j> in float32, sq_j = ||v32_j||^2
     cached with the pool, the dot products of a block of targets all from
-    one BLAS product (a matrix-vector product for a block of one). s_j is
+    one BLAS product (a matrix-vector product for a lone target). s_j is
     ||v_j - t||^2 - ||t32||^2 (the same shift for every column) to within
 
         E = (dim + 8) u (V + T)^2 + (dim + 2) 2^-148,    u = 2^-24,
@@ -779,7 +784,7 @@ def _screen(pool: _PhiPool, targets: np.ndarray, cut: int):
     fit = [i for i, t_norm in enumerate(t_norms) if t_norm < SCREEN_MAX_NORM]
     t32 = targets[fit].astype(np.float32) * -2
     kept = [None] * len(targets)
-    for i, score in zip(fit, t32 @ pool.v32 if len(fit) != 1 else [t32[0] @ pool.v32]):
+    for i, score in zip(fit, t32 @ pool.v32):
         kept[i] = _survivors(pool, score, t_norms[i], cut)
     return kept
 

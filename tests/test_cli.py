@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from hyperdisc.cooc import (
 )
 from hyperdisc.corpus_io import (
     FormatError,
+    Query,
+    QueryKind,
     load_gold,
     load_queries,
     load_vocabulary,
@@ -167,6 +170,34 @@ def test_module_lists_name_terms_in_normal_form(tmp_path, dataset):
             if cands:
                 named.add(source)
     assert named == set(Source)
+
+
+def test_head_word_ends_a_multiword_concepts_isa_list(tmp_path, dataset):
+    """A multiword concept's head word joins its IS-A list at score 0.5 when
+    the vocabulary holds it and the list has neither it nor k terms."""
+    vocab_path = tmp_path / "vocab.txt"
+    vocab_path.write_text(dataset.vocab.read_text(encoding="utf-8") + "widget\ngadget\ngizmo\n",
+                          encoding="utf-8")
+    cfg = make_config(dataset, tmp_path, vocab=str(vocab_path), k=2)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "pipeline") == 0
+    pairs = ["red_widget\tgadget", "blue_widget\twidget", "blue_widget\twidget",
+             "green_widget\tgadget", "green_widget\tgadget", "green_widget\tgizmo",
+             "red_doohickey\tgadget"]
+    with corpus_io.write_artifact(cfg.isa_corpus, cfg.header()) as fh:
+        fh.write("".join(pair + "\n" for pair in pairs))
+    queries = [Query("red widget", QueryKind.CONCEPT), Query("blue widget", QueryKind.CONCEPT),
+               Query("red widget", QueryKind.ENTITY), Query("green widget", QueryKind.CONCEPT),
+               Query("red doohickey", QueryKind.CONCEPT)]
+    isa = [[(c.term, c.score) for c in lists[Source.ISA]] for lists in module_lists(cfg)(queries)]
+    assert isa == [
+        [("gadget", 1.0), ("widget", 0.5)],  # appended
+        [("widget", 2.0)],  # not twice
+        [("gadget", 1.0)],  # an entity has no head word
+        [("gadget", 2.0), ("gizmo", 1.0)],  # the list holds k already
+        [("gadget", 1.0)],  # the head word is not in the vocabulary
+    ]
 
 
 def test_stage_chain_requires_upstream(tmp_path, dataset, capsys):
@@ -553,6 +584,7 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
         ("--epochs", "0", "epochs must be at least 1, got 0"),
         ("--lr", "inf", "lr must be a finite number, got inf"),
         ("--k", "16", "k must be between 1 and 15, got 16"),
+        ("--workers", "0", "workers must be at least 1"),
         # input files and the seed: `pipeline` checks every stage's before it writes
         ("--gold", "/no-such-dir/gold.tsv",
          "input file for 'gold' not found: /no-such-dir/gold.tsv"),
@@ -730,10 +762,11 @@ def test_diverging_training_writes_no_embedding(tmp_path, dataset, capsys):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning raises past `main`
         assert run(cfg_path, "pipeline", "--lr", "1e300") == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg.embedding}: row ") and "has a non-finite value" in err
+    assert err == "error: training diverged in epoch 1 of 2; lower lr (now 1e+300)\n"
     assert not os.path.exists(cfg.embedding)
 
 
@@ -850,6 +883,19 @@ def test_unknown_config_key_is_error(tmp_path):
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text("no_such_key=1\n")
     assert main(["normalize", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("text, problem", [
+    (None, "config file not found: {path}"),
+    ("# note\nk=abc\n", "{path}: line 2: invalid literal for int() with base 10: 'abc'"),
+    ("p_at_normalized=maybe\n", "{path}: line 1: not a boolean: 'maybe'"),
+], ids=["missing", "bad-int", "bad-bool"])
+def test_config_file_error_names_the_file(tmp_path, capsys, text, problem):
+    cfg_path = tmp_path / "config.txt"
+    if text is not None:
+        cfg_path.write_text(text, encoding="utf-8")
+    assert main(["normalize", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {problem.format(path=cfg_path)}\n"
 
 
 def test_config_not_utf8_names_file_and_line(tmp_path, capsys):

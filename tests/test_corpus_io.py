@@ -166,6 +166,19 @@ def test_load_queries(tmp_path):
     ]
 
 
+def test_load_queries_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_text("lemongrass\tConcept\n\n \t \nHurricane\tEntity\nx\tThing\n")
+    with pytest.raises(FormatError) as info:
+        load_queries(path)
+    assert str(info.value).startswith(f"{path}: line 5: unknown query kind 'Thing'")
+    path.write_text("lemongrass\tConcept\n\n \t \nHurricane\tEntity\n")
+    assert load_queries(path) == [
+        Query("lemongrass", QueryKind.CONCEPT),
+        Query("hurricane", QueryKind.ENTITY),
+    ]
+
+
 def test_load_queries_unknown_kind_names_line(tmp_path):
     path = tmp_path / "q.tsv"
     path.write_text("x\tThing\n")

@@ -584,6 +584,15 @@ def test_empty_vocabulary_is_error(tmp_path):
         train_cbow(path, config)
 
 
+def test_one_token_vocabulary_is_error(tmp_path):
+    path = tmp_path / "c.txt"
+    write_corpus(path, [["a", "a", "b"]] * 5)
+    config = EmbeddingConfig(dim=4, window=2, min_count=6, epochs=1, seed=0)
+    with pytest.raises(ValueError) as info:
+        train_cbow(path, config)
+    assert str(info.value) == "need at least two vocabulary tokens for negative sampling"
+
+
 def trained_corpus(monkeypatch, path, config):
     """`train_cbow`'s model, and the ids and bounds of each `_train` call."""
     calls = []
@@ -807,6 +816,15 @@ def test_fit_phi_no_usable_pairs_is_error():
     model = EmbeddingModel(vocab=vocab, input_vectors=np.vstack([base, base]))
     with pytest.raises(ValueError):
         fit_phi([("ghost", "spirit")], model, PhiMode.OFFSET)
+
+
+def test_fit_phi_rejects_negative_ridge():
+    rng = np.random.default_rng(4)
+    vocab, base = planted_model(rng)
+    model = EmbeddingModel(vocab=vocab, input_vectors=np.vstack([base, base]))
+    with pytest.raises(ValueError) as info:
+        fit_phi([("x0", "y0")], model, PhiMode.MATRIX, ridge=-1e-3)
+    assert str(info.value) == "ridge must be non-negative"
 
 
 def every_term(model):

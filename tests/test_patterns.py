@@ -95,6 +95,13 @@ def test_trigger_with_and_without_comma(trigger, pattern_id, comma):
         assert found == [PatternMatch(pattern_id, "herbs", ("basil", "mint"))]
 
 
+def test_and_other_list_stops_at_a_comma_after_a_non_noun():
+    line = "Quickly_RB ,_, cars_NNS and_CC other_JJ vehicles_NNS"
+    assert extract_hearst(parse_tagged_line(line)) == [
+        PatternMatch(PatternId.AND_OTHER, "vehicles", ("cars",))
+    ]
+
+
 @pytest.mark.parametrize("line,expected", SENTENCES)
 def test_fixture_sentence(line, expected):
     paragraph = parse_tagged_line(line)
