@@ -188,7 +188,9 @@ def _coerce(key: str, raw: str):
 def load_config(
     path: str | None = None, overrides: dict[str, object] | None = None
 ) -> PipelineConfig:
-    """Read a ``key=value`` config file and apply flag overrides on top."""
+    """Read a ``key=value`` config file and apply flag overrides on top. An
+    artifact key that names the config file is refused, so that no stage
+    writes over it."""
     values: dict[str, object] = {}
     if path:
         if not os.path.exists(path):
@@ -207,7 +209,12 @@ def load_config(
                 raise CliError(f"{path}: line {file_line(path, n)}: {exc}") from None
     if overrides:
         values.update(overrides)
-    return PipelineConfig(**values)
+    cfg = PipelineConfig(**values)
+    config_file = os.path.abspath(path) if path else None
+    for key in WRITERS:
+        if getattr(cfg, key) and os.path.abspath(getattr(cfg, key)) == config_file:
+            raise CliError(f"config key '{key}' names the config file: {path}")
+    return cfg
 
 
 def write_config(path: str | os.PathLike, cfg: PipelineConfig) -> None:

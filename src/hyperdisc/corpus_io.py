@@ -2,7 +2,8 @@
 
 Formats (all UTF-8 lines, but for the vector block of the embedding and phi
 files; a line ends at ``\\n``, and the ``\\r``s just before it are dropped, so
-CRLF files read as LF ones and a lone ``\\r`` stays inside its line):
+CRLF files read as LF ones and a lone ``\\r`` stays inside its line; a UTF-8
+byte-order mark at the start of a file is not part of its first line):
 
 * tagged corpus: one paragraph per line, space-separated ``surface_POS``
   tokens; the split is on the LAST underscore, so surfaces may contain
@@ -39,6 +40,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from codecs import BOM_UTF8
 from contextlib import ExitStack, contextmanager, suppress
 from enum import Enum
 from functools import partial
@@ -153,9 +155,12 @@ def read_header(fh: BinaryIO, path: str | os.PathLike) -> dict[str, str]:
     """The header block of ``fh``, a file open in binary at its start: the
     leading ``#key value`` lines (`HEADER_LINE`) up to and including the
     ``#config-hash`` stamp, each ending as a data line ends
-    (`iter_data_lines`). Lines are decoded one at a time and nothing past
-    the block is: ``fh`` is left at the first data line. A line that is not
-    UTF-8 is a `FormatError` naming the file and the line."""
+    (`iter_data_lines`), after a UTF-8 byte-order mark, which is skipped.
+    Lines are decoded one at a time and nothing past the block is: ``fh``
+    is left at the first data line. A line that is not UTF-8 is a
+    `FormatError` naming the file and the line."""
+    if fh.read(len(BOM_UTF8)) != BOM_UTF8:
+        fh.seek(0)
     meta: dict[str, str] = {}
     n = 0  # lines read so far
     while CONFIG_HASH_KEY not in meta:  # the stamp ends the header

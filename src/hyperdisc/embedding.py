@@ -13,8 +13,9 @@ of its initial value over all positions of all epochs.
 Training is block-batched: the corpus is one id array with its line
 bounds, and each block of ``BLOCK`` consecutive positions is one weight
 update, ``apply_step``, the only one. A block takes every gradient at its
-start weights, cuts each context window at its line's bounds and keeps
-each position's own learning rate. Its positions are consecutive, so it
+start weights, cuts its own positions' context windows at their lines'
+bounds and takes each position's own learning rate, so that no array it
+makes grows with the corpus. Its positions are consecutive, so it
 reads every context from one segment of the id array: the contexts'
 sums and the input rows' updates are differences of prefix sums over
 that segment. After Ji et al. (arXiv:1604.04661),
@@ -105,7 +106,6 @@ NOISE_POWER = 0.75
 LR_FLOOR_FRACTION = 0.1
 BLOCK = 256  # training positions per weight update
 GROUP = 16  # consecutive positions of a block that share one row of negatives
-CHUNK = 16  # blocks whose windows and learning rates `_train` takes in one pass
 # the most `dim` and `negatives` may be: far past any array that fits in memory,
 # so that a larger value fails before any stage runs, not inside numpy
 MAX_SIDE = 2**32
@@ -190,15 +190,8 @@ class EmbeddingModel:
     def dimension(self) -> int:
         return self.input_vectors.shape[1]
 
-    def __contains__(self, term: str) -> bool:
-        return term_to_token(term) in self.index
-
     def row(self, term: str) -> int | None:
         return self.index.get(term_to_token(term))
-
-    def vector(self, term: str) -> np.ndarray | None:
-        row = self.row(term)
-        return None if row is None else self.input_vectors[row]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -367,11 +360,11 @@ def _train(
     rises from 0 to ``ids.size``; each line has at least two ids, so that
     every position has a context) in blocks of ``block`` consecutive
     positions, one `apply_step` per block, on the block's segment of
-    ``ids``: from its first position's window to its last one's. The
-    windows, cut at their line's bounds, and the learning rates are taken
-    for ``CHUNK`` blocks at a time, so their memory does not grow with the
-    corpus. Raises `ValueError` naming ``lr`` when an epoch leaves a
-    non-finite weight."""
+    ``ids``: from its first position's window to its last one's. Each block
+    cuts its own positions' windows at their lines' bounds and takes their
+    learning rates, so that no array it makes grows with the corpus.
+    Raises `ValueError` naming ``lr`` when an epoch leaves a non-finite
+    weight."""
     total = config.epochs * ids.size
     window = min(config.window, ids.size)  # a window is cut at its line's bounds anyway
     n_neg = config.negatives
@@ -382,33 +375,27 @@ def _train(
     work: dict = {}  # `apply_step`'s arrays, reused block after block
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged epoch raises below
         for epoch in range(config.epochs):
-            for chunk in range(0, ids.size, CHUNK * block):
-                pos = np.arange(chunk, min(chunk + CHUNK * block, ids.size))
+            for first in range(0, ids.size, block):
+                pos = np.arange(first, min(first + block, ids.size))
                 line = np.searchsorted(bounds, pos, side="right")
                 # each position's window [lo, hi), itself included
                 lo = np.maximum(pos - window, bounds[line - 1])
                 hi = np.minimum(pos + window + 1, bounds[line])
-                lr = lr0 * (1.0 - 0.9 * (epoch * ids.size + pos) / total)
-                lr = np.maximum(lr, lr_floor)
-                for first in range(0, pos.size, block):
-                    last = min(first + block, pos.size)
-                    size = last - first
-                    centers = ids[chunk + first : chunk + last]
-                    groups = -(-size // group)
-                    width = -(-size // groups)  # as `apply_step` reads it, <= group
-                    negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg))
-                    negs = negs.reshape(groups, n_neg)
-                    while True:
-                        # a negative clashes with any center of its group
-                        hits = np.repeat(negs, width, axis=0)[:size] == centers[:, None]
-                        clash = np.logical_or.reduceat(hits, np.arange(0, size, width))
-                        if not clash.any():
-                            break
-                        negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
-                    seg = int(lo[first])
-                    apply_step(w_in, w_out, ids[seg : hi[last - 1]], lo[first:last] - seg,
-                               hi[first:last] - seg, chunk + first - seg, negs, lr[first:last],
-                               work)
+                lr = np.maximum(lr0 * (1.0 - 0.9 * (epoch * ids.size + pos) / total), lr_floor)
+                size, centers = pos.size, ids[first : first + pos.size]
+                groups = -(-size // group)
+                width = -(-size // groups)  # as `apply_step` reads it, <= group
+                negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg)).reshape(groups, n_neg)
+                while True:
+                    # a negative clashes with any center of its group
+                    hits = np.repeat(negs, width, axis=0)[:size] == centers[:, None]
+                    clash = np.logical_or.reduceat(hits, np.arange(0, size, width))
+                    if not clash.any():
+                        break
+                    negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
+                seg = int(lo[0])
+                apply_step(w_in, w_out, ids[seg : hi[-1]], lo - seg, hi - seg, first - seg, negs,
+                           lr, work)
             if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
                 raise ValueError(f"training diverged in epoch {epoch + 1} of {config.epochs}; "
                                  f"lower lr (now {lr0})")
@@ -426,7 +413,8 @@ def train_cbow(
     so its `Counter` grows with the corpus; it is dropped once the
     vocabulary's counts are taken. The second encodes each line of at least
     two vocabulary tokens into one id array and its end into the line
-    bounds; only those two arrays are kept. Raises if nothing survives the
+    bounds; only those two arrays are kept, and `_train` cuts each block's
+    windows from them as it reaches the block. Raises if nothing survives the
     frequency filter, ``config.seed`` is None or an epoch leaves a weight
     that is not finite, and `FormatError` if the corpus's last line is cut
     short.

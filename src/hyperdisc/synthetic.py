@@ -34,6 +34,9 @@ ISA_REPEATS = 3
 COOC_REPEATS = 8
 HEARST_FRACTION = 0.4
 HEARST_NOISE_FRACTION = 0.3
+ENTITY_FRACTION = 0.1  # the chance that a query is of kind Entity
+TRAIN_FRACTION = 0.5  # the share of planted pairs in the training split
+WORD_SYLLABLES = 3  # the syllables of a pseudoword
 CONFUSER_COOC_REPEATS = 2
 
 
@@ -65,8 +68,8 @@ class PlantedDataset:
     test_pairs: list[tuple[str, str]]
 
 
-def _pseudoword(rng: np.random.Generator, n_syllables: int = 3) -> str:
-    return "".join(SYLLABLES[rng.integers(len(SYLLABLES))] for _ in range(n_syllables))
+def _pseudoword(rng: np.random.Generator) -> str:
+    return "".join(SYLLABLES[rng.integers(len(SYLLABLES))] for _ in range(WORD_SYLLABLES))
 
 
 def _unique_words(rng: np.random.Generator, count: int, taken: set[str]) -> list[str]:
@@ -161,8 +164,6 @@ def generate(
     n_hyponyms: int = 50,
     seed: int = 7,
     noise_lines: int = 600,
-    entity_fraction: float = 0.1,
-    train_fraction: float = 0.5,
     distractor_vocab: int = 20,
 ) -> PlantedDataset:
     """Write the planted corpus and its query/gold/vocabulary files.
@@ -219,7 +220,7 @@ def generate(
 
     pairs = taxonomy.pairs
     split_order = rng.permutation(len(pairs))
-    n_train = int(len(pairs) * train_fraction)
+    n_train = int(len(pairs) * TRAIN_FRACTION)
     train_pairs = [pairs[i] for i in split_order[:n_train]]
     test_pairs = [pairs[i] for i in split_order[n_train:]]
 
@@ -230,11 +231,7 @@ def generate(
             g_path, "w", encoding="utf-8"
         ) as gf:
             for hyponym, hypernym in split:
-                kind = (
-                    QueryKind.ENTITY
-                    if rng.random() < entity_fraction
-                    else QueryKind.CONCEPT
-                )
+                kind = QueryKind.ENTITY if rng.random() < ENTITY_FRACTION else QueryKind.CONCEPT
                 qf.write(f"{hyponym}\t{kind.value}\n")
                 gf.write(f"{hypernym}\n")
         return q_path, g_path

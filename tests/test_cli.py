@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from codecs import BOM_UTF8
 from functools import partial
 from pathlib import Path
 
@@ -633,6 +634,28 @@ def test_artifact_naming_another_keys_file_is_rejected(
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, key, flags", [
+    ("pipeline", "metrics", ()),
+    ("predict", "predictions", ("--predictions", "./config.txt")),
+], ids=["in-config", "flag"])
+def test_artifact_key_naming_the_config_file_is_refused(
+    tmp_path, dataset, capsys, monkeypatch, command, key, flags
+):
+    """An artifact key that names the config file, in the file or by a
+    flag, is refused before any stage runs: the config keeps its bytes and
+    no artifact is written."""
+    monkeypatch.chdir(tmp_path)
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg = make_config(dataset, work)
+    write_config("config.txt", cfg if flags else cfg._replace(metrics="config.txt"))
+    before = (tmp_path / "config.txt").read_bytes()
+    assert main([command, "--config", "config.txt", *flags]) == 2
+    assert capsys.readouterr().err == f"error: config key '{key}' names the config file: config.txt\n"
+    assert (tmp_path / "config.txt").read_bytes() == before
+    assert list(work.iterdir()) == []
+
+
 def test_paths_compare_as_absolute_paths(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(CliError, match="config keys 'corpus' and 'phi' name one file"):
@@ -712,6 +735,32 @@ def test_crlf_inputs_give_the_lf_run(tmp_path, dataset, capsys):
         out = capsys.readouterr().out
         runs.append((out, {key: after_header(getattr(cfg, key)) for key in ARTIFACT_KEYS}))
     assert b"\r\n" in Path(inputs["corpus"]).read_bytes()
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("keys, config", [(("corpus",), False), (cli.INPUTS, True)],
+                         ids=["corpus", "every-input"])
+def test_byte_order_mark_inputs_give_the_plain_run(tmp_path, dataset, capsys, keys, config):
+    """Inputs and a config that start with a UTF-8 byte-order mark give
+    every artifact, after its stamp, and every summary line of the run on
+    the plain files."""
+    inputs = {}
+    for key in keys:
+        path = Path(getattr(dataset, key))
+        inputs[key] = str(tmp_path / path.name)
+        Path(inputs[key]).write_bytes(BOM_UTF8 + path.read_bytes())
+    runs = []
+    for name, overrides in (("plain", {}), ("marked", inputs)):
+        (tmp_path / name).mkdir()
+        cfg = make_config(dataset, tmp_path / name, **overrides)
+        cfg_path = tmp_path / name / "config.txt"
+        write_config(cfg_path, cfg)
+        if overrides and config:
+            cfg_path.write_bytes(BOM_UTF8 + cfg_path.read_bytes())
+        capsys.readouterr()
+        assert run(cfg_path, "pipeline") == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        runs.append((out, {key: after_header(getattr(cfg, key)) for key in ARTIFACT_KEYS}))
     assert runs[0] == runs[1]
 
 
@@ -905,6 +954,13 @@ def test_config_not_utf8_names_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {cfg_path}: not UTF-8 text at line 2 (invalid continuation byte)\n"
     )
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, dataset):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    write_config(plain, make_config(dataset, tmp_path))
+    marked.write_bytes(BOM_UTF8 + plain.read_bytes())
+    assert load_config(str(marked)) == load_config(str(plain)) == make_config(dataset, tmp_path)
 
 
 def test_config_error_lines_count_comments(tmp_path):

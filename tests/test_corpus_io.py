@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+from codecs import BOM_UTF8
 from typing import NamedTuple
 from unittest import mock
 
@@ -335,6 +336,29 @@ def test_binary_header_reader_equals_text_reader(tmp_path_factory, lines):
     assert header == read_artifact(path)[0]
     data = [line.rstrip("\r") for line in rest.split("\n")[:-1]]
     assert data == list(iter_data_lines(path))
+
+
+@pytest.mark.parametrize("header", [b"", b"#note a\n#config-hash cafe\n"], ids=["bare", "stamped"])
+def test_byte_order_mark_is_not_part_of_the_first_line(tmp_path, header):
+    """A vocabulary, queries or gold file that starts with a UTF-8
+    byte-order mark reads as the file without it: the same header, terms,
+    queries and gold, and an error names the same line."""
+    texts = {"vocab": b"plant\noil plant\n", "queries": b"basil\tConcept\nrose\tEntity\n",
+             "gold": b"herb\nflower\tplant\n", "bad": b"basil\tBogus\n"}
+    reads = []
+    for mark in (b"", BOM_UTF8):
+        path = {}
+        for name, text in texts.items():
+            path[name] = tmp_path / f"{name}{len(mark)}.txt"
+            path[name].write_bytes(mark + header + text)
+        queries = load_queries(path["queries"])
+        with pytest.raises(FormatError) as info:
+            load_queries(path["bad"])
+        reads.append((read_artifact(path["vocab"])[0], load_vocabulary(path["vocab"]), queries,
+                      load_gold(path["gold"], queries),
+                      str(info.value).replace(str(path["bad"]), "bad")))
+    assert reads[1] == reads[0]
+    assert reads[0][1] == {"plant", "oil plant"}
 
 
 def test_lone_cr_stays_inside_a_header_line(tmp_path):

@@ -515,19 +515,6 @@ def test_windowed_trainer_equals_padded_reference(case):
     assert relative_error(out_b, out_a) < 1e-12
 
 
-@pytest.mark.parametrize("chunk", [1, 10**6], ids=["one_block", "whole_corpus"])
-def test_chunk_size_changes_no_weight(monkeypatch, chunk):
-    # several chunks of the module size, and lines across their bounds
-    lines, config, counts = windowed_case(
-        9, 30, 5, np.random.default_rng(9).integers(2, 80, 400), epochs=2)
-    assert sum(map(len, lines)) > 2 * embedding.CHUNK * embedding.BLOCK
-    default = train_both(lines, config, counts, (embedding._train,))
-    monkeypatch.setattr(embedding, "CHUNK", chunk)
-    (state, w_in, w_out), = train_both(lines, config, counts, (embedding._train,))
-    assert state == default[0][0]
-    assert np.array_equal(w_in, default[0][1]) and np.array_equal(w_out, default[0][2])
-
-
 def test_trainer_memory_is_bounded_by_the_chunk():
     # windows precomputed for the whole corpus would make the peak grow
     # with it, 4x from the smaller corpus to the larger
@@ -677,7 +664,7 @@ def correlated_pair_corpus(path, rng):
 
 
 def cosine(model, x, y):
-    vx, vy = model.vector(x), model.vector(y)
+    vx, vy = model.input_vectors[model.row(x)], model.input_vectors[model.row(y)]
     return float(vx @ vy / (np.linalg.norm(vx) * np.linalg.norm(vy)))
 
 
@@ -690,7 +677,7 @@ def test_correlated_tokens_end_up_similar(tmp_path):
     model = train_cbow(path, config)
     pair_cos = cosine(model, "a", "b")
     for word in noise_words:
-        if word in model:
+        if model.row(word) is not None:
             assert pair_cos > cosine(model, "a", word)
 
 
@@ -871,10 +858,10 @@ def test_phi_candidates_match_brute_force_scan():
     phi = PhiTransform(PhiMode.OFFSET, offset=rng.normal(0, 1, dim))
     candidate_vocab = frozenset(vocab[: n // 2])
     got = candidates_from_phi(phi, model, "w005", candidate_vocab, k=15)
-    target = model.vector("w005") + phi.offset
+    target = model.input_vectors[model.row("w005")] + phi.offset
     scan = sorted(
         (
-            (float(np.linalg.norm(model.vector(w) - target)), w)
+            (float(np.linalg.norm(model.input_vectors[model.row(w)] - target)), w)
             for w in vocab[: n // 2]
             if w != "w005"
         ),
