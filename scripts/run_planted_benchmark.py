@@ -1,92 +1,115 @@
 #!/usr/bin/env python3
-"""Generate a planted-taxonomy dataset, run the full pipeline on it, and
-print per-module standalone scores next to the merged result.
+"""Per-module and merged scores on the benchmark's own input, over a range of seeds.
 
-This is the desk-scale analogue of evaluating the real system: the planted
-pairs play the role of gold data, and the per-module table shows why IS-A
-evidence is merged first.
+    PYTHONPATH=src python3 scripts/run_planted_benchmark.py WORKDIR \
+        [--seeds FIRST[-LAST]] [--hypernyms N] [--hyponyms N] [--dim D] \
+        [--epochs E] [--order-mode {fixed,trained}]
+
+For each seed (default: the one seed 7), generates the hard planted input of
+the benchmark's `build` workload (``perfbench/hard.py`` at the sizes and
+training settings of ``perfbench/run.py``'s ``SIZES``; the flags override
+them) in ``WORKDIR/<seed>``, runs ``hyperdisc pipeline`` on it with its
+stdout held back, and prints a table to 4 decimals: each module's standalone
+MRR, MAP and P@1 on the test split, then a ``merged`` row scored from
+``predictions.tsv``. The module lists come from ``cli.module_lists``, the one
+loader ``predict`` answers through, and their scores from
+``rank.module_reports``, the scoring that ``order_mode=trained`` ranks the
+modules by on the training split. With more than one seed, a last table
+holds the mean of each cell over the seeds. Phi MRR moves by about 0.02 from
+one seed to the next, so compare two checkouts by these means over ten seeds
+or more, never by one seed.
 """
 
+from __future__ import annotations
+
 import argparse
-import time
+import contextlib
+import io
+import statistics
+import sys
 from pathlib import Path
 
-from hyperdisc import synthetic
-from hyperdisc.cli import PipelineConfig, main as cli_main, module_lists, write_config
-from hyperdisc.corpus_io import load_gold, load_queries
-from hyperdisc.rank import module_reports
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from hard import generate_hard  # noqa: E402
+from run import SIZES  # noqa: E402
+
+from hyperdisc.cli import (  # noqa: E402
+    WRITERS, PipelineConfig, main as cli_main, module_lists, write_config,
+)
+from hyperdisc.corpus_io import load_gold, load_queries, read_predictions  # noqa: E402
+from hyperdisc.metrics import evaluate  # noqa: E402
+from hyperdisc.rank import module_reports  # noqa: E402
+
+BUILD = SIZES["build"]
 
 
-def planted_config(
-    dataset: synthetic.PlantedDataset, artifacts: Path, **settings
-) -> PipelineConfig:
-    """A pipeline over ``dataset`` writing into ``artifacts``, with window 5,
-    min_count 5 and learning rate 0.05 unless ``settings`` say otherwise."""
-    artifacts.mkdir(parents=True, exist_ok=True)
-    return PipelineConfig(
-        corpus=str(dataset.corpus),
-        vocab=str(dataset.vocab),
-        queries=str(dataset.queries),
-        gold=str(dataset.gold),
-        train_queries=str(dataset.train_queries),
-        train_gold=str(dataset.train_gold),
-        normalized=str(artifacts / "normalized.txt"),
-        hearst_corpus=str(artifacts / "hearst_corpus.tsv"),
-        isa_corpus=str(artifacts / "isa_corpus.tsv"),
-        cooc_index=str(artifacts / "cooc_index.tsv"),
-        embedding=str(artifacts / "embedding.txt"),
-        phi=str(artifacts / "phi.txt"),
-        predictions=str(artifacts / "predictions.tsv"),
-        metrics=str(artifacts / "metrics.tsv"),
-        **({"window": 5, "min_count": 5, "lr": 0.05} | settings),
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:  # argparse names the flag and the value
+        raise ValueError(text)
+    return seeds
+
+
+def seed_scores(workdir: Path, seed: int, args: argparse.Namespace) -> dict[str, tuple]:
+    """(MRR, MAP, P@1) of each module and of the merged ranking, from one
+    seed's pipeline run in ``workdir``."""
+    data = generate_hard(
+        workdir / "data", seed, args.hypernyms, args.hyponyms,
+        noise_lines=BUILD["noise_lines"], distractor_vocab=BUILD["distractor_vocab"],
+    ).planted
+    cfg = PipelineConfig(
+        corpus=str(data.corpus), vocab=str(data.vocab), queries=str(data.queries),
+        gold=str(data.gold), train_queries=str(data.train_queries),
+        train_gold=str(data.train_gold),
+        # every artifact under its default file name, in ``workdir``
+        **{key: str(workdir / PipelineConfig._field_defaults[key]) for key in WRITERS},
+        dim=args.dim, epochs=args.epochs, window=BUILD["window"], min_count=BUILD["min_count"],
+        lr=0.05, seed=seed, workers=BUILD["workers"], order_mode=args.order_mode,
     )
+    config = workdir / "config.txt"
+    write_config(config, cfg)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(["pipeline", "--config", str(config)])
+    if rc != 0:
+        raise SystemExit(f"seed {seed}: pipeline exited {rc}")
+    gold = load_gold(cfg.gold, load_queries(cfg.queries))
+    reports = module_reports(module_lists(cfg)([g.query for g in gold]), gold)
+    rows = {source.value: report for source, report in reports.items()}
+    rows["merged"] = evaluate(read_predictions(cfg.predictions), gold)
+    return {name: (report.mrr, report.map, report.p_at[1]) for name, report in rows.items()}
 
 
-def standalone_reports(cfg: PipelineConfig):
-    gold_sets = load_gold(cfg.gold, load_queries(cfg.queries))
-    lists_for = module_lists(cfg)
-    return module_reports(lists_for([g.query for g in gold_sets]), gold_sets)
+def print_table(title: str, rows: dict[str, tuple]) -> None:
+    lines = [title, f"{'module':8s}  {'MRR':>6s}  {'MAP':>6s}  {'P@1':>6s}"]
+    lines += [f"{name:8s}" + "".join(f"  {value:6.4f}" for value in values)
+              for name, values in rows.items()]
+    print("\n".join(lines) + "\n", flush=True)
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workdir", type=Path, help="scratch directory")
-    parser.add_argument("--hypernyms", type=int, default=10)
-    parser.add_argument("--hyponyms", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--dim", type=int, default=32)
-    parser.add_argument("--epochs", type=int, default=2)
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("7"),
+                        help="FIRST or FIRST-LAST, both included (default: 7)")
+    parser.add_argument("--hypernyms", type=int, default=BUILD["n_hypernyms"])
+    parser.add_argument("--hyponyms", type=int, default=BUILD["n_hyponyms"],
+                        help="per hypernym")
+    parser.add_argument("--dim", type=int, default=BUILD["dim"])
+    parser.add_argument("--epochs", type=int, default=BUILD["epochs"])
     parser.add_argument("--order-mode", default="fixed", choices=["fixed", "trained"])
     args = parser.parse_args()
 
-    args.workdir.mkdir(parents=True, exist_ok=True)
-    dataset = synthetic.generate(
-        args.workdir / "data",
-        n_hypernyms=args.hypernyms,
-        n_hyponyms=args.hyponyms,
-        seed=args.seed,
-    )
-    cfg = planted_config(
-        dataset, args.workdir / "artifacts", dim=args.dim, epochs=args.epochs,
-        seed=args.seed, order_mode=args.order_mode,
-    )
-    cfg_path = args.workdir / "config.txt"
-    write_config(cfg_path, cfg)
-
-    start = time.perf_counter()
-    rc = cli_main(["pipeline", "--config", str(cfg_path)])
-    if rc != 0:
-        raise SystemExit(rc)
-    elapsed = time.perf_counter() - start
-
-    print(f"\npipeline completed in {elapsed:.1f}s")
-    print("\nstandalone module scores (test split):")
-    reports = standalone_reports(cfg)
-    print(f"{'module':8s}  {'MRR':>6s}  {'MAP':>6s}  {'P@1':>6s}")
-    for source, rep in reports.items():
-        print(
-            f"{source.value:8s}  {rep.mrr:6.3f}  {rep.map:6.3f}  {rep.p_at[1]:6.3f}"
-        )
+    runs = []
+    for seed in args.seeds:
+        runs.append(seed_scores(args.workdir / str(seed), seed, args))
+        print_table(f"seed {seed}", runs[-1])
+    if len(runs) > 1:
+        print_table(f"mean of {len(runs)} seeds", {
+            name: tuple(map(statistics.fmean, zip(*(run[name] for run in runs))))
+            for name in runs[0]
+        })
 
 
 if __name__ == "__main__":

@@ -188,13 +188,16 @@ def _coerce(key: str, raw: str):
 def load_config(
     path: str | None = None, overrides: dict[str, object] | None = None
 ) -> PipelineConfig:
-    """Read a ``key=value`` config file and apply flag overrides on top. An
-    artifact key that names the config file is refused, so that no stage
-    writes over it."""
+    """Read a ``key=value`` config file, each key set at most once, and apply
+    flag overrides on top. An artifact key that names the config file is
+    refused, so that no stage writes over it."""
     values: dict[str, object] = {}
     if path:
         if not os.path.exists(path):
             raise CliError(f"config file not found: {path}")
+        if os.path.isdir(path):
+            raise CliError(f"config file is a directory: {path}")
+        set_on: dict[str, int] = {}  # key -> the data line that set it
         for n, line in enumerate(iter_data_lines(path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -203,6 +206,10 @@ def load_config(
             key = key.strip()
             if not sep or key not in _FIELD_TYPES:
                 raise CliError(f"{path}: line {file_line(path, n)}: unknown config key {key!r}")
+            if key in set_on:
+                raise CliError(f"{path}: line {file_line(path, n)}: config key {key!r} is "
+                               f"already set on line {file_line(path, set_on[key])}")
+            set_on[key] = n
             try:
                 values[key] = _coerce(key, raw)
             except ValueError as exc:
@@ -227,17 +234,22 @@ def write_config(path: str | os.PathLike, cfg: PipelineConfig) -> None:
 
 
 def _require_file(cfg: PipelineConfig, key: str) -> None:
-    """Check the file under config key `key`: an input must be set and exist;
-    an artifact must exist and carry the current stamp, or its writer is named."""
+    """Check the file under config key `key`: an input must be set and be a
+    file; an artifact must be a file and carry the current stamp, or its
+    writer is named."""
     path, writer = getattr(cfg, key), WRITERS.get(key)
     if writer is None:
         if not path:
             raise CliError(f"config key '{key}' is required for this stage")
         if not os.path.exists(path):
             raise CliError(f"input file for '{key}' not found: {path}")
+        if os.path.isdir(path):
+            raise CliError(f"input file for '{key}' is a directory: {path}")
         return
     if not path or not os.path.exists(path):
         raise CliError(f"missing artifact {path!r}: run the '{writer}' stage first")
+    if os.path.isdir(path):
+        raise CliError(f"artifact '{key}' is a directory: {path}")
     with open(path, "rb") as fh:
         stamped = read_header(fh, path).get(CONFIG_HASH_KEY)
     if stamped is None:

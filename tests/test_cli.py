@@ -263,6 +263,15 @@ def test_stale_or_missing_artifact_names_its_writer(tmp_path, dataset, capsys, s
     )
 
 
+def test_artifact_read_as_a_directory_names_its_key(tmp_path, dataset, capsys):
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+    assert run(cfg_path, "train-embedding", "--normalized", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: artifact 'normalized' is a directory: {tmp_path}\n"
+    assert not os.path.exists(cfg.embedding)
+
+
 def test_stage_table_is_a_graph_in_pipeline_order():
     writes = [row.writes for row in cli.STAGES.values()]
     assert len(writes) == len(set(writes))  # one writer per artifact
@@ -593,6 +602,7 @@ def test_predict_rejects_snapshot_pruned_above_threshold(tmp_path, dataset, caps
          "input file for 'vocab' not found: /no-such-dir/vocab.txt"),
         ("--train-gold", "/no-such-dir/train_gold.tsv",
          "input file for 'train_gold' not found: /no-such-dir/train_gold.tsv"),
+        ("--corpus", ".", "input file for 'corpus' is a directory: ."),
         ("--seed", "", "train-embedding requires a seed (--seed or seed= in the config)"),
         # and the directory of every artifact it writes, the last one too
         ("--predictions", "/no-such-dir/predictions.tsv",
@@ -934,14 +944,22 @@ def test_unknown_config_key_is_error(tmp_path):
     assert main(["normalize", "--config", str(cfg_path)]) == 2
 
 
+DIRECTORY = "a directory in place of the file"
+
+
 @pytest.mark.parametrize("text, problem", [
     (None, "config file not found: {path}"),
+    (DIRECTORY, "config file is a directory: {path}"),
     ("# note\nk=abc\n", "{path}: line 2: invalid literal for int() with base 10: 'abc'"),
     ("p_at_normalized=maybe\n", "{path}: line 1: not a boolean: 'maybe'"),
-], ids=["missing", "bad-int", "bad-bool"])
+    # line numbers count the comment and the blank line, as `file_line` does
+    ("k=5\n# note\n\nk=7\n", "{path}: line 4: config key 'k' is already set on line 1"),
+], ids=["missing", "directory", "bad-int", "bad-bool", "repeated-key"])
 def test_config_file_error_names_the_file(tmp_path, capsys, text, problem):
     cfg_path = tmp_path / "config.txt"
-    if text is not None:
+    if text is DIRECTORY:
+        cfg_path.mkdir()
+    elif text is not None:
         cfg_path.write_text(text, encoding="utf-8")
     assert main(["normalize", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {problem.format(path=cfg_path)}\n"
