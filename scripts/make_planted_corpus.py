@@ -23,14 +23,17 @@ def main() -> None:
                         help="vocabulary terms that occur only in noise lines")
     args = parser.parse_args()
 
-    dataset = synthetic.generate(
-        args.out_dir,
-        n_hypernyms=args.hypernyms,
-        n_hyponyms=args.hyponyms,
-        seed=args.seed,
-        noise_lines=args.noise_lines,
-        distractor_vocab=args.distractor_vocab,
-    )
+    try:
+        dataset = synthetic.generate(
+            args.out_dir,
+            n_hypernyms=args.hypernyms,
+            n_hyponyms=args.hyponyms,
+            seed=args.seed,
+            noise_lines=args.noise_lines,
+            distractor_vocab=args.distractor_vocab,
+        )
+    except ValueError as exc:  # a size out of range (`synthetic.check_sizes`)
+        parser.error(str(exc))
     with open(dataset.corpus, "rb") as fh:
         n_lines = sum(1 for _ in fh)
     print(f"corpus:        {dataset.corpus} ({n_lines} paragraphs)")

@@ -40,6 +40,7 @@ from hyperdisc.cli import (  # noqa: E402
 from hyperdisc.corpus_io import load_gold, load_queries, read_predictions  # noqa: E402
 from hyperdisc.metrics import evaluate  # noqa: E402
 from hyperdisc.rank import module_reports  # noqa: E402
+from hyperdisc.synthetic import check_sizes  # noqa: E402
 
 BUILD = SIZES["build"]
 
@@ -52,9 +53,10 @@ def seed_range(text: str) -> range:
     return seeds
 
 
-def seed_scores(workdir: Path, seed: int, args: argparse.Namespace) -> dict[str, tuple]:
+def seed_scores(workdir: Path, seed: int, args: argparse.Namespace,
+                settings: dict) -> dict[str, tuple]:
     """(MRR, MAP, P@1) of each module and of the merged ranking, from one
-    seed's pipeline run in ``workdir``."""
+    seed's pipeline run in ``workdir`` with the training ``settings``."""
     data = generate_hard(
         workdir / "data", seed, args.hypernyms, args.hyponyms,
         noise_lines=BUILD["noise_lines"], distractor_vocab=BUILD["distractor_vocab"],
@@ -65,8 +67,7 @@ def seed_scores(workdir: Path, seed: int, args: argparse.Namespace) -> dict[str,
         train_gold=str(data.train_gold),
         # every artifact under its default file name, in ``workdir``
         **{key: str(workdir / PipelineConfig._field_defaults[key]) for key in WRITERS},
-        dim=args.dim, epochs=args.epochs, window=BUILD["window"], min_count=BUILD["min_count"],
-        lr=0.05, seed=seed, workers=BUILD["workers"], order_mode=args.order_mode,
+        **settings, seed=seed,
     )
     config = workdir / "config.txt"
     write_config(config, cfg)
@@ -100,10 +101,18 @@ def main() -> None:
     parser.add_argument("--epochs", type=int, default=BUILD["epochs"])
     parser.add_argument("--order-mode", default="fixed", choices=["fixed", "trained"])
     args = parser.parse_args()
+    settings = dict(dim=args.dim, epochs=args.epochs, window=BUILD["window"],
+                    min_count=BUILD["min_count"], lr=0.05, workers=BUILD["workers"],
+                    order_mode=args.order_mode)
+    try:  # before any input is generated
+        PipelineConfig(**settings)
+        check_sizes(args.hypernyms, args.hyponyms, BUILD["noise_lines"], BUILD["distractor_vocab"])
+    except ValueError as exc:
+        parser.error(str(exc))
 
     runs = []
     for seed in args.seeds:
-        runs.append(seed_scores(args.workdir / str(seed), seed, args))
+        runs.append(seed_scores(args.workdir / str(seed), seed, args, settings))
         print_table(f"seed {seed}", runs[-1])
     if len(runs) > 1:
         print_table(f"mean of {len(runs)} seeds", {

@@ -9,7 +9,8 @@ byte-order mark at the start of a file is not part of its first line):
   tokens; the split is on the LAST underscore, so surfaces may contain
   underscores or hyphens. A corpus pass reads a line as two columns, its
   lowercased surfaces and one code per tag (`TAG_CODES`), as
-  `parse_tagged_line` splits it (`_scan_batch` splits a plain line itself).
+  `parse_tagged_line` splits it (the pass, `patterns.scan_corpus`, splits
+  a plain line itself).
 * vocabulary: one candidate hypernym term per line (1-3 words).
 * queries: ``term<TAB>kind`` per line, kind is ``Concept`` or ``Entity``.
 * gold: line i holds the tab-separated gold hypernyms for query i.
@@ -41,12 +42,10 @@ import itertools
 import os
 import re
 from codecs import BOM_UTF8
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from enum import Enum
 from functools import partial
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
-
-from ._parallel import map_lines
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 MAX_PREDICTIONS = 15  # hypernyms scored per query: the cap of every candidate list
 MAX_TERM_WORDS = 3
@@ -255,8 +254,8 @@ def parse_tagged_line(line: str) -> tuple[tuple[str, ...], str] | None:
     valid: every surface lowercased, each on its own, as `str.lower`
     lowercases a final sigma by context, and the `TAG_CODES` code of every
     tag. A token splits on its last underscore and is valid when both the
-    surface and the tag are non-empty; bad tokens are skipped. A corpus
-    pass (`_scan_batch`) splits every line here but a plain one.
+    surface and the tag are non-empty; bad tokens are skipped. The corpus
+    pass (`patterns._scan_batch`) splits every line here but a plain one.
 
     >>> parse_tagged_line("The_DT New_York_NNP bad_ CATS_NNS")
     (('the', 'new_york', 'cats'), 'DNN')
@@ -267,102 +266,6 @@ def parse_tagged_line(line: str) -> tuple[tuple[str, ...], str] | None:
         return None
     surfaces, tags = zip(*pairs)
     return tuple(map(str.lower, surfaces)), "".join(map(TAG_CODES.__getitem__, tags))
-
-
-class ScanStats(NamedTuple):
-    """Counts from one pass over a tagged corpus (`scan_tagged_corpus`).
-    ``paragraphs_in`` and ``bad_tokens`` count only the lines the pass
-    parses: all of them unless it has a gate."""
-
-    paragraphs_in: int = 0      # parsed lines with at least one valid token
-    paragraphs_out: int = 0     # normalized lines written
-    phrases_appended: int = 0   # noun phrases appended to those lines
-    hearst_matches: int = 0
-    isa_matches: int = 0
-    bad_tokens: int = 0
-
-
-BATCH_LINES = 2048  # corpus lines per unit of work handed to `map_lines`
-
-# a line of ``word_TAG`` tokens with one underscore each, single-spaced: every
-# token valid by the `parse_tagged_line` rule, one more than there are spaces
-_PLAIN_LINE = re.compile(r"[^\s_]+_[^\s_]+(?: [^\s_]+_[^\s_]+)*")
-
-# a pass's output lists: normalized, Hearst and IS-A lines
-Outputs = tuple[list[str], list[str], list[str]]
-
-
-def _scan_batch(
-    text: str, work: Callable[[tuple[str, ...], str, Outputs], int],
-    gate: Callable[[str], bool] | None,
-) -> tuple[ScanStats, list[str]]:
-    """Split each line of ``text`` (lines joined by ``\\n``) that ``gate``
-    passes into its columns and hand them to ``work``, skip the others; the
-    batch's counts and, per output, the text of its lines. A plain line
-    (`_PLAIN_LINE`) is split in one pass, with the result `parse_tagged_line`
-    gives it; any other line is split by `parse_tagged_line`."""
-    paragraphs = phrases = bad = 0
-    outs: Outputs = ([], [], [])
-    plain, lower, code = _PLAIN_LINE.fullmatch, str.lower, TAG_CODES.__getitem__
-    for line in text.split("\n"):
-        if gate is not None and not gate(line):
-            continue
-        if plain(line):
-            parts = line.replace("_", " ").split(" ")
-            columns = tuple(map(lower, parts[0::2])), "".join(map(code, parts[1::2]))
-        else:
-            columns = parse_tagged_line(line)
-            bad += len(line.split()) - (len(columns[0]) if columns else 0)
-            if columns is None:
-                continue
-        paragraphs += 1
-        phrases += work(*columns, outs)
-    normalized, hearst, isa = outs
-    stats = ScanStats(paragraphs_in=paragraphs, paragraphs_out=len(normalized),
-                      phrases_appended=phrases, hearst_matches=len(hearst),
-                      isa_matches=len(isa), bad_tokens=bad)
-    return stats, ["".join(f"{line}\n" for line in out) for out in outs]
-
-
-def scan_tagged_corpus(
-    in_path: str | os.PathLike, work: Callable[[tuple[str, ...], str, Outputs], int],
-    outputs: Sequence[str | os.PathLike | None], workers: int = 1,
-    header: dict[str, str] | None = None, gate: Callable[[str], bool] | None = None,
-) -> ScanStats:
-    """Split each data line of a tagged corpus with a valid token into its
-    columns once, and write the normalized, Hearst and IS-A lines that the
-    picklable ``work`` appends to its three output lists to ``outputs`` (a
-    path or None each), after ``header``, in corpus order. ``work`` gets a
-    line's lowercased surfaces, its tag codes and the lists, and returns the
-    number of noun phrases it appended.
-
-    ``gate``, when given, is a picklable test on the raw line that passes
-    every line ``work`` could append a line for. A line it rejects is not
-    parsed: the outputs and their counts are those of the ungated scan, and
-    ``paragraphs_in`` and ``bad_tokens`` count only the lines it passes. A
-    pass that writes the normalized corpus takes no gate: nearly every line
-    yields a normalized line.
-
-    The lines go out in batches of `BATCH_LINES`, each joined into one
-    string; `map_lines` spreads the batches over ``workers`` processes and
-    returns, per batch, its `ScanStats` and one text per output, so no line
-    and no per-line result crosses a process boundary. Here the lines are
-    only read, the counts summed and the texts written in batch order."""
-    stats = ScanStats()
-    lines = iter_data_lines(in_path)
-    batches = map("\n".join, iter(lambda: list(itertools.islice(lines, BATCH_LINES)), []))
-    with ExitStack() as stack:
-        files = [
-            None if path is None else stack.enter_context(write_artifact(path, header))
-            for path in outputs
-        ]
-        scan = partial(_scan_batch, work=work, gate=gate)
-        for part, texts in map_lines(scan, batches, workers):
-            stats = ScanStats(*map(sum, zip(stats, part)))
-            for fh, text in zip(files, texts):
-                if text:
-                    fh.write(text)
-    return stats
 
 
 # ---------------------------------------------------------------------------

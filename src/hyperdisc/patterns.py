@@ -1,10 +1,15 @@
-"""Hearst-pattern and IS-A extraction over tagged paragraphs.
+"""The tagged-corpus pass and its line rules: normalization, and Hearst-
+pattern and IS-A extraction. The rules read a paragraph as its lowercased
+surfaces and one tag code per token (`corpus_io.parse_tagged_line`); a
+phrase is its words joined by underscores.
+
+Normalization (`normalize_columns`) keeps the tokens of the classes of
+`corpus_io.KEEP_PREFIXES` (noun, verb, adjective, adverb) and appends every
+2- or 3-token adjective/noun window ending in a noun as a noun phrase.
 
 The six Hearst grammars and the IS-A grammar, with NP = optional determiner
 (the tag ``DT``) followed by adjectives/nouns ending in a noun head (1-3
-content words, determiner stripped from the emitted phrase). The grammars
-read a paragraph as its lowercased surfaces and one tag code per token
-(`corpus_io.parse_tagged_line`); a phrase is its words joined by underscores:
+content words, determiner stripped from the emitted phrase):
 
 1. NP ``such as`` NP-list
 2. ``such`` NP ``as`` NP-list
@@ -25,25 +30,28 @@ surface regardless of POS tag, which tolerates tagger noise on words like
 scan independently, each only where its trigger word (``such``,
 ``including``, ``especially``, ``or``, ``and``, ``is``) occurs.
 
-A corpus pass that writes no normalized corpus (``extract-hearst``,
-``extract-isa``) parses only the lines that may hold a trigger word of the
-grammars it runs; the gate is built from the grammar tables, so a new
-grammar's trigger is gated in with it. A line the gate rejects cannot hold
-a match, so the pass writes the same bytes and counts the same matches as
-parsing every line; its ``paragraphs_in`` and ``bad_tokens`` count only the
-lines it parses.
+One pass (`scan_corpus`) splits each corpus line once and hands its columns
+to the normalizer and the grammars of the outputs it writes. A pass that
+writes no normalized corpus (``extract-hearst``, ``extract-isa``) parses
+only the lines that may hold a trigger word of the grammars it runs; the
+gate is built from the grammar tables, so a new grammar's trigger is gated
+in with it. A line the gate rejects cannot hold a match, so the pass writes
+the same bytes and counts the same matches as parsing every line; its
+``paragraphs_in`` and ``bad_tokens`` count only the lines it parses.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
+from contextlib import ExitStack
 from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .corpus_io import Outputs, ScanStats, scan_tagged_corpus
-from .normalize import normalize_columns
+from ._parallel import map_lines
+from .corpus_io import TAG_CODES, iter_data_lines, parse_tagged_line, write_artifact
 
 MAX_NP_WORDS = 3
 
@@ -280,20 +288,6 @@ def format_match_line(match: PatternMatch) -> str:
     return "\t".join((*match.hyponyms, match.hypernym))
 
 
-def _scan_columns(
-    normalized: bool, hearst: bool, isa: bool,
-    words: tuple[str, ...], codes: str, outs: Outputs,
-) -> int:
-    """The `scan_tagged_corpus` work of an extract pass: append a paragraph's
-    normalized line and pattern-corpus lines to ``outs``, each only when
-    asked for; return the number of noun phrases appended."""
-    if hearst:
-        outs[1].extend(map(format_match_line, _scan(words, codes, _HEARST_GRAMMARS)))
-    if isa:
-        outs[2].extend(map(format_match_line, _scan(words, codes, _ISA_GRAMMARS)))
-    return normalize_columns(words, codes, outs) if normalized else 0
-
-
 def _may_hold_trigger(needles: tuple[str, ...], pattern: re.Pattern, line: str) -> bool:
     """Whether some token of the raw ``line`` may have a trigger word as its
     lowercased surface: ``pattern`` finds a ``trigger_`` needle at a token
@@ -315,6 +309,133 @@ def _trigger_gate(grammars) -> Callable[[str], bool]:
     return partial(_may_hold_trigger, needles, pattern)
 
 
+PHRASE_LENGTHS = (2, 3)
+_CHUNK_RUN = re.compile(r"[NJ]{%d,}" % min(PHRASE_LENGTHS))  # over `corpus_io.TAG_CODES` codes
+_KEPT_CODES = frozenset("NJK")  # the codes of the `corpus_io.KEEP_PREFIXES` tags
+
+
+def normalize_columns(words: tuple[str, ...], codes: str, out: list[str]) -> int:
+    """Append a paragraph's normalized line to ``out``, none when nothing is
+    kept: its lowercased kept-class ``words`` in order, then its noun
+    phrases; return the number of phrases. A noun phrase is a 2- or 3-token
+    window of chunk ``codes`` that ends in a noun, underscore-joined. Windows
+    may overlap; enumeration is position-major (both windows starting at
+    token i come before any window starting at i+1), shorter first. A window
+    that runs past its run of chunk codes ends the windows of its start; one
+    that ends on a non-noun is skipped."""
+    kept = list(itertools.compress(words, map(_KEPT_CODES.__contains__, codes)))
+    n_kept = len(kept)
+    for run in _CHUNK_RUN.finditer(codes):
+        run_start, run_end = run.span()
+        for start in range(run_start, run_end - 1):
+            for length in PHRASE_LENGTHS:
+                end = start + length
+                if end > run_end:
+                    break
+                if codes[end - 1] == "N":
+                    kept.append("_".join(words[start:end]))
+    if kept:
+        out.append(" ".join(kept))
+    return len(kept) - n_kept
+
+
+class ScanStats(NamedTuple):
+    """Counts from one pass over a tagged corpus (`scan_corpus`).
+    ``paragraphs_in`` and ``bad_tokens`` count only the lines the pass
+    parses: all of them unless it is gated."""
+
+    paragraphs_in: int = 0      # parsed lines with at least one valid token
+    paragraphs_out: int = 0     # normalized lines written
+    phrases_appended: int = 0   # noun phrases appended to those lines
+    hearst_matches: int = 0
+    isa_matches: int = 0
+    bad_tokens: int = 0
+
+
+BATCH_LINES = 2048  # corpus lines per unit of work handed to `map_lines`
+
+# a line of ``word_TAG`` tokens with one underscore each, single-spaced: every
+# token valid by the `parse_tagged_line` rule, one more than there are spaces
+_PLAIN_LINE = re.compile(r"[^\s_]+_[^\s_]+(?: [^\s_]+_[^\s_]+)*")
+
+
+def _scan_batch(
+    text: str, normalized: bool, hearst: bool, isa: bool, gate: Callable[[str], bool] | None,
+) -> tuple[ScanStats, list[str]]:
+    """Split each line of ``text`` (lines joined by ``\\n``) that ``gate``
+    passes into its columns, skip the others, and run on them the rules of
+    the outputs asked for: `normalize_columns`, the Hearst grammars, the
+    IS-A grammar. Return the batch's counts and the text of each output,
+    normalized, Hearst and IS-A. A plain line (`_PLAIN_LINE`) is split in
+    one pass, with the result `parse_tagged_line` gives it; any other line
+    is split by `parse_tagged_line`."""
+    paragraphs = phrases = bad = 0
+    outs = norm_lines, hearst_lines, isa_lines = [], [], []
+    plain, lower, code = _PLAIN_LINE.fullmatch, str.lower, TAG_CODES.__getitem__
+    for line in text.split("\n"):
+        if gate is not None and not gate(line):
+            continue
+        if plain(line):
+            parts = line.replace("_", " ").split(" ")
+            words, codes = tuple(map(lower, parts[0::2])), "".join(map(code, parts[1::2]))
+        else:
+            columns = parse_tagged_line(line)
+            bad += len(line.split()) - (len(columns[0]) if columns else 0)
+            if columns is None:
+                continue
+            words, codes = columns
+        paragraphs += 1
+        if hearst:
+            hearst_lines.extend(map(format_match_line, _scan(words, codes, _HEARST_GRAMMARS)))
+        if isa:
+            isa_lines.extend(map(format_match_line, _scan(words, codes, _ISA_GRAMMARS)))
+        if normalized:
+            phrases += normalize_columns(words, codes, norm_lines)
+    stats = ScanStats(paragraphs_in=paragraphs, paragraphs_out=len(norm_lines),
+                      phrases_appended=phrases, hearst_matches=len(hearst_lines),
+                      isa_matches=len(isa_lines), bad_tokens=bad)
+    return stats, ["".join(f"{line}\n" for line in out) for out in outs]
+
+
+def scan_corpus(
+    in_path: str | os.PathLike, normalized_out: str | os.PathLike | None,
+    hearst_out: str | os.PathLike | None, isa_out: str | os.PathLike | None,
+    workers: int, header: dict[str, str] | None,
+) -> ScanStats:
+    """Split each data line of a tagged corpus with a valid token into its
+    columns once, and write the normalized, Hearst and IS-A lines of each
+    output given a path, after ``header``, in corpus order; only the rules
+    of those outputs run, and an omitted output's counts stay 0. Without
+    ``normalized_out``, only the lines that `_trigger_gate` passes are
+    parsed (see the module's docstring); with it, every line is, as nearly
+    every line yields a normalized line.
+
+    The lines go out in batches of `BATCH_LINES`, each joined into one
+    string; `map_lines` spreads the batches over ``workers`` processes and
+    returns, per batch, its `ScanStats` and one text per output, so no line
+    and no per-line result crosses a process boundary. Here the lines are
+    only read, the counts summed and the texts written in batch order."""
+    outputs = (normalized_out, hearst_out, isa_out)
+    normalized, hearst, isa = (path is not None for path in outputs)
+    grammars = (_HEARST_GRAMMARS if hearst else ()) + (_ISA_GRAMMARS if isa else ())
+    gate = None if normalized else _trigger_gate(grammars)
+    scan = partial(_scan_batch, normalized=normalized, hearst=hearst, isa=isa, gate=gate)
+    stats = ScanStats()
+    lines = iter_data_lines(in_path)
+    batches = map("\n".join, iter(lambda: list(itertools.islice(lines, BATCH_LINES)), []))
+    with ExitStack() as stack:
+        files = [
+            None if path is None else stack.enter_context(write_artifact(path, header))
+            for path in outputs
+        ]
+        for part, texts in map_lines(scan, batches, workers):
+            stats = ScanStats(*map(sum, zip(stats, part)))
+            for fh, text in zip(files, texts):
+                if text:
+                    fh.write(text)
+    return stats
+
+
 def extract_corpus(
     in_path: str | os.PathLike,
     hearst_out: str | os.PathLike | None = None,
@@ -323,20 +444,9 @@ def extract_corpus(
     header: dict[str, str] | None = None,
     normalized_out: str | os.PathLike | None = None,
 ) -> ScanStats:
-    """Scan a tagged corpus and write pattern-corpus files in corpus order.
-
-    Both corpora hold one match per line, its hyponyms and then its
-    hypernym, tab-separated (`format_match_line`), so an IS-A line is
-    ``hyponym<TAB>hypernym``. Either output may be omitted; only the
-    grammars of the requested outputs run, and an omitted output's match
-    count stays 0. ``normalized_out`` adds the normalized corpus to the pass.
-    Without it, only lines that may hold a trigger word of those grammars
-    are parsed (`_trigger_gate`), and only those count in ``paragraphs_in``
-    and ``bad_tokens``.
-    """
-    outputs = (normalized_out, hearst_out, isa_out)
-    normalized, hearst, isa = (path is not None for path in outputs)
-    work = partial(_scan_columns, normalized, hearst, isa)
-    grammars = (_HEARST_GRAMMARS if hearst else ()) + (_ISA_GRAMMARS if isa else ())
-    gate = None if normalized else _trigger_gate(grammars)
-    return scan_tagged_corpus(in_path, work, outputs, workers, header, gate)
+    """Scan a tagged corpus (`scan_corpus`) and write pattern-corpus files
+    in corpus order, each only when given a path; ``normalized_out`` adds
+    the normalized corpus to the pass. Both corpora hold one match per line,
+    its hyponyms and then its hypernym, tab-separated (`format_match_line`),
+    so an IS-A line is ``hyponym<TAB>hypernym``."""
+    return scan_corpus(in_path, normalized_out, hearst_out, isa_out, workers, header)

@@ -158,6 +158,16 @@ def _hearst_sentence(template: int, h: str, x: str, sibling: str) -> str:
     return f"{x} ,_, {sibling} and_CC other_JJ {h} ._."
 
 
+def check_sizes(n_hypernyms: int, n_hyponyms: int, noise_lines: int, distractor_vocab: int):
+    """Raise `ValueError` naming the first size of `generate` out of range:
+    a confuser needs a second hypernym, and a sibling a second hyponym."""
+    for name, value, least in (("n_hypernyms", n_hypernyms, 2), ("n_hyponyms", n_hyponyms, 2),
+                               ("noise_lines", noise_lines, 0),
+                               ("distractor_vocab", distractor_vocab, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def generate(
     out_dir: str | os.PathLike,
     n_hypernyms: int = 10,
@@ -169,8 +179,10 @@ def generate(
     """Write the planted corpus and its query/gold/vocabulary files.
 
     The train/test split is over planted pairs; every query's gold list is
-    its single planted hypernym.
+    its single planted hypernym. Sizes are checked (`check_sizes`) before
+    any file is written.
     """
+    check_sizes(n_hypernyms, n_hyponyms, noise_lines, distractor_vocab)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

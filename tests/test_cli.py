@@ -1085,13 +1085,13 @@ assert [c.term for c in found] and all(c.term != model.vocab[0] for c in found)
 """
 
 
-def run_fresh_python(code, *args):
-    """Run ``code`` in a new interpreter that imports this package."""
+def run_fresh_python(*args):
+    """Run a new interpreter that imports this package with ``args``
+    (``"-c", code, ...`` or ``"-m", module, ...``)."""
     src = os.path.dirname(os.path.dirname(hyperdisc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -1099,8 +1099,19 @@ def test_stages_that_train_nothing_never_import_numpy(tmp_path, dataset):
     cfg = make_config(dataset, tmp_path)
     cfg_path = tmp_path / "config.txt"
     write_config(cfg_path, cfg)
-    proc = run_fresh_python(NUMPY_ON_FIRST_USE, cfg_path)
+    proc = run_fresh_python("-c", NUMPY_ON_FIRST_USE, cfg_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["hyperdisc", "hyperdisc.cli"])
+def test_module_entry_points_list_every_command(module):
+    """``python -m hyperdisc`` (``__main__.py``) and ``python -m
+    hyperdisc.cli``, the one the benchmark spawns, both run the CLI."""
+    proc = run_fresh_python("-m", module, "--help")
+    assert proc.returncode == 0, proc.stderr
+    listed = [line.split()[0] for line in proc.stdout.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == list(cli.COMMANDS) and len(listed) == 9
 
 
 # what every stage process pays for before it works: importing the CLI loads
@@ -1119,5 +1130,5 @@ assert not missing, f"not imported by hyperdisc.cli: {missing}"
 
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():
-    proc = run_fresh_python(CLI_IMPORT)
+    proc = run_fresh_python("-c", CLI_IMPORT)
     assert proc.returncode == 0, proc.stderr

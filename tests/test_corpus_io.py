@@ -15,7 +15,6 @@ from hyperdisc.corpus_io import (
     FormatError,
     Query,
     QueryKind,
-    ScanStats,
     checked,
     file_line,
     iter_data_lines,
@@ -32,7 +31,9 @@ from hyperdisc.corpus_io import (
     write_predictions,
 )
 from hyperdisc.normalize import normalize_corpus
-from hyperdisc.patterns import extract_corpus
+from hyperdisc.patterns import (
+    ScanStats, extract_corpus, extract_hearst, extract_isa, format_match_line, normalize_columns,
+)
 
 # `#` included, so a paragraph, the first one too, may open with it
 surfaces = st.text(
@@ -50,15 +51,17 @@ def read_paragraphs(path):
 
 
 def scan_columns(line):
-    """The columns `_scan_batch` hands its work for each line of ``line``,
-    and its count of bad tokens."""
+    """The columns `_scan_batch` hands `normalize_columns` for each line of
+    ``line``, and its count of bad tokens."""
     seen = []
 
-    def work(words, codes, outs):
+    def record(words, codes, out):
         seen.append((words, codes))
         return 0
 
-    return seen, corpus_io._scan_batch(line, work, None)[0].bad_tokens
+    with mock.patch.object(patterns, "normalize_columns", record):
+        stats = patterns._scan_batch(line, True, False, False, None)[0]
+    return seen, stats.bad_tokens
 
 
 @checked
@@ -545,7 +548,7 @@ scan_corpora = st.tuples(
 @given(scan_lines)
 def test_scan_columns_equal_last_underscore_rule(line):
     """`_scan_batch` splits a plain line in one pass; the columns it hands
-    its work and its bad-token count are those of splitting each token on
+    `normalize_columns` and its bad-token count are those of splitting each token on
     its last underscore, then lowercasing each surface on its own, on plain
     lines and all others alike."""
     pairs = [raw.rpartition("_") for raw in line.split()]
@@ -575,11 +578,13 @@ def per_line_reference(path, normalized=True, hearst=True, isa=True, gate=None):
         bad += len(line.split()) - (0 if paragraph is None else len(paragraph[0]))
         if paragraph is None:
             continue
-        local = ([], [], [])
-        phrases += patterns._scan_columns(normalized, hearst, isa, *paragraph, local)
         paragraphs += 1
-        for out, lines in zip(outs, local):
-            out.extend(lines)
+        if normalized:
+            phrases += normalize_columns(*paragraph, outs[0])
+        if hearst:
+            outs[1].extend(map(format_match_line, extract_hearst(paragraph)))
+        if isa:
+            outs[2].extend(map(format_match_line, extract_isa(paragraph)))
     stats = ScanStats(paragraphs_in=paragraphs, paragraphs_out=len(outs[0]),
                       phrases_appended=phrases, hearst_matches=len(outs[1]),
                       isa_matches=len(outs[2]), bad_tokens=bad)
@@ -595,7 +600,7 @@ def test_batched_scan_equals_per_line_reference(tmp_path_factory, workers, corpu
     expected_stats, expected = per_line_reference(src)
     normalized, hearst, isa = (root / name for name in ("norm.txt", "hearst.tsv", "isa.tsv"))
     for batch in (1, 2, 3):
-        with mock.patch.object(corpus_io, "BATCH_LINES", batch):
+        with mock.patch.object(patterns, "BATCH_LINES", batch):
             stats = extract_corpus(
                 src, hearst, isa, workers, {"config-hash": "s"}, normalized_out=normalized
             )
@@ -613,7 +618,7 @@ def test_normalize_pass_equals_per_line_reference(tmp_path_factory, workers, cor
     expected_stats, expected = per_line_reference(src, True, False, False)
     out = root / "norm.txt"
     for batch in (1, 2, 3):
-        with mock.patch.object(corpus_io, "BATCH_LINES", batch):
+        with mock.patch.object(patterns, "BATCH_LINES", batch):
             stats = normalize_corpus(src, out, workers, {"config-hash": "s"})
         assert stats == expected_stats, batch
         assert out.read_text(encoding="utf-8") == "#config-hash s\n" + expected[0], batch
@@ -638,7 +643,7 @@ def test_gated_extract_equals_ungated_reference(tmp_path_factory, workers, hears
         paragraphs_in=gated.paragraphs_in, bad_tokens=gated.bad_tokens)
     paths = (root / "hearst.tsv" if hearst else None, root / "isa.tsv" if isa else None)
     for batch in (1, 2, 3):
-        with mock.patch.object(corpus_io, "BATCH_LINES", batch):
+        with mock.patch.object(patterns, "BATCH_LINES", batch):
             stats = extract_corpus(src, *paths, workers, {"config-hash": "s"})
         assert stats == expected_stats, batch
         for path, text in zip(paths, expected[1:]):

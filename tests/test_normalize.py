@@ -4,15 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperdisc.corpus_io import KEEP_PREFIXES, TAG_CODES, parse_tagged_line
-from hyperdisc.normalize import normalize_columns, normalize_corpus
+from hyperdisc.normalize import normalize_corpus
+from hyperdisc.patterns import normalize_columns
 
 
 def normalize_line(line):
     """The normalized lines of ``line`` (one, or none when nothing is kept)
     and its phrase count, from `normalize_columns` on its columns."""
-    outs = ([], [], [])
-    phrases = normalize_columns(*parse_tagged_line(line), outs)
-    return outs[0], phrases
+    out = []
+    phrases = normalize_columns(*parse_tagged_line(line), out)
+    return out, phrases
 
 
 def phrases_of(line):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdisc import corpus_io, patterns
+from hyperdisc import patterns
 from hyperdisc.corpus_io import parse_tagged_line
 from hyperdisc.cooc import Source, build_pair_index
 from hyperdisc.patterns import (
@@ -195,7 +195,7 @@ def test_fixture_through_production_pass(tmp_path, command, workers):
         "extract-isa": (None, tmp_path / "i.tsv", None),
         "pipeline": (tmp_path / "h.tsv", tmp_path / "i.tsv", tmp_path / "n.txt"),
     }[command]
-    with mock.patch.object(corpus_io, "BATCH_LINES", 7):  # several batches for the workers
+    with mock.patch.object(patterns, "BATCH_LINES", 7):  # several batches for the workers
         stats = extract_corpus(src, hearst, isa, workers, normalized_out=normalized)
     # the gate leaves the lines without a trigger word unparsed
     assert (stats.paragraphs_in == len(SENTENCES)) == (normalized is not None)
@@ -325,9 +325,16 @@ def assert_dispatch_matches_reference(paragraph):
     isa = all_positions_scan(paragraph, _ISA_GRAMMARS)
     assert extract_hearst(paragraph) == hearst
     assert extract_isa(paragraph) == isa
-    outs = ([], [], [])
-    assert patterns._scan_columns(False, True, True, *paragraph, outs) == 0
-    assert outs == ([], *([format_match_line(m) for m in found] for found in (hearst, isa)))
+    # the extract pass of both grammars, gated, on the paragraph written back
+    # as a tagged line, one tag per code
+    words, codes = paragraph
+    tags = {"D": "DT", "N": "NN", "J": "JJ", "K": "VB", "-": "IN"}
+    line = " ".join(f"{word}_{tags[code]}" for word, code in zip(words, codes))
+    gate = patterns._trigger_gate(_HEARST_GRAMMARS + _ISA_GRAMMARS)
+    stats, texts = patterns._scan_batch(line, False, True, True, gate)
+    assert texts == ["", *("".join(format_match_line(m) + "\n" for m in found)
+                           for found in (hearst, isa))]
+    assert (stats.paragraphs_out, stats.phrases_appended) == (0, 0)
 
 
 grammar_words = ["herb", "Basil", "tree", "oak", "red", "such", "is"]

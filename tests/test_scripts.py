@@ -1,7 +1,9 @@
 """The command-line scripts under scripts/, run as `python scripts/<name>.py`
 would run them."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +52,26 @@ def test_planted_benchmark_prints_each_seed_and_their_mean(tmp_path, monkeypatch
                        if not line.startswith("#"))
         # metrics.tsv holds 3 decimals, the table 4, of the same mean
         assert table["merged"][0] == pytest.approx(float(metrics["mrr"]), abs=5.5e-4)
+
+
+@pytest.mark.parametrize("script, flags, name", [
+    ("make_planted_corpus.py", ["--hypernyms", "1"], "n_hypernyms"),
+    ("make_planted_corpus.py", ["--hyponyms", "1"], "n_hyponyms"),
+    ("make_planted_corpus.py", ["--noise-lines", "-5"], "noise_lines"),
+    ("make_planted_corpus.py", ["--distractor-vocab", "-1"], "distractor_vocab"),
+    ("run_planted_benchmark.py", ["--hypernyms", "1"], "n_hypernyms"),
+    ("run_planted_benchmark.py", ["--epochs", "0"], "epochs"),
+    ("run_planted_benchmark.py", ["--dim", "1"], "dim"),
+])
+def test_bad_size_is_a_usage_error(tmp_path, script, flags, name):
+    """A size or training setting out of range ends the script with a usage
+    error naming it, before any file is written."""
+    src = str(SCRIPTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), str(out), *flags],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {name} must be at least" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
