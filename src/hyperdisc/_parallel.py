@@ -7,9 +7,10 @@ result per batch; every other stage runs serially. Workers are separate
 processes (the map functions are pure and picklable), at most
 ``os.cpu_count()`` of them (one when the count is unknown); results are
 yielded in input order regardless of worker count, so any stage built on this
-produces byte-identical output for every ``workers`` setting. With one
-process the function runs in this process and `multiprocessing` is never
-imported."""
+produces byte-identical output for every ``workers`` setting. The workers
+ignore SIGINT, so a Ctrl-C raises `KeyboardInterrupt` in this process
+alone, and leaving the pool's block terminates them. With one process the
+function runs in this process and `multiprocessing` is never imported."""
 
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ def map_lines(
         yield from map(func, items)
         return
     import multiprocessing
+    import signal
 
-    with multiprocessing.Pool(processes) as pool:
+    initargs = (signal.SIGINT, signal.SIG_IGN)
+    with multiprocessing.Pool(processes, initializer=signal.signal, initargs=initargs) as pool:
         yield from pool.imap(func, items)

@@ -341,21 +341,6 @@ def cmd_fit_phi(cfg: PipelineConfig) -> None:
     )
 
 
-def _source_lists(query, phi_list, vocab, cooc_idx, hearst_idx, isa_idx, cfg):
-    isa = candidates_from_pairs(isa_idx, query.term, vocab, cfg.k)
-    head = head_word_heuristic(query)
-    if head is not None and head.term in vocab and head.term not in {c.term for c in isa}:
-        isa = (isa + [head])[: cfg.k]
-    return {
-        Source.ISA: isa,
-        Source.COOC: candidates_from_cooc(
-            cooc_idx, query.term, vocab, cfg.threshold, cfg.k
-        ),
-        Source.HEARST: candidates_from_pairs(hearst_idx, query.term, vocab, cfg.k),
-        Source.PHI: phi_list,
-    }
-
-
 def module_lists(cfg: PipelineConfig) -> Callable[[Sequence[Query]], list[dict]]:
     """Check every file `predict` reads, load the vocabulary and the five
     artifacts once, and return the function from a list of queries to
@@ -375,16 +360,24 @@ def module_lists(cfg: PipelineConfig) -> Callable[[Sequence[Query]], list[dict]]
                        f"is {cfg.phi_mode} and the embedding has dimension {model.dimension}; "
                        "re-run the 'fit-phi' stage")
     vocab = load_vocabulary(cfg.vocab)
-    sources = (
-        vocab,
-        cooc_idx,
-        build_pair_index(cfg.hearst_corpus, Source.HEARST),
-        build_pair_index(cfg.isa_corpus, Source.ISA),
-    )
+    hearst_idx = build_pair_index(cfg.hearst_corpus, Source.HEARST)
+    isa_idx = build_pair_index(cfg.isa_corpus, Source.ISA)
 
     def lists_for(queries: Sequence[Query]) -> list[dict]:
         phi_lists = nearest_terms(phi, model, [q.term for q in queries], vocab, cfg.k)
-        return [_source_lists(q, found, *sources, cfg) for q, found in zip(queries, phi_lists)]
+        lists = []
+        for q, phi_list in zip(queries, phi_lists):
+            isa = candidates_from_pairs(isa_idx, q.term, vocab, cfg.k)
+            head = head_word_heuristic(q)
+            if head is not None and head.term in vocab and head.term not in {c.term for c in isa}:
+                isa = (isa + [head])[: cfg.k]
+            lists.append({
+                Source.ISA: isa,
+                Source.COOC: candidates_from_cooc(cooc_idx, q.term, vocab, cfg.threshold, cfg.k),
+                Source.HEARST: candidates_from_pairs(hearst_idx, q.term, vocab, cfg.k),
+                Source.PHI: phi_list,
+            })
+        return lists
 
     return lists_for
 
@@ -514,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C; an artifact being written is left as it was
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

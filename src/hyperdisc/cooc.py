@@ -106,13 +106,15 @@ def merge_cooc_indexes(parts: Sequence[CoocIndex]) -> CoocIndex:
 
 
 def _ranked(
-    row: dict[str, int],
+    counts: dict[str, dict[str, int]],
+    q: str,
     vocab: frozenset[str],
     source: Source,
     min_count: int,
     k: int,
 ) -> list[ScoredCandidate]:
-    if k <= 0:
+    row = counts.get(term_to_token(q))
+    if row is None or k <= 0:
         return []
     # (-count, term) sorts by count descending, then by term; a token's term
     # is token_to_term(token), inlined
@@ -133,10 +135,7 @@ def candidates_from_cooc(
 ) -> list[ScoredCandidate]:
     """The ``k`` context tokens co-occurring most often, and strictly more
     than ``threshold`` times, whose terms are in ``vocab``."""
-    row = index.counts.get(term_to_token(q))
-    if row is None:
-        return []
-    return _ranked(row, vocab, Source.COOC, threshold + 1, k)
+    return _ranked(index.counts, q, vocab, Source.COOC, threshold + 1, k)
 
 
 def candidates_from_pairs(
@@ -147,10 +146,7 @@ def candidates_from_pairs(
 ) -> list[ScoredCandidate]:
     """The ``k`` hypernyms paired most often with ``q`` in the pattern
     corpus whose terms are in ``vocab``."""
-    row = index.counts.get(term_to_token(q))
-    if row is None:
-        return []
-    return _ranked(row, vocab, index.kind, 1, k)
+    return _ranked(index.counts, q, vocab, index.kind, 1, k)
 
 
 def head_word_heuristic(q: Query) -> ScoredCandidate | None:

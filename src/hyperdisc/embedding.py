@@ -595,7 +595,8 @@ def candidates_from_phi(
     k: int = MAX_PREDICTIONS,
 ) -> list[ScoredCandidate]:
     """The ``k`` terms of ``vocab`` nearest to the projected query vector:
-    `nearest_terms` for a block of one query.
+    `nearest_terms` for a block of one query. `perfbench/answer.py` calls it
+    and `perfbench/trace.py` times it by name; ROADMAP item 1 removes it.
 
     Euclidean distance to vec(q) + offset (or matrix @ vec(q)), the query
     itself excluded, ties lexicographic, scores 1/(1 + distance). A query

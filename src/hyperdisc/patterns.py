@@ -24,11 +24,13 @@ time: an optional comma, an optional conjunction, one NP; the NP after a
 conjunction ends the list. In grammars 1-4 the standalone NP is the hypernym
 and the list holds hyponyms; in 5-6 the roles flip; IS-A reads left as
 hyponym, right as hypernym. Grammars 1, 3 and 4 are one scanner over their
-trigger words (`_scan_trigger`). Trigger words are matched on the lowercase
-surface regardless of POS tag, which tolerates tagger noise on words like
-"such". Matches of one grammar never overlap each other; different grammars
-scan independently, each only where its trigger word (``such``,
-``including``, ``especially``, ``or``, ``and``, ``is``) occurs.
+trigger words (`_scan_trigger`); grammars 5-7 are another (`_scan_before`),
+with an NP-list left of the trigger in 5-6 and one NP in IS-A. Trigger
+words are matched on the lowercase surface regardless of POS tag, which
+tolerates tagger noise on words like "such". Matches of one grammar never
+overlap each other; different grammars scan independently, each only where
+its trigger word (``such``, ``including``, ``especially``, ``or``, ``and``,
+``is``) occurs.
 
 One pass (`scan_corpus`) splits each corpus line once and hands its columns
 to the normalizer and the grammars of the outputs it writes. A pass that
@@ -98,18 +100,18 @@ def _match_np(words: tuple[str, ...], codes: str, start: int) -> tuple[str, int]
     return "_".join(words[i:end]), end
 
 
-def _match_np_before(words: tuple[str, ...], codes: str, end: int) -> tuple[str, int] | None:
+def _match_np_before(words: tuple[str, ...], codes: str, end: int) -> tuple[list[str], int] | None:
     """Greedy right-anchored NP whose last token is ``words[end - 1]``.
 
-    Returns the phrase and its start index, or None when that token is not
-    a noun.
+    Returns a list of the one phrase, as `_match_np_list_before` returns its
+    phrases, and its start index, or None when that token is not a noun.
     """
     if end <= 0 or codes[end - 1] != "N":
         return None
     start = end - 1
     while start > 0 and end - start < MAX_NP_WORDS and codes[start - 1] in "NJ":
         start -= 1
-    return "_".join(words[start:end]), start
+    return ["_".join(words[start:end])], start
 
 
 def _match_np_list(
@@ -144,22 +146,23 @@ def _match_np_list_before(
     anchor = _match_np_before(words, codes, pos)
     if anchor is None:
         return None
-    phrase, pos = anchor
-    phrases = [phrase]
+    phrases, pos = anchor
     while pos >= 2 and _word(words, pos - 1) == ",":
         more = _match_np_before(words, codes, pos - 1)
         if more is None:
             break
-        phrases.insert(0, more[0])
+        phrases[:0] = more[0]
         pos = more[1]
     return phrases, pos
 
 
 def _emit(pattern_id: PatternId, hypernym: str, hyponyms: list[str]) -> PatternMatch | None:
-    hypos = tuple(np for np in hyponyms if np != hypernym)
-    if not hypos:
-        return None
-    return PatternMatch(pattern_id, hypernym, hypos)
+    if hypernym in hyponyms:  # a phrase is not its own hypernym
+        hyponyms = [np for np in hyponyms if np != hypernym]
+        if not hyponyms:
+            return None
+    # what PatternMatch(...) runs, less a Python-level call
+    return tuple.__new__(PatternMatch, (pattern_id, hypernym, tuple(hyponyms)))
 
 
 # the grammars' scanners, called with the lowercased surfaces, the tag codes
@@ -193,14 +196,16 @@ def _scan_trigger(trigger, pattern_id, words, codes, i):
     rest = _match_np_list(words, codes, end)
     if rest is None:
         return None
-    match = _emit(pattern_id, left[0], rest[0])
+    match = _emit(pattern_id, left[0][0], rest[0])
     return (match, left[1], rest[1]) if match else None
 
 
-def _scan_other(conj, pattern_id, words, codes, i):
-    if _word(words, i) != conj or _word(words, i + 1) != "other":
+def _scan_before(trigger, seconds, left_rule, pattern_id, words, codes, i):
+    """The hyponym phrase(s) that ``left_rule`` finds ending just before
+    ``i``, then ``trigger``, a word of ``seconds``, and the hypernym NP."""
+    if words[i] != trigger or i + 1 == len(words) or words[i + 1] not in seconds:
         return None
-    left = _match_np_list_before(words, codes, i)
+    left = left_rule(words, codes, i)
     if left is None:
         return None
     right = _match_np(words, codes, i + 2)
@@ -210,21 +215,6 @@ def _scan_other(conj, pattern_id, words, codes, i):
     return (match, left[1], right[1]) if match else None
 
 
-def _scan_isa(words, codes, i):
-    if _word(words, i) != "is" or _word(words, i + 1) not in ISA_DETERMINERS:
-        return None
-    left = _match_np_before(words, codes, i)
-    if left is None:
-        return None
-    right = _match_np(words, codes, i + 2)
-    if right is None:
-        return None
-    hyper, hypo = right[0], left[0]
-    if hyper == hypo:
-        return None
-    return PatternMatch(PatternId.IS_A, hyper, (hypo,)), left[1], right[1]
-
-
 # (trigger word, scanner) per grammar, in output order; a scanner checks its
 # trigger itself, so only trigger positions can match.
 _HEARST_GRAMMARS: tuple[tuple[str, Callable], ...] = (
@@ -232,10 +222,12 @@ _HEARST_GRAMMARS: tuple[tuple[str, Callable], ...] = (
     ("such", _scan_such_np_as),
     ("including", partial(_scan_trigger, ("including",), PatternId.INCLUDING)),
     ("especially", partial(_scan_trigger, ("especially",), PatternId.ESPECIALLY)),
-    ("or", partial(_scan_other, "or", PatternId.OR_OTHER)),
-    ("and", partial(_scan_other, "and", PatternId.AND_OTHER)),
+    ("or", partial(_scan_before, "or", ("other",), _match_np_list_before, PatternId.OR_OTHER)),
+    ("and", partial(_scan_before, "and", ("other",), _match_np_list_before, PatternId.AND_OTHER)),
 )
-_ISA_GRAMMARS: tuple[tuple[str, Callable], ...] = (("is", _scan_isa),)
+_ISA_GRAMMARS: tuple[tuple[str, Callable], ...] = (
+    ("is", partial(_scan_before, "is", ISA_DETERMINERS, _match_np_before, PatternId.IS_A)),
+)
 
 
 def _run_scan(words, codes, scanner, positions: list[int]) -> list[PatternMatch]:
@@ -448,5 +440,7 @@ def extract_corpus(
     in corpus order, each only when given a path; ``normalized_out`` adds
     the normalized corpus to the pass. Both corpora hold one match per line,
     its hyponyms and then its hypernym, tab-separated (`format_match_line`),
-    so an IS-A line is ``hyponym<TAB>hypernym``."""
+    so an IS-A line is ``hyponym<TAB>hypernym``. `perfbench/trace.py` times
+    it by name, ``pipeline``'s pass too, through ``normalized_out``; ROADMAP
+    item 9 removes both."""
     return scan_corpus(in_path, normalized_out, hearst_out, isa_out, workers, header)

@@ -851,6 +851,25 @@ def test_out_of_memory_is_clean_error(tmp_path, dataset, capsys, monkeypatch, me
     assert not os.path.exists(cfg.embedding)
 
 
+def test_interrupt_is_one_line_and_leaves_no_temporary_file(tmp_path, dataset, capsys, monkeypatch):
+    """A Ctrl-C while a stage writes its artifact ends the run with exit
+    130 and one line, and deletes the artifact's temporary file."""
+    cfg = make_config(dataset, tmp_path)
+    cfg_path = tmp_path / "config.txt"
+    write_config(cfg_path, cfg)
+
+    def interrupted(cfg):
+        with corpus_io.write_artifact(cfg.normalized, cfg.header()) as fh:
+            fh.write("herb plant\n")
+            assert list(tmp_path.glob("*.tmp"))
+            raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "normalize", interrupted)
+    assert run(cfg_path, "normalize") == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert not list(tmp_path.glob("*.tmp")) and not os.path.exists(cfg.normalized)
+
+
 def test_embedding_and_phi_hold_the_trained_weights_exactly(tmp_path, dataset):
     """`fit-phi` and `predict` load the model `train-embedding` trained, bit
     for bit: the embedding's block is the trained weights, and the offset
@@ -1131,4 +1150,30 @@ assert not missing, f"not imported by hyperdisc.cli: {missing}"
 
 def test_cli_import_loads_every_layer_and_no_heavy_module():
     proc = run_fresh_python("-c", CLI_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+
+
+# what the benchmark's tracer (perfbench/trace.py, which shadows the standard
+# library's `trace`) wraps by name: every function of its SPAN_FUNCTIONS and
+# every handler of `cli.PIPELINE_STAGES` and `cli.COMMANDS`
+BENCHMARK_TRACER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import trace
+trace.Tracer(sample_rss=False).install()
+from hyperdisc import cli
+for layer, names in trace.SPAN_FUNCTIONS.items():
+    for name in names:
+        assert hasattr(getattr(sys.modules[f"hyperdisc.{layer}"], name), "__wrapped__"), name
+assert [stage for stage, _ in cli.PIPELINE_STAGES] == list(cli.STAGES)
+assert all(hasattr(handler, "__wrapped__") for _, handler in cli.PIPELINE_STAGES)
+assert all(hasattr(handler, "__wrapped__") for handler in cli.COMMANDS.values())
+"""
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """A rename of a function the benchmark times fails here as well as in
+    the benchmark."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = run_fresh_python("-c", BENCHMARK_TRACER, perfbench)
     assert proc.returncode == 0, proc.stderr

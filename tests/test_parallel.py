@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -12,7 +13,7 @@ class RecordingPool:
 
     built: list[int] = []
 
-    def __init__(self, processes):
+    def __init__(self, processes, initializer=None, initargs=()):
         RecordingPool.built.append(processes)
 
     def __enter__(self):
@@ -37,3 +38,13 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, workers, pools):
     batches = [f"batch {i}" for i in range(50)]
     assert list(map_lines(str.upper, batches, workers)) == [b.upper() for b in batches]
     assert RecordingPool.built == pools
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool of two needs two CPUs")
+def test_workers_leave_sigint_to_the_parent():
+    """Each worker ignores SIGINT, so a Ctrl-C interrupts the parent alone;
+    the parent's own handler is left as it was."""
+    before = signal.getsignal(signal.SIGINT)
+    handlers = list(map_lines(signal.getsignal, [signal.SIGINT] * 20, workers=2))
+    assert handlers == [signal.SIG_IGN] * 20
+    assert signal.getsignal(signal.SIGINT) is before
