@@ -172,15 +172,17 @@ def build_pair_index(pattern_corpus_path: str | os.PathLike, kind: Source) -> Pa
 
     Each line is one match, its hyponyms and then its hypernym,
     tab-separated (`patterns.format_match_line`), and adds one count per
-    hyponym. A line with fewer than two fields or an empty field, and a
+    hyponym; a line is split once and its last field popped off as the
+    hypernym. A line with fewer than two fields or an empty field, and a
     cut-short last line, is a `FormatError` naming the file and the line.
     """
     if kind not in (Source.HEARST, Source.ISA):
         raise ValueError(f"pair index kind must be Hearst or IsA, got {kind}")
     counts: dict[str, dict[str, int]] = {}
     for n, line in enumerate(read_artifact(pattern_corpus_path)[1], start=1):
-        *hypos, hyper = line.split("\t")
-        if not (hypos and all(hypos) and hyper):
+        hypos = line.split("\t")
+        hyper = hypos.pop()
+        if not (hypos and hyper and "" not in hypos):
             raise FormatError(f"{pattern_corpus_path}: line {file_line(pattern_corpus_path, n)} "
                               f"is not hyponym<TAB>...<TAB>hypernym: {line!r}")
         for hypo in hypos:

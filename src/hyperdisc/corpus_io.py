@@ -276,20 +276,24 @@ def load_vocabulary(path: str | os.PathLike) -> frozenset[str]:
     """Load the candidate-hypernym vocabulary, lowercased and deduplicated:
     the terms every module filters its candidates by.
 
-    Lines with more than `MAX_TERM_WORDS` words are skipped.
+    Each line is lowercased and split on whitespace once; a line of 1 to
+    `MAX_TERM_WORDS` words is kept, its words joined by single spaces (what
+    `normalize_term` makes of it), and any other line is skipped.
     """
     terms = set()
     for line in iter_data_lines(path):
-        term = normalize_term(line)
-        if term and term.count(" ") < MAX_TERM_WORDS:
-            terms.add(term)
+        words = line.lower().split()
+        if 0 < len(words) <= MAX_TERM_WORDS:
+            terms.add(" ".join(words))
     return frozenset(terms)
 
 
 def load_queries(path: str | os.PathLike) -> list[Query]:
     """Load ``term<TAB>kind`` queries, preserving line order. A line whose
-    term is empty or all whitespace is a `FormatError` naming the line."""
-    queries = []
+    term is empty or all whitespace is a `FormatError` naming the line, and
+    so is a kind that is not a `QueryKind` value, looked up in a dict of
+    them."""
+    queries, kinds = [], {kind.value: kind for kind in QueryKind}
     for n, line in enumerate(iter_data_lines(path), start=1):
         if not line.strip():
             continue
@@ -297,13 +301,12 @@ def load_queries(path: str | os.PathLike) -> list[Query]:
         term, kind_text = normalize_term(term), kind_text.strip()
         if not term:
             raise FormatError(f"{path}: line {file_line(path, n)}: empty query term")
-        try:
-            kind = QueryKind(kind_text)
-        except ValueError:
+        kind = kinds.get(kind_text)
+        if kind is None:
             raise FormatError(
                 f"{path}: line {file_line(path, n)}: unknown query kind {kind_text!r} "
                 f"(expected Concept or Entity)"
-            ) from None
+            )
         queries.append(Query(term, kind))
     return queries
 

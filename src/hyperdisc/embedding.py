@@ -78,6 +78,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus_io import (
     MAX_PREDICTIONS,
+    READ_CHUNK,
     FormatError,
     checked,
     read_artifact,
@@ -182,7 +183,7 @@ class EmbeddingModel:
         self.vocab = vocab
         self.input_vectors = input_vectors
         self.output_vectors = output_vectors
-        self.index = {token: i for i, token in enumerate(vocab)}
+        self.index = dict(zip(vocab, range(len(vocab))))
         # the pool `_candidate_pool` built last, for `candidates_from_phi` or `nearest_terms`
         self._phi_pool: _PhiPool | None = None
 
@@ -804,9 +805,11 @@ def _survivors(pool: _PhiPool, score: np.ndarray, t_norm: float, cut: int) -> np
 
 def _require_finite(path, values: np.ndarray, name: Callable[[int], str]) -> None:
     """Reject a nan or infinite value, naming its row i by ``name(i)``; the
-    writers check as the readers do, so no file is written that is refused."""
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
+    writers check as the readers do, so no file is written that is refused.
+    One whole-array check passes finite values; only a failing array is
+    searched row by row for the first bad row."""
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         raise FormatError(f"{path}: {name(int(bad[0]))} has a non-finite value")
 
 
@@ -838,8 +841,11 @@ def _read_vectors(path, phi: bool) -> tuple[PhiMode | None, list[str], np.ndarra
     """A vector file, from one open in binary: the header (`read_header`),
     a phi's mode line, a ``rows width`` size line, an embedding's token
     lines, one per row, then exactly rows x width little-endian float64
-    values. The phi mode, the tokens and the (rows, width) array. Each fault
-    is a `FormatError` naming the file, and row i as ``<label> i of <rows>``
+    values. The phi mode, the tokens and the (rows, width) array. The token
+    lines are read `READ_CHUNK` bytes at a time, with each read's newlines
+    counted in bulk, up to the rows-th newline; that block is decoded once,
+    and the vector block is read from just past it. Each fault is a
+    `FormatError` naming the file, and row i as ``<label> i of <rows>``
     (with its token): a size line that is not two positive integers, a
     missing token line, a token that is not UTF-8, a block of another
     length (checked against the file size before it is read) and a nan or
@@ -866,16 +872,21 @@ def _read_vectors(path, phi: bool) -> tuple[PhiMode | None, list[str], np.ndarra
             return f"{label} {i + 1} of {n}{token}"
 
         if not phi:
-            raw = list(itertools.islice(fh, n))
-            # only the last line read can lack its newline, at the end of the file
-            whole = len(raw) - (bool(raw) and not raw[-1].endswith(b"\n"))
-            if whole < n:
-                raise FormatError(f"{path}: {name(whole)} is missing; the file is truncated")
-            joined = b"".join(raw)
+            start, chunks, count = fh.tell(), [], 0  # ``count`` newlines in ``chunks``
+            while count < n:
+                chunks.append(fh.read(READ_CHUNK))
+                if not chunks[-1]:
+                    raise FormatError(f"{path}: {name(count)} is missing; the file is truncated")
+                count += chunks[-1].count(b"\n")
+            # the block ends just past its n-th newline: the last chunk's
+            # (count - n + 1)-th newline from its end
+            chunks[-1] = chunks[-1][: len(chunks[-1].rsplit(b"\n", count - n + 1)[0]) + 1]
+            block = b"".join(chunks)
+            fh.seek(start + len(block))
             try:
-                keys += joined.decode("utf-8").split("\n")[:-1]
+                keys += block.decode("utf-8").split("\n")[:-1]
             except UnicodeDecodeError as exc:
-                row = name(joined.count(b"\n", 0, exc.start))
+                row = name(block.count(b"\n", 0, exc.start))
                 raise FormatError(f"{path}: {row} has a token that is not UTF-8 ({exc.reason})") from None
         size, row_bytes = os.fstat(fh.fileno()).st_size - fh.tell(), width * 8
         if size < n * row_bytes:
@@ -893,7 +904,8 @@ def load_embedding(path: str | os.PathLike) -> EmbeddingModel:
 
     A repeated token or a nan or infinite value is a `FormatError`: the
     rows of a model map one-to-one to tokens, and distances must compare.
-    So is every fault `_read_vectors` finds.
+    So is every fault `_read_vectors` finds; a repeated token is searched
+    for only when the model's index comes out shorter than its tokens.
     """
     _, vocab, vectors = _read_vectors(path, phi=False)
     model = EmbeddingModel(vocab, vectors)

@@ -203,6 +203,16 @@ def test_load_queries_unknown_kind_counts_header_lines(tmp_path, text, line):
     assert str(info.value).startswith(f"{path}: line {line}: unknown query kind 'Thing'")
 
 
+@pytest.mark.parametrize("kind", ["concept", "ENTITY", "", "Concept\tEntity", "QueryKind.CONCEPT"])
+def test_load_queries_refuses_each_kind_but_the_two_values(tmp_path, kind):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"herb\tConcept\nx\t{kind}\n")
+    with pytest.raises(FormatError) as info:
+        load_queries(path)
+    assert str(info.value) == (
+        f"{path}: line 2: unknown query kind {kind!r} (expected Concept or Entity)")
+
+
 @pytest.mark.parametrize("term", ["", "   "], ids=["empty", "blank"])
 def test_load_queries_empty_term_names_line(tmp_path, term):
     path = tmp_path / "q.tsv"
@@ -510,6 +520,37 @@ def test_loaders_are_deterministic(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("B\na\nb\n")
     assert load_vocabulary(path) == load_vocabulary(path)
+
+
+# words and the separators `str.split` splits at: tab, CR, U+0085, U+00A0,
+# U+2028 and U+3000, single and double spaces; a capital sigma lowercases
+# by its place in the word
+VOCAB_WORDS = st.sampled_from(["Herb", "oil", "PLANT", "ΟΔΟΣ", "Σ", "aΣ", "#tag", "x"])
+VOCAB_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\r", "\x85", "\xa0", "\u2028", "\u3000"])
+
+
+@st.composite
+def vocabulary_lines(draw):
+    """A line of 0 to 5 words, each after a run of separators, and maybe
+    a run of them at the end: blank lines, edge and double spaces and
+    lines of more than `MAX_TERM_WORDS` words among them."""
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        parts += draw(st.lists(VOCAB_SEPARATORS, max_size=2)) + [draw(VOCAB_WORDS)]
+    return "".join(parts + draw(st.lists(VOCAB_SEPARATORS, max_size=2)))
+
+
+@given(st.lists(vocabulary_lines(), max_size=12), st.booleans(), st.booleans())
+def test_vocabulary_is_normalize_term_under_the_word_cap(tmp_path_factory, lines, bom, header):
+    """`load_vocabulary` keeps what `normalize_term` makes of each data line
+    when that has 1 to `MAX_TERM_WORDS` words, as it did before it split
+    each line once."""
+    path = tmp_path_factory.mktemp("v") / "v.txt"
+    text = ("#config-hash f00d\n" if header else "") + "".join(line + "\n" for line in lines)
+    path.write_bytes((BOM_UTF8 if bom else b"") + text.encode("utf-8"))
+    terms = (corpus_io.normalize_term(line) for line in iter_data_lines(path))
+    assert load_vocabulary(path) == frozenset(
+        term for term in terms if term and term.count(" ") < corpus_io.MAX_TERM_WORDS)
 
 
 @given(st.lists(st.sampled_from(["herb", "Herb", "oil plant", "grass", "x y z"])))

@@ -2,6 +2,7 @@ import functools
 import math
 import signal
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,17 +402,35 @@ def test_groups_covering_the_vocabulary_still_train(monkeypatch, vocab_size):
     assert np.isfinite(w_in).all() and np.isfinite(w_out).all()
 
 
-def padded_step(w_in, w_out, context, centers, negatives, lr):
+def context_means(w_in, context):
+    """Each position's context mean, summed directly over its row of
+    ``context``: its context rows, padded with -1."""
+    inside = context >= 0
+    sums = np.einsum("bk,bkd->bd", inside.astype(w_in.dtype), w_in[context])
+    return sums / inside.sum(axis=1)[:, None]
+
+
+def prefix_means(w_in, segment, lo, hi, start):
+    """The context means as `apply_step` takes them from its arguments:
+    differences of the prefix sums of the segment's rows, less each
+    position's own row."""
+    x = w_in[segment]
+    sums = np.concatenate((np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)))
+    return (sums[hi] - sums[lo] - x[start : start + lo.size]) / (hi - lo - 1)[:, None]
+
+
+def padded_step(w_in, w_out, context, centers, negatives, lr, means=None):
     """The block update as it was written before the windowed one: row ``b``
     of ``context`` holds position ``b``'s context rows, padded with -1, and
     every context row is gathered and scattered on its own. A reference
-    for `apply_step`, with the same grouping of negatives."""
+    for `apply_step`, with the same grouping of negatives. ``means`` are
+    the positions' context means, `context_means` when not given."""
     inside = context >= 0
     n_ctx = inside.sum(axis=1)
     size, groups, dim = len(centers), len(negatives), w_in.shape[1]
     width = -(-size // groups)
     h, step_h = np.zeros((2, groups * width, dim))
-    h[:size] = np.einsum("bk,bkd->bd", inside.astype(w_in.dtype), w_in[context]) / n_ctx[:, None]
+    h[:size] = context_means(w_in, context) if means is None else means
     step_h[:size] = (-lr)[:, None] * h[:size]
     out_c, out_n = w_out[centers], w_out[negatives]
     g_c = 1.0 / (1.0 + np.exp(-np.einsum("bd,bd->b", h[:size], out_c))) - 1.0
@@ -426,36 +445,45 @@ def padded_step(w_in, w_out, context, centers, negatives, lr):
     np.add.at(w_in, context[inside], np.repeat(step_in, n_ctx, axis=0))
 
 
-def padded_reference(ids, bounds, w_in, w_out, noise_cdf, config, rng, block=embedding.BLOCK):
-    """The block trainer with `padded_step`: each block's contexts as a
-    padded (block, 2 window) array, its negatives drawn as `_train` draws
-    them."""
+def padded_blocks(ids, bounds, noise_cdf, config, rng, block=embedding.BLOCK):
+    """The arguments of `padded_step` for each block of the block trainer,
+    in order: each block's contexts as a padded (block, 2 window) array,
+    its centers, its negatives drawn as `_train` draws them and its
+    learning rates. None of them depends on the weights."""
     total = config.epochs * ids.size
     window = config.window
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     n_neg = config.negatives
     group = min(embedding.GROUP, block, noise_cdf.size - 1)
+    for epoch in range(config.epochs):
+        for first in range(0, ids.size, block):
+            pos = np.arange(first, min(first + block, ids.size))
+            line = np.searchsorted(bounds, pos, side="right")
+            at = pos[:, None] + offsets
+            inside = (at >= bounds[line - 1, None]) & (at < bounds[line, None])
+            context = np.where(inside, ids[np.where(inside, at, 0)], -1)
+            centers = ids[pos]
+            groups = -(-pos.size // group)
+            width = -(-pos.size // groups)
+            negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg)).reshape(groups, n_neg)
+            while True:
+                hits = np.repeat(negs, width, axis=0)[: pos.size] == centers[:, None]
+                clash = np.logical_or.reduceat(hits, np.arange(0, pos.size, width))
+                if not clash.any():
+                    break
+                negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
+            lr = config.lr * (1.0 - 0.9 * (epoch * ids.size + pos) / total)
+            yield context, centers, negs, np.maximum(lr, embedding.LR_FLOOR_FRACTION * config.lr)
+
+
+def flat_step(x, args, dim, means=None):
+    """`padded_step` with the block ``args`` and ``means`` on the weights
+    ``x``: w_in's values and then w_out's, of ``dim`` columns each, in one
+    flat array. The weights after it, as a new flat array."""
+    w_in, w_out = x.reshape(2, -1, dim).copy()
     with np.errstate(over="ignore"):
-        for epoch in range(config.epochs):
-            for first in range(0, ids.size, block):
-                pos = np.arange(first, min(first + block, ids.size))
-                line = np.searchsorted(bounds, pos, side="right")
-                at = pos[:, None] + offsets
-                inside = (at >= bounds[line - 1, None]) & (at < bounds[line, None])
-                context = np.where(inside, ids[np.where(inside, at, 0)], -1)
-                centers = ids[pos]
-                groups = -(-pos.size // group)
-                width = -(-pos.size // groups)
-                negs = np.searchsorted(noise_cdf, rng.random(groups * n_neg)).reshape(groups, n_neg)
-                while True:
-                    hits = np.repeat(negs, width, axis=0)[: pos.size] == centers[:, None]
-                    clash = np.logical_or.reduceat(hits, np.arange(0, pos.size, width))
-                    if not clash.any():
-                        break
-                    negs[clash] = np.searchsorted(noise_cdf, rng.random(int(clash.sum())))
-                lr = config.lr * (1.0 - 0.9 * (epoch * ids.size + pos) / total)
-                lr = np.maximum(lr, embedding.LR_FLOOR_FRACTION * config.lr)
-                padded_step(w_in, w_out, context, centers, negs, lr)
+        padded_step(w_in, w_out, *args, means)
+    return np.concatenate((w_in.ravel(), w_out.ravel()))
 
 
 def windowed_case(seed, vocab_size, window, lengths, dim=4, negatives=3, epochs=1):
@@ -469,7 +497,7 @@ def windowed_case(seed, vocab_size, window, lengths, dim=4, negatives=3, epochs=
 
 
 @st.composite
-def windowed_cases(draw):
+def windowed_cases(draw, vocab_sizes=st.integers(2, 40), dims=st.integers(2, 8)):
     window = draw(st.integers(1, 8))
     # short lines (two ids, or fewer than the window) among long ones that
     # cross a block boundary, over at least two blocks
@@ -478,26 +506,52 @@ def windowed_cases(draw):
     while sum(lengths) <= embedding.BLOCK:
         lengths.append(draw(length))
     return windowed_case(
-        draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 40)), window, lengths,
-        dim=draw(st.integers(2, 8)), negatives=draw(st.integers(1, 4)),
-        epochs=draw(st.integers(1, 2)),
+        draw(st.integers(0, 2**32 - 1)), draw(vocab_sizes), window, lengths,
+        dim=draw(dims), negatives=draw(st.integers(1, 4)), epochs=draw(st.integers(1, 2)),
     )
 
 
-def train_both(lines, config, counts, trainers):
-    """Each trainer's RNG end state and weights, from the same start."""
+def windowed_run(case):
+    """`_train` on ``case`` from random start weights: its weights before
+    each block and at the end, each flat as `flat_step` takes them, the
+    (segment, lo, hi, start) arguments of each block's `apply_step` and
+    its RNG end state; then the `padded_blocks` of the case, drawn from the
+    same seed, and that RNG's end state."""
+    lines, config, counts = case
+    ids, bounds = ids_and_bounds(lines)
     noise_cdf = np.cumsum(counts**embedding.NOISE_POWER)
     noise_cdf /= noise_cdf[-1]
     init = np.random.default_rng(config.seed + 1)
     shape = (len(counts), config.dim)
     w_in, w_out = init.normal(0, 0.5, shape), init.normal(0, 0.5, shape)
-    runs = []
-    for train in trainers:
-        rng = np.random.default_rng(config.seed)
-        weights = w_in.copy(), w_out.copy()
-        train(*ids_and_bounds(lines), *weights, noise_cdf, config, rng)
-        runs.append((rng.bit_generator.state, *weights))
-    return runs
+    states, windows = [], []
+    real_step = embedding.apply_step
+
+    def recording_step(w_in, w_out, segment, lo, hi, start, *args):
+        states.append(np.concatenate((w_in.ravel(), w_out.ravel())))
+        windows.append((segment, lo, hi, start))
+        real_step(w_in, w_out, segment, lo, hi, start, *args)
+
+    rng, reference_rng = np.random.default_rng(config.seed), np.random.default_rng(config.seed)
+    with mock.patch.object(embedding, "apply_step", recording_step):
+        embedding._train(ids, bounds, w_in, w_out, noise_cdf, config, rng)
+    states.append(np.concatenate((w_in.ravel(), w_out.ravel())))
+    blocks = list(padded_blocks(ids, bounds, noise_cdf, config, reference_rng))
+    return states, windows, rng.bit_generator.state, blocks, reference_rng.bit_generator.state
+
+
+# the relative error one block of the windowed trainer may make against
+# `padded_step` from the same weights and the same context means
+STEP_BOUND = 1e-12
+UNIT_ROUNDOFF = 2.0**-53
+# a run whose last block multiplies the two trainers' difference 40-fold,
+# so that their end weights differ by 6.6e-12 of w_out's norm
+AMPLIFYING_RUN = windowed_case(266088, 2, 6, [209, 2, 2, 2, 173], dim=2, negatives=2, epochs=2)
+# a run whose weights grow past 400, where the last block alone, from equal
+# weights, differs from the reference by 2.4e-12 of w_in's norm: its context
+# means differ by 7e-15 of their size and sigmoids of products with large
+# output rows stretch that
+ROUNDING_BLOCK = windowed_case(2, 2, 3, [2, 2, 3, 2, 201, 201], dim=2, negatives=1, epochs=2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -506,13 +560,63 @@ def train_both(lines, config, counts, trainers):
 # than GROUP, and a line across the first block boundary
 @example(windowed_case(3, 5, 6, [2, 4, 2, 300, 3, 2], negatives=2, epochs=2))
 @example(windowed_case(4, 2, 3, [2] * 200))
+@example(AMPLIFYING_RUN)
+@example(ROUNDING_BLOCK)
 def test_windowed_trainer_equals_padded_reference(case):
-    lines, config, counts = case
-    (state_a, in_a, out_a), (state_b, in_b, out_b) = train_both(
-        lines, config, counts, (padded_reference, embedding._train))
-    assert state_a == state_b
-    assert relative_error(in_b, in_a) < 1e-12
-    assert relative_error(out_b, out_a) < 1e-12
+    # every block of the run, from the weights the windowed trainer started
+    # it at, against `padded_step` with the contexts and negatives that the
+    # reference builds and draws on its own. The two round each context
+    # mean differently, and only that: a difference of running sums over
+    # the segment's n rows is within (2n + 1) u T / n_ctx of the exact mean
+    # (recursive summation, Higham 2002, section 4.2), T the sum of the
+    # segment's absolute values, and a direct sum over the 2 window
+    # context slots within (2 window + 1) u T / n_ctx; from the same means
+    # the blocks agree to STEP_BOUND
+    states, windows, state, blocks, reference_state = windowed_run(case)
+    dim, window = case[1].dim, case[1].window
+    assert state == reference_state
+    assert len(blocks) == len(states) - 1
+    for before, after, (segment, lo, hi, start), args in zip(states, states[1:], windows, blocks):
+        w_in = before.reshape(2, -1, dim)[0]
+        means = prefix_means(w_in, segment, lo, hi, start)
+        total = np.abs(w_in[segment]).sum(axis=0)
+        slack = (2 * segment.size + 2 * window + 2) * UNIT_ROUNDOFF * total / (hi - lo - 1)[:, None]
+        assert (np.abs(means - context_means(w_in, args[0])) <= slack).all()
+        reference = flat_step(before, args, dim, means)
+        for half, reference_half in zip(np.split(after, 2), np.split(reference, 2)):
+            assert relative_error(half, reference_half) < STEP_BOUND
+
+
+def step_lipschitz(x, args, dim, h=1e-6):
+    """The spectral norm of the Jacobian of `flat_step` at ``x``, by central
+    differences of step ``h``: how much the block can stretch a small
+    difference of its start weights."""
+    steps = np.eye(x.size) * h
+    columns = [flat_step(x + e, args, dim) - flat_step(x - e, args, dim) for e in steps]
+    return np.linalg.norm(np.column_stack(columns) / (2 * h), 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(windowed_cases(vocab_sizes=st.integers(2, 6), dims=st.integers(2, 4)))
+@example(AMPLIFYING_RUN)
+@example(ROUNDING_BLOCK)
+def test_windowed_run_stays_within_its_propagated_step_bound(case):
+    # the whole run: later blocks stretch the rounding of earlier ones, so
+    # the trainers' end weights may differ by more than one block does. The
+    # difference after block k is at most the bound before it, stretched by
+    # the block's Lipschitz constant at the reference's weights, plus the
+    # block's own difference from equal weights (the test above) and
+    # STEP_BOUND for the reference's own rounding of the block, which sums
+    # each context directly
+    states, _, _, blocks, _ = windowed_run(case)
+    dim = case[1].dim
+    reference, bound = states[0], 0.0
+    for before, after, args in zip(states, states[1:], blocks):
+        lipschitz = step_lipschitz(reference, args, dim)
+        own = np.linalg.norm(after - flat_step(before, args, dim))
+        reference = flat_step(reference, args, dim)
+        bound = lipschitz * bound + own + STEP_BOUND * np.linalg.norm(reference)
+    assert np.linalg.norm(states[-1] - reference) <= bound
 
 
 def test_trainer_memory_is_bounded_by_the_chunk():
@@ -1659,3 +1763,75 @@ def test_malformed_vectors_are_format_error(tmp_path, kind, text, values, proble
     with pytest.raises(FormatError) as info:
         load(path)
     assert str(info.value) == f"{path}: {problem}"
+
+
+SAVED_TOKENS = ["herb", "oil_plant", "ΟΔΟΣ", "x", "lemongrass", "é"]
+# a float64 whose eight bytes are all newlines, so that the vector block
+# holds newline bytes right after the token block
+NEWLINES = np.frombuffer(b"\n" * 8, "<f8")[0]
+
+
+def save_tokens(path):
+    """Save `SAVED_TOKENS` with vectors whose every other row starts with
+    `NEWLINES`; the file's bytes and where its token block starts and ends."""
+    vectors = np.random.default_rng(5).normal(size=(len(SAVED_TOKENS), 3))
+    vectors[::2, 0] = NEWLINES
+    save_embedding(path, EmbeddingModel(SAVED_TOKENS, vectors), header={"config-hash": "f00d"})
+    data = path.read_bytes()
+    start = data.index(b"\n", data.index(b"\n") + 1) + 1  # past the stamp and the size line
+    return vectors, data, start, start + sum(len(t.encode()) + 1 for t in SAVED_TOKENS)
+
+
+def test_token_block_is_read_across_chunk_boundaries(monkeypatch, tmp_path):
+    """Tokens and vectors come back whole at every read size, from one byte
+    to past the token block: a token split between reads, two-byte
+    characters split between reads, and newline bytes in the vector block."""
+    path = tmp_path / "e.txt"
+    vectors, _, start, end = save_tokens(path)
+    for chunk in range(1, end - start + 3):
+        monkeypatch.setattr(embedding, "READ_CHUNK", chunk)
+        model = load_embedding(path)
+        assert model.vocab == SAVED_TOKENS
+        assert model.input_vectors.tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8192])
+def test_token_block_cut_anywhere_names_the_first_missing_row(monkeypatch, tmp_path, chunk):
+    """A file cut at a token line's end or inside it names the first token
+    line that lacks its newline as missing, at any read size."""
+    monkeypatch.setattr(embedding, "READ_CHUNK", chunk)
+    path = tmp_path / "e.txt"
+    _, data, start, end = save_tokens(path)
+    for cut in range(start, end):
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError) as info:
+            load_embedding(path)
+        row = data[start:cut].count(b"\n") + 1
+        assert str(info.value) == (f"{path}: row {row} of {len(SAVED_TOKENS)} is missing; "
+                                   f"the file is truncated")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8192])
+def test_token_that_is_not_utf8_names_its_row(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(embedding, "READ_CHUNK", chunk)
+    path = tmp_path / "e.txt"
+    for row in range(4):
+        tokens = b"".join((b"\xff" if i == row else b"t%d" % i) + b"\n" for i in range(4))
+        path.write_bytes(b"#config-hash f00d\n4 1\n" + tokens + np.ones(4, "<f8").tobytes())
+        with pytest.raises(FormatError) as info:
+            load_embedding(path)
+        assert str(info.value) == (
+            f"{path}: row {row + 1} of 4 has a token that is not UTF-8 (invalid start byte)")
+
+
+@pytest.mark.parametrize("bad", [(0,), (3,), (1, 3), (2, 3)])
+def test_non_finite_value_names_the_first_bad_row(tmp_path, bad):
+    vectors = np.ones((4, 2))
+    for row in bad:
+        vectors[row, row % 2] = math.nan if row % 2 else -math.inf
+    path = tmp_path / "e.txt"
+    path.write_bytes(b"#config-hash f00d\n4 2\na\nb\nc\nd\n" + vectors.astype("<f8").tobytes())
+    with pytest.raises(FormatError) as info:
+        load_embedding(path)
+    assert str(info.value) == (
+        f"{path}: row {bad[0] + 1} of 4 (token {'abcd'[bad[0]]!r}) has a non-finite value")
